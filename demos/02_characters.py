@@ -1,8 +1,8 @@
 """A tour of the exact character engine.
 
 Dimensions via the Weyl product formula, weight multiplicities via the
-Freudenthal recursion, tensor decomposition by leading-term subtraction,
-duals, invariant-form indicators, and grading eigenvalues.
+Freudenthal recursion on dominant weights, tensor decomposition by
+Brauer-Klimyk, duals, invariant-form indicators, and grading eigenvalues.
 """
 
 from smodquiver import weights as W

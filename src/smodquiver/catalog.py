@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import weights
-from .weights import RootSystem, composite
+from .weights import RootSystem
 
 
 class UnknownLabel(KeyError):
@@ -259,8 +259,7 @@ def grading_eigenvalues(kind, lam):
     sys = kind.root_system()
     if not weights.is_dominant(sys, lam):
         raise weights.NotDominant(lam)
-    ch = weights.weight_multiplicities(sys, lam)
-    return weights.eigenvalue_set(ch, kind.cocharacter())
+    return weights.grading_values(sys, lam, kind.cocharacter())
 
 
 @lru_cache(maxsize=None)
@@ -381,7 +380,3 @@ def graded_piece_dim(kind, name, level):
     h2 = kind.cocharacter()
     return sum(m for w, m in ch.mults.items()
                if Fraction(weights.ip4(w, h2), 4) == level)
-
-
-def composite_system(kinds):
-    return composite(*[k.root_system() for k in kinds])

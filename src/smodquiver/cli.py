@@ -90,7 +90,7 @@ def _json_dumps(data):
 def _load_spec(path):
     try:
         spec = jordan.load_spec(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_VALIDATION, "spec-parse", str(exc)) from exc
     return spec
 
@@ -210,16 +210,22 @@ def _parse_rational(x):
     raise ValueError(f"bad rational {x!r}")
 
 
+def _parse_vector(v):
+    if not isinstance(v, list):
+        raise ValueError(f"product entry {v!r} is not a vector")
+    return [_parse_rational(x) for x in v]
+
+
 def cmd_tkk_check(args):
     try:
         with open(args.table, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         n = int(data["dim"])
         prods = data["products"]
-        table = [[[_parse_rational(x) for x in prods[i][j]] for j in range(n)]
+        table = [[_parse_vector(prods[i][j]) for j in range(n)]
                  for i in range(n)]
         sc = jordan.StructureConstants(table)
-    except (OSError, ValueError, KeyError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
         raise CliError(EXIT_VALIDATION, "table-parse", str(exc)) from exc
     verdicts = {"jordanIdentity": jordan.check_jordan_identity(sc)}
     if verdicts["jordanIdentity"]:

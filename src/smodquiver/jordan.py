@@ -197,9 +197,25 @@ def spec_to_dict(spec: JordanSpec) -> dict:
     return {"ideals": ideals, "radical": radical, "unital": spec.unital}
 
 
+def _objects(value, what):
+    """Shape check: value must be a JSON list of JSON objects."""
+    if not isinstance(value, list) or not all(isinstance(d, dict) for d in value):
+        raise ValueError(f"{what} must be a list of objects")
+    return value
+
+
+def _label(d):
+    label = d["label"]
+    if not isinstance(label, str):
+        raise ValueError(f"label {label!r} is not a string")
+    return label
+
+
 def spec_from_dict(data: dict) -> JordanSpec:
+    if not isinstance(data, dict):
+        raise ValueError("spec must be a JSON object")
     ideals = []
-    for d in data["ideals"]:
+    for d in _objects(data["ideals"], "'ideals'"):
         kind = d["kind"]
         if kind == "field":
             ideals.append(Field())
@@ -212,14 +228,15 @@ def spec_from_dict(data: dict) -> JordanSpec:
         else:
             raise ValueError(f"unknown ideal kind {kind!r}")
     radical = []
-    for d in data.get("radical", ()):
+    for d in _objects(data.get("radical", []), "'radical'"):
         kind = d["kind"]
         mult = int(d.get("mult", 1))
         if kind == "unital":
-            radical.append(Unital(int(d["ideal"]), d["label"], mult))
+            radical.append(Unital(int(d["ideal"]), _label(d), mult))
         elif kind == "tensor":
-            radical.append(TensorOfSpecial(int(d["a"]["ideal"]), d["a"]["label"],
-                                           int(d["b"]["ideal"]), d["b"]["label"], mult))
+            a, b = _objects([d["a"], d["b"]], "tensor factors 'a' and 'b'")
+            radical.append(TensorOfSpecial(int(a["ideal"]), _label(a),
+                                           int(b["ideal"]), _label(b), mult))
         else:
             raise ValueError(f"unknown radical kind {kind!r}")
     return JordanSpec(tuple(ideals), tuple(radical), bool(data.get("unital", True)))

@@ -8,20 +8,33 @@ Conventions:
     while intermediate tensor bookkeeping keeps the ambient level;
   * inner products of doubled vectors are 4x the true value (`ip4`).
 
-The engine is exact end to end: dimensions via the Weyl product formula,
-weight multiplicities via Freudenthal's recursion over the dominant cone,
-tensor products via iterated leading-term subtraction.
+The engine is exact end to end and works on dominant weights:
+  * dimensions by the Weyl product formula;
+  * dominant-weight multiplicities by Freudenthal's recursion, run over the
+    dominant weights only;
+  * decompositions by Racah-Speiser: one pass that reflects each weight
+    v + rho into the dominant chamber with its sign;
+  * tensor products by Brauer-Klimyk: one factor is decomposed and its
+    constituents are shifted by the weights of the other, so no product
+    character is formed;
+  * the Frobenius-Schur indicator from the Adams operation
+    psi^2 chi = S^2 - Lambda^2 and the trivial multiplicity of chi (x) chi;
+  * grading eigenvalues from the dominant weights and the Weyl orbit of h.
 
-Everything here is a pure function of its arguments; the lru_cache memo
-tables are internally locked, so concurrent callers see identical results.
+Full weight sets are still built by `weight_multiplicities` (every weight of
+one irreducible), `char_product` and `ext_sym_square`.  Everything here is a
+pure function of its arguments.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 # ---------------------------------------------------------------------------
 # systems
@@ -96,7 +109,7 @@ def _join(parts):
 
 def ip4(v, w):
     """Integer inner product of doubled vectors; equals 4*(v,w)."""
-    return sum(a * b for a, b in zip(v, w))
+    return sum(map(mul, v, w))
 
 
 def _embed(vec, offset, total):
@@ -238,49 +251,12 @@ def dual_weight(sys, lam):
     return tuple(lam[:-1]) + (-lam[-1],)
 
 
-def root_coords(sys, v):
-    """Coordinates of doubled vector v in the simple roots (true values).
-
-    Returns a list of Fractions, or None if v is outside the root-lattice
-    span (for A: nonzero level).
-    """
-    if isinstance(sys, CompositeSystem):
-        out = []
-        for c, p in zip(sys.components, sys.split(v)):
-            sub = root_coords(c, p)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    fam = sys.family
-    p2 = list(itertools.accumulate(v))
-    if fam == "A":
-        if p2[-1] != 0:
-            return None
-        return [Fraction(x, 2) for x in p2[:-1]]
-    if fam == "B":
-        return [Fraction(x, 2) for x in p2]
-    if fam == "C":
-        return [Fraction(x, 2) for x in p2[:-1]] + [Fraction(p2[-1], 4)]
-    head = [Fraction(x, 2) for x in p2[:-2]]
-    pm1, vr = p2[-2], v[-1]
-    return head + [Fraction(pm1 - vr, 4), Fraction(pm1 + vr, 4)]
-
-
-def in_positive_root_cone(sys, v):
-    """True iff v is a nonnegative integer combination of simple roots."""
-    coords = root_coords(sys, v)
-    if coords is None:
-        return False
-    return all(c >= 0 and c.denominator == 1 for c in coords)
-
-
 def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -305,48 +281,76 @@ def weyl_dim(sys, lam):
     return int(d)
 
 
+def _distinct_permutations(w):
+    """Each distinct permutation of the multiset w once, in lexicographic order."""
+    a = sorted(w)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
 def _orbit(sys, w):
-    """Full Weyl orbit of a doubled weight, as a set of tuples."""
+    """Full Weyl orbit of a doubled weight, as a list of distinct tuples."""
     if isinstance(sys, CompositeSystem):
-        parts = [sorted(_orbit(c, p)) for c, p in zip(sys.components, sys.split(w))]
-        return {_join(combo) for combo in itertools.product(*parts)}
-    fam = sys.family
-    perms = set(itertools.permutations(w))
-    if fam == "A":
-        return perms
-    orbit = set()
-    has_zero = any(x == 0 for x in w)
-    for p in perms:
+        parts = [_orbit(c, p) for c, p in zip(sys.components, sys.split(w))]
+        return [_join(combo) for combo in itertools.product(*parts)]
+    if sys.family == "A":
+        return list(_distinct_permutations(w))
+    mags = [abs(x) for x in w]
+    parity = None
+    if sys.family == "D" and 0 not in mags:
+        # without a zero coordinate, D only flips signs in pairs
+        parity = sum(1 for x in w if x < 0) % 2
+    orbit = []
+    for p in _distinct_permutations(mags):
         choices = [(x,) if x == 0 else (x, -x) for x in p]
         for signed in itertools.product(*choices):
-            if fam == "D" and not has_zero:
-                if sum(1 for x in signed if x < 0) % 2 == sum(1 for x in w if x < 0) % 2:
-                    orbit.add(signed)
-            else:
-                orbit.add(signed)
+            if parity is None or sum(1 for x in signed if x < 0) % 2 == parity:
+                orbit.append(signed)
     return orbit
 
 
-def _weight_set(sys, lam):
-    """All weights of the irreducible V_lam, by saturation BFS from lam."""
-    simples = simple_roots(sys)
-    seen = {lam}
-    queue = [lam]
-    while queue:
-        nu = queue.pop()
-        for a in simples:
-            mu = _sub(nu, a)
-            if mu in seen:
-                continue
-            if in_positive_root_cone(sys, _sub(lam, dominantize(sys, mu))):
-                seen.add(mu)
-                queue.append(mu)
-    return seen
+def _multinomial(w):
+    """Number of distinct permutations of the multiset w."""
+    out = math.factorial(len(w))
+    for c in Counter(w).values():
+        out //= math.factorial(c)
+    return out
+
+
+def _orbit_size(sys, w):
+    """|W . w|, counted by formula rather than enumerated."""
+    if isinstance(sys, CompositeSystem):
+        return _prod(_orbit_size(c, p) for c, p in zip(sys.components, sys.split(w)))
+    if sys.family == "A":
+        return _multinomial(w)
+    mags = [abs(x) for x in w]
+    size = _multinomial(mags) << sum(1 for x in mags if x)
+    if sys.family == "D" and 0 not in mags:
+        size //= 2
+    return size
 
 
 @lru_cache(maxsize=None)
 def dominant_character(sys, lam):
-    """Multiplicities of the dominant weights of V_lam (Freudenthal)."""
+    """Multiplicities of the dominant weights of V_lam (Freudenthal).
+
+    The dominant weights are found by subtracting positive roots from lam
+    while staying dominant; by Stembridge's chain lemma this reaches every
+    dominant weight below lam.  The recursion then runs over them in order
+    of decreasing height, reading string multiplicities off the dominant
+    representative of each string point.
+    """
     if not is_dominant(sys, lam):
         raise NotDominant(lam)
     if isinstance(sys, CompositeSystem):
@@ -356,10 +360,18 @@ def dominant_character(sys, lam):
         for combo in itertools.product(*parts):
             out[_join([w for w, _ in combo])] = _prod(m for _, m in combo)
         return out
-    weights = _weight_set(sys, lam)
-    doms = sorted((w for w in weights if is_dominant(sys, w)),
-                  key=lambda w: (-ip4(w, rho2(sys)), w))
+    roots = positive_roots(sys)
     r2 = rho2(sys)
+    seen = {lam}
+    stack = [lam]
+    while stack:
+        nu = stack.pop()
+        for a in roots:
+            mu = _sub(nu, a)
+            if mu not in seen and is_dominant(sys, mu):
+                seen.add(mu)
+                stack.append(mu)
+    doms = sorted(seen, key=lambda w: (-ip4(w, r2), w))
     lr = _add(lam, r2)
     nlam = ip4(lr, lr)
     mult = {lam: 1}
@@ -369,15 +381,15 @@ def dominant_character(sys, lam):
         mr = _add(mu, r2)
         denom = nlam - ip4(mr, mr)
         acc = 0
-        for a in positive_roots(sys):
+        for a in roots:
             nu = _add(mu, a)
-            while nu in weights:
-                acc += mult[dominantize(sys, nu)] * ip4(nu, a)
+            while (top := dominantize(sys, nu)) in mult:
+                acc += mult[top] * ip4(nu, a)
                 nu = _add(nu, a)
-        val = Fraction(2 * acc, denom)
-        assert val.denominator == 1 and val > 0
-        mult[mu] = int(val)
-    total = sum(m * len(_orbit(sys, w)) for w, m in mult.items())
+        val, rem = divmod(2 * acc, denom)
+        assert rem == 0 and val > 0
+        mult[mu] = val
+    total = sum(m * _orbit_size(sys, w) for w, m in mult.items())
     assert total == weyl_dim(sys, lam), "Freudenthal mass check failed"
     return mult
 
@@ -395,6 +407,98 @@ def _full_character(sys, lam):
     for w, m in dominant_character(sys, lam).items():
         for v in _orbit(sys, w):
             out[v] = m
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the dot action
+
+
+def _sort_sign(x):
+    """Sign of the permutation sorting x into decreasing order; 0 on a tie."""
+    sign = 1
+    n = len(x)
+    for i in range(n):
+        xi = x[i]
+        for j in range(i + 1, n):
+            if xi < x[j]:
+                sign = -sign
+            elif xi == x[j]:
+                return 0
+    return sign
+
+
+def _chamber(sys, x):
+    """(sign, d): d = w(x) is strictly dominant and sign = det(w).
+
+    Returns (0, None) when x lies on a wall of the Weyl chambers.
+    """
+    if isinstance(sys, CompositeSystem):
+        sign, parts = 1, []
+        for c, p in zip(sys.components, sys.split(x)):
+            s, d = _chamber(c, p)
+            if not s:
+                return 0, None
+            sign *= s
+            parts.append(d)
+        return sign, _join(parts)
+    if sys.family == "A":
+        sign = _sort_sign(x)
+        return (sign, tuple(sorted(x, reverse=True))) if sign else (0, None)
+    mags = [abs(t) for t in x]
+    sign = _sort_sign(mags)
+    if not sign:
+        return 0, None
+    negs = sum(1 for t in x if t < 0)
+    d = sorted(mags, reverse=True)
+    if sys.family in "BC":
+        if d[-1] == 0:
+            return 0, None
+        return (-sign if negs % 2 else sign), tuple(d)
+    # D: an even number of sign changes; a zero coordinate absorbs the odd one
+    if negs % 2 and d[-1] != 0:
+        d[-1] = -d[-1]
+    return sign, tuple(d)
+
+
+def _dot_dominant(sys, v):
+    """Reflect v + rho into the dominant chamber: (sign, w(v + rho) - rho).
+
+    Returns (0, None) when v + rho lies on a wall, where v contributes
+    nothing to a Racah-Speiser sum.
+    """
+    r2 = rho2(sys)
+    sign, d = _chamber(sys, _add(v, r2))
+    if not sign:
+        return 0, None
+    return sign, _sub(d, r2)
+
+
+def _racah_speiser(sys, items):
+    """Signed constituents sum_v m_v sign(w) [V_{w.v}] of (v, m_v) pairs.
+
+    Keys are dominant weights at the ambient level of the input; the result
+    is a virtual character and may carry zero or negative entries.
+    """
+    acc = {}
+    for v, m in items:
+        sign, lam = _dot_dominant(sys, v)
+        if sign:
+            acc[lam] = acc.get(lam, 0) + sign * m
+    return acc
+
+
+def _constituents(sys, acc):
+    """Normalize signed constituents; raises NonDecomposable on a negative one."""
+    r2 = rho2(sys)
+    out = {}
+    for lam in sorted(acc, key=lambda w: (ip4(w, r2), w), reverse=True):
+        m = acc[lam]
+        if m < 0:
+            raise NonDecomposable(f"negative constituent {lam} -> {m}")
+        if m:
+            key = normalize_dominant(sys, lam)
+            out[key] = out.get(key, 0) + m
     return out
 
 
@@ -435,73 +539,59 @@ def char_product(c1: Character, c2: Character) -> Character:
     return Character(c1.system, acc)
 
 
-def char_sum(chars):
-    chars = list(chars)
-    if not chars:
-        raise ValueError("empty sum")
-    sys = chars[0].system
-    acc = {}
-    for c in chars:
-        if c.system != sys:
-            raise ValueError("characters live over different systems")
-        for w, m in c.mults.items():
-            acc[w] = acc.get(w, 0) + m
-    return Character(sys, acc)
-
-
-def char_scale(c: Character, k: int) -> Character:
-    return Character(c.system, {w: k * m for w, m in c.mults.items()})
+def _require_invariant(c: Character):
+    if not is_weyl_invariant(c):
+        raise NonDecomposable("character is not Weyl invariant")
 
 
 def decompose_character(c: Character):
-    """Decompose into irreducibles by iterated leading-term subtraction.
+    """Decompose into irreducibles by one Racah-Speiser pass over the points.
 
-    Returns {normalized dominant weight: multiplicity}.
+    Returns {normalized dominant weight: multiplicity}.  Raises
+    NonDecomposable if c is not Weyl invariant or a constituent is negative.
     """
-    sys = c.system
-    rem = dict(c.mults)
-    r2 = rho2(sys)
-    out = {}
-    while rem:
-        top = max(rem, key=lambda w: (ip4(w, r2), w))
-        if not is_dominant(sys, top) or rem[top] < 0:
-            raise NonDecomposable(f"leading term {top} -> {rem.get(top)}")
-        m = rem[top]
-        out[normalize_dominant(sys, top)] = out.get(normalize_dominant(sys, top), 0) + m
-        for w, k in _full_character(sys, top).items():
-            nv = rem.get(w, 0) - m * k
-            if nv < 0:
-                raise NonDecomposable(f"negative multiplicity at {w}")
-            if nv:
-                rem[w] = nv
-            else:
-                rem.pop(w, None)
-    return out
+    _require_invariant(c)
+    return _constituents(c.system, _racah_speiser(c.system, c.mults.items()))
 
 
 def tensor_decompose(c1: Character, c2: Character):
-    """Constituents of the tensor product, as {dominant weight: mult}."""
-    return decompose_character(char_product(c1, c2))
+    """Constituents of the tensor product, as {dominant weight: mult}.
+
+    Brauer-Klimyk: the factor with more points is decomposed, and each of
+    its constituents V_lam contributes the dot-reflected lam + mu for every
+    weight mu of the other factor.  Both factors must be Weyl invariant.
+    """
+    if c1.system != c2.system:
+        raise ValueError("characters live over different systems")
+    sys = c1.system
+    big, small = (c1, c2) if len(c1.mults) >= len(c2.mults) else (c2, c1)
+    _require_invariant(big)
+    _require_invariant(small)
+    acc = {}
+    for lam, m in _racah_speiser(sys, big.mults.items()).items():
+        for mu, k in small.mults.items():
+            sign, nu = _dot_dominant(sys, _add(lam, mu))
+            if sign:
+                acc[nu] = acc.get(nu, 0) + sign * m * k
+    return _constituents(sys, acc)
+
+
+def _adams2(c: Character):
+    """psi^2 chi: every weight doubled, multiplicities kept."""
+    return {_add(w, w): m for w, m in c.mults.items()}
 
 
 def ext_sym_square(c: Character):
-    """(S^2, Lambda^2) of a character, by indexed pair enumeration."""
-    items = []
-    for w, m in c.mults.items():
-        items.extend([w] * m)
-    n = len(items)
-    if n * n > 2 * MAX_CHARACTER_POINTS:
-        raise CharacterTooLarge(f"square of a mass-{n} character")
+    """(S^2, Lambda^2) of a character, as (chi^2 +- psi^2 chi) / 2."""
+    sq = char_product(c, c).mults
+    psi = _adams2(c)
     s2, l2 = {}, {}
-    for i in range(n):
-        wi = items[i]
-        w = _add(wi, wi)
-        s2[w] = s2.get(w, 0) + 1
-        for j in range(i + 1, n):
-            w = _add(wi, items[j])
-            s2[w] = s2.get(w, 0) + 1
-            l2[w] = l2.get(w, 0) + 1
-    return Character(c.system, s2), Character(c.system, {k: v for k, v in l2.items()})
+    for w, m in sq.items():
+        p = psi.get(w, 0)
+        s2[w] = (m + p) // 2
+        if m != p:
+            l2[w] = (m - p) // 2
+    return Character(c.system, s2), Character(c.system, l2)
 
 
 def trivial_multiplicity(c: Character) -> int:
@@ -509,41 +599,60 @@ def trivial_multiplicity(c: Character) -> int:
     if not c.mults:
         return 0
     out = decompose_character(c)
-    zero = tuple([0] * _ambient(c.system))
+    zero = (0,) * c.system.ambient
     return out.get(zero, 0)
 
 
-def _ambient(sys):
-    return sys.ambient
-
-
 def fs_indicator(sys, lam):
-    """Classical Frobenius-Schur indicator: +1 symmetric, -1 skew, 0 non-self-dual."""
+    """Classical Frobenius-Schur indicator: +1 symmetric, -1 skew, 0 non-self-dual.
+
+    S^2 - Lambda^2 is the Adams operation psi^2 chi, whose trivial
+    multiplicity is one Racah-Speiser pass; S^2 + Lambda^2 is chi (x) chi,
+    whose trivial multiplicity comes from Brauer-Klimyk independently.
+    """
     lam_n = normalize_dominant(sys, lam)
     if dual_weight(sys, lam_n) != lam_n:
         return 0
     ch = weight_multiplicities(sys, lam_n)
-    s2, l2 = ext_sym_square(ch)
-    ts = trivial_multiplicity(s2)
-    tl = trivial_multiplicity(l2)
-    assert ts + tl == 1, "irreducible self-dual module must carry exactly one form"
+    diff = sum(m for mu, m in _racah_speiser(sys, _adams2(ch).items()).items()
+               if is_trivial_weight(sys, mu))
+    total = tensor_decompose(ch, ch).get((0,) * sys.ambient, 0)
+    ts, tl = (total + diff) // 2, (total - diff) // 2
+    assert ts >= 0 and tl >= 0 and ts + tl == 1, \
+        "irreducible self-dual module must carry exactly one form"
     return 1 if ts else -1
 
 
 def eigenvalue_set(c: Character, h2):
     """Set of pairings <w, h> over the weights of the character (true values)."""
-    return {Fraction(ip4(w, h2), 4) for w in c.mults}
+    return {Fraction(v, 4) for v in {ip4(w, h2) for w in c.mults}}
+
+
+def grading_values(sys, lam, h2):
+    """Set of pairings <w, h> over the weights w of V_lam (true values).
+
+    <w(mu), h> = <mu, w^-1(h)>, so the dominant weights of V_lam against the
+    Weyl orbit of h give every value without the full weight set.
+    """
+    hs = _orbit(sys, h2)
+    return {Fraction(v, 4)
+            for v in {ip4(mu, h) for mu in dominant_character(sys, lam) for h in hs}}
 
 
 def is_weyl_invariant(c: Character) -> bool:
-    sys = c.system
-    for a in simple_roots(sys):
+    """Integer test that every simple reflection maps c to itself."""
+    mults = c.mults
+    for a in simple_roots(c.system):
         aa = ip4(a, a)
-        for w, m in c.mults.items():
-            coeff = Fraction(2 * ip4(w, a), aa)
-            if coeff.denominator != 1:
+        support = [(i, x) for i, x in enumerate(a) if x]
+        for w, m in mults.items():
+            k, rem = divmod(2 * ip4(w, a), aa)
+            if rem:
                 return False
-            refl = tuple(x - int(coeff) * y for x, y in zip(w, a))
-            if c.mults.get(refl, 0) != m:
-                return False
+            if k:
+                refl = list(w)
+                for i, x in support:
+                    refl[i] -= k * x
+                if mults.get(tuple(refl), 0) != m:
+                    return False
     return True

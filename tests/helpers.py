@@ -1,9 +1,12 @@
 """Shared builders for the test suite."""
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver import weights as W
 
 ONE = Fraction(1)
 
@@ -54,3 +57,184 @@ def template_algebra(kind, wdims):
         rels.append([(c, (fam[f][i], fam[g][j]))
                      for c, ((f, i), (g, j)) in rel])
     return P.PresentedAlgebra(verts, arrows, rels)
+
+
+# ---------------------------------------------------------------------------
+# reference character engine: the full-weight-set algorithms the package
+# used before its dominant-weight engine, kept as an independent oracle
+# (saturation BFS with Fraction root-cone tests, Freudenthal over the full
+# weight set, leading-term subtraction, indexed pair enumeration)
+
+
+def root_coords(sys, v):
+    """Coordinates of doubled vector v in the simple roots (true values).
+
+    Returns a list of Fractions, or None if v is outside the root-lattice
+    span (for A: nonzero level).
+    """
+    if isinstance(sys, W.CompositeSystem):
+        out = []
+        for c, p in zip(sys.components, sys.split(v)):
+            sub = root_coords(c, p)
+            if sub is None:
+                return None
+            out.extend(sub)
+        return out
+    fam = sys.family
+    p2 = list(itertools.accumulate(v))
+    if fam == "A":
+        if p2[-1] != 0:
+            return None
+        return [Fraction(x, 2) for x in p2[:-1]]
+    if fam == "B":
+        return [Fraction(x, 2) for x in p2]
+    if fam == "C":
+        return [Fraction(x, 2) for x in p2[:-1]] + [Fraction(p2[-1], 4)]
+    head = [Fraction(x, 2) for x in p2[:-2]]
+    pm1, vr = p2[-2], v[-1]
+    return head + [Fraction(pm1 - vr, 4), Fraction(pm1 + vr, 4)]
+
+
+def in_positive_root_cone(sys, v):
+    """True iff v is a nonnegative integer combination of simple roots."""
+    coords = root_coords(sys, v)
+    if coords is None:
+        return False
+    return all(c >= 0 and c.denominator == 1 for c in coords)
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _weight_set(sys, lam):
+    """All weights of the irreducible V_lam, by saturation BFS from lam."""
+    simples = W.simple_roots(sys)
+    seen = {lam}
+    queue = [lam]
+    while queue:
+        nu = queue.pop()
+        for a in simples:
+            mu = _sub(nu, a)
+            if mu in seen:
+                continue
+            if in_positive_root_cone(sys, _sub(lam, W.dominantize(sys, mu))):
+                seen.add(mu)
+                queue.append(mu)
+    return seen
+
+
+def ref_orbit(sys, w):
+    """Full Weyl orbit of a doubled weight, as a set of tuples."""
+    fam = sys.family
+    perms = set(itertools.permutations(w))
+    if fam == "A":
+        return perms
+    orbit = set()
+    has_zero = any(x == 0 for x in w)
+    for p in perms:
+        choices = [(x,) if x == 0 else (x, -x) for x in p]
+        for signed in itertools.product(*choices):
+            if fam == "D" and not has_zero:
+                if sum(1 for x in signed if x < 0) % 2 == sum(1 for x in w if x < 0) % 2:
+                    orbit.add(signed)
+            else:
+                orbit.add(signed)
+    return orbit
+
+
+@lru_cache(maxsize=None)
+def ref_dominant_character(sys, lam):
+    """Freudenthal over the full BFS weight set (simple systems only)."""
+    weights = _weight_set(sys, lam)
+    r2 = W.rho2(sys)
+    doms = sorted((w for w in weights if W.is_dominant(sys, w)),
+                  key=lambda w: (-W.ip4(w, r2), w))
+    lr = _add(lam, r2)
+    nlam = W.ip4(lr, lr)
+    mult = {lam: 1}
+    for mu in doms:
+        if mu == lam:
+            continue
+        mr = _add(mu, r2)
+        denom = nlam - W.ip4(mr, mr)
+        acc = 0
+        for a in W.positive_roots(sys):
+            nu = _add(mu, a)
+            while nu in weights:
+                acc += mult[W.dominantize(sys, nu)] * W.ip4(nu, a)
+                nu = _add(nu, a)
+        val = Fraction(2 * acc, denom)
+        assert val.denominator == 1 and val > 0
+        mult[mu] = int(val)
+    return mult
+
+
+def ref_character(sys, lam):
+    out = {}
+    for w, m in ref_dominant_character(sys, lam).items():
+        for v in ref_orbit(sys, w):
+            out[v] = m
+    return W.Character(sys, out)
+
+
+def ref_decompose_character(c):
+    """Decompose into irreducibles by iterated leading-term subtraction.
+
+    Returns {normalized dominant weight: multiplicity}.
+    """
+    sys = c.system
+    rem = dict(c.mults)
+    r2 = W.rho2(sys)
+    out = {}
+    while rem:
+        top = max(rem, key=lambda w: (W.ip4(w, r2), w))
+        if not W.is_dominant(sys, top) or rem[top] < 0:
+            raise W.NonDecomposable(f"leading term {top} -> {rem.get(top)}")
+        m = rem[top]
+        out[W.normalize_dominant(sys, top)] = out.get(W.normalize_dominant(sys, top), 0) + m
+        for w, k in ref_character(sys, top).mults.items():
+            nv = rem.get(w, 0) - m * k
+            if nv < 0:
+                raise W.NonDecomposable(f"negative multiplicity at {w}")
+            if nv:
+                rem[w] = nv
+            else:
+                rem.pop(w, None)
+    return out
+
+
+def ref_tensor_decompose(c1, c2):
+    return ref_decompose_character(W.char_product(c1, c2))
+
+
+def ref_ext_sym_square(c):
+    """(S^2, Lambda^2) of a character, by indexed pair enumeration."""
+    items = []
+    for w, m in c.mults.items():
+        items.extend([w] * m)
+    s2, l2 = {}, {}
+    for i, wi in enumerate(items):
+        w = _add(wi, wi)
+        s2[w] = s2.get(w, 0) + 1
+        for wj in items[i + 1:]:
+            w = _add(wi, wj)
+            s2[w] = s2.get(w, 0) + 1
+            l2[w] = l2.get(w, 0) + 1
+    return W.Character(c.system, s2), W.Character(c.system, l2)
+
+
+def ref_fs_indicator(sys, lam):
+    lam_n = W.normalize_dominant(sys, lam)
+    if W.dual_weight(sys, lam_n) != lam_n:
+        return 0
+    s2, l2 = ref_ext_sym_square(ref_character(sys, lam_n))
+    zero = (0,) * sys.ambient
+    ts = ref_decompose_character(s2).get(zero, 0)
+    tl = ref_decompose_character(l2).get(zero, 0)
+    assert ts + tl == 1
+    return 1 if ts else -1

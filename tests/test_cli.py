@@ -161,3 +161,37 @@ def test_verify_appendix_small(capsys):
 def test_positive_cap_required(capsys):
     assert run(["koszul", "--spec", "x.json", "--hom-cap", "0"]) == \
         cli.EXIT_VALIDATION
+
+
+def test_tkk_check_scalar_products(tmp_path, capsys):
+    table = tmp_path / "sc.json"
+    table.write_text(json.dumps({"dim": 1, "products": [[1]]}),
+                     encoding="utf-8")
+    assert run(["tkk-check", "--table", str(table)]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "table-parse"
+
+
+def test_spec_ideals_not_a_list(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"ideals": 5}), encoding="utf-8")
+    assert run(["quiver", "--spec", str(bad)]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "spec-parse"
+
+
+def test_spec_file_is_a_list(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"kind": "field"}]), encoding="utf-8")
+    assert run(["quiver", "--spec", str(bad)]) == cli.EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "spec-parse"
+
+
+def test_spec_bad_scalar_fields(tmp_path, capsys):
+    for spec in ({"ideals": [{"kind": "bilinear", "dim": None}]},
+                 {"ideals": [{"kind": "hermitian", "comp": 2, "n": 3}],
+                  "radical": [{"kind": "unital", "ideal": 0, "label": ["ad"]}]}):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec), encoding="utf-8")
+        assert run(["quiver", "--spec", str(bad)]) == cli.EXIT_VALIDATION
+        assert json.loads(capsys.readouterr().err)["error"] == "spec-parse"
