@@ -211,6 +211,15 @@ def _label(d):
     return label
 
 
+def _int(d, key, default=None):
+    """d[key] as an integer; only a JSON integer is accepted, so a bool, a
+    float (even 5.0) or a string is a parse error, never silently cast."""
+    value = d[key] if default is None else d.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> JordanSpec:
     if not isinstance(data, dict):
         raise ValueError("spec must be a JSON object")
@@ -220,9 +229,9 @@ def spec_from_dict(data: dict) -> JordanSpec:
         if kind == "field":
             ideals.append(Field())
         elif kind == "bilinear":
-            ideals.append(Bilinear(int(d["dim"])))
+            ideals.append(Bilinear(_int(d, "dim")))
         elif kind == "hermitian":
-            ideals.append(Hermitian(int(d["comp"]), int(d["n"])))
+            ideals.append(Hermitian(_int(d, "comp"), _int(d, "n")))
         elif kind == "albert":
             ideals.append(Albert())
         else:
@@ -230,13 +239,13 @@ def spec_from_dict(data: dict) -> JordanSpec:
     radical = []
     for d in _objects(data.get("radical", []), "'radical'"):
         kind = d["kind"]
-        mult = int(d.get("mult", 1))
+        mult = _int(d, "mult", 1)
         if kind == "unital":
-            radical.append(Unital(int(d["ideal"]), _label(d), mult))
+            radical.append(Unital(_int(d, "ideal"), _label(d), mult))
         elif kind == "tensor":
             a, b = _objects([d["a"], d["b"]], "tensor factors 'a' and 'b'")
-            radical.append(TensorOfSpecial(int(a["ideal"]), _label(a),
-                                           int(b["ideal"]), _label(b), mult))
+            radical.append(TensorOfSpecial(_int(a, "ideal"), _label(a),
+                                           _int(b, "ideal"), _label(b), mult))
         else:
             raise ValueError(f"unknown radical kind {kind!r}")
     return JordanSpec(tuple(ideals), tuple(radical), bool(data.get("unital", True)))

@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Everything here is small and dense;
-no pivoting heuristics beyond "first nonzero", which is fine for exact
-arithmetic.
+Dense matrices are lists of rows of Fractions; sparse vectors are dicts
+{index: Fraction} that hold only the nonzero entries.  Every elimination goes
+through one sparse kernel, `Echelon`: the reduced row echelon form of a
+growing row space, kept as a map pivot -> row.  A row's pivot is its first
+nonzero column, the row is 1 there and every row is 0 at every other pivot,
+so the form is the unique RREF of the span whatever order the rows arrive
+in.  `rref`, `rank`, `nullspace`, `solve` and `SpanSolver` are dense entry
+points to it.
 """
 
 from __future__ import annotations
@@ -23,13 +28,6 @@ def qmat(rows):
 
 def zeros(n, m):
     return [[Q0] * m for _ in range(n)]
-
-
-def identity(n):
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = Q1
-    return mat
 
 
 def mat_mul(a, b):
@@ -61,10 +59,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
@@ -73,40 +67,134 @@ def is_zero_mat(a):
     return all(all(x == 0 for x in row) for row in a)
 
 
+def _sparse(seq):
+    """Sparse form {index: Fraction} of a dense sequence."""
+    return {j: Fraction(x) for j, x in enumerate(seq) if x}
+
+
+def _axpy(vec, c, other):
+    """vec -= c * other, in place on sparse vectors, dropping zeros."""
+    for j, x in other.items():
+        y = vec.get(j)
+        if y is None:
+            vec[j] = -c * x
+        else:
+            y -= c * x
+            if y:
+                vec[j] = y
+            else:
+                del vec[j]
+
+
+class Echelon:
+    """Sparse reduced row echelon form of a growing row space.
+
+    `rows` maps each pivot column to the rest of its row (the pivot entry
+    itself is an implicit 1).  With `track`, `exprs` maps each pivot to its
+    row as a combination of the generators, the added vectors that enlarged
+    the span, numbered in the order they were kept.
+    """
+
+    def __init__(self, track=False):
+        self.rows = {}
+        self.exprs = {} if track else None
+        self.n_kept = 0
+        # columns any row has held off its pivot: a new pivot outside this
+        # set needs no back-substitution
+        self._touched = set()
+
+    def reduce(self, v):
+        """Return (residual, combo) with v = residual + sum combo[g] * gen_g.
+
+        The residual is zero at every pivot; combo is empty unless tracking.
+        """
+        red = dict(v)
+        combo = {}
+        for p in red.keys() & self.rows.keys():
+            c = red.pop(p)
+            _axpy(red, c, self.rows[p])
+            if self.exprs is not None:
+                _axpy(combo, -c, self.exprs[p])
+        return red, combo
+
+    def add(self, v):
+        """Add a spanning vector; returns True if it enlarged the span."""
+        red, combo = self.reduce(v)
+        if not red:
+            return False
+        q = min(red)
+        pv = red.pop(q)
+        row = {j: x / pv for j, x in red.items()}
+        if self.exprs is not None:
+            expr = {g: -c / pv for g, c in combo.items()}
+            expr[self.n_kept] = Q1 / pv
+        if q in self._touched:
+            for p, other in self.rows.items():
+                c = other.pop(q, None)
+                if c is not None:
+                    _axpy(other, c, row)
+                    if self.exprs is not None:
+                        _axpy(self.exprs[p], c, expr)
+        self.rows[q] = row
+        self._touched.update(row)
+        if self.exprs is not None:
+            self.exprs[q] = expr
+        self.n_kept += 1
+        return True
+
+    def coords(self, v):
+        """v as a combination {generator: coef} (tracking only), or None."""
+        red, combo = self.reduce(v)
+        return None if red else combo
+
+    def kernel(self, cols):
+        """Right kernel basis of the rows over the columns `cols`.
+
+        One sparse vector per non-pivot column j of `cols`, in that order:
+        1 at j (its first key) and minus the rows' entries in column j at
+        their pivots.  `cols` must hold every column the rows touch.
+        """
+        neg = {}
+        for p, row in self.rows.items():
+            for j, x in row.items():
+                neg.setdefault(j, {})[p] = -x
+        out = []
+        for j in cols:
+            if j not in self.rows:
+                v = {j: Q1}
+                v.update(neg.get(j, ()))
+                out.append(v)
+        return out
+
+
+def _echelon(mat):
+    ech = Echelon()
+    for row in mat:
+        ech.add(_sparse(row))
+    return ech
+
+
+def _dense(v, n):
+    out = [Q0] * n
+    for j, x in v.items():
+        out[j] = x
+    return out
+
+
 def rref(mat):
-    """Reduced row echelon form (in place on a copy); returns (rref, pivots)."""
-    m = [row[:] for row in mat]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    """Reduced row echelon form of a dense matrix; returns (rref, pivots)."""
+    if not mat:
+        return [], []
+    cols = len(mat[0])
+    ech = _echelon(mat)
+    pivots = sorted(ech.rows)
+    red = [_dense({p: Q1, **ech.rows[p]}, cols) for p in pivots]
+    red += [[Q0] * cols for _ in range(len(mat) - len(pivots))]
+    return red, pivots
 
 
 def rank(mat):
-    return len(rref(mat)[1])
-
-
-def row_space_basis(mat):
-    """Basis of the row space, as the nonzero rows of the rref."""
-    red, pivots = rref(mat)
-    return [red[i] for i in range(len(pivots))]
+    return len(_echelon(mat).rows)
 
 
 def nullspace(mat):
@@ -114,16 +202,7 @@ def nullspace(mat):
     if not mat:
         return []
     cols = len(mat[0])
-    red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Q0] * cols
-        v[fc] = Q1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    return [_dense(v, cols) for v in _echelon(mat).kernel(range(cols))]
 
 
 def solve(mat, rhs):
@@ -131,18 +210,17 @@ def solve(mat, rhs):
     if not mat:
         return [] if all(x == 0 for x in rhs) else None
     cols = len(mat[0])
-    aug = [row[:] + [b] for row, b in zip(mat, rhs)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+    ech = _echelon(row[:] + [b] for row, b in zip(mat, rhs))
+    if cols in ech.rows:
         return None
     x = [Q0] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+    for p, row in ech.rows.items():
+        x[p] = row.get(cols, Q0)
     return x
 
 
 class SpanSolver:
-    """Incremental row-space membership/coordinate queries.
+    """Incremental row-space membership/coordinate queries on dense vectors.
 
     Feed spanning vectors with `add`; vectors that enlarge the span are
     retained as generators.  `coords(v)` expresses v in the retained
@@ -151,49 +229,16 @@ class SpanSolver:
 
     def __init__(self, dim):
         self.dim = dim
-        self.rows = []          # reduced independent rows
-        self.pivot_of_row = []
-        self.exprs = []         # exprs[i]: rows[i] as a combo of generators
-        self.n_kept = 0
-
-    def _reduce(self, v):
-        """Return (red, combo) with v = red + sum combo[j]*generator_j."""
-        v = v[:]
-        combo = [Q0] * self.n_kept
-        for row, pc, e in zip(self.rows, self.pivot_of_row, self.exprs):
-            c = v[pc]
-            if c:
-                for j in range(self.dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-                for j, ej in enumerate(e):
-                    if ej:
-                        combo[j] += c * ej
-        return v, combo
+        self._ech = Echelon(track=True)
 
     def add(self, v):
         """Add a spanning vector; returns True if it enlarged the span."""
-        red, combo = self._reduce(qvec(v))
-        pc = next((j for j, x in enumerate(red) if x != 0), None)
-        if pc is None:
-            return False
-        inv = Q1 / red[pc]
-        for e in self.exprs:
-            e.append(Q0)
-        # red = v - sum combo_j g_j, so red/red[pc] in generator coordinates:
-        new_expr = [-inv * c for c in combo] + [inv]
-        self.rows.append([x * inv for x in red])
-        self.pivot_of_row.append(pc)
-        self.exprs.append(new_expr)
-        self.n_kept += 1
-        return True
+        return self._ech.add(_sparse(v))
 
     def coords(self, v):
         """Coordinates of v in the retained generators, or None."""
-        red, combo = self._reduce(qvec(v))
-        if any(x != 0 for x in red):
-            return None
-        return combo
+        combo = self._ech.coords(_sparse(v))
+        return None if combo is None else _dense(combo, self._ech.n_kept)
 
     def contains(self, v):
         return self.coords(v) is not None

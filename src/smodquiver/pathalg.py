@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Q0, Q1, SpanSolver, nullspace, rref
+from .linalg import Q0, Q1, Echelon
 
 
 class NonTerminating(RuntimeError):
@@ -37,11 +37,25 @@ class PresentationError(ValueError):
     pass
 
 
+class GradedProtocol:
+    """Helpers shared by every carrier of the dims / src / dst / mul protocol."""
+
+    def hilbert(self):
+        return tuple(self.dims(d) for d in range(self.top_degree + 1))
+
+    def dims_by_pair(self, d):
+        out = {}
+        for i in range(self.dims(d)):
+            key = (self.src(d, i), self.dst(d, i))
+            out[key] = out.get(key, 0) + 1
+        return out
+
+
 # ---------------------------------------------------------------------------
 # presented algebras
 
 
-class PresentedAlgebra:
+class PresentedAlgebra(GradedProtocol):
     """Path algebra of a quiver modulo homogeneous monomial-length relations.
 
     vertices: sequence of vertex ids.  arrows: (aid, src, dst) triples with
@@ -193,43 +207,20 @@ class PresentedAlgebra:
             if not pairs:
                 return
             index = {p: i for i, p in enumerate(pairs)}
-            sparse_rows = self._relation_rows(d, index)
-            # fixpoint of single-coordinate rows: those pairs are dead
-            dead = set()
-            changed = True
-            while changed:
-                changed = False
-                remaining = []
-                for row in sparse_rows:
-                    row = {k: c for k, c in row.items() if k not in dead}
-                    if not row:
-                        continue
-                    if len(row) == 1:
-                        dead.add(next(iter(row)))
-                        changed = True
-                    else:
-                        remaining.append(row)
-                sparse_rows = remaining
-            alive = [i for i in range(len(pairs)) if i not in dead]
-            alive_pos = {p: t for t, p in enumerate(alive)}
-            rows = []
-            for row in sparse_rows:
-                dense = [Q0] * len(alive)
-                for k, c in row.items():
-                    dense[alive_pos[k]] += c
-                rows.append(dense)
-            red, pivots = rref(rows)
-            pivset = set(pivots)
-            free = [alive[i] for i in range(len(alive)) if i not in pivset]
+            # the free basis is the non-pivot pairs of the relations' RREF;
+            # a pair killed outright has the unit row at its pivot
+            ech = Echelon()
+            for row in self._relation_rows(d, index):
+                ech.add(row)
+            free = [p for p in range(len(pairs)) if p not in ech.rows]
             free_pos = {p: t for t, p in enumerate(free)}
             reduce_tab = [()] * len(pairs)
             for t, p in enumerate(free):
                 reduce_tab[p] = ((t, Q1),)
-            for r, pc in enumerate(pivots):
-                reduce_tab[alive[pc]] = tuple(
-                    (free_pos[alive[j]], -red[r][j])
-                    for j in range(len(alive))
-                    if j not in pivset and red[r][j])
+            for pc, row in ech.rows.items():
+                if row:  # a pair killed outright keeps the empty class
+                    reduce_tab[pc] = tuple((free_pos[j], -c)
+                                           for j, c in sorted(row.items()))
             self._pairs.append(pairs)
             self._pair_index.append(index)
             self._pair_reduce.append(reduce_tab)
@@ -253,27 +244,9 @@ class PresentedAlgebra:
 
     # -- conveniences ------------------------------------------------------
 
-    def hilbert(self):
-        return tuple(self.dims(d) for d in range(self.top_degree + 1))
-
     def total_dim(self):
         return sum(self.hilbert())
 
-    def dims_by_pair(self, d):
-        out = {}
-        for i in range(self.dims(d)):
-            key = (self.src(d, i), self.dst(d, i))
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    def path_of(self, d, i):
-        """A representative path (tuple of arrow ids, outermost first)."""
-        if d == 0:
-            return ()
-        if d == 1:
-            return (self.arrows[i][0],)
-        a, x = self._pairs[d][self._free[d][i]]
-        return (self.arrows[a][0],) + self.path_of(d - 1, x)
 
 
 def from_presentation(quiver, relations, deg_cap=8) -> PresentedAlgebra:
@@ -293,7 +266,7 @@ def from_presentation(quiver, relations, deg_cap=8) -> PresentedAlgebra:
 # auxiliary graded algebras (single vertex) and the Segre product
 
 
-class SimpleGradedAlgebra:
+class SimpleGradedAlgebra(GradedProtocol):
     """Connected graded algebra with an explicit basis and product rule."""
 
     def __init__(self, vertex, basis_by_degree, mul_fn):
@@ -324,9 +297,6 @@ class SimpleGradedAlgebra:
                                         d2, self._basis[d2][j]):
             out.append((self._index[d1 + d2][label], Fraction(coef)))
         return tuple(out)
-
-    def hilbert(self):
-        return tuple(self.dims(d) for d in range(self.top_degree + 1))
 
 
 def sym_algebra(k, cap, vertex=0) -> SimpleGradedAlgebra:
@@ -369,7 +339,7 @@ def ext_algebra(k, vertex=0) -> SimpleGradedAlgebra:
     return SimpleGradedAlgebra(vertex, basis, mul)
 
 
-class TensorGradedAlgebra:
+class TensorGradedAlgebra(GradedProtocol):
     """Degreewise tensor product A_n (x) B_n; vertices come from A."""
 
     def __init__(self, a, b):
@@ -412,16 +382,6 @@ class TensorGradedAlgebra:
                 k = ka * nb + kb
                 out[k] = out.get(k, Q0) + ca * cb
         return tuple((k, c) for k, c in sorted(out.items()) if c)
-
-    def hilbert(self):
-        return tuple(self.dims(d) for d in range(self.top + 1))
-
-    def dims_by_pair(self, d):
-        out = {}
-        for i in range(self.dims(d)):
-            key = (self.src(d, i), self.dst(d, i))
-            out[key] = out.get(key, 0) + 1
-        return out
 
 
 def segre_product(a, b) -> TensorGradedAlgebra:
@@ -475,6 +435,7 @@ class _Projective:
         self.alg = alg
         self.summands = tuple(summands)  # (vertex, shift)
         self._basis = {}
+        self._index = {}
 
     def basis(self, t):
         """Basis of degree t: list of (summand_idx, d, i, dst)."""
@@ -490,31 +451,42 @@ class _Projective:
         self._basis[t] = out
         return out
 
+    def index(self, t):
+        """Position of (summand_idx, d, i) in basis(t)."""
+        if t not in self._index:
+            self._index[t] = {(s, d, i): pos for pos, (s, d, i, _)
+                              in enumerate(self.basis(t))}
+        return self._index[t]
+
     def max_degree(self):
         if not self.summands:
             return -1
         return max(shift for _, shift in self.summands) + self.alg.top_degree
 
     def act(self, t, vec, gdeg, gidx):
-        """Left action of algebra element (gdeg, gidx) on a degree-t vector."""
+        """Left action of algebra element (gdeg, gidx) on a sparse degree-t
+        vector {position: coef}; returns a sparse degree-(t + gdeg) vector."""
         src_g = self.alg.src(gdeg, gidx)
         basis_t = self.basis(t)
-        out_basis = {key: pos for pos, key in enumerate(
-            (s, d, i) for s, d, i, _ in self.basis(t + gdeg))}
-        out = [Q0] * len(out_basis)
-        for pos, c in enumerate(vec):
-            if not c:
-                continue
+        out_index = self.index(t + gdeg)
+        out = {}
+        for pos, c in vec.items():
             s, d, i, dst = basis_t[pos]
             if dst != src_g:
                 continue
             for k, c2 in self.alg.mul(gdeg, gidx, d, i):
-                out[out_basis[(s, d + gdeg, k)]] += c * c2
-        return out
+                key = out_index[(s, d + gdeg, k)]
+                out[key] = out.get(key, Q0) + c * c2
+        return {k: c for k, c in out.items() if c}
 
 
 def minimal_resolution(alg, vertex, hom_cap=5, deg_cap=None) -> Resolution:
-    """Minimal graded resolution of the vertex simple, up to hom_cap steps."""
+    """Minimal graded resolution of the vertex simple, up to hom_cap steps.
+
+    Vectors are sparse {position: coef} over the degree-t basis of a
+    projective.  Every map here preserves the destination vertex, so spans
+    and kernels are computed one vertex at a time.
+    """
     if vertex not in alg.vertices:
         raise VertexMismatch(f"unknown vertex {vertex!r}")
     res = Resolution(vertex)
@@ -523,16 +495,8 @@ def minimal_resolution(alg, vertex, hom_cap=5, deg_cap=None) -> Resolution:
     # first syzygy: everything of positive degree in P^0
     kernel = {}
     for t in range(1, p.max_degree() + 1):
-        basis = p.basis(t)
-        vecs = []
-        for pos in range(len(basis)):
-            v = [Q0] * len(basis)
-            v[pos] = Q1
-            vecs.append(v)
-        if vecs:
-            kernel[t] = vecs
-
-    arrows1 = [(alg.src(1, i), alg.dst(1, i), i) for i in range(alg.dims(1))]
+        if p.basis(t):
+            kernel[t] = [{pos: Q1} for pos in range(len(p.basis(t)))]
 
     for step in range(1, hom_cap + 1):
         res.syzygy_dims.append({})
@@ -546,57 +510,50 @@ def minimal_resolution(alg, vertex, hom_cap=5, deg_cap=None) -> Resolution:
         if not kernel:
             res.finished = True
             return res
-        # minimal generators of the kernel, degree by degree
+        # minimal generators of the kernel, degree by degree: the kernel
+        # vectors outside the span of the arrow images of degree t - 1
         gens = []  # (w, t, vector over P_t)
-        spans = {}
-
-        def span_at(t, w, size):
-            key = (t, w)
-            if key not in spans:
-                spans[key] = SpanSolver(size)
-            return spans[key]
-
+        spans = {}  # (t, w) -> Echelon
         for t in sorted(kernel):
-            # images of lower-degree kernel vectors under the arrows
-            if t - 1 in kernel:
-                for u in kernel[t - 1]:
-                    for src_a, dst_a, gi in arrows1:
-                        img = p.act(t - 1, u, 1, gi)
-                        if any(img):
-                            w = _dst_vertex(p, t, img)
-                            span_at(t, w, len(img)).add(img)
+            for u in kernel.get(t - 1, ()):
+                for gi in range(alg.dims(1)):
+                    img = p.act(t - 1, u, 1, gi)
+                    if img:
+                        w = _dst_vertex(p, t, img)
+                        spans.setdefault((t, w), Echelon()).add(img)
             for u in kernel[t]:
                 w = _dst_vertex(p, t, u)
-                if span_at(t, w, len(u)).add(u):
+                if spans.setdefault((t, w), Echelon()).add(u):
                     gens.append((w, t, u))
         if deg_cap is not None and any(t > deg_cap for _, t, _ in gens):
             raise CapExceeded(f"syzygy generator beyond degree cap {deg_cap}")
-        betti = {}
         for w, t, _ in gens:
-            betti.setdefault((step, t), {}).setdefault(w, 0)
-            betti[(step, t)][w] += 1
-        res.betti.update(betti)
-        # next projective and kernel
+            counts = res.betti.setdefault((step, t), {})
+            counts[w] = counts.get(w, 0) + 1
+        # next projective and the kernel of P_next -> P, one vertex at a time
         pnext = _Projective(alg, [(w, t) for w, t, _ in gens])
         kernel_next = {}
         for t in range(0, pnext.max_degree() + 1):
-            bnext = pnext.basis(t)
-            if not bnext:
-                continue
-            btarget = p.basis(t)
-            cols = []
-            for s, d, i, dst in bnext:
+            cols = {}  # w -> source positions
+            rows = {}  # w -> target position -> {source position: coef}
+            for j, (s, d, i, w) in enumerate(pnext.basis(t)):
                 shift, gvec = gens[s][1], gens[s][2]
-                img = p.act(shift, gvec, d, i) if d > 0 else list(gvec)
-                cols.append(img)
-            if not btarget:
-                mat = [[Q0] * len(bnext)]
-            else:
-                mat = [[cols[j][r] for j in range(len(bnext))]
-                       for r in range(len(btarget))]
-            null = nullspace(mat)
+                img = p.act(shift, gvec, d, i) if d > 0 else gvec
+                if img and _dst_vertex(p, t, img) != w:
+                    raise AssertionError("map mixes vertex components")
+                cols.setdefault(w, []).append(j)
+                block = rows.setdefault(w, {})
+                for r, c in img.items():
+                    block.setdefault(r, {})[j] = c
+            null = []
+            for w, block_cols in cols.items():
+                ech = Echelon()
+                for row in rows[w].values():
+                    ech.add(row)
+                null += ech.kernel(block_cols)
             if null:
-                kernel_next[t] = null
+                # in the order of the free columns, as one kernel would give
+                kernel_next[t] = sorted(null, key=lambda v: next(iter(v)))
         p = pnext
         kernel = kernel_next
     res.finished = not kernel
@@ -604,15 +561,12 @@ def minimal_resolution(alg, vertex, hom_cap=5, deg_cap=None) -> Resolution:
 
 
 def _dst_vertex(p, t, vec):
+    """Destination vertex shared by the support of a nonzero sparse vector."""
     basis = p.basis(t)
-    w = None
-    for pos, c in enumerate(vec):
-        if c:
-            if w is None:
-                w = basis[pos][3]
-            elif w != basis[pos][3]:
-                raise AssertionError("kernel vector mixes vertex components")
-    return w
+    ws = {basis[pos][3] for pos in vec}
+    if len(ws) != 1:
+        raise AssertionError("kernel vector mixes vertex components")
+    return ws.pop()
 
 
 def koszul_check(alg, hom_cap=5):

@@ -76,10 +76,6 @@ class RadicalGroup:
 class Relation:
     terms: tuple  # ((Fraction coef, (tid_outer, tid_inner)), ...)
 
-    @property
-    def is_monomial(self):
-        return len(self.terms) == 1
-
 
 @dataclass(frozen=True)
 class Block:
@@ -107,10 +103,6 @@ class QuiverReport:
     centext_pairs: tuple  # ((q, q2), dim) sorted
     centext_total: int
     notes: tuple
-
-
-class AssemblyError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -238,3 +238,119 @@ def ref_fs_indicator(sys, lam):
     tl = ref_decompose_character(l2).get(zero, 0)
     assert ts + tl == 1
     return 1 if ts else -1
+
+
+# ---------------------------------------------------------------------------
+# reference elimination: the dense Fraction routines the package used before
+# its sparse echelon kernel, kept as an independent oracle for it
+
+
+def ref_rref(mat):
+    """Reduced row echelon form (in place on a copy); returns (rref, pivots)."""
+    m = [row[:] for row in mat]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def ref_nullspace(mat):
+    """Basis of the right kernel of `mat` (list of column vectors)."""
+    if not mat:
+        return []
+    cols = len(mat[0])
+    red, pivots = ref_rref(mat)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_solve(mat, rhs):
+    """One solution x of mat*x = rhs, or None if inconsistent."""
+    if not mat:
+        return [] if all(x == 0 for x in rhs) else None
+    cols = len(mat[0])
+    aug = [row[:] + [b] for row, b in zip(mat, rhs)]
+    red, pivots = ref_rref(aug)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
+class RefSpanSolver:
+    """Incremental row-space membership/coordinate queries, dense rows.
+
+    Vectors that enlarge the span are retained as generators; `coords(v)`
+    expresses v in the retained generators, or returns None.
+    """
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.rows = []          # reduced independent rows
+        self.pivot_of_row = []
+        self.exprs = []         # exprs[i]: rows[i] as a combo of generators
+        self.n_kept = 0
+
+    def _reduce(self, v):
+        """Return (red, combo) with v = red + sum combo[j]*generator_j."""
+        v = v[:]
+        combo = [Fraction(0)] * self.n_kept
+        for row, pc, e in zip(self.rows, self.pivot_of_row, self.exprs):
+            c = v[pc]
+            if c:
+                for j in range(self.dim):
+                    if row[j]:
+                        v[j] -= c * row[j]
+                for j, ej in enumerate(e):
+                    if ej:
+                        combo[j] += c * ej
+        return v, combo
+
+    def add(self, v):
+        """Add a spanning vector; returns True if it enlarged the span."""
+        red, combo = self._reduce([Fraction(x) for x in v])
+        pc = next((j for j, x in enumerate(red) if x != 0), None)
+        if pc is None:
+            return False
+        inv = ONE / red[pc]
+        for e in self.exprs:
+            e.append(Fraction(0))
+        new_expr = [-inv * c for c in combo] + [inv]
+        self.rows.append([x * inv for x in red])
+        self.pivot_of_row.append(pc)
+        self.exprs.append(new_expr)
+        self.n_kept += 1
+        return True
+
+    def coords(self, v):
+        """Coordinates of v in the retained generators, or None."""
+        red, combo = self._reduce([Fraction(x) for x in v])
+        if any(x != 0 for x in red):
+            return None
+        return combo

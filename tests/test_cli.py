@@ -195,3 +195,30 @@ def test_spec_bad_scalar_fields(tmp_path, capsys):
         bad.write_text(json.dumps(spec), encoding="utf-8")
         assert run(["quiver", "--spec", str(bad)]) == cli.EXIT_VALIDATION
         assert json.loads(capsys.readouterr().err)["error"] == "spec-parse"
+
+
+def _spec_exit(tmp_path, capsys, spec):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec), encoding="utf-8")
+    rc = run(["blocks", "--spec", str(bad)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "spec-parse"
+    return rc
+
+
+def test_spec_non_integral_float_rejected(tmp_path, capsys):
+    spec = {"ideals": [{"kind": "bilinear", "dim": 5.7}]}
+    assert _spec_exit(tmp_path, capsys, spec) == cli.EXIT_VALIDATION
+
+
+def test_spec_bool_rejected(tmp_path, capsys):
+    spec = {"ideals": [{"kind": "hermitian", "comp": 2, "n": True}]}
+    assert _spec_exit(tmp_path, capsys, spec) == cli.EXIT_VALIDATION
+
+
+def test_spec_string_number_rejected(tmp_path, capsys):
+    spec = {"ideals": [{"kind": "field"}],
+            "radical": [{"kind": "unital", "ideal": 0, "label": "ad",
+                         "mult": "2"}]}
+    assert _spec_exit(tmp_path, capsys, spec) == cli.EXIT_VALIDATION

@@ -1,0 +1,114 @@
+"""Byte guard: the stdout of the benchmark's koszul ops and valid tkk-check
+tables, run in process through `cli.main`, must hash to the digests recorded
+in perfbench/golden.json.  Output drift in pathalg, linalg or tkk then fails
+here without running the benchmark.  The golden file is only read."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from smodquiver import cli
+
+GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                     / "golden.json").read_text(encoding="utf-8"))["cli"]
+
+_F = {"kind": "field"}
+
+
+def _spec(ideals, radical):
+    return {"ideals": ideals, "radical": radical, "unital": True}
+
+
+def _her(comp, n):
+    return {"kind": "hermitian", "comp": comp, "n": n}
+
+
+def _unital(label, mult):
+    return {"kind": "unital", "ideal": 0, "label": label, "mult": mult}
+
+
+def _tensor(la, lb, mult):
+    return {"kind": "tensor", "a": {"ideal": 0, "label": la},
+            "b": {"ideal": 1, "label": lb}, "mult": mult}
+
+
+KOSZUL = {
+    "clifford-odd": (_spec([_F], [_unital("ad", 4)]), []),
+    "clifford-even": (_spec([_F, _F], [_tensor("L", "L", 3)]), []),
+    "segre-alt": (_spec([_F, _her(4, 3)], [_tensor("L", "V", 3)]), []),
+    "segre-sym": (_spec([_F, _her(1, 3)], [_tensor("L", "V", 3)]), []),
+    "a2-segre": (_spec([_F, _her(2, 3)],
+                       [_tensor("L", "V", 2), _tensor("L", "V*", 2)]), []),
+    "basis-ad7": (_spec([_F], [_unital("ad", 7)]),
+                  ["--hom-cap", "1", "--deg-cap", "12"]),
+}
+
+
+def _spin_factor(n):
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        t[0][i][i] = t[i][0][i] = 1
+    for i in range(1, n):
+        t[i][i][0] = 1
+    return t
+
+
+def _matrix_plus(n):
+    d = n * n
+    t = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for m in range(n):
+                    out = t[i * n + j][k * n + m]
+                    if j == k:
+                        out[i * n + m] += 1
+                    if m == i:
+                        out[k * n + j] += 1
+    return t
+
+
+def _direct_sum(a, b):
+    n, m = len(a), len(b)
+    t = [[[0] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
+    for i in range(n):
+        for j in range(n):
+            t[i][j][:n] = a[i][j]
+    for i in range(m):
+        for j in range(m):
+            t[n + i][n + j][n:] = b[i][j]
+    return t
+
+
+TKK = {
+    "spin8": _spin_factor(8),
+    "m3-plus": _matrix_plus(3),
+    "m2-plus+spin5": _direct_sum(_matrix_plus(2), _spin_factor(5)),
+}
+
+
+def _stdout_digest(argv, capsys):
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(KOSZUL))
+def test_koszul_stdout_matches_golden(name, tmp_path, capsys):
+    spec, extra = KOSZUL[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["koszul", "--spec", str(path)] + extra
+    assert _stdout_digest(argv, capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(TKK))
+def test_tkk_check_stdout_matches_golden(name, tmp_path, capsys):
+    t = TKK[name]
+    table = {"dim": len(t),
+             "products": [[[str(x) for x in v] for v in row] for row in t]}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    argv = ["tkk-check", "--table", str(path)]
+    assert _stdout_digest(argv, capsys) == GOLDEN[name]

@@ -1,5 +1,10 @@
+import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import RefSpanSolver, ref_nullspace, ref_rref, ref_solve
 from smodquiver.linalg import (SpanSolver, mat_mul, nullspace, qmat, rank, rref,
                                solve)
 
@@ -40,3 +45,66 @@ def test_mat_mul():
     a = qmat([[1, 2], [3, 4]])
     b = qmat([[0, 1], [1, 0]])
     assert mat_mul(a, b) == qmat([[2, 1], [4, 3]])
+
+
+# -- the sparse kernel against the dense reference in helpers ----------------
+
+
+def _assert_same(mat, rhs, query):
+    """Every entry point agrees with the dense reference on one system."""
+    red, pivots = ref_rref(mat)
+    assert rref(mat) == (red, pivots)
+    assert rank(mat) == len(pivots)
+    assert nullspace(mat) == ref_nullspace(mat)
+    assert solve(mat, rhs) == ref_solve(mat, rhs)
+    new, ref = SpanSolver(len(query)), RefSpanSolver(len(query))
+    for row in mat:
+        assert new.add(row) == ref.add(row)
+    for v in mat + [query]:
+        assert new.coords(v) == ref.coords(v)
+
+
+def _random_vector(rng, n, density):
+    return [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if rng.random() < density else Fraction(0) for _ in range(n)]
+
+
+def test_kernel_matches_dense_reference_seeded():
+    rng = random.Random(20251018)
+    shapes = [(0, 0), (0, 3), (1, 0), (3, 0), (1, 1), (1, 7), (7, 1), (4, 4),
+              (6, 9), (9, 6), (10, 12), (12, 10)]
+    for rows, cols in shapes:
+        for density in (0.0, 0.05, 0.2, 0.5, 1.0):
+            for _ in range(3):
+                mat = [_random_vector(rng, cols, density) for _ in range(rows)]
+                _assert_same(mat, _random_vector(rng, rows, density),
+                             _random_vector(rng, cols, density))
+    # later rows are combinations of earlier ones, so spans stop growing
+    base = [_random_vector(rng, 10, 0.3) for _ in range(5)]
+    mixed = base + [[a + 2 * b for a, b in zip(base[0], base[3])],
+                    [a - b for a, b in zip(base[1], base[4])]]
+    _assert_same(mixed, [Fraction(1)] * len(mixed),
+                 [a - 3 * b for a, b in zip(base[2], base[0])])
+
+
+@st.composite
+def _systems(draw):
+    """Sparse rational systems (mat, rhs, query), empty and all-zero included."""
+    nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                        st.integers(1, 4))
+
+    def vector(n):
+        out = [Fraction(0)] * n
+        for j in sorted(draw(st.sets(st.integers(0, max(n - 1, 0)),
+                                     max_size=n))):
+            out[j] = draw(nonzero)
+        return out
+
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    return [vector(cols) for _ in range(rows)], vector(rows), vector(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_kernel_matches_dense_reference_property(system):
+    _assert_same(*system)
