@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog, jordan, pathalg, quiver, tkk, weights
 
@@ -202,31 +201,16 @@ def cmd_verify_appendix(args):
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _parse_rational(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise ValueError(f"bad rational {x!r}")
-
-
-def _parse_vector(v):
-    if not isinstance(v, list):
-        raise ValueError(f"product entry {v!r} is not a vector")
-    return [_parse_rational(x) for x in v]
-
-
 def cmd_tkk_check(args):
     try:
         with open(args.table, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        n = int(data["dim"])
-        prods = data["products"]
-        table = [[_parse_vector(prods[i][j]) for j in range(n)]
-                 for i in range(n)]
-        sc = jordan.StructureConstants(table)
-    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+            sc = jordan.table_from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_VALIDATION, "table-parse", str(exc)) from exc
+    if sc.dim > tkk.MAX_EXPLICIT_DIM:
+        raise CliError(EXIT_CAP, "cap-exceeded",
+                       f"table dim {sc.dim} exceeds the explicit construction "
+                       f"bound {tkk.MAX_EXPLICIT_DIM}")
     verdicts = {"jordanIdentity": jordan.check_jordan_identity(sc)}
     if verdicts["jordanIdentity"]:
         try:

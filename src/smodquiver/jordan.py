@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Q0, Q1, commutator, is_zero_mat, mat_mul, nullspace, qvec, solve
+from .linalg import (Q0, Q1, commutator, dense_vector, is_zero_mat, mat_mul, nullspace,
+                     qvec, solve, sparse_vector)
 
 
 class CubicIdentityFails(ArithmeticError):
@@ -256,12 +257,64 @@ def load_spec(path) -> JordanSpec:
         return spec_from_dict(json.load(fh))
 
 
+def _rational(x):
+    """A JSON integer, finite JSON number or Fraction string, exactly."""
+    if type(x) is bool or not isinstance(x, (int, float, str)):
+        raise ValueError(f"bad rational {x!r}")
+    try:
+        return Fraction(x)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad rational {x!r}: {exc}") from exc
+
+
+def table_from_dict(data: dict) -> StructureConstants:
+    """Structure constants from {"dim": n, "products": rows}.
+
+    `dim` must be a JSON integer >= 1 and `products` exactly n rows of n
+    vectors of n rationals, the vector in row i, column j being e_i * e_j.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("table must be a JSON object")
+    n = _int(data, "dim")
+    if n < 1:
+        raise ValueError(f"'dim' must be at least 1, not {n}")
+    rows = data["products"]
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)):
+        raise ValueError(f"'products' must be {n} rows of {n} vectors")
+    table = []
+    for row in rows:
+        for v in row:
+            if not (isinstance(v, list) and len(v) == n):
+                raise ValueError(f"product entry {v!r} is not a {n}-vector")
+        table.append([[_rational(x) for x in v] for v in row])
+    return StructureConstants(table)
+
+
 # ---------------------------------------------------------------------------
 # explicit structure constants
 
 
+def _sparse_table(table):
+    """table[i][j] as the sparse vector {k: x} of the product e_i * e_j."""
+    return tuple(tuple(sparse_vector(v) for v in row) for row in table)
+
+
+def _table_product(table, x, y):
+    """Product of sparse vectors x and y through a sparse table."""
+    out = {}
+    for i, xi in x.items():
+        row = table[i]
+        for j, yj in y.items():
+            for k, c in row[j].items():
+                out[k] = out.get(k, Q0) + xi * yj * c
+    return {k: c for k, c in out.items() if c}
+
+
 class StructureConstants:
-    """Commutative product on k^n: c[i][j] is the vector e_i * e_j."""
+    """Commutative product on k^n: c[i][j] is the vector e_i * e_j.
+
+    `sparse` holds the same table as sparse vectors {k: x}."""
 
     def __init__(self, table):
         self.c = tuple(tuple(tuple(Fraction(x) for x in v) for v in row)
@@ -275,19 +328,12 @@ class StructureConstants:
                     raise ValueError("entries must be n-vectors")
                 if self.c[i][j] != self.c[j][i]:
                     raise ValueError("table is not commutative")
+        self.sparse = _sparse_table(self.c)
+        self._jordan = None   # verdict of check_jordan_identity, once known
 
     def mul(self, x, y):
-        out = [Q0] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, ck in enumerate(self.c[i][j]):
-                    if ck:
-                        out[k] += xi * yj * ck
-        return out
+        xy = _table_product(self.sparse, sparse_vector(x), sparse_vector(y))
+        return dense_vector(xy, self.dim)
 
     def left_mult_matrix(self, i):
         """Matrix of x -> e_i * x."""
@@ -314,25 +360,33 @@ def find_unit(sc: StructureConstants):
 
 
 def check_jordan_identity(sc: StructureConstants) -> bool:
-    """Full multilinearization of ((a*a)*b)*a = (a*a)*(b*a) on basis tuples."""
-    n = sc.dim
+    """Full multilinearization of ((a*a)*b)*a = (a*a)*(b*a) on basis tuples.
 
-    def f(x, y, b, z):
-        xy = sc.c[x][y]
-        left = sc.mul(sc.mul(xy, sc.basis(b)), sc.basis(z))
-        right = sc.mul(xy, sc.c[b][z])
-        return [l - r for l, r in zip(left, right)]
+    The check runs over the sparse table once per instance; the verdict is
+    kept on `sc`.
+    """
+    if sc._jordan is None:
+        sc._jordan = _jordan_identity(sc.sparse)
+    return sc._jordan
 
+
+def _jordan_identity(t):
+    n = len(t)
     for x in range(n):
         for y in range(x, n):
             for z in range(y, n):
                 for b in range(n):
-                    acc = f(x, y, b, z)
-                    for t, v in enumerate(f(y, z, b, x)):
-                        acc[t] += v
-                    for t, v in enumerate(f(z, x, b, y)):
-                        acc[t] += v
-                    if any(acc):
+                    # sum over the cyclic shifts (p, q, r) of (x, y, z) of
+                    # ((e_p e_q) e_b) e_r - (e_p e_q)(e_b e_r)
+                    acc = {}
+                    for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+                        pq = t[p][q]
+                        left = _table_product(t, pq, {b: Q1})
+                        for k, c in _table_product(t, left, {r: Q1}).items():
+                            acc[k] = acc.get(k, Q0) + c
+                        for k, c in _table_product(t, pq, t[b][r]).items():
+                            acc[k] = acc.get(k, Q0) - c
+                    if any(acc.values()):
                         return False
     return True
 
@@ -437,28 +491,12 @@ def plus_product(assoc_table) -> StructureConstants:
     """Symmetrized product a*b = ab + ba of an associative table."""
     table = [[qvec(v) for v in row] for row in assoc_table]
     n = len(table)
-
-    def mul(x, y):
-        out = [Q0] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    for k, ck in enumerate(table[i][j]):
-                        if ck:
-                            out[k] += xi * yj * ck
-        return out
-
-    def basis(i):
-        v = [Q0] * n
-        v[i] = Q1
-        return v
-
+    sparse = _sparse_table(table)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if mul(table[i][j], basis(k)) != mul(basis(i), table[j][k]):
+                if (_table_product(sparse, sparse[i][j], {k: Q1})
+                        != _table_product(sparse, {i: Q1}, sparse[j][k])):
                     raise NotAssociative(f"({i}*{j})*{k} != {i}*({j}*{k})")
     sym = [[tuple(x + y for x, y in zip(table[i][j], table[j][i]))
             for j in range(n)] for i in range(n)]

@@ -47,10 +47,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if c and x), Q0) for row in a]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -67,9 +63,17 @@ def is_zero_mat(a):
     return all(all(x == 0 for x in row) for row in a)
 
 
-def _sparse(seq):
+def sparse_vector(seq):
     """Sparse form {index: Fraction} of a dense sequence."""
     return {j: Fraction(x) for j, x in enumerate(seq) if x}
+
+
+def dense_vector(v, n):
+    """Dense form, of length n, of a sparse vector."""
+    out = [Q0] * n
+    for j, x in v.items():
+        out[j] = x
+    return out
 
 
 def _axpy(vec, c, other):
@@ -170,15 +174,8 @@ class Echelon:
 def _echelon(mat):
     ech = Echelon()
     for row in mat:
-        ech.add(_sparse(row))
+        ech.add(sparse_vector(row))
     return ech
-
-
-def _dense(v, n):
-    out = [Q0] * n
-    for j, x in v.items():
-        out[j] = x
-    return out
 
 
 def rref(mat):
@@ -188,7 +185,7 @@ def rref(mat):
     cols = len(mat[0])
     ech = _echelon(mat)
     pivots = sorted(ech.rows)
-    red = [_dense({p: Q1, **ech.rows[p]}, cols) for p in pivots]
+    red = [dense_vector({p: Q1, **ech.rows[p]}, cols) for p in pivots]
     red += [[Q0] * cols for _ in range(len(mat) - len(pivots))]
     return red, pivots
 
@@ -202,7 +199,7 @@ def nullspace(mat):
     if not mat:
         return []
     cols = len(mat[0])
-    return [_dense(v, cols) for v in _echelon(mat).kernel(range(cols))]
+    return [dense_vector(v, cols) for v in _echelon(mat).kernel(range(cols))]
 
 
 def solve(mat, rhs):
@@ -233,12 +230,12 @@ class SpanSolver:
 
     def add(self, v):
         """Add a spanning vector; returns True if it enlarged the span."""
-        return self._ech.add(_sparse(v))
+        return self._ech.add(sparse_vector(v))
 
     def coords(self, v):
         """Coordinates of v in the retained generators, or None."""
-        combo = self._ech.coords(_sparse(v))
-        return None if combo is None else _dense(combo, self._ech.n_kept)
+        combo = self._ech.coords(sparse_vector(v))
+        return None if combo is None else dense_vector(combo, self._ech.n_kept)
 
     def contains(self, v):
         return self.coords(v) is not None

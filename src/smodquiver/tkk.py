@@ -14,10 +14,11 @@ spaces, without touching structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import catalog, jordan
 from .catalog import E7, SL, SL2, SO1, SO2, SP, LieKind
-from .linalg import Q0, Q1, SpanSolver, commutator, mat_vec, nullspace, rank
+from .linalg import Q0, Q1, Echelon
 
 MAX_EXPLICIT_DIM = 16
 
@@ -82,21 +83,27 @@ class ShortGradedLie:
         return True
 
     def check_jacobi(self):
+        # ad[i][j] = [e_i, e_j] for every nonzero bracket, both signs
+        ad = {}
+        for (i, j), vec in self.bracket.items():
+            if vec:
+                ad.setdefault(i, {})[j] = vec
+                ad.setdefault(j, {})[i] = {k: -c for k, c in vec.items()}
         n = self.total_dim
         for i in range(n):
+            ad_i = ad.get(i, {})
             for j in range(i + 1, n):
-                bij = self.bracket_basis(i, j)
+                ad_j = ad.get(j, {})
                 for k in range(j + 1, n):
+                    terms = ((ad_i.get(j), k), (ad_j.get(k), i),
+                             (ad.get(k, {}).get(i), j))
+                    if not any(b for b, _ in terms):
+                        continue
                     acc = {}
-                    for t, c in bij.items():
-                        for s, d in self.bracket_basis(t, k).items():
-                            acc[s] = acc.get(s, Q0) + c * d
-                    for t, c in self.bracket_basis(j, k).items():
-                        for s, d in self.bracket_basis(t, i).items():
-                            acc[s] = acc.get(s, Q0) + c * d
-                    for t, c in self.bracket_basis(k, i).items():
-                        for s, d in self.bracket_basis(t, j).items():
-                            acc[s] = acc.get(s, Q0) + c * d
+                    for b, other in terms:
+                        for t, c in (b or {}).items():
+                            for s, d in ad.get(t, {}).get(other, {}).items():
+                                acc[s] = acc.get(s, Q0) + c * d
                     if any(acc.values()):
                         return False
         return True
@@ -114,12 +121,73 @@ class ShortGradedLie:
         return {k: c for k, c in enumerate(f) if c} == hf
 
 
-def _flatten(t):
-    return [x for a in t for b in a for x in b]
+def _op_key(op, n):
+    """An operator {(row, col): x} as one sparse vector, key row * n + col."""
+    return {r * n + c: x for (r, c), x in op.items()}
+
+
+def _map_key(bmap, n):
+    """A bilinear map {(x, y): {k: c}} as one sparse vector, key (x*n + y)*n + k."""
+    return {(x * n + y) * n + k: c for (x, y), vec in bmap.items()
+            for k, c in vec.items()}
+
+
+def _lines(op):
+    """Rows and columns of an operator {(row, col): x}, as lists of pairs."""
+    rows, cols = {}, {}
+    for (r, c), x in op.items():
+        rows.setdefault(r, []).append((c, x))
+        cols.setdefault(c, []).append((r, x))
+    return rows, cols
+
+
+def _pruned(acc):
+    return {k: c for k, c in acc.items() if c}
+
+
+def _op_mul(a, b):
+    """Product of operators {(row, col): x}."""
+    brows, _ = _lines(b)
+    out = {}
+    for (r, t), x in a.items():
+        for c, y in brows.get(t, ()):
+            out[(r, c)] = out.get((r, c), Q0) + x * y
+    return out
+
+
+def _commutator(a, b):
+    out = _op_mul(a, b)
+    for key, x in _op_mul(b, a).items():
+        out[key] = out.get(key, Q0) - x
+    return _pruned(out)
+
+
+def _act(op, bmap):
+    """(L.B)(x,y) = L(B(x,y)) - B(Lx,y) - B(x,Ly) on a symmetric map B."""
+    rows, cols = _lines(op)
+    out = {}
+    for xy, vec in bmap.items():
+        dst = out.setdefault(xy, {})
+        for k, c in vec.items():
+            for r, x in cols.get(k, ()):
+                dst[r] = dst.get(r, Q0) + x * c
+    for (t, y), vec in bmap.items():
+        for x, l in rows.get(t, ()):
+            # B(Lx, y) and B(y, Lx), both read off B(t, y); twice when x == y
+            for dst in (out.setdefault((x, y), {}), out.setdefault((y, x), {})):
+                for k, c in vec.items():
+                    dst[k] = dst.get(k, Q0) - l * c
+    out = {xy: _pruned(vec) for xy, vec in out.items()}
+    return {xy: vec for xy, vec in out.items() if vec}
 
 
 def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
-    """Short-graded Lie algebra of a unital algebra given by its table."""
+    """Short-graded Lie algebra of a unital algebra given by its table.
+
+    Operators are sparse {(row, col): x} and bilinear maps sparse
+    {(x, y): {k: c}}; each degree is spanned in one `Echelon` over their
+    flattened entries.
+    """
     n = sc.dim
     if n > MAX_EXPLICIT_DIM:
         raise ValueError(f"explicit construction bounded at dim {MAX_EXPLICIT_DIM}")
@@ -129,58 +197,37 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
     if unit is None:
         raise NotUnital("algebra has no identity element")
 
-    lmats = [sc.left_mult_matrix(i) for i in range(n)]
-
-    def act(L, B):
-        """(L.B)(x,y) = L(B(x,y)) - B(Lx,y) - B(x,Ly)."""
-        out = [[[Q0] * n for _ in range(n)] for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                v = mat_vec(L, B[x][y])
-                row = out[x][y]
-                for k in range(n):
-                    row[k] += v[k]
-        for t in range(n):
-            for x in range(n):
-                c = L[t][x]
-                if not c:
-                    continue
-                for y in range(n):
-                    bty = B[t][y]
-                    rxy = out[x][y]
-                    ryx = out[y][x]
-                    for k in range(n):
-                        if bty[k]:
-                            rxy[k] -= c * bty[k]
-                            ryx[k] -= c * bty[k]
-        return out
+    # L_i: column j is the vector e_i * e_j
+    lmaps = [{(k, j): c for j in range(n) for k, c in sc.sparse[i][j].items()}
+             for i in range(n)]
 
     # g_0: span of L_a and [L_a, L_b]
-    g0 = SpanSolver(n * n)
+    g0 = Echelon(track=True)
     g0_ops = []
 
-    def add_op(m):
-        if g0.add([x for row in m for x in row]):
-            g0_ops.append(m)
+    def add_op(op):
+        if g0.add(_op_key(op, n)):
+            g0_ops.append(op)
 
-    for m in lmats:
-        add_op(m)
+    for op in lmaps:
+        add_op(op)
     for i in range(n):
         for j in range(i + 1, n):
-            add_op(commutator(lmats[i], lmats[j]))
+            add_op(_commutator(lmaps[i], lmaps[j]))
 
     # g_1: span of P and L_a.P, inside symmetric bilinear maps
-    ptensor = [[list(sc.c[i][j]) for j in range(n)] for i in range(n)]
-    g1 = SpanSolver(n * n * n)
+    ptensor = {(x, y): sc.sparse[x][y]
+               for x in range(n) for y in range(n) if sc.sparse[x][y]}
+    g1 = Echelon(track=True)
     g1_maps = []
 
     def add_map(b):
-        if g1.add(_flatten(b)):
+        if g1.add(_map_key(b, n)):
             g1_maps.append(b)
 
     add_map(ptensor)
-    for m in lmats:
-        add_map(act(m, ptensor))
+    for op in lmaps:
+        add_map(_act(op, ptensor))
 
     d0, d1 = len(g0_ops), len(g1_maps)
     total = n + d0 + d1
@@ -195,48 +242,51 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
         else:
             bracket[(j, i)] = {k: -c for k, c in vec_dict.items()}
 
-    def g0_coords(m):
-        c = g0.coords([x for row in m for x in row])
+    def coords(ech, key, shift, error):
+        """Coordinates in g (generator t is basis vector shift + t)."""
+        c = ech.coords(key)
         if c is None:
-            raise JacobiFails("operator outside the constructed degree-0 span")
-        return c
+            raise JacobiFails(error)
+        return {shift + t: x for t, x in sorted(c.items())}
+
+    def g0_coords(op):
+        return coords(g0, _op_key(op, n), n,
+                      "operator outside the constructed degree-0 span")
 
     def g1_coords(b):
-        c = g1.coords(_flatten(b))
-        if c is None:
-            raise JacobiFails("bilinear map outside the constructed degree-1 span")
-        return c
+        return coords(g1, _map_key(b, n), n + d0,
+                      "bilinear map outside the constructed degree-1 span")
 
     # [L, x] = L(x)
-    for a, L in enumerate(g0_ops):
+    for a, op in enumerate(g0_ops):
+        _, cols = _lines(op)
         for i in range(n):
-            put(n + a, i, {k: L[k][i] for k in range(n)})
+            put(n + a, i, dict(sorted(cols.get(i, ()))))
     # [B, x](y) = B(x, y), an operator in g_0
     for b, B in enumerate(g1_maps):
         for i in range(n):
-            op = [[B[i][y][k] for y in range(n)] for k in range(n)]
-            coords = g0_coords(op)
-            put(n + d0 + b, i, {n + t: c for t, c in enumerate(coords)})
+            op = {(k, y): c for y in range(n) for k, c in B.get((i, y), {}).items()}
+            put(n + d0 + b, i, g0_coords(op))
     # [L, L'] and [L, B]
-    for a, L in enumerate(g0_ops):
+    for a, op in enumerate(g0_ops):
         for b in range(a + 1, d0):
-            coords = g0_coords(commutator(L, g0_ops[b]))
-            put(n + a, n + b, {n + t: c for t, c in enumerate(coords)})
+            put(n + a, n + b, g0_coords(_commutator(op, g0_ops[b])))
         for b, B in enumerate(g1_maps):
-            coords = g1_coords(act(L, B))
-            put(n + a, n + d0 + b, {n + d0 + t: c for t, c in enumerate(coords)})
+            put(n + a, n + d0 + b, g1_coords(_act(op, B)))
 
     evec = [Q0] * total
     for i, x in enumerate(unit):
         evec[i] = x
-    neg_le = [[-sum(unit[i] * lmats[i][r][c] for i in range(n)) for c in range(n)]
-              for r in range(n)]
+    neg_le = {}
+    for i, u in enumerate(unit):
+        for key, c in lmaps[i].items():
+            neg_le[key] = neg_le.get(key, Q0) - u * c
     hvec = [Q0] * total
-    for t, c in enumerate(g0_coords(neg_le)):
-        hvec[n + t] = c
+    for t, c in g0_coords(_pruned(neg_le)).items():
+        hvec[t] = c
     fvec = [Q0] * total
-    for t, c in enumerate(g1_coords(ptensor)):
-        fvec[n + d0 + t] = c
+    for t, c in g1_coords(ptensor).items():
+        fvec[t] = c
 
     g = ShortGradedLie((n, d0, d1), bracket, (tuple(evec), tuple(hvec), tuple(fvec)))
     if not (g.check_grading() and g.check_triple() and g.check_jacobi()):
@@ -270,20 +320,27 @@ def minimality_check(g: ShortGradedLie) -> bool:
     """[g_{-1}, g_1] spans g_0 and the center is zero."""
     n, d0, d1 = g.dims
     total = g.total_dim
-    rows = []
+    span = Echelon()
     for i in range(n):
         for b in range(n + d0, total):
             vec = g.bracket_basis(i, b)
             if any(k < n or k >= n + d0 for k in vec):
                 return False
-            rows.append([vec.get(n + t, Q0) for t in range(d0)])
-    if rank(rows) != d0:
+            span.add({k - n: Fraction(c) for k, c in vec.items() if c})
+    if len(span.rows) != d0:
         return False
-    ad_rows = []
-    for j in range(total):
-        for k in range(total):
-            ad_rows.append([g.bracket_basis(i, j).get(k, Q0) for i in range(total)])
-    return not nullspace(ad_rows)
+    # the center is the kernel of x -> ([x, e_j])_j: one row per (j, k),
+    # holding the coefficient of e_k in [e_i, e_j] at column i
+    ad_rows = {}
+    for (i, j), vec in g.bracket.items():
+        for k, c in vec.items():
+            if c:
+                ad_rows.setdefault((j, k), {})[i] = Fraction(c)
+                ad_rows.setdefault((i, k), {})[j] = -Fraction(c)
+    ad = Echelon()
+    for row in ad_rows.values():
+        ad.add(row)
+    return len(ad.rows) == total
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver import tkk as T
 from smodquiver import weights as W
+from smodquiver.linalg import SpanSolver, commutator, nullspace, rank
 
 ONE = Fraction(1)
 
@@ -354,3 +357,231 @@ class RefSpanSolver:
         if any(x != 0 for x in red):
             return None
         return combo
+
+
+# ---------------------------------------------------------------------------
+# reference explicit TKK: the dense construction and checks the package used
+# before its sparse TKK layer (dense operators and bilinear maps, dense
+# StructureConstants products), kept as an oracle for it; the elimination is
+# linalg's, which test_linalg checks against the dense routines above
+
+
+def spin_factor(n):
+    """Jordan algebra of a nondegenerate form: basis 1, e_1..e_{n-1}."""
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        t[0][i][i] = t[i][0][i] = 1
+    for i in range(1, n):
+        t[i][i][0] = 1
+    return t
+
+
+def matrix_plus(n):
+    """M_n with the symmetrized product E_ij o E_kl = E_ij E_kl + E_kl E_ij."""
+    d = n * n
+    t = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for m in range(n):
+                    out = t[i * n + j][k * n + m]
+                    if j == k:
+                        out[i * n + m] += 1
+                    if m == i:
+                        out[k * n + j] += 1
+    return t
+
+
+def direct_sum(a, b):
+    n, m = len(a), len(b)
+    t = [[[0] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
+    for i in range(n):
+        for j in range(n):
+            t[i][j][:n] = a[i][j]
+    for i in range(m):
+        for j in range(m):
+            t[n + i][n + j][n:] = b[i][j]
+    return t
+
+
+def _ref_mul(table, x, y):
+    n = len(table)
+    out = [Fraction(0)] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            for k, ck in enumerate(table[i][j]):
+                if ck:
+                    out[k] += xi * yj * ck
+    return out
+
+
+def _ref_basis(n, i):
+    v = [Fraction(0)] * n
+    v[i] = ONE
+    return v
+
+
+def ref_check_jordan_identity(sc):
+    """Full multilinearization of ((a*a)*b)*a = (a*a)*(b*a), dense."""
+    n, c = sc.dim, sc.c
+
+    def f(x, y, b, z):
+        xy = c[x][y]
+        left = _ref_mul(c, _ref_mul(c, xy, _ref_basis(n, b)), _ref_basis(n, z))
+        right = _ref_mul(c, xy, c[b][z])
+        return [l - r for l, r in zip(left, right)]
+
+    for x in range(n):
+        for y in range(x, n):
+            for z in range(y, n):
+                for b in range(n):
+                    acc = f(x, y, b, z)
+                    for t, v in enumerate(f(y, z, b, x)):
+                        acc[t] += v
+                    for t, v in enumerate(f(z, x, b, y)):
+                        acc[t] += v
+                    if any(acc):
+                        return False
+    return True
+
+
+def _ref_mat_vec(a, v):
+    return [sum((c * x for c, x in zip(row, v) if c and x), Fraction(0))
+            for row in a]
+
+
+def ref_check_jacobi(g):
+    """Jacobi identity on every basis triple, through `bracket_basis`."""
+    n = g.total_dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = g.bracket_basis(i, j)
+            for k in range(j + 1, n):
+                acc = {}
+                for t, c in bij.items():
+                    for s, d in g.bracket_basis(t, k).items():
+                        acc[s] = acc.get(s, Fraction(0)) + c * d
+                for t, c in g.bracket_basis(j, k).items():
+                    for s, d in g.bracket_basis(t, i).items():
+                        acc[s] = acc.get(s, Fraction(0)) + c * d
+                for t, c in g.bracket_basis(k, i).items():
+                    for s, d in g.bracket_basis(t, j).items():
+                        acc[s] = acc.get(s, Fraction(0)) + c * d
+                if any(acc.values()):
+                    return False
+    return True
+
+
+def ref_tkk_construct(sc):
+    """Dense short-graded Lie algebra of a unital algebra given by its table."""
+    n = sc.dim
+    if not ref_check_jordan_identity(sc):
+        raise ValueError("structure constants fail the defining identity")
+    unit = J.find_unit(sc)
+    if unit is None:
+        raise T.NotUnital("algebra has no identity element")
+    zero = Fraction(0)
+    lmats = [[[sc.c[i][j][k] for j in range(n)] for k in range(n)]
+             for i in range(n)]
+
+    def flatten(t):
+        return [x for a in t for b in a for x in b]
+
+    def act(L, B):
+        """(L.B)(x,y) = L(B(x,y)) - B(Lx,y) - B(x,Ly)."""
+        out = [[_ref_mat_vec(L, B[x][y]) for y in range(n)] for x in range(n)]
+        for t in range(n):
+            for x in range(n):
+                c = L[t][x]
+                if not c:
+                    continue
+                for y in range(n):
+                    for k in range(n):
+                        if B[t][y][k]:
+                            out[x][y][k] -= c * B[t][y][k]
+                            out[y][x][k] -= c * B[t][y][k]
+        return out
+
+    g0 = SpanSolver(n * n)
+    g0_ops = []
+    for m in lmats + [commutator(lmats[i], lmats[j])
+                      for i in range(n) for j in range(i + 1, n)]:
+        if g0.add([x for row in m for x in row]):
+            g0_ops.append(m)
+    ptensor = [[list(sc.c[i][j]) for j in range(n)] for i in range(n)]
+    g1 = SpanSolver(n * n * n)
+    g1_maps = []
+    for b in [ptensor] + [act(m, ptensor) for m in lmats]:
+        if g1.add(flatten(b)):
+            g1_maps.append(b)
+
+    d0, d1 = len(g0_ops), len(g1_maps)
+    total = n + d0 + d1
+    bracket = {}
+
+    def put(i, j, vec):
+        vec = {k: c for k, c in vec.items() if c}
+        if not vec:
+            return
+        if i < j:
+            bracket[(i, j)] = vec
+        else:
+            bracket[(j, i)] = {k: -c for k, c in vec.items()}
+
+    def coords(solver, v):
+        c = solver.coords(v)
+        if c is None:
+            raise T.JacobiFails("element outside the constructed span")
+        return c
+
+    for a, L in enumerate(g0_ops):
+        for i in range(n):
+            put(n + a, i, {k: L[k][i] for k in range(n)})
+    for b, B in enumerate(g1_maps):
+        for i in range(n):
+            op = [B[i][y][k] for k in range(n) for y in range(n)]
+            put(n + d0 + b, i, {n + t: c for t, c in enumerate(coords(g0, op))})
+    for a, L in enumerate(g0_ops):
+        for b in range(a + 1, d0):
+            m = commutator(L, g0_ops[b])
+            c = coords(g0, [x for row in m for x in row])
+            put(n + a, n + b, {n + t: x for t, x in enumerate(c)})
+        for b, B in enumerate(g1_maps):
+            c = coords(g1, flatten(act(L, B)))
+            put(n + a, n + d0 + b, {n + d0 + t: x for t, x in enumerate(c)})
+
+    evec = [zero] * total
+    evec[:n] = unit
+    neg_le = [-sum((unit[i] * lmats[i][r][c] for i in range(n)), zero)
+              for r in range(n) for c in range(n)]
+    hvec = [zero] * total
+    hvec[n:n + d0] = coords(g0, neg_le)
+    fvec = [zero] * total
+    fvec[n + d0:] = coords(g1, flatten(ptensor))
+    g = T.ShortGradedLie((n, d0, d1), bracket,
+                         (tuple(evec), tuple(hvec), tuple(fvec)))
+    if not (g.check_grading() and g.check_triple() and ref_check_jacobi(g)):
+        raise T.JacobiFails("constructed bracket fails verification")
+    return g
+
+
+def ref_minimality_check(g):
+    """[g_{-1}, g_1] spans g_0 and the center is zero, on dense matrices."""
+    n, d0, d1 = g.dims
+    total = g.total_dim
+    rows = []
+    for i in range(n):
+        for b in range(n + d0, total):
+            vec = g.bracket_basis(i, b)
+            if any(k < n or k >= n + d0 for k in vec):
+                return False
+            rows.append([Fraction(vec.get(n + t, 0)) for t in range(d0)])
+    if rank(rows) != d0:
+        return False
+    ad_rows = [[Fraction(g.bracket_basis(i, j).get(k, 0)) for i in range(total)]
+               for j in range(total) for k in range(total)]
+    return not nullspace(ad_rows)

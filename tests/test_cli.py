@@ -2,7 +2,9 @@
 
 import json
 
-from smodquiver import cli, jordan, quiver
+import pytest
+
+from smodquiver import cli, jordan, quiver, tkk
 
 
 def write_spec(tmp_path, spec, name="spec.json"):
@@ -222,3 +224,44 @@ def test_spec_string_number_rejected(tmp_path, capsys):
             "radical": [{"kind": "unital", "ideal": 0, "label": "ad",
                          "mult": "2"}]}
     assert _spec_exit(tmp_path, capsys, spec) == cli.EXIT_VALIDATION
+
+
+def _tkk_check(tmp_path, capsys, text):
+    table = tmp_path / "sc.json"
+    table.write_text(text, encoding="utf-8")
+    rc = run(["tkk-check", "--table", str(table)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return rc, json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "products": [[["1/0"]]]}',
+    '{"dim": 1, "products": [[[Infinity]]]}',
+    '{"dim": 1, "products": [[[true]]]}',
+    '{"dim": 1.7, "products": [[["1"]]]}',
+    '{"dim": "1", "products": [[["1"]]]}',
+    '{"dim": true, "products": [[["1"]]]}',
+    '{"dim": 0, "products": []}',
+    '{"dim": -1, "products": []}',
+    '{"dim": 1, "products": [[["1"]], [["1"]]]}',
+    '{"dim": 1, "products": [[["1"], ["1"]]]}',
+], ids=["zero-denominator", "infinity", "bool-entry", "float-dim",
+        "string-dim", "bool-dim", "zero-dim", "negative-dim", "extra-row",
+        "extra-column"])
+def test_tkk_check_table_parse_errors(tmp_path, capsys, text):
+    assert _tkk_check(tmp_path, capsys, text) == \
+        (cli.EXIT_VALIDATION, "table-parse")
+
+
+def test_tkk_check_dim_cap(tmp_path, capsys, monkeypatch):
+    # over the bound the command stops before the O(n^4) identity check
+    def never(sc):
+        raise AssertionError("identity check ran above the dimension cap")
+
+    monkeypatch.setattr(jordan, "check_jordan_identity", never)
+    n = tkk.MAX_EXPLICIT_DIM + 1
+    products = [[["1" if i == j == k else "0" for k in range(n)]
+                 for j in range(n)] for i in range(n)]
+    text = json.dumps({"dim": n, "products": products})
+    assert _tkk_check(tmp_path, capsys, text) == (cli.EXIT_CAP, "cap-exceeded")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import direct_sum, matrix_plus, spin_factor
 from smodquiver import cli
 
 GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,46 +47,10 @@ KOSZUL = {
 }
 
 
-def _spin_factor(n):
-    t = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        t[0][i][i] = t[i][0][i] = 1
-    for i in range(1, n):
-        t[i][i][0] = 1
-    return t
-
-
-def _matrix_plus(n):
-    d = n * n
-    t = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    out = t[i * n + j][k * n + m]
-                    if j == k:
-                        out[i * n + m] += 1
-                    if m == i:
-                        out[k * n + j] += 1
-    return t
-
-
-def _direct_sum(a, b):
-    n, m = len(a), len(b)
-    t = [[[0] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            t[i][j][:n] = a[i][j]
-    for i in range(m):
-        for j in range(m):
-            t[n + i][n + j][n:] = b[i][j]
-    return t
-
-
 TKK = {
-    "spin8": _spin_factor(8),
-    "m3-plus": _matrix_plus(3),
-    "m2-plus+spin5": _direct_sum(_matrix_plus(2), _spin_factor(5)),
+    "spin8": spin_factor(8),
+    "m3-plus": matrix_plus(3),
+    "m2-plus+spin5": direct_sum(matrix_plus(2), spin_factor(5)),
 }
 
 
