@@ -5,29 +5,42 @@ maps to a graded Lie datum, whose module category is presented by a colored
 quiver with quadratic relations; exact character computations over the
 classical root systems back every step, and a resolution engine certifies
 linearity of the graded resolutions.
+
+The names below are re-exported lazily (PEP 562): importing the package
+loads no submodule, and a name's home module is imported on first access,
+so each CLI subcommand loads only the layers it runs.
 """
 
-from .jordan import (Albert, BiRepresentation, Bilinear, Field, Hermitian,
-                     JordanSpec, StructureConstants, TensorOfSpecial, Unital,
-                     check_birepresentation, check_jordan_identity, peirce_split,
-                     plus_product, regular_birep, unitalize, validate_spec)
-from .tkk import (LieDatum, ShortGradedLie, central_extension_dim,
-                  jordan_from_short_pair, lie_datum_of_spec, minimality_check,
-                  tkk_construct)
-from .weights import (Character, RootSystem, composite, dual_weight,
-                      ext_sym_square, fs_indicator, tensor_decompose,
-                      trivial_multiplicity, weight_multiplicities, weyl_dim)
-from .catalog import (E7, SL, SL2, SO1, SO2, SP, duality_form,
-                      grading_eigenvalues, is_s_half, restrict_s,
-                      s_half_simples, s_one_simples)
-from .quiver import (QuiverReport, assemble, arrows_of, classify_block,
-                     group_radical, relations_of, report_from_dict,
-                     report_to_dict, wildness_flag)
-from .pathalg import (PresentedAlgebra, ext_algebra, from_presentation,
-                      koszul_check, minimal_resolution, pi_product,
-                      segre_product, sym_algebra)
+import importlib
 
 __version__ = "0.1.0"
+
+# home module -> the names re-exported from it
+_EXPORTS = {
+    "jordan": ("Albert", "BiRepresentation", "Bilinear", "Field", "Hermitian",
+               "JordanSpec", "StructureConstants", "TensorOfSpecial", "Unital",
+               "check_birepresentation", "check_jordan_identity",
+               "peirce_split", "plus_product", "regular_birep", "unitalize",
+               "validate_spec"),
+    "tkk": ("LieDatum", "ShortGradedLie", "central_extension_dim",
+            "jordan_from_short_pair", "lie_datum_of_spec", "minimality_check",
+            "tkk_construct"),
+    "weights": ("Character", "RootSystem", "composite", "dual_weight",
+                "ext_sym_square", "fs_indicator", "tensor_decompose",
+                "trivial_multiplicity", "weight_multiplicities", "weyl_dim"),
+    "catalog": ("E7", "SL", "SL2", "SO1", "SO2", "SP", "duality_form",
+                "grading_eigenvalues", "is_s_half", "restrict_s",
+                "s_half_simples", "s_one_simples"),
+    "quiver": ("QuiverReport", "assemble", "arrows_of", "classify_block",
+               "group_radical", "relations_of", "report_from_dict",
+               "report_to_dict", "wildness_flag"),
+    "pathalg": ("PresentedAlgebra", "ext_algebra", "from_presentation",
+                "koszul_check", "minimal_resolution", "pi_product",
+                "segre_product", "sym_algebra"),
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("catalog", "cli", "jordan", "linalg", "oracles", "pathalg",
+               "quiver", "tkk", "weights")
 
 __all__ = [
     "Albert", "BiRepresentation", "Bilinear", "Character", "E7", "Field",
@@ -46,3 +59,18 @@ __all__ = [
     "trivial_multiplicity", "unitalize", "validate_spec",
     "weight_multiplicities", "weyl_dim", "wildness_flag",
 ]
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__),
+                        name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

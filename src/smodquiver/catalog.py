@@ -296,7 +296,8 @@ def restrict_s(kind, m_name, n_name):
     cm = weights.weight_multiplicities(sys, half_weight(kind, m_name))
     cn = weights.weight_multiplicities(sys, any_weight(kind, n_name))
     out = {}
-    for lam, mult in weights.tensor_decompose(cm, cn).items():
+    # both factors are irreducible characters, so Weyl invariant
+    for lam, mult in weights._brauer_klimyk(cm, cn).items():
         if weights.is_trivial_weight(sys, lam):
             out["tr"] = out.get("tr", 0) + mult
         elif is_s_half(kind, lam):

@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-from . import catalog, jordan, pathalg, quiver, tkk, weights
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
@@ -30,8 +28,8 @@ class CliError(Exception):
 # rendering
 
 
-def emit_dot(report: quiver.QuiverReport) -> str:
-    """Deterministic DOT rendering; relations are appended as comments."""
+def emit_dot(report) -> str:
+    """DOT rendering of a `quiver.QuiverReport`; relations become comments."""
     lines = ["digraph quiver {"]
     for v in report.quiver.vertices:
         lines.append(f'  v{v.vid} [label="c{v.color}:{v.label}"];')
@@ -51,7 +49,8 @@ def emit_dot(report: quiver.QuiverReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_text(report: quiver.QuiverReport) -> str:
+def emit_text(report) -> str:
+    """Plain-text rendering of a `quiver.QuiverReport`."""
     lines = ["summands: " + ", ".join(report.summands)]
     for v in report.quiver.vertices:
         lines.append(f"  vertex v{v.vid}: color {v.color}, {v.label}")
@@ -87,6 +86,8 @@ def _json_dumps(data):
 
 
 def _load_spec(path):
+    from . import jordan
+
     try:
         spec = jordan.load_spec(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -95,6 +96,8 @@ def _load_spec(path):
 
 
 def _assemble(path):
+    from . import jordan, quiver, weights
+
     spec = _load_spec(path)
     try:
         return quiver.assemble(spec)
@@ -106,6 +109,8 @@ def _assemble(path):
 
 
 def cmd_quiver(args):
+    from . import quiver
+
     report = _assemble(args.spec)
     if args.format == "dot":
         _write(args.out, emit_dot(report))
@@ -146,6 +151,8 @@ def cmd_blocks(args):
 
 
 def cmd_koszul(args):
+    from . import pathalg
+
     report = _assemble(args.spec)
     try:
         alg = pathalg.from_presentation(report.quiver, report.relations,
@@ -169,6 +176,8 @@ def cmd_koszul(args):
 
 
 def _appendix_kinds(max_rank):
+    from . import catalog
+
     kinds = [catalog.SL(n) for n in range(6, 2 * max_rank + 2, 2)
              if n - 1 <= max_rank]
     kinds += [catalog.SP(2 * m) for m in range(3, max_rank + 1)]
@@ -202,6 +211,8 @@ def cmd_verify_appendix(args):
 
 
 def cmd_tkk_check(args):
+    from . import jordan, tkk
+
     try:
         with open(args.table, "r", encoding="utf-8") as fh:
             sc = jordan.table_from_dict(json.load(fh))

@@ -11,6 +11,7 @@ full multilinearization, which is equivalent over an infinite field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -257,10 +258,32 @@ def load_spec(path) -> JordanSpec:
         return spec_from_dict(json.load(fh))
 
 
+def _exponent(s):
+    """Magnitude of the decimal exponent of a string such as '1.5e-3'.
+
+    0 when there is none or it is malformed (Fraction then rejects it).
+    """
+    _, e, exp = s.lower().partition("e")
+    try:
+        return abs(int(exp)) if e else 0
+    except ValueError:
+        return 0
+
+
 def _rational(x):
-    """A JSON integer, finite JSON number or Fraction string, exactly."""
+    """A JSON integer, finite JSON number or Fraction string, exactly.
+
+    Fraction expands a string's exponent into an integer with that many
+    digits, so the exponent gets the bound Python already puts on integer
+    digit strings (`sys.get_int_max_str_digits()`; 0, or an interpreter
+    without the limit, means none).
+    """
     if type(x) is bool or not isinstance(x, (int, float, str)):
         raise ValueError(f"bad rational {x!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if isinstance(x, str) and limit and _exponent(x) > limit:
+        raise ValueError(f"bad rational {x[:40]!r}: exponent exceeds the "
+                         f"integer digit limit {limit}")
     try:
         return Fraction(x)
     except (ZeroDivisionError, OverflowError) as exc:

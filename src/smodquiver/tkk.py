@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import catalog, jordan
-from .catalog import E7, SL, SL2, SO1, SO2, SP, LieKind
+from . import jordan
 from .linalg import Q0, Q1, Echelon
 
 MAX_EXPLICIT_DIM = 16
@@ -347,7 +346,10 @@ def minimality_check(g: ShortGradedLie) -> bool:
 # classification-level map
 
 
-def kind_of_ideal(ideal: jordan.SimpleIdealKind) -> LieKind:
+def kind_of_ideal(ideal: jordan.SimpleIdealKind):
+    """The graded simple `catalog.LieKind` of a simple ideal."""
+    from .catalog import E7, SL, SL2, SO1, SO2, SP
+
     if ideal.kind == "field":
         return SL2
     if ideal.kind == "bilinear":
@@ -418,6 +420,8 @@ class CentextReport:
 
 def _parity_indicator(kind, name):
     """(t_sym, t_alt): trivial multiplicity in S^2 and Lambda^2 (classical)."""
+    from . import catalog
+
     p = catalog.classical_parity(kind, name)
     return (1 if p == "symmetric" else 0, 1 if p == "skew" else 0)
 
@@ -437,6 +441,8 @@ def _entry_parities(datum, entry):
 
 
 def _entries_dual(datum, e1, e2):
+    from . import catalog
+
     if e1.support != e2.support:
         return False
     duals = tuple(catalog.dual_label(datum.summands[i], l)

@@ -563,10 +563,18 @@ def tensor_decompose(c1: Character, c2: Character):
     """
     if c1.system != c2.system:
         raise ValueError("characters live over different systems")
+    _require_invariant(c1)
+    _require_invariant(c2)
+    return _brauer_klimyk(c1, c2)
+
+
+def _brauer_klimyk(c1: Character, c2: Character):
+    """`tensor_decompose` for factors known to be Weyl invariant over one system.
+
+    Callers whose factors come from `weight_multiplicities` skip the check.
+    """
     sys = c1.system
     big, small = (c1, c2) if len(c1.mults) >= len(c2.mults) else (c2, c1)
-    _require_invariant(big)
-    _require_invariant(small)
     acc = {}
     for lam, m in _racah_speiser(sys, big.mults.items()).items():
         for mu, k in small.mults.items():
@@ -616,7 +624,7 @@ def fs_indicator(sys, lam):
     ch = weight_multiplicities(sys, lam_n)
     diff = sum(m for mu, m in _racah_speiser(sys, _adams2(ch).items()).items()
                if is_trivial_weight(sys, mu))
-    total = tensor_decompose(ch, ch).get((0,) * sys.ambient, 0)
+    total = _brauer_klimyk(ch, ch).get((0,) * sys.ambient, 0)
     ts, tl = (total + diff) // 2, (total - diff) // 2
     assert ts >= 0 and tl >= 0 and ts + tl == 1, \
         "irreducible self-dual module must carry exactly one form"

@@ -1,8 +1,10 @@
 """Shared builders for the test suite."""
 
 import itertools
+import os
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
@@ -12,6 +14,15 @@ from smodquiver import weights as W
 from smodquiver.linalg import SpanSolver, commutator, nullspace, rank
 
 ONE = Fraction(1)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env():
+    """The environment with the package source first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def lam(k):

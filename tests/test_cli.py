@@ -1,9 +1,12 @@
 """Command line front end: outputs, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
+from helpers import src_env
 from smodquiver import cli, jordan, quiver, tkk
 
 
@@ -252,6 +255,35 @@ def _tkk_check(tmp_path, capsys, text):
 def test_tkk_check_table_parse_errors(tmp_path, capsys, text):
     assert _tkk_check(tmp_path, capsys, text) == \
         (cli.EXIT_VALIDATION, "table-parse")
+
+
+@pytest.mark.parametrize("entry", ["1e3000000", "-1.5E-3000000",
+                                   "1e+3_000_000"])
+def test_tkk_check_huge_exponent(tmp_path, entry):
+    # Fraction would expand the exponent into a million-digit integer; the
+    # loader bounds it by the interpreter's integer digit limit instead
+    table = tmp_path / "sc.json"
+    table.write_text(json.dumps({"dim": 1, "products": [[[entry]]]}),
+                     encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "smodquiver.cli", "tkk-check", "--table",
+         str(table)], env=src_env(), capture_output=True, text=True,
+        timeout=10)
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "table-parse"
+
+
+def test_tkk_check_exponent_at_the_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter runs without an integer digit limit")
+    table = tmp_path / "sc.json"
+    for exp, rc in ((limit, cli.EXIT_OK), (limit + 1, cli.EXIT_VALIDATION)):
+        table.write_text(json.dumps({"dim": 1, "products": [[[f"1e{exp}"]]]}),
+                         encoding="utf-8")
+        assert run(["tkk-check", "--table", str(table)]) == rc
+        capsys.readouterr()
 
 
 def test_tkk_check_dim_cap(tmp_path, capsys, monkeypatch):

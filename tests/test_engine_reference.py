@@ -94,6 +94,24 @@ def test_non_decomposable_contract():
         W.tensor_decompose(v, lopsided)
 
 
+def test_tensor_decompose_checks_both_factors_restrict_s_skips(monkeypatch):
+    # the larger factor is the one not Weyl invariant, in either order;
+    # restrict_s multiplies irreducible characters and never runs the test
+    a1 = RootSystem("A", 1)
+    v = W.weight_multiplicities(a1, (2, 0))
+    skewed = Character(a1, {(4, 0): 1, (2, 2): 1, (0, 4): 2})
+    for pair in ((v, skewed), (skewed, v)):
+        with pytest.raises(W.NonDecomposable):
+            W.tensor_decompose(*pair)
+
+    def never(c):
+        raise AssertionError("restrict_s re-checked Weyl invariance")
+
+    monkeypatch.setattr(W, "is_weyl_invariant", never)
+    assert C.restrict_s.__wrapped__(C.SL(4), "V", "ad") == \
+        _ref_restrict(C.SL(4), "V", "ad")
+
+
 def test_b7_spinor_times_top_exterior_power():
     # Gamma (x) Lambda^7 V over so(15): 8 constituents, no product character
     b7 = RootSystem("B", 7)

@@ -1,7 +1,8 @@
-"""Byte guard: the stdout of the benchmark's koszul ops and valid tkk-check
-tables, run in process through `cli.main`, must hash to the digests recorded
-in perfbench/golden.json.  Output drift in pathalg, linalg or tkk then fails
-here without running the benchmark.  The golden file is only read."""
+"""Byte guard: the stdout of the benchmark's koszul ops, valid tkk-check
+tables and verify-appendix ranks, run in process through `cli.main`, must
+hash to the digests recorded in perfbench/golden.json.  Output drift in
+pathalg, linalg, tkk, weights or catalog then fails here without running the
+benchmark.  The golden file is only read."""
 
 import hashlib
 import json
@@ -77,3 +78,9 @@ def test_tkk_check_stdout_matches_golden(name, tmp_path, capsys):
     path.write_text(json.dumps(table), encoding="utf-8")
     argv = ["tkk-check", "--table", str(path)]
     assert _stdout_digest(argv, capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_verify_appendix_stdout_matches_golden(rank, capsys):
+    argv = ["verify-appendix", "--max-rank", str(rank)]
+    assert _stdout_digest(argv, capsys) == GOLDEN[f"rank{rank}"]

@@ -1,0 +1,88 @@
+"""Start-up: each subcommand loads only the layers it runs.
+
+The package re-exports its public names lazily, and the CLI imports the
+engine modules inside the commands that use them.  Module sets are read in
+a fresh interpreter, after `cli.main` returns.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import smodquiver
+from helpers import spin_factor, src_env
+
+_LOADED = ("sorted(m for m in sys.modules if m.startswith('smodquiver.'))")
+
+_RUN_CLI = f"""
+import contextlib, io, json, sys
+from smodquiver import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, {_LOADED}]))
+"""
+
+
+def _child(code, *argv):
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _cli_modules(*argv):
+    rc, loaded = _child(_RUN_CLI, *argv)
+    assert rc == 0
+    return {m.split(".", 1)[1] for m in loaded}
+
+
+def test_tkk_check_loads_no_character_or_quiver_layer(tmp_path):
+    t = spin_factor(4)
+    table = tmp_path / "spin4.json"
+    table.write_text(json.dumps({"dim": len(t), "products": t}),
+                     encoding="utf-8")
+    loaded = _cli_modules("tkk-check", "--table", str(table))
+    assert {"tkk", "jordan", "linalg"} <= loaded
+    assert not loaded & {"weights", "catalog", "quiver", "pathalg", "oracles"}
+
+
+def test_verify_appendix_loads_no_algebra_layer():
+    loaded = _cli_modules("verify-appendix", "--max-rank", "3")
+    assert {"oracles", "catalog", "weights"} <= loaded
+    assert not loaded & {"jordan", "tkk", "quiver", "pathalg", "linalg"}
+
+
+def test_bare_import_loads_no_submodule():
+    code = f"""
+import json, sys
+import smodquiver
+before = {_LOADED}
+mod = smodquiver.weights
+print(json.dumps([before, type(mod).__name__, mod.__name__]))
+"""
+    assert _child(code) == [[], "module", "smodquiver.weights"]
+
+
+def test_every_export_is_its_home_module_object():
+    assert set(smodquiver._HOME) == set(smodquiver.__all__)
+    for name in smodquiver.__all__:
+        home = getattr(smodquiver, smodquiver._HOME[name])
+        assert getattr(smodquiver, name) is getattr(home, name), name
+
+
+def test_dir_lists_every_export():
+    code = "import json, smodquiver\nprint(json.dumps(dir(smodquiver)))"
+    assert set(_child(code)) >= set(smodquiver.__all__)
+
+
+def test_star_import_binds_every_name():
+    code = "import json\nfrom smodquiver import *\nprint(json.dumps(dir()))"
+    assert set(smodquiver.__all__) <= set(_child(code))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        smodquiver.no_such_name
+    assert not hasattr(smodquiver, "tensor_product")
