@@ -211,13 +211,15 @@ def cmd_verify_appendix(args):
 
 
 def cmd_tkk_check(args):
-    from . import jordan, tkk
+    from . import jordan
 
     try:
         with open(args.table, "r", encoding="utf-8") as fh:
             sc = jordan.table_from_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_VALIDATION, "table-parse", str(exc)) from exc
+    from . import tkk  # only a table that parses needs the construction
+
     if sc.dim > tkk.MAX_EXPLICIT_DIM:
         raise CliError(EXIT_CAP, "cap-exceeded",
                        f"table dim {sc.dim} exceeds the explicit construction "

@@ -4,8 +4,12 @@ Carries both classification-level data (`JordanSpec`: simple ideals plus a
 square-zero radical given by catalog labels) and explicit structure constants
 for small algebras, with exact multilinearized identity checks.
 
-All arithmetic is over Fraction; identities are checked on basis tuples after
-full multilinearization, which is equivalent over an infinite field.
+Coefficients are exact: `int` or `Fraction`, never a float.  Identities are
+checked on basis tuples after full multilinearization, which is equivalent
+over an infinite field.  The Jordan identity check runs over `int`: every
+term of the linearized identity is a product of three structure constants,
+so scaling the table by the lcm L of its denominators multiplies each side
+by L**3 and leaves the verdict unchanged.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (Q0, Q1, commutator, dense_vector, is_zero_mat, mat_mul, nullspace,
-                     qvec, solve, sparse_vector)
+from .linalg import (Q0, Q1, commutator, dense_vector, denominator_lcm, is_zero_mat,
+                     mat_mul, nullspace, qvec, solve, sparse_vector)
 
 
 class CubicIdentityFails(ArithmeticError):
@@ -330,8 +334,15 @@ def _table_product(table, x, y):
         row = table[i]
         for j, yj in y.items():
             for k, c in row[j].items():
-                out[k] = out.get(k, Q0) + xi * yj * c
+                out[k] = out.get(k, 0) + xi * yj * c
     return {k: c for k, c in out.items() if c}
+
+
+def _integral_table(table):
+    """The sparse table times the lcm of its denominators, over int."""
+    scale = denominator_lcm(v for row in table for v in row)
+    return tuple(tuple({k: c.numerator * (scale // c.denominator)
+                        for k, c in v.items()} for v in row) for row in table)
 
 
 class StructureConstants:
@@ -385,12 +396,22 @@ def find_unit(sc: StructureConstants):
 def check_jordan_identity(sc: StructureConstants) -> bool:
     """Full multilinearization of ((a*a)*b)*a = (a*a)*(b*a) on basis tuples.
 
-    The check runs over the sparse table once per instance; the verdict is
+    The check runs once per instance over the sparse table scaled to `int`
+    (the identity is homogeneous of degree 3 in the table); the verdict is
     kept on `sc`.
     """
     if sc._jordan is None:
-        sc._jordan = _jordan_identity(sc.sparse)
+        sc._jordan = _jordan_identity(_integral_table(sc.sparse))
     return sc._jordan
+
+
+def _times_basis(t, v, b):
+    """v * e_b through a sparse table."""
+    out = {}
+    for i, x in v.items():
+        for k, c in t[i][b].items():
+            out[k] = out.get(k, 0) + x * c
+    return out
 
 
 def _jordan_identity(t):
@@ -398,17 +419,17 @@ def _jordan_identity(t):
     for x in range(n):
         for y in range(x, n):
             for z in range(y, n):
+                # the cyclic shifts (p, q, r) of (x, y, z), as (e_p e_q, r)
+                shifts = ((t[x][y], z), (t[y][z], x), (t[z][x], y))
                 for b in range(n):
-                    # sum over the cyclic shifts (p, q, r) of (x, y, z) of
-                    # ((e_p e_q) e_b) e_r - (e_p e_q)(e_b e_r)
+                    # sum over the shifts of ((e_p e_q) e_b) e_r - (e_p e_q)(e_b e_r)
                     acc = {}
-                    for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-                        pq = t[p][q]
-                        left = _table_product(t, pq, {b: Q1})
-                        for k, c in _table_product(t, left, {r: Q1}).items():
-                            acc[k] = acc.get(k, Q0) + c
+                    for pq, r in shifts:
+                        left = _times_basis(t, _times_basis(t, pq, b), r)
+                        for k, c in left.items():
+                            acc[k] = acc.get(k, 0) + c
                         for k, c in _table_product(t, pq, t[b][r]).items():
-                            acc[k] = acc.get(k, Q0) - c
+                            acc[k] = acc.get(k, 0) - c
                     if any(acc.values()):
                         return False
     return True

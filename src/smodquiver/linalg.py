@@ -1,17 +1,21 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices are lists of rows of Fractions; sparse vectors are dicts
-{index: Fraction} that hold only the nonzero entries.  Every elimination goes
-through one sparse kernel, `Echelon`: the reduced row echelon form of a
-growing row space, kept as a map pivot -> row.  A row's pivot is its first
-nonzero column, the row is 1 there and every row is 0 at every other pivot,
-so the form is the unique RREF of the span whatever order the rows arrive
-in.  `rref`, `rank`, `nullspace`, `solve` and `SpanSolver` are dense entry
-points to it.
+{index: coefficient} that hold only the nonzero entries, each coefficient an
+`int` or a `Fraction` (never a float).  Every elimination goes through one
+sparse kernel, `Echelon`: the reduced row echelon form of a growing row
+space, kept as a map pivot -> row.  A row's pivot is its first nonzero
+column, the row is 1 there and every row is 0 at every other pivot, so the
+form is the unique RREF of the span whatever order the rows arrive in.
+Dividing by a pivot is the only division: a `Fraction` pivot divides as
+usual, an `int` pivot of +-1 keeps an integral row integral and any other
+`int` pivot goes through `Fraction`.  `rref`, `rank`, `nullspace`, `solve`
+and `SpanSolver` are dense entry points to it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Q0 = Fraction(0)
@@ -66,6 +70,13 @@ def is_zero_mat(a):
 def sparse_vector(seq):
     """Sparse form {index: Fraction} of a dense sequence."""
     return {j: Fraction(x) for j, x in enumerate(seq) if x}
+
+
+def denominator_lcm(vectors):
+    """The lcm of the denominators of the sparse vectors' coefficients.
+
+    Scaling by it makes every coefficient an integer."""
+    return math.lcm(*(c.denominator for v in vectors for c in v.values()))
 
 
 def dense_vector(v, n):
@@ -128,10 +139,17 @@ class Echelon:
             return False
         q = min(red)
         pv = red.pop(q)
-        row = {j: x / pv for j, x in red.items()}
+        if type(pv) is int and pv in (1, -1):
+            # a pivot of +-1 is its own inverse, so an integral row stays integral
+            row = {j: x * pv for j, x in red.items()}
+        else:
+            if type(pv) is int:
+                pv = Fraction(pv)   # int / int would be a float
+            row = {j: x / pv for j, x in red.items()}
         if self.exprs is not None:
-            expr = {g: -c / pv for g, c in combo.items()}
-            expr[self.n_kept] = Q1 / pv
+            inv = pv if type(pv) is int else Q1 / pv
+            expr = {g: -c * inv for g, c in combo.items()}
+            expr[self.n_kept] = inv
         if q in self._touched:
             for p, other in self.rows.items():
                 c = other.pop(q, None)

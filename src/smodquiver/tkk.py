@@ -14,10 +14,9 @@ spaces, without touching structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import jordan
-from .linalg import Q0, Q1, Echelon
+from .linalg import Echelon, denominator_lcm
 
 MAX_EXPLICIT_DIM = 16
 
@@ -70,7 +69,7 @@ class ShortGradedLie:
                 if not vj:
                     continue
                 for k, c in self.bracket_basis(i, j).items():
-                    out[k] = out.get(k, Q0) + ui * vj * c
+                    out[k] = out.get(k, 0) + ui * vj * c
         return {k: c for k, c in out.items() if c}
 
     def check_grading(self):
@@ -82,30 +81,44 @@ class ShortGradedLie:
         return True
 
     def check_jacobi(self):
-        # ad[i][j] = [e_i, e_j] for every nonzero bracket, both signs
+        """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] = 0 for every
+        basis triple i < j < k.
+
+        Each term is quadratic in the brackets, so they are scaled to `int`
+        by the lcm L of their denominators (every sum scales by L**2).  The
+        terms are then scattered into their triples: [[e_a,e_b],e_c] with
+        a < b enters the triple sorted(a, b, c) with sign -1 when a < c < b
+        (it is then -[[e_k,e_i],e_j]) and +1 otherwise.  A triple whose three
+        brackets vanish gets no term and holds trivially.
+        """
+        scale = denominator_lcm(self.bracket.values())
+        # ad[i][j] = scale * [e_i, e_j] for every nonzero bracket, both signs
         ad = {}
         for (i, j), vec in self.bracket.items():
+            vec = {k: c.numerator * (scale // c.denominator)
+                   for k, c in vec.items() if c}
             if vec:
                 ad.setdefault(i, {})[j] = vec
                 ad.setdefault(j, {})[i] = {k: -c for k, c in vec.items()}
-        n = self.total_dim
-        for i in range(n):
-            ad_i = ad.get(i, {})
-            for j in range(i + 1, n):
-                ad_j = ad.get(j, {})
-                for k in range(j + 1, n):
-                    terms = ((ad_i.get(j), k), (ad_j.get(k), i),
-                             (ad.get(k, {}).get(i), j))
-                    if not any(b for b, _ in terms):
-                        continue
-                    acc = {}
-                    for b, other in terms:
-                        for t, c in (b or {}).items():
-                            for s, d in ad.get(t, {}).get(other, {}).items():
-                                acc[s] = acc.get(s, Q0) + c * d
-                    if any(acc.values()):
-                        return False
-        return True
+        acc = {}  # (i, j, k) -> the sum of its terms, a sparse vector
+        for a, ad_a in ad.items():
+            for b, vec in ad_a.items():
+                if b < a:
+                    continue
+                for t, x in vec.items():
+                    for c, tc in ad.get(t, {}).items():
+                        if b < c:
+                            triple, y = (a, b, c), x
+                        elif c < a:
+                            triple, y = (c, a, b), x
+                        elif a < c < b:
+                            triple, y = (a, c, b), -x
+                        else:
+                            continue
+                        dst = acc.setdefault(triple, {})
+                        for s, d in tc.items():
+                            dst[s] = dst.get(s, 0) + y * d
+        return not any(any(v.values()) for v in acc.values())
 
     def check_triple(self):
         """e in g_{-1}, h in g_0, f in g_1 with [e,f]=h, [h,e]=-e, [h,f]=f."""
@@ -150,14 +163,14 @@ def _op_mul(a, b):
     out = {}
     for (r, t), x in a.items():
         for c, y in brows.get(t, ()):
-            out[(r, c)] = out.get((r, c), Q0) + x * y
+            out[(r, c)] = out.get((r, c), 0) + x * y
     return out
 
 
 def _commutator(a, b):
     out = _op_mul(a, b)
     for key, x in _op_mul(b, a).items():
-        out[key] = out.get(key, Q0) - x
+        out[key] = out.get(key, 0) - x
     return _pruned(out)
 
 
@@ -169,15 +182,20 @@ def _act(op, bmap):
         dst = out.setdefault(xy, {})
         for k, c in vec.items():
             for r, x in cols.get(k, ()):
-                dst[r] = dst.get(r, Q0) + x * c
+                dst[r] = dst.get(r, 0) + x * c
     for (t, y), vec in bmap.items():
         for x, l in rows.get(t, ()):
             # B(Lx, y) and B(y, Lx), both read off B(t, y); twice when x == y
             for dst in (out.setdefault((x, y), {}), out.setdefault((y, x), {})):
                 for k, c in vec.items():
-                    dst[k] = dst.get(k, Q0) - l * c
+                    dst[k] = dst.get(k, 0) - l * c
     out = {xy: _pruned(vec) for xy, vec in out.items()}
     return {xy: vec for xy, vec in out.items() if vec}
+
+
+def _exact(c):
+    """c as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
@@ -185,7 +203,9 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
 
     Operators are sparse {(row, col): x} and bilinear maps sparse
     {(x, y): {k: c}}; each degree is spanned in one `Echelon` over their
-    flattened entries.
+    flattened entries.  Integral table entries and unit coordinates are kept
+    as `int`, so on an integral table the arithmetic stays over `int` up to
+    the first pivot other than +-1.
     """
     n = sc.dim
     if n > MAX_EXPLICIT_DIM:
@@ -195,9 +215,12 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
     unit = jordan.find_unit(sc)
     if unit is None:
         raise NotUnital("algebra has no identity element")
+    unit = [_exact(u) for u in unit]
+    table = [[{k: _exact(c) for k, c in v.items()} for v in row]
+             for row in sc.sparse]
 
     # L_i: column j is the vector e_i * e_j
-    lmaps = [{(k, j): c for j in range(n) for k, c in sc.sparse[i][j].items()}
+    lmaps = [{(k, j): c for j in range(n) for k, c in table[i][j].items()}
              for i in range(n)]
 
     # g_0: span of L_a and [L_a, L_b]
@@ -215,8 +238,8 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
             add_op(_commutator(lmaps[i], lmaps[j]))
 
     # g_1: span of P and L_a.P, inside symmetric bilinear maps
-    ptensor = {(x, y): sc.sparse[x][y]
-               for x in range(n) for y in range(n) if sc.sparse[x][y]}
+    ptensor = {(x, y): table[x][y]
+               for x in range(n) for y in range(n) if table[x][y]}
     g1 = Echelon(track=True)
     g1_maps = []
 
@@ -273,17 +296,17 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
         for b, B in enumerate(g1_maps):
             put(n + a, n + d0 + b, g1_coords(_act(op, B)))
 
-    evec = [Q0] * total
+    evec = [0] * total
     for i, x in enumerate(unit):
         evec[i] = x
     neg_le = {}
     for i, u in enumerate(unit):
         for key, c in lmaps[i].items():
-            neg_le[key] = neg_le.get(key, Q0) - u * c
-    hvec = [Q0] * total
+            neg_le[key] = neg_le.get(key, 0) - u * c
+    hvec = [0] * total
     for t, c in g0_coords(_pruned(neg_le)).items():
         hvec[t] = c
-    fvec = [Q0] * total
+    fvec = [0] * total
     for t, c in g1_coords(ptensor).items():
         fvec[t] = c
 
@@ -299,18 +322,18 @@ def jordan_from_short_pair(g: ShortGradedLie) -> jordan.StructureConstants:
     _, _, f = g.triple
     table = []
     for i in range(n):
-        xi = [Q1 if t == i else Q0 for t in range(g.total_dim)]
+        xi = [1 if t == i else 0 for t in range(g.total_dim)]
         fx = g.bracket_vec(f, xi)
-        fxv = [Q0] * g.total_dim
+        fxv = [0] * g.total_dim
         for k, c in fx.items():
             fxv[k] = c
         row = []
         for j in range(n):
-            xj = [Q1 if t == j else Q0 for t in range(g.total_dim)]
+            xj = [1 if t == j else 0 for t in range(g.total_dim)]
             res = g.bracket_vec(fxv, xj)
             if any(k >= n for k in res):
                 raise JacobiFails("[[f,x],y] leaves degree -1")
-            row.append(tuple(res.get(k, Q0) for k in range(n)))
+            row.append(tuple(res.get(k, 0) for k in range(n)))
         table.append(row)
     return jordan.StructureConstants(table)
 
@@ -325,7 +348,7 @@ def minimality_check(g: ShortGradedLie) -> bool:
             vec = g.bracket_basis(i, b)
             if any(k < n or k >= n + d0 for k in vec):
                 return False
-            span.add({k - n: Fraction(c) for k, c in vec.items() if c})
+            span.add({k - n: c for k, c in vec.items() if c})
     if len(span.rows) != d0:
         return False
     # the center is the kernel of x -> ([x, e_j])_j: one row per (j, k),
@@ -334,8 +357,8 @@ def minimality_check(g: ShortGradedLie) -> bool:
     for (i, j), vec in g.bracket.items():
         for k, c in vec.items():
             if c:
-                ad_rows.setdefault((j, k), {})[i] = Fraction(c)
-                ad_rows.setdefault((i, k), {})[j] = -Fraction(c)
+                ad_rows.setdefault((j, k), {})[i] = c
+                ad_rows.setdefault((i, k), {})[j] = -c
     ad = Echelon()
     for row in ad_rows.values():
         ad.add(row)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -297,3 +298,34 @@ def test_tkk_check_dim_cap(tmp_path, capsys, monkeypatch):
                  for j in range(n)] for i in range(n)]
     text = json.dumps({"dim": n, "products": products})
     assert _tkk_check(tmp_path, capsys, text) == (cli.EXIT_CAP, "cap-exceeded")
+
+
+# stdout of the 8-dimensional tables whose every structure constant is the
+# same: the product is associative, so the identity holds on every basis
+# tuple, and there is no unit
+_DENSE_STDOUT = """{
+  "error": "algebra has no identity element",
+  "jacobi": false,
+  "jordanIdentity": true
+}
+"""
+
+
+@pytest.mark.parametrize("entry", ["1", "1/3"])
+def test_tkk_check_dense_table_exits_3_quickly(tmp_path, entry):
+    # every product is nonzero in every coordinate, so the identity check
+    # multiplies dense vectors; it runs over int, in well under the bound
+    n = 8
+    table = tmp_path / "dense.json"
+    table.write_text(json.dumps({"dim": n, "products": [
+        [[entry] * n for _ in range(n)] for _ in range(n)]}), encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "smodquiver.cli", "tkk-check", "--table",
+         str(table)], env=src_env(), capture_output=True, text=True,
+        timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == cli.EXIT_VERIFY
+    assert proc.stderr == ""
+    assert proc.stdout == _DENSE_STDOUT
+    assert elapsed < 5.0, f"dense 8-dimensional table took {elapsed:.1f} s"

@@ -48,6 +48,20 @@ def test_tkk_check_loads_no_character_or_quiver_layer(tmp_path):
     assert not loaded & {"weights", "catalog", "quiver", "pathalg", "oracles"}
 
 
+@pytest.mark.parametrize("table", [
+    {"dim": 2, "products": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "0"]]]},
+    {"dim": 1, "products": [[1]]},
+], ids=["non-commutative", "scalar-products"])
+def test_tkk_check_loads_no_construction_for_a_bad_table(tmp_path, table):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    rc, loaded = _child(_RUN_CLI, "tkk-check", "--table", str(path))
+    assert rc == 2
+    loaded = {m.split(".", 1)[1] for m in loaded}
+    assert {"jordan", "linalg"} <= loaded
+    assert "tkk" not in loaded
+
+
 def test_verify_appendix_loads_no_algebra_layer():
     loaded = _cli_modules("verify-appendix", "--max-rank", "3")
     assert {"oracles", "catalog", "weights"} <= loaded

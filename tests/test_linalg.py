@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import RefSpanSolver, ref_nullspace, ref_rref, ref_solve
-from smodquiver.linalg import (SpanSolver, mat_mul, nullspace, qmat, rank, rref,
-                               solve)
+from smodquiver.linalg import (Echelon, SpanSolver, mat_mul, nullspace, qmat, rank,
+                               rref, solve)
 
 
 def test_rref_and_rank():
@@ -108,3 +108,44 @@ def _systems(draw):
 @given(_systems())
 def test_kernel_matches_dense_reference_property(system):
     _assert_same(*system)
+
+
+# -- exactness on int input ----------------------------------------------------
+
+
+def _exact(vec):
+    return all(type(x) in (int, Fraction) for x in vec.values())
+
+
+def test_echelon_stays_exact_on_int_pivots():
+    # pivots 2 and -3: int / int would be a float, so these go through Fraction
+    vectors = [{0: 2, 1: 1, 3: 4}, {1: -3, 2: 1}, {0: 4, 1: -1, 2: 1, 3: 8}]
+    ech, ref = Echelon(track=True), Echelon(track=True)
+    for v in vectors:
+        assert ech.add(v) == ref.add({j: Fraction(x) for j, x in v.items()})
+    assert sorted(ech.rows) == [0, 1]
+    assert ech.rows == ref.rows == {0: {2: Fraction(1, 6), 3: 2},
+                                    1: {2: Fraction(-1, 3)}}
+    assert all(type(x) is Fraction for row in ech.rows.values()
+               for x in row.values())
+    assert all(_exact(e) for e in ech.exprs.values())
+    assert ech.coords({0: 2, 1: -2, 2: 1, 3: 4}) == {0: 1, 1: 1}
+    assert ech.coords({0: 1}) is None
+    kernel = ech.kernel(range(4))
+    assert kernel == ref.kernel(range(4)) == [
+        {2: 1, 0: Fraction(-1, 6), 1: Fraction(1, 3)}, {3: 1, 0: -2}]
+    assert all(_exact(v) for v in kernel)
+    for v in kernel:   # exactly zero on every input row
+        for row in vectors:
+            assert sum(x * v.get(j, 0) for j, x in row.items()) == 0
+
+
+def test_echelon_unit_int_pivot_keeps_the_row_integral():
+    ech = Echelon(track=True)
+    assert ech.add({0: -1, 1: 3, 2: -2})
+    assert ech.add({1: 1, 2: 5})
+    assert ech.rows == {0: {2: 17}, 1: {2: 5}}
+    assert all(type(x) is int for row in ech.rows.values()
+               for x in row.values())
+    assert all(type(x) is int for e in ech.exprs.values() for x in e.values())
+    assert ech.coords({0: 1, 1: -2, 2: 7}) == {0: -1, 1: 1}

@@ -74,6 +74,24 @@ def test_round_trip_exact():
         assert T.jordan_from_short_pair(g) == sc
 
 
+def test_half_entries_give_exact_coefficients():
+    # spin4 on the basis 2 e_0, e_1, e_2, e_3: entries 2 and 1/2
+    products = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
+    products[0][0][0] = "2"
+    for i in range(1, 4):
+        products[0][i][i] = products[i][0][i] = "2"
+        products[i][i][0] = "1/2"
+    sc = J.table_from_dict({"dim": 4, "products": products})
+    g = T.tkk_construct(sc)
+    assert g.dims == (4, 7, 4)
+    coefficients = [c for vec in g.bracket.values() for c in vec.values()]
+    coefficients += [c for vec in g.triple for c in vec]
+    assert {type(c) for c in coefficients} <= {int, Fraction}
+    assert Fraction(1, 2) in coefficients
+    assert T.minimality_check(g)
+    assert T.jordan_from_short_pair(g) == sc
+
+
 def test_round_trip_on_handbuilt_rank_one():
     # basis: e (deg -1), h (deg 0), f (deg 1); [h,e]=-e, [h,f]=f, [e,f]=h
     one = Fraction(1)

@@ -5,10 +5,13 @@ identity, Jacobi and minimality checks the same verdicts, on the tables the
 paper's oracle uses and on seeded perturbations of them (mostly not Jordan,
 so the checks' failing branches are compared too)."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (direct_sum, matrix_plus, ref_check_jacobi,
                      ref_check_jordan_identity, ref_minimality_check,
@@ -105,3 +108,113 @@ def test_jacobi_and_minimality_verdicts_on_perturbed_brackets(name):
         h = T.ShortGradedLie(g.dims, bracket, g.triple)
         assert h.check_jacobi() == ref_check_jacobi(h)
         assert T.minimality_check(h) == ref_minimality_check(h)
+
+
+# -- the integer kernels against the dense references --------------------------
+#
+# The identity check scales the table, and the Jacobi check the brackets, by
+# the lcm of their denominators and works over int.  Rescaling a basis vector
+# by a rational keeps either identity true and brings in mixed denominators;
+# moving one structure constant mostly breaks it.
+
+_NONZERO = [Fraction(x) for x in ("1", "-1", "2", "-3", "1/2", "-2/3", "3/4",
+                                   "5/6", "-7/5")]
+_SMALL = [TABLES[name] for name in ("field", "k+k", "sym2+", "m2+", "spin3",
+                                    "spin4")]
+_SMALL += [[[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+           direct_sum([[[1]]], spin_factor(3))]
+
+
+def _rebased(table, d):
+    """The algebra on the basis f_i = d_i e_i.
+
+    f_i f_j is the sum over k of (d_i d_j / d_k) c_ijk f_k."""
+    n = len(table)
+    return [[[d[i] * d[j] / d[k] * Fraction(table[i][j][k]) for k in range(n)]
+             for j in range(n)] for i in range(n)]
+
+
+def _assert_identity_verdicts_agree(table):
+    ok = J.check_jordan_identity(J.StructureConstants(table))
+    assert ok == ref_check_jordan_identity(J.StructureConstants(table))
+    return ok
+
+
+def _rebased_and_perturbed(rng):
+    """A small Jordan table on a rescaled basis, moved at up to two entries."""
+    table = rng.choice(_SMALL)
+    table = _rebased(table, [rng.choice(_NONZERO) for _ in table])
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        table = _perturbed(table, rng)
+    return table
+
+
+def test_integral_identity_check_matches_reference_seeded():
+    rng = random.Random("integral identity")
+    verdicts = set()
+    for _ in range(60):
+        verdicts.add(_assert_identity_verdicts_agree(_rebased_and_perturbed(rng)))
+    for _ in range(40):   # random commutative tables: almost all fail
+        n = rng.randint(1, 4)
+        table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(n):
+                    if rng.random() < 0.4:
+                        table[i][j][k] = table[j][i][k] = rng.choice(_NONZERO)
+        verdicts.add(_assert_identity_verdicts_agree(table))
+    assert verdicts == {True, False}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_integral_identity_check_matches_reference_property(rng):
+    _assert_identity_verdicts_agree(_rebased_and_perturbed(rng))
+
+
+def _rescaled_bracket(g, d):
+    """g's brackets on the basis f_i = d_i e_i; still a Lie algebra."""
+    return {(i, j): {k: d[i] * d[j] / d[k] * c for k, c in vec.items()}
+            for (i, j), vec in g.bracket.items()}
+
+
+def _perturbed_bracket(g, rng):
+    """g on a rescaled basis, then with one bracket moved or dropped."""
+    bracket = _rescaled_bracket(g, [rng.choice(_NONZERO)
+                                    for _ in range(g.total_dim)])
+    kind = rng.choice(["rescaled", "moved", "moved", "dropped"])
+    key = rng.choice(sorted(bracket))
+    if kind == "dropped":
+        del bracket[key]
+    elif kind == "moved":
+        k = rng.randrange(g.total_dim)
+        bracket[key][k] = bracket[key].get(k, 0) + rng.choice(_NONZERO)
+    return T.ShortGradedLie(g.dims, bracket, g.triple)
+
+
+@pytest.mark.parametrize("table", [
+    spin_factor(8), matrix_plus(3), direct_sum(matrix_plus(2), spin_factor(5))],
+    ids=["spin8", "m3-plus", "m2-plus+spin5"])
+def test_scatter_jacobi_matches_reference_seeded(table):
+    g = T.tkk_construct(J.StructureConstants(table))
+    rng = random.Random(f"scatter jacobi {len(table)} {g.dims}")
+    verdicts = set()
+    for _ in range(12):
+        h = _perturbed_bracket(g, rng)
+        ok = h.check_jacobi()
+        assert ok == ref_check_jacobi(h)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@functools.lru_cache(maxsize=None)
+def _small_lie(name):
+    return T.tkk_construct(J.StructureConstants(TABLES[name]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["field", "k+k", "sym2+", "m2+", "spin4"]),
+       st.randoms(use_true_random=False))
+def test_scatter_jacobi_matches_reference_property(name, rng):
+    h = _perturbed_bracket(_small_lie(name), rng)
+    assert h.check_jacobi() == ref_check_jacobi(h)
