@@ -70,11 +70,14 @@ def emit_text(report) -> str:
 
 
 def _write(out, text):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_VALIDATION, "out-write", str(exc)) from exc
 
 
 def _json_dumps(data):

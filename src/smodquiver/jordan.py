@@ -19,8 +19,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (Q0, Q1, commutator, dense_vector, denominator_lcm, is_zero_mat,
-                     mat_mul, nullspace, qvec, solve, sparse_vector)
+from .linalg import (Q0, Q1, Echelon, dense_vector, denominator_lcm, op_commutator,
+                     op_lines, op_mul, qvec, sparse_vector)
 
 
 class CubicIdentityFails(ArithmeticError):
@@ -254,7 +254,10 @@ def spec_from_dict(data: dict) -> JordanSpec:
                                            _int(b, "ideal"), _label(b), mult))
         else:
             raise ValueError(f"unknown radical kind {kind!r}")
-    return JordanSpec(tuple(ideals), tuple(radical), bool(data.get("unital", True)))
+    unital = data.get("unital", True)
+    if type(unital) is not bool:   # bool("false") would be True
+        raise ValueError(f"'unital' must be true or false, not {unital!r}")
+    return JordanSpec(tuple(ideals), tuple(radical), unital)
 
 
 def load_spec(path) -> JordanSpec:
@@ -373,24 +376,30 @@ class StructureConstants:
         """Matrix of x -> e_i * x."""
         return [[self.c[i][j][k] for j in range(self.dim)] for k in range(self.dim)]
 
-    def basis(self, i):
-        v = [Q0] * self.dim
-        v[i] = Q1
-        return v
-
     def __eq__(self, other):
         return isinstance(other, StructureConstants) and self.c == other.c
 
 
 def find_unit(sc: StructureConstants):
-    """The unit element as a vector, or None."""
+    """The unit element as a vector, or None.
+
+    The unit u solves u * e_i = e_i for every i: one equation per (i, k)
+    over the columns 0..n-1, with its right-hand side in column n.
+    """
     n = sc.dim
-    rows, rhs = [], []
+    ech = Echelon()
     for i in range(n):
         for k in range(n):
-            rows.append([sc.c[j][i][k] for j in range(n)])
-            rhs.append(Q1 if k == i else Q0)
-    return solve(rows, rhs)
+            row = {j: sc.c[j][i][k] for j in range(n) if sc.c[j][i][k]}
+            if k == i:
+                row[n] = Q1
+            ech.add(row)
+    if n in ech.rows:
+        return None
+    x = [Q0] * n
+    for p, row in ech.rows.items():
+        x[p] = row.get(n, Q0)
+    return x
 
 
 def check_jordan_identity(sc: StructureConstants) -> bool:
@@ -460,39 +469,52 @@ def regular_birep(sc: StructureConstants) -> BiRepresentation:
     return BiRepresentation(sc, [sc.left_mult_matrix(i) for i in range(sc.dim)])
 
 
+def _op_sum(terms):
+    """sum c * op over the (c, op) pairs, a sparse operator without zeros."""
+    out = {}
+    for c, op in terms:
+        for key, x in op.items():
+            out[key] = out.get(key, 0) + c * x
+    return {key: x for key, x in out.items() if x}
+
+
+def _sparse_ops(rep):
+    """rho of each basis vector, as a sparse operator {(row, col): x}."""
+    return [{(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x}
+            for m in rep.matrices]
+
+
+def _rho(ops, vec):
+    """rho of a sparse vector, from the sparse operators of the basis."""
+    return _op_sum((x, ops[i]) for i, x in vec.items())
+
+
 def check_birepresentation(rep: BiRepresentation) -> bool:
     """Multilinearized module identities on all basis triples."""
     sc = rep.algebra
     n = sc.dim
-    rhos = rep.matrices
-
-    def rho_of(vec):
-        return rep.rho(vec)
+    t = sc.sparse
+    ops = _sparse_ops(rep)
+    rho_qr = [[_rho(ops, t[q][r]) for r in range(n)] for q in range(n)]
 
     # rho(a)rho(b)rho(c) + rho(c)rho(b)rho(a) + rho((a*c)*b)
     #   = rho(a)rho(b*c) + rho(b)rho(c*a) + rho(c)rho(a*b)
     for a in range(n):
         for c in range(a, n):
             for b in range(n):
-                lhs = mat_mul(mat_mul(rhos[a], rhos[b]), rhos[c])
-                rhs = mat_mul(mat_mul(rhos[c], rhos[b]), rhos[a])
-                m = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(lhs, rhs)]
-                m = [[x + y for x, y in zip(r1, r2)]
-                     for r1, r2 in zip(m, rho_of(sc.mul(sc.c[a][c], sc.basis(b))))]
-                for (p, q, r) in ((a, b, c), (b, c, a), (c, a, b)):
-                    t = mat_mul(rhos[p], rho_of(sc.c[q][r]))
-                    m = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(m, t)]
-                if not is_zero_mat(m):
+                terms = [(1, op_mul(op_mul(ops[a], ops[b]), ops[c])),
+                         (1, op_mul(op_mul(ops[c], ops[b]), ops[a])),
+                         (1, _rho(ops, _times_basis(t, t[a][c], b)))]
+                terms += [(-1, op_mul(ops[p], rho_qr[q][r]))
+                          for p, q, r in ((a, b, c), (b, c, a), (c, a, b))]
+                if _op_sum(terms):
                     return False
     # linearized [rho(a), rho(a*a)] = 0
     for x in range(n):
         for y in range(x, n):
             for z in range(y, n):
-                m = commutator(rhos[x], rho_of(sc.c[y][z]))
-                for (p, q, r) in ((y, z, x), (z, x, y)):
-                    t = commutator(rhos[p], rho_of(sc.c[q][r]))
-                    m = [[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(m, t)]
-                if not is_zero_mat(m):
+                if _op_sum((1, op_commutator(ops[p], rho_qr[q][r]))
+                           for p, q, r in ((x, y, z), (y, z, x), (z, x, y))):
                     return False
     return True
 
@@ -510,22 +532,23 @@ def peirce_split(rep: BiRepresentation, e) -> PeirceSplit:
     algebra.  Raises CubicIdentityFails if rho(e)(rho(e)-1)(2rho(e)-1) != 0.
     """
     sc = rep.algebra
-    evec = sc.basis(e) if isinstance(e, int) else qvec(e)
+    evec = {e: Q1} if isinstance(e, int) else sparse_vector(e)
     for i in range(sc.dim):
-        if sc.mul(evec, sc.basis(i)) != sc.basis(i):
+        if _table_product(sc.sparse, evec, {i: Q1}) != {i: Q1}:
             raise ValueError("e is not the unit of the algebra")
     d = rep.dim
-    re = rep.rho(evec)
-    ident = [[Q1 if i == j else Q0 for j in range(d)] for i in range(d)]
-    m1 = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(re, ident)]
-    m2 = [[2 * x - y for x, y in zip(r1, r2)] for r1, r2 in zip(re, ident)]
-    if not is_zero_mat(mat_mul(mat_mul(re, m1), m2)):
+    re = _rho(_sparse_ops(rep), evec)
+    # rho(e)(rho(e)-1)(2rho(e)-1) = 2rho(e)^3 - 3rho(e)^2 + rho(e)
+    re2 = op_mul(re, re)
+    if _op_sum(((2, op_mul(re2, re)), (-3, re2), (1, re))):
         raise CubicIdentityFails("rho(e)(rho(e)-1)(2rho(e)-1) != 0")
+    ident = {(i, i): Q1 for i in range(d)}
     bases = []
     for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        mat = [[x - (lam if i == j else 0) for j, x in enumerate(row)]
-               for i, row in enumerate(re)]
-        bases.append(tuple(tuple(v) for v in nullspace(mat)))
+        ech = Echelon()
+        for row in op_lines(_op_sum(((1, re), (-lam, ident))))[0].values():
+            ech.add(dict(row))
+        bases.append(tuple(tuple(dense_vector(v, d)) for v in ech.kernel(range(d))))
     dims = tuple(len(b) for b in bases)
     assert sum(dims) == d
     return PeirceSplit(dims, tuple(bases))

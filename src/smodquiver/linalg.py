@@ -1,16 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices are lists of rows of Fractions; sparse vectors are dicts
-{index: coefficient} that hold only the nonzero entries, each coefficient an
-`int` or a `Fraction` (never a float).  Every elimination goes through one
-sparse kernel, `Echelon`: the reduced row echelon form of a growing row
-space, kept as a map pivot -> row.  A row's pivot is its first nonzero
-column, the row is 1 there and every row is 0 at every other pivot, so the
-form is the unique RREF of the span whatever order the rows arrive in.
-Dividing by a pivot is the only division: a `Fraction` pivot divides as
+Sparse vectors are dicts {index: coefficient} that hold only the nonzero
+entries, each coefficient an `int` or a `Fraction` (never a float); sparse
+operators are dicts {(row, col): coefficient}.  Every elimination goes
+through one sparse kernel, `Echelon`: the reduced row echelon form of a
+growing row space, kept as a map pivot -> row.  A row's pivot is its first
+nonzero column, the row is 1 there and every row is 0 at every other pivot,
+so the form is the unique RREF of the span whatever order the rows arrive
+in.  Dividing by a pivot is the only division: a `Fraction` pivot divides as
 usual, an `int` pivot of +-1 keeps an integral row integral and any other
-`int` pivot goes through `Fraction`.  `rref`, `rank`, `nullspace`, `solve`
-and `SpanSolver` are dense entry points to it.
+`int` pivot goes through `Fraction`.
 """
 
 from __future__ import annotations
@@ -24,47 +23,6 @@ Q1 = Fraction(1)
 
 def qvec(seq):
     return [Fraction(x) for x in seq]
-
-
-def qmat(rows):
-    return [qvec(r) for r in rows]
-
-
-def zeros(n, m):
-    return [[Q0] * m for _ in range(n)]
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def is_zero_mat(a):
-    return all(all(x == 0 for x in row) for row in a)
 
 
 def sparse_vector(seq):
@@ -85,6 +43,33 @@ def dense_vector(v, n):
     for j, x in v.items():
         out[j] = x
     return out
+
+
+def op_lines(op):
+    """Rows and columns of an operator {(row, col): x}, as lists of pairs."""
+    rows, cols = {}, {}
+    for (r, c), x in op.items():
+        rows.setdefault(r, []).append((c, x))
+        cols.setdefault(c, []).append((r, x))
+    return rows, cols
+
+
+def op_mul(a, b):
+    """Product of operators {(row, col): x}; it may hold zero entries."""
+    brows, _ = op_lines(b)
+    out = {}
+    for (r, t), x in a.items():
+        for c, y in brows.get(t, ()):
+            out[(r, c)] = out.get((r, c), 0) + x * y
+    return out
+
+
+def op_commutator(a, b):
+    """ab - ba, without zero entries."""
+    out = op_mul(a, b)
+    for key, x in op_mul(b, a).items():
+        out[key] = out.get(key, 0) - x
+    return {key: x for key, x in out.items() if x}
 
 
 def _axpy(vec, c, other):
@@ -187,73 +172,3 @@ class Echelon:
                 v.update(neg.get(j, ()))
                 out.append(v)
         return out
-
-
-def _echelon(mat):
-    ech = Echelon()
-    for row in mat:
-        ech.add(sparse_vector(row))
-    return ech
-
-
-def rref(mat):
-    """Reduced row echelon form of a dense matrix; returns (rref, pivots)."""
-    if not mat:
-        return [], []
-    cols = len(mat[0])
-    ech = _echelon(mat)
-    pivots = sorted(ech.rows)
-    red = [dense_vector({p: Q1, **ech.rows[p]}, cols) for p in pivots]
-    red += [[Q0] * cols for _ in range(len(mat) - len(pivots))]
-    return red, pivots
-
-
-def rank(mat):
-    return len(_echelon(mat).rows)
-
-
-def nullspace(mat):
-    """Basis of the right kernel of `mat` (list of column vectors)."""
-    if not mat:
-        return []
-    cols = len(mat[0])
-    return [dense_vector(v, cols) for v in _echelon(mat).kernel(range(cols))]
-
-
-def solve(mat, rhs):
-    """One solution x of mat*x = rhs, or None if inconsistent."""
-    if not mat:
-        return [] if all(x == 0 for x in rhs) else None
-    cols = len(mat[0])
-    ech = _echelon(row[:] + [b] for row, b in zip(mat, rhs))
-    if cols in ech.rows:
-        return None
-    x = [Q0] * cols
-    for p, row in ech.rows.items():
-        x[p] = row.get(cols, Q0)
-    return x
-
-
-class SpanSolver:
-    """Incremental row-space membership/coordinate queries on dense vectors.
-
-    Feed spanning vectors with `add`; vectors that enlarge the span are
-    retained as generators.  `coords(v)` expresses v in the retained
-    generators, or returns None if v is outside the span.
-    """
-
-    def __init__(self, dim):
-        self.dim = dim
-        self._ech = Echelon(track=True)
-
-    def add(self, v):
-        """Add a spanning vector; returns True if it enlarged the span."""
-        return self._ech.add(sparse_vector(v))
-
-    def coords(self, v):
-        """Coordinates of v in the retained generators, or None."""
-        combo = self._ech.coords(sparse_vector(v))
-        return None if combo is None else dense_vector(combo, self._ech.n_kept)
-
-    def contains(self, v):
-        return self.coords(v) is not None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import jordan
-from .linalg import Echelon, denominator_lcm
+from .linalg import Echelon, denominator_lcm, op_commutator, op_lines
 
 MAX_EXPLICIT_DIM = 16
 
@@ -144,39 +144,13 @@ def _map_key(bmap, n):
             for k, c in vec.items()}
 
 
-def _lines(op):
-    """Rows and columns of an operator {(row, col): x}, as lists of pairs."""
-    rows, cols = {}, {}
-    for (r, c), x in op.items():
-        rows.setdefault(r, []).append((c, x))
-        cols.setdefault(c, []).append((r, x))
-    return rows, cols
-
-
 def _pruned(acc):
     return {k: c for k, c in acc.items() if c}
 
 
-def _op_mul(a, b):
-    """Product of operators {(row, col): x}."""
-    brows, _ = _lines(b)
-    out = {}
-    for (r, t), x in a.items():
-        for c, y in brows.get(t, ()):
-            out[(r, c)] = out.get((r, c), 0) + x * y
-    return out
-
-
-def _commutator(a, b):
-    out = _op_mul(a, b)
-    for key, x in _op_mul(b, a).items():
-        out[key] = out.get(key, 0) - x
-    return _pruned(out)
-
-
 def _act(op, bmap):
     """(L.B)(x,y) = L(B(x,y)) - B(Lx,y) - B(x,Ly) on a symmetric map B."""
-    rows, cols = _lines(op)
+    rows, cols = op_lines(op)
     out = {}
     for xy, vec in bmap.items():
         dst = out.setdefault(xy, {})
@@ -235,7 +209,7 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
         add_op(op)
     for i in range(n):
         for j in range(i + 1, n):
-            add_op(_commutator(lmaps[i], lmaps[j]))
+            add_op(op_commutator(lmaps[i], lmaps[j]))
 
     # g_1: span of P and L_a.P, inside symmetric bilinear maps
     ptensor = {(x, y): table[x][y]
@@ -281,7 +255,7 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
 
     # [L, x] = L(x)
     for a, op in enumerate(g0_ops):
-        _, cols = _lines(op)
+        _, cols = op_lines(op)
         for i in range(n):
             put(n + a, i, dict(sorted(cols.get(i, ()))))
     # [B, x](y) = B(x, y), an operator in g_0
@@ -292,7 +266,7 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
     # [L, L'] and [L, B]
     for a, op in enumerate(g0_ops):
         for b in range(a + 1, d0):
-            put(n + a, n + b, g0_coords(_commutator(op, g0_ops[b])))
+            put(n + a, n + b, g0_coords(op_commutator(op, g0_ops[b])))
         for b, B in enumerate(g1_maps):
             put(n + a, n + d0 + b, g1_coords(_act(op, B)))
 

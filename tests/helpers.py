@@ -11,7 +11,7 @@ from smodquiver import pathalg as P
 from smodquiver import quiver as Q
 from smodquiver import tkk as T
 from smodquiver import weights as W
-from smodquiver.linalg import SpanSolver, commutator, nullspace, rank
+from smodquiver.linalg import Echelon, dense_vector, sparse_vector
 
 ONE = Fraction(1)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -415,6 +415,21 @@ def direct_sum(a, b):
     return t
 
 
+def random_rational(rng):
+    return rng.choice((ONE, -ONE, Fraction(2), Fraction(1, 2), Fraction(-3, 2)))
+
+
+def random_commutative_table(rng, n, density):
+    """A random commutative table of dimension n: each coordinate of each
+    product e_i e_j is nonzero with probability `density`."""
+    t = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            t[i][j] = t[j][i] = [random_rational(rng) if rng.random() < density
+                                 else Fraction(0) for _ in range(n)]
+    return t
+
+
 def _ref_mul(table, x, y):
     n = len(table)
     out = [Fraction(0)] * n
@@ -463,6 +478,25 @@ def ref_check_jordan_identity(sc):
 def _ref_mat_vec(a, v):
     return [sum((c * x for c, x in zip(row, v) if c and x), Fraction(0))
             for row in a]
+
+
+def ref_mat_mul(a, b):
+    """Product of dense matrices (lists of rows)."""
+    m = len(b[0]) if b else 0
+    return [[sum((x * b[t][j] for t, x in enumerate(row) if x), Fraction(0))
+             for j in range(m)] for row in a]
+
+
+def _ref_commutator(a, b):
+    return [[x - y for x, y in zip(r1, r2)]
+            for r1, r2 in zip(ref_mat_mul(a, b), ref_mat_mul(b, a))]
+
+
+def _ref_rank(mat):
+    ech = Echelon()
+    for row in mat:
+        ech.add(sparse_vector(row))
+    return len(ech.rows)
 
 
 def ref_check_jacobi(g):
@@ -517,17 +551,17 @@ def ref_tkk_construct(sc):
                             out[y][x][k] -= c * B[t][y][k]
         return out
 
-    g0 = SpanSolver(n * n)
+    g0 = Echelon(track=True)
     g0_ops = []
-    for m in lmats + [commutator(lmats[i], lmats[j])
+    for m in lmats + [_ref_commutator(lmats[i], lmats[j])
                       for i in range(n) for j in range(i + 1, n)]:
-        if g0.add([x for row in m for x in row]):
+        if g0.add(sparse_vector(x for row in m for x in row)):
             g0_ops.append(m)
     ptensor = [[list(sc.c[i][j]) for j in range(n)] for i in range(n)]
-    g1 = SpanSolver(n * n * n)
+    g1 = Echelon(track=True)
     g1_maps = []
     for b in [ptensor] + [act(m, ptensor) for m in lmats]:
-        if g1.add(flatten(b)):
+        if g1.add(sparse_vector(flatten(b))):
             g1_maps.append(b)
 
     d0, d1 = len(g0_ops), len(g1_maps)
@@ -543,11 +577,11 @@ def ref_tkk_construct(sc):
         else:
             bracket[(j, i)] = {k: -c for k, c in vec.items()}
 
-    def coords(solver, v):
-        c = solver.coords(v)
+    def coords(ech, v):
+        c = ech.coords(sparse_vector(v))
         if c is None:
             raise T.JacobiFails("element outside the constructed span")
-        return c
+        return dense_vector(c, ech.n_kept)
 
     for a, L in enumerate(g0_ops):
         for i in range(n):
@@ -558,7 +592,7 @@ def ref_tkk_construct(sc):
             put(n + d0 + b, i, {n + t: c for t, c in enumerate(coords(g0, op))})
     for a, L in enumerate(g0_ops):
         for b in range(a + 1, d0):
-            m = commutator(L, g0_ops[b])
+            m = _ref_commutator(L, g0_ops[b])
             c = coords(g0, [x for row in m for x in row])
             put(n + a, n + b, {n + t: x for t, x in enumerate(c)})
         for b, B in enumerate(g1_maps):
@@ -591,8 +625,78 @@ def ref_minimality_check(g):
             if any(k < n or k >= n + d0 for k in vec):
                 return False
             rows.append([Fraction(vec.get(n + t, 0)) for t in range(d0)])
-    if rank(rows) != d0:
+    if _ref_rank(rows) != d0:
         return False
     ad_rows = [[Fraction(g.bracket_basis(i, j).get(k, 0)) for i in range(total)]
                for j in range(total) for k in range(total)]
-    return not nullspace(ad_rows)
+    return _ref_rank(ad_rows) == total
+
+
+# ---------------------------------------------------------------------------
+# reference Jordan modules: the dense module-identity check and Peirce split
+# the package used before its sparse operators, kept as an oracle for them
+
+
+def _ref_mat_sum(*terms):
+    """sum of c * a over (c, a) pairs of a scalar and a dense matrix."""
+    return [[sum((c * a[i][j] for c, a in terms), Fraction(0))
+             for j in range(len(row))] for i, row in enumerate(terms[0][1])]
+
+
+def _is_zero(mat):
+    return all(x == 0 for row in mat for x in row)
+
+
+def ref_check_birepresentation(rep):
+    """Multilinearized module identities on all basis triples, dense."""
+    sc = rep.algebra
+    n = sc.dim
+    rhos = rep.matrices
+    mm = ref_mat_mul
+
+    # rho(a)rho(b)rho(c) + rho(c)rho(b)rho(a) + rho((a*c)*b)
+    #   = rho(a)rho(b*c) + rho(b)rho(c*a) + rho(c)rho(a*b)
+    for a in range(n):
+        for c in range(a, n):
+            for b in range(n):
+                acb = sc.mul(sc.c[a][c], _ref_basis(n, b))
+                m = _ref_mat_sum(
+                    (1, mm(mm(rhos[a], rhos[b]), rhos[c])),
+                    (1, mm(mm(rhos[c], rhos[b]), rhos[a])),
+                    (1, rep.rho(acb)),
+                    *((-1, mm(rhos[p], rep.rho(sc.c[q][r])))
+                      for p, q, r in ((a, b, c), (b, c, a), (c, a, b))))
+                if not _is_zero(m):
+                    return False
+    # linearized [rho(a), rho(a*a)] = 0
+    for x in range(n):
+        for y in range(x, n):
+            for z in range(y, n):
+                m = _ref_mat_sum(
+                    *((1, _ref_commutator(rhos[p], rep.rho(sc.c[q][r])))
+                      for p, q, r in ((x, y, z), (y, z, x), (z, x, y))))
+                if not _is_zero(m):
+                    return False
+    return True
+
+
+def ref_peirce_split(rep, e):
+    """Eigenspace split of rho(e) for 0, 1/2, 1, on dense matrices."""
+    sc = rep.algebra
+    n = sc.dim
+    evec = _ref_basis(n, e) if isinstance(e, int) else [Fraction(x) for x in e]
+    for i in range(n):
+        if sc.mul(evec, _ref_basis(n, i)) != _ref_basis(n, i):
+            raise ValueError("e is not the unit of the algebra")
+    d = rep.dim
+    re = rep.rho(evec)
+    ident = [_ref_basis(d, i) for i in range(d)]
+    cubic = ref_mat_mul(ref_mat_mul(re, _ref_mat_sum((1, re), (-1, ident))),
+                        _ref_mat_sum((2, re), (-1, ident)))
+    if not _is_zero(cubic):
+        raise J.CubicIdentityFails("rho(e)(rho(e)-1)(2rho(e)-1) != 0")
+    bases = []
+    for lam in (Fraction(0), Fraction(1, 2), ONE):
+        shifted = _ref_mat_sum((1, re), (-lam, ident))
+        bases.append(tuple(tuple(v) for v in ref_nullspace(shifted)))
+    return J.PeirceSplit(tuple(len(b) for b in bases), tuple(bases))

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 from conftest import report_line
+from helpers import RefSpanSolver
 
 from smodquiver import catalog as C
 from smodquiver import oracles
@@ -17,7 +18,6 @@ from smodquiver import pathalg as P
 from smodquiver import quiver as Q
 from smodquiver import tkk as T
 from smodquiver import weights as W
-from smodquiver.linalg import SpanSolver
 
 
 def _report(line):
@@ -241,7 +241,7 @@ def test_criterion_3_relation_suite():
     pairs = [(("a", i), ("b", j)) for i in range(2) for j in range(2)] + \
             [(("b", i), ("a", j)) for i in range(2) for j in range(2)]
     idx = {p: t for t, p in enumerate(pairs)}
-    span = SpanSolver(len(pairs))
+    span = RefSpanSolver(len(pairs))
     for rel in template:
         vec = [Fraction(0)] * len(pairs)
         for c, p in rel:
@@ -276,11 +276,11 @@ def test_criterion_3_relation_suite():
         variant_relation(("delta", 0), ("alpha", 0)),
     ]
     for vec in consistent:
-        assert span.contains(vec)
+        assert span.coords(vec) is not None
     # the variant's sixth item gamma.delta = 0 contradicts its own
     # alpha.beta = gamma.delta (nonzero); it lies outside the relation span
     bad = variant_relation(("gamma", 0), ("delta", 0))
-    assert not span.contains(bad)
+    assert span.coords(bad) is None
     rep = Q.assemble(J.JordanSpec((J.Bilinear(6),),
                                   (J.Unital(0, "LrV(1)", 2),)))
     assert any("inconsistent" in n for n in rep.notes)

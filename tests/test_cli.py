@@ -230,6 +230,44 @@ def test_spec_string_number_rejected(tmp_path, capsys):
     assert _spec_exit(tmp_path, capsys, spec) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("unital", ["false", 0, None])
+def test_spec_unital_must_be_a_bool(tmp_path, capsys, unital):
+    spec = {"ideals": [], "unital": unital}
+    assert _spec_exit(tmp_path, capsys, spec) == cli.EXIT_VALIDATION
+
+
+def test_spec_unital_bool_or_absent(tmp_path, capsys):
+    for spec, unital in (({"ideals": [{"kind": "field"}]}, True),
+                         ({"ideals": [{"kind": "field"}], "unital": True}, True),
+                         ({"ideals": [{"kind": "field"}], "unital": False}, False)):
+        assert jordan.spec_from_dict(spec).unital is unital
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"ideals": [], "unital": False}), encoding="utf-8")
+    assert run(["blocks", "--spec", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["quiver", "--spec", "SPEC"],
+    ["blocks", "--spec", "SPEC"],
+    ["koszul", "--spec", "SPEC"],
+    ["verify-appendix", "--max-rank", "3"],
+    ["tkk-check", "--table", "TABLE"],
+], ids=["quiver", "blocks", "koszul", "verify-appendix", "tkk-check"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, jordan.JordanSpec((jordan.Field(),)))
+    table = tmp_path / "sc.json"
+    table.write_text(json.dumps({"dim": 1, "products": [[["1"]]]}),
+                     encoding="utf-8")
+    argv = [{"SPEC": spec, "TABLE": str(table)}.get(a, a) for a in argv]
+    out = tmp_path / "missing" / "x.txt"
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "out-write"
+    assert not out.parent.exists()
+
+
 def _tkk_check(tmp_path, capsys, text):
     table = tmp_path / "sc.json"
     table.write_text(text, encoding="utf-8")

@@ -1,10 +1,14 @@
 """Specs, identities, modules and the Peirce split."""
 
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import (direct_sum, random_commutative_table, random_rational,
+                     ref_check_birepresentation, ref_mat_mul, ref_peirce_split)
 from smodquiver import jordan as J
 
 
@@ -216,10 +220,9 @@ def test_peirce_half_action_is_special():
     ps = J.peirce_split(rep, 0)
     assert ps.dims == (0, d, 0)
     # one-sided law rho(a*b) = rho(a)rho(b)+rho(b)rho(a) on the half part
-    from smodquiver.linalg import mat_add, mat_mul
     lhs = rep.rho(sc.c[0][0])
-    rhs = mat_add(mat_mul(half, half), mat_mul(half, half))
-    assert lhs == rhs
+    square = ref_mat_mul(half, half)
+    assert lhs == [[x + x for x in row] for row in square]
 
 
 def test_peirce_rejects_third_eigenvalue():
@@ -245,3 +248,75 @@ def test_peirce_sums_to_dim_on_regular_reps():
         ps = J.peirce_split(J.regular_birep(sc), unit)
         assert sum(ps.dims) == sc.dim
         assert ps.dims[2] == sc.dim  # regular module is unital
+
+
+# -- the sparse module checks against the dense reference in helpers ---------
+
+
+def _random_matrix(rng, d, density):
+    return [[random_rational(rng) if rng.random() < density else Fraction(0)
+             for _ in range(d)] for _ in range(d)]
+
+
+def _conjugated_scalar(rng, eigenvalues):
+    """P diag(eigenvalues) P^-1, P unitriangular so P^-1 = I - N + N^2."""
+    d = len(eigenvalues)
+    eye = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    nil = [[random_rational(rng) if j < i else Fraction(0) for j in range(d)]
+           for i in range(d)]
+    nil2 = ref_mat_mul(nil, nil)
+    p = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(eye, nil)]
+    p_inv = [[a - b + c for a, b, c in zip(r1, r2, r3)]
+             for r1, r2, r3 in zip(eye, nil, nil2)]
+    diag = [[x if i == j else Fraction(0) for j in range(d)]
+            for i, x in enumerate(eigenvalues)]
+    return ref_mat_mul(ref_mat_mul(p, diag), p_inv)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the ValueError/ArithmeticError it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def test_module_checks_match_dense_reference():
+    rng = random.Random(20261018)
+    tables = [J.StructureConstants([[[1]]]), sym2_table(),
+              J.plus_product(J.matrix_algebra_table(2)),
+              J.StructureConstants(direct_sum([[[1]]], [[[1]]]))]
+    tables += [J.StructureConstants(random_commutative_table(rng, n, density))
+               for n in (1, 2, 3) for density in (0.2, 0.5, 1.0) for _ in range(2)]
+    cases = []   # (representation, the e handed to peirce_split)
+    for sc in tables:
+        unit = J.find_unit(sc)
+        e = 0 if unit is None else unit
+        regular = J.regular_birep(sc)
+        cases.append((regular, e))
+        # the regular representation perturbed at one entry
+        mats = [[row[:] for row in m] for m in regular.matrices]
+        i, r, c = (rng.randrange(sc.dim) for _ in range(3))
+        mats[i][r][c] += random_rational(rng)
+        cases.append((J.BiRepresentation(sc, mats), e))
+        d = rng.randint(1, 3)
+        cases.append((J.BiRepresentation(
+            sc, [_random_matrix(rng, d, 0.4) for _ in range(sc.dim)]), e))
+    field = J.StructureConstants([[[1]]])
+    for d in (1, 2, 3):
+        for eigenvalues in itertools.combinations_with_replacement(
+                (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3)), d):
+            rho_e = _conjugated_scalar(rng, eigenvalues)
+            cases.append((J.BiRepresentation(field, [rho_e]), 0))
+    verdicts, splits = [], []
+    for rep, e in cases:
+        verdict = J.check_birepresentation(rep)
+        assert verdict == ref_check_birepresentation(rep)
+        verdicts.append(verdict)
+        split = _outcome(J.peirce_split, rep, e)
+        assert split == _outcome(ref_peirce_split, rep, e)
+        splits.append(split)
+    assert True in verdicts and False in verdicts
+    assert J.CubicIdentityFails in splits and ValueError in splits
+    assert any(isinstance(s, J.PeirceSplit) and s.dims[1] and s.dims[2]
+               for s in splits)
