@@ -250,10 +250,6 @@ def any_weight(kind, name):
     return one_weight(kind, name)
 
 
-def label_character(kind, name):
-    return weights.weight_multiplicities(kind.root_system(), any_weight(kind, name))
-
-
 def grading_eigenvalues(kind, lam):
     """Set of h-eigenvalues on the irreducible with highest weight lam."""
     sys = kind.root_system()
@@ -293,11 +289,13 @@ def restrict_s(kind, m_name, n_name):
     mapping half-simple names (or "tr") to multiplicities.
     """
     sys = kind.root_system()
-    cm = weights.weight_multiplicities(sys, half_weight(kind, m_name))
-    cn = weights.weight_multiplicities(sys, any_weight(kind, n_name))
+    top, other = half_weight(kind, m_name), any_weight(kind, n_name)
+    if weights.weyl_dim(sys, top) < weights.weyl_dim(sys, other):
+        top, other = other, top
     out = {}
-    # both factors are irreducible characters, so Weyl invariant
-    for lam, mult in weights._brauer_klimyk(cm, cn).items():
+    # the highest weight of the larger factor, the weights of the smaller
+    for lam, mult in weights._brauer_klimyk(
+            sys, {top: 1}, weights._weights(sys, other)).items():
         if weights.is_trivial_weight(sys, lam):
             out["tr"] = out.get("tr", 0) + mult
         elif is_s_half(kind, lam):
@@ -377,7 +375,6 @@ def graded_piece_dim(kind, name, level):
     if kind.series == "e7":
         # short grading of e7 relative to its sl2: (27, 79, 27)
         return {Fraction(1): 27, Fraction(-1): 27, Fraction(0): 79}.get(level, 0)
-    ch = label_character(kind, name)
     h2 = kind.cocharacter()
-    return sum(m for w, m in ch.mults.items()
-               if Fraction(weights.ip4(w, h2), 4) == level)
+    pairs = weights._weights(kind.root_system(), any_weight(kind, name))
+    return sum(m for w, m in pairs if Fraction(weights.ip4(w, h2), 4) == level)

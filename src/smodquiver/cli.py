@@ -16,6 +16,9 @@ EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
 EXIT_CAP = 4
 
+# verify-appendix work grows about 2^r to 3^r with the rank r
+MAX_APPENDIX_RANK = 12
+
 
 class CliError(Exception):
     def __init__(self, code, kind, message):
@@ -99,7 +102,7 @@ def _load_spec(path):
 
 
 def _assemble(path):
-    from . import jordan, quiver, weights
+    from . import jordan, quiver
 
     spec = _load_spec(path)
     try:
@@ -107,8 +110,6 @@ def _assemble(path):
     except jordan.SpecError as exc:
         raise CliError(EXIT_VALIDATION, "spec-invalid",
                        "; ".join(exc.report.violations)) from exc
-    except weights.CharacterTooLarge as exc:
-        raise CliError(EXIT_CAP, "character-too-large", str(exc)) from exc
 
 
 def cmd_quiver(args):
@@ -208,6 +209,9 @@ def verify_appendix(max_rank):
 
 
 def cmd_verify_appendix(args):
+    if args.max_rank > MAX_APPENDIX_RANK:
+        raise CliError(EXIT_CAP, "cap-exceeded", f"max rank {args.max_rank} "
+                       f"exceeds the appendix bound {MAX_APPENDIX_RANK}")
     failures, lines = verify_appendix(args.max_rank)
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if failures == 0 else EXIT_VERIFY

@@ -14,16 +14,16 @@ The engine is exact end to end and works on dominant weights:
     dominant weights only;
   * decompositions by Racah-Speiser: one pass that reflects each weight
     v + rho into the dominant chamber with its sign;
-  * tensor products by Brauer-Klimyk: one factor is decomposed and its
-    constituents are shifted by the weights of the other, so no product
-    character is formed;
+  * tensor products by Brauer-Klimyk: highest weights on one side, shifted
+    by the weights of the other factor, so no product character is formed;
   * the Frobenius-Schur indicator from the Adams operation
     psi^2 chi = S^2 - Lambda^2 and the trivial multiplicity of chi (x) chi;
   * grading eigenvalues from the dominant weights and the Weyl orbit of h.
 
-Full weight sets are still built by `weight_multiplicities` (every weight of
-one irreducible), `char_product` and `ext_sym_square`.  Everything here is a
-pure function of its arguments.
+The catalog's path streams the weights of an irreducible orbit by orbit and
+keeps none; only the public `Character` helpers build full weight sets:
+`weight_multiplicities`, `char_product` and `ext_sym_square`.  Everything
+here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -272,13 +272,12 @@ def weyl_dim(sys, lam):
         for c, p in zip(sys.components, sys.split(lam)):
             out *= weyl_dim(c, p)
         return out
-    lr = _add(lam, rho2(sys))
     r2 = rho2(sys)
-    d = Fraction(1)
-    for a in positive_roots(sys):
-        d *= Fraction(ip4(lr, a), ip4(r2, a))
-    assert d.denominator == 1 and d > 0
-    return int(d)
+    lr = _add(lam, r2)
+    d, rem = divmod(_prod(ip4(lr, a) for a in positive_roots(sys)),
+                    _prod(ip4(r2, a) for a in positive_roots(sys)))
+    assert rem == 0 and d > 0
+    return d
 
 
 def _distinct_permutations(w):
@@ -401,13 +400,11 @@ def _prod(it):
     return out
 
 
-@lru_cache(maxsize=None)
-def _full_character(sys, lam):
-    out = {}
+def _weights(sys, lam):
+    """Every (weight, multiplicity) pair of V_lam, walked orbit by orbit."""
     for w, m in dominant_character(sys, lam).items():
         for v in _orbit(sys, w):
-            out[v] = m
-    return out
+            yield v, m
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +513,10 @@ class Character:
     def mass(self):
         return sum(self.mults.values())
 
-    def copy(self):
-        return Character(self.system, dict(self.mults))
-
 
 def weight_multiplicities(sys, lam):
     """Character of the irreducible with highest weight lam."""
-    return Character(sys, dict(_full_character(sys, lam)))
+    return Character(sys, dict(_weights(sys, lam)))
 
 
 def char_product(c1: Character, c2: Character) -> Character:
@@ -565,34 +559,36 @@ def tensor_decompose(c1: Character, c2: Character):
         raise ValueError("characters live over different systems")
     _require_invariant(c1)
     _require_invariant(c2)
-    return _brauer_klimyk(c1, c2)
-
-
-def _brauer_klimyk(c1: Character, c2: Character):
-    """`tensor_decompose` for factors known to be Weyl invariant over one system.
-
-    Callers whose factors come from `weight_multiplicities` skip the check.
-    """
-    sys = c1.system
     big, small = (c1, c2) if len(c1.mults) >= len(c2.mults) else (c2, c1)
+    tops = _racah_speiser(c1.system, big.mults.items())
+    return _brauer_klimyk(c1.system, tops, small.mults.items())
+
+
+def _brauer_klimyk(sys, tops, items):
+    """Constituents of (sum_lam m_lam V_lam) (x) V, as {dominant weight: mult}.
+
+    tops is {lam: m_lam}; items are the (weight, mult) pairs of V, read once.
+    V must be Weyl invariant: each weight mu of V sends every lam to the
+    dot-reflected lam + mu, so no product character is formed.
+    """
     acc = {}
-    for lam, m in _racah_speiser(sys, big.mults.items()).items():
-        for mu, k in small.mults.items():
+    for mu, k in items:
+        for lam, m in tops.items():
             sign, nu = _dot_dominant(sys, _add(lam, mu))
             if sign:
                 acc[nu] = acc.get(nu, 0) + sign * m * k
     return _constituents(sys, acc)
 
 
-def _adams2(c: Character):
-    """psi^2 chi: every weight doubled, multiplicities kept."""
-    return {_add(w, w): m for w, m in c.mults.items()}
+def _adams2(items):
+    """psi^2 of (weight, mult) pairs: every weight doubled, multiplicities kept."""
+    return ((_add(w, w), m) for w, m in items)
 
 
 def ext_sym_square(c: Character):
     """(S^2, Lambda^2) of a character, as (chi^2 +- psi^2 chi) / 2."""
     sq = char_product(c, c).mults
-    psi = _adams2(c)
+    psi = dict(_adams2(c.mults.items()))
     s2, l2 = {}, {}
     for w, m in sq.items():
         p = psi.get(w, 0)
@@ -621,10 +617,10 @@ def fs_indicator(sys, lam):
     lam_n = normalize_dominant(sys, lam)
     if dual_weight(sys, lam_n) != lam_n:
         return 0
-    ch = weight_multiplicities(sys, lam_n)
-    diff = sum(m for mu, m in _racah_speiser(sys, _adams2(ch).items()).items()
-               if is_trivial_weight(sys, mu))
-    total = _brauer_klimyk(ch, ch).get((0,) * sys.ambient, 0)
+    psi = _racah_speiser(sys, _adams2(_weights(sys, lam_n)))
+    diff = sum(m for mu, m in psi.items() if is_trivial_weight(sys, mu))
+    total = _brauer_klimyk(sys, {lam_n: 1}, _weights(sys, lam_n)).get(
+        (0,) * sys.ambient, 0)
     ts, tl = (total + diff) // 2, (total - diff) // 2
     assert ts >= 0 and tl >= 0 and ts + tl == 1, \
         "irreducible self-dual module must carry exactly one form"

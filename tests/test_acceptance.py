@@ -531,7 +531,8 @@ def _direct_centext(kinds, bases, wdims):
     comp = W.composite(*systems)
     total = {}
     for base, wd in zip(bases, wdims):
-        factors = [dict(C.label_character(k, name).mults)
+        factors = [W.weight_multiplicities(k.root_system(),
+                                           C.any_weight(k, name)).mults
                    for k, name in zip(kinds, base)]
         for assignment in itertools.product(*[f.items() for f in factors]):
             w = tuple(x for part, _ in assignment for x in part)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from helpers import src_env
-from smodquiver import cli, jordan, quiver, tkk
+from smodquiver import cli, jordan, oracles, quiver, tkk
 
 
 def write_spec(tmp_path, spec, name="spec.json"):
@@ -162,6 +162,19 @@ def test_verify_appendix_small(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "sp(6)" in out
+
+
+def test_verify_appendix_rank_cap(capsys, monkeypatch):
+    # over the bound the command stops before any character work
+    def never(kind):
+        raise AssertionError("appendix checks ran above the rank cap")
+
+    monkeypatch.setattr(oracles, "appendix_checks", never)
+    assert run(["verify-appendix", "--max-rank",
+                str(cli.MAX_APPENDIX_RANK + 1)]) == cli.EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "cap-exceeded"
 
 
 def test_positive_cap_required(capsys):

@@ -3,9 +3,12 @@
 The reference engine in `helpers` enumerates every weight by saturation BFS
 with Fraction root-cone tests, decomposes by leading-term subtraction of full
 characters, and squares a character by indexed pair enumeration.  Every
-catalog kind of rank <= 4 is checked label by label and pair by pair.
+catalog kind of rank <= 4 is checked label by label and pair by pair.  For
+the appendix kinds of rank 5-7 the public full-character helpers are the
+reference.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -15,6 +18,7 @@ from helpers import (ref_character, ref_decompose_character,
                      ref_dominant_character, ref_fs_indicator, ref_orbit,
                      ref_tensor_decompose)
 from smodquiver import catalog as C
+from smodquiver import cli
 from smodquiver import weights as W
 from smodquiver.weights import Character, RootSystem
 
@@ -26,17 +30,18 @@ def _labels(kind):
     return [lab.name for lab in C.s_half_simples(kind) + C.s_one_simples(kind)]
 
 
-def _ref_restrict(kind, m_name, n_name):
+def _ref_restrict(kind, m_name, n_name, character=ref_character,
+                  decompose=ref_tensor_decompose):
+    """restrict_s from full characters: `character(sys, lam)` and
+    `decompose(c1, c2)` default to the reference engine."""
     sys = kind.root_system()
-    cm = ref_character(sys, C.half_weight(kind, m_name))
-    cn = ref_character(sys, C.any_weight(kind, n_name))
+    cm = character(sys, C.half_weight(kind, m_name))
+    cn = character(sys, C.any_weight(kind, n_name))
     out = {}
-    for lam, mult in ref_tensor_decompose(cm, cn).items():
-        evs = {Fraction(W.ip4(w, kind.cocharacter()), 4)
-               for w in ref_character(sys, lam).mults}
+    for lam, mult in decompose(cm, cn).items():
         if W.is_trivial_weight(sys, lam):
             out["tr"] = out.get("tr", 0) + mult
-        elif evs == C.HALF:
+        elif W.eigenvalue_set(character(sys, lam), kind.cocharacter()) == C.HALF:
             out[C._name_of_half_weight(kind, lam)] = \
                 out.get(C._name_of_half_weight(kind, lam), 0) + mult
     return out
@@ -126,3 +131,109 @@ def test_b7_spinor_times_top_exterior_power():
 def test_restrict_s_so17_past_the_product_cap():
     # the product character would hold 256 x 6561 weight points
     assert C.restrict_s(C.SO2(17), "Gamma", "LrV(8)") == {"Gamma": 1}
+
+
+# -- past rank 4: the public full-character route is the reference ----------
+#
+# restrict_s, classical_parity and graded_piece_dim never list the weights of
+# a product or keep a full character; here weight_multiplicities,
+# tensor_decompose, ext_sym_square and trivial_multiplicity rebuild every
+# answer from full characters for each appendix kind of rank 5-7.
+
+WIDE_KINDS = [k for k in cli._appendix_kinds(7) if k.root_system().rank >= 5]
+
+# ext_sym_square squares the character pointwise, so its cost is the square
+# of the number of weights; past this many it would take tens of seconds
+SQUARE_POINTS = 400
+
+
+def _self_dual(sys, lam):
+    lam_n = W.normalize_dominant(sys, lam)
+    return W.dual_weight(sys, lam_n) == lam_n
+
+
+def _central_parity(sys, lam):
+    """Parity of the form on a self-dual V_lam from the central element
+    exp(2 pi i rho-check), which acts by (-1)^<lam, 2 rho-check>
+    (Bourbaki, Lie, ch. VIII, section 7): symmetric exactly when it is even."""
+    pairing = 0
+    for a in W.positive_roots(sys):
+        k, rem = divmod(2 * W.ip4(lam, a), W.ip4(a, a))
+        assert rem == 0
+        pairing += k
+    return "skew" if pairing % 2 else "symmetric"
+
+
+@pytest.mark.parametrize("kind", WIDE_KINDS, ids=str)
+def test_restrict_s_matches_full_characters(kind):
+    assert 5 <= kind.root_system().rank <= 7
+    for m_name in [lab.name for lab in C.s_half_simples(kind)]:
+        for n_name in _labels(kind):
+            assert C.restrict_s(kind, m_name, n_name) == _ref_restrict(
+                kind, m_name, n_name, W.weight_multiplicities,
+                W.tensor_decompose), (m_name, n_name)
+
+
+@pytest.mark.parametrize("kind", WIDE_KINDS, ids=str)
+def test_parity_and_graded_pieces_match_full_characters(kind):
+    sys = kind.root_system()
+    h2 = kind.cocharacter()
+    for name in _labels(kind):
+        lam = C.any_weight(kind, name)
+        ch = W.weight_multiplicities(sys, lam)
+        levels = W.eigenvalue_set(ch, h2)
+        for level in levels:
+            assert C.graded_piece_dim(kind, name, level) == sum(
+                m for w, m in ch.mults.items()
+                if Fraction(W.ip4(w, h2), 4) == level), (name, level)
+        assert sum(C.graded_piece_dim(kind, name, level)
+                   for level in levels) == W.weyl_dim(sys, lam), name
+        if not _self_dual(sys, lam):
+            assert C.classical_parity(kind, name) == "none", name
+            continue
+        parity = C.classical_parity(kind, name)
+        assert parity == _central_parity(sys, lam), name
+        if len(ch.mults) <= SQUARE_POINTS:
+            s2, l2 = W.ext_sym_square(ch)
+            forms = (W.trivial_multiplicity(s2), W.trivial_multiplicity(l2))
+            assert forms == {"symmetric": (1, 0), "skew": (0, 1)}[parity], name
+
+
+_SO17 = (C.SO2(17), "Gamma", "LrV(8)")
+
+
+def _so17_answers():
+    kind, gamma, top = _SO17
+    return (C.restrict_s.__wrapped__(kind, gamma, top),
+            C.classical_parity.__wrapped__(kind, gamma),
+            C.classical_parity.__wrapped__(kind, top),
+            C.graded_piece_dim.__wrapped__(kind, gamma, Fraction(1, 2)),
+            C.graded_piece_dim.__wrapped__(kind, top, Fraction(0)))
+
+
+def test_catalog_path_builds_no_full_character(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a full character was built")
+
+    monkeypatch.setattr(W, "weight_multiplicities", never)
+    monkeypatch.setattr(W, "Character", never)
+    # 256 x 6561 weights in the factors, 11440 in the level-0 piece of LrV(8)
+    assert _so17_answers() == ({"Gamma": 1}, "symmetric", "symmetric",
+                               128, 11440)
+
+
+def test_catalog_path_memory_bound():
+    # building the full weight sets of Gamma and LrV(8) over so(17) peaks
+    # at about 2.4 MB and copying them at 1.3 MB; streaming them peaks near
+    # 0.4 MB
+    kind, gamma, top = _SO17
+    sys = kind.root_system()
+    for name in (gamma, top):
+        W.dominant_character(sys, C.any_weight(kind, name))
+    tracemalloc.start()
+    try:
+        _so17_answers()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
