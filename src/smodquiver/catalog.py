@@ -14,7 +14,7 @@ engine drives the honest invariant-form computations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,8 +30,7 @@ HALF = frozenset((Fraction(1, 2), Fraction(-1, 2)))
 SHORT = frozenset((Fraction(-1), Fraction(0), Fraction(1)))
 
 
-@dataclass(frozen=True)
-class LieKind:
+class LieKind(namedtuple("LieKind", "series size")):
     """A simple graded Lie kind: series + algebra size.
 
     series: "sl2" | "sp" | "sl" | "so1" | "so2" | "e7".
@@ -40,11 +39,10 @@ class LieKind:
     short grading of so(4n).
     """
 
-    series: str
-    size: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        s, n = self.series, self.size
+    def __new__(cls, series, size=0):
+        s, n = series, size
         if s == "sp" and (n % 2 or n < 4):
             raise ValueError(f"sp({n})")
         if s == "sl" and (n % 2 or n < 4):
@@ -55,6 +53,7 @@ class LieKind:
             raise ValueError(f"so2({n})")
         if s not in ("sl2", "sp", "sl", "so1", "so2", "e7"):
             raise ValueError(s)
+        return tuple.__new__(cls, (series, size))
 
     def __str__(self):
         if self.series == "sl2":
@@ -125,17 +124,11 @@ def SO2(n):
     return LieKind("so2", n)
 
 
-@dataclass(frozen=True)
-class SLabel:
-    kind: LieKind
-    name: str
-    weight: tuple  # doubled highest weight in the kind's root system; None for e7
+# weight: doubled highest weight in the kind's root system; None for e7
+SLabel = namedtuple("SLabel", "kind name weight")
 
-
-@dataclass(frozen=True)
-class FormData:
-    dual: str
-    parity: str  # "symmetric" | "skew" | "none"
+# parity: "symmetric" | "skew" | "none"
+FormData = namedtuple("FormData", "dual parity")
 
 
 _LRV = re.compile(r"^LrV\((\d+)\)$")

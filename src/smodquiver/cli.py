@@ -252,8 +252,15 @@ def cmd_tkk_check(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become a `usage` CliError, so they print JSON too."""
+
+    def error(self, message):
+        raise CliError(EXIT_VALIDATION, "usage", message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="smodquiver",
         description="quivers with relations for special module categories")
     sub = p.add_subparsers(dest="command", required=True)
@@ -295,12 +302,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if getattr(args, "hom_cap", 1) <= 0 or getattr(args, "max_rank", 1) <= 0 \
-            or getattr(args, "deg_cap", 1) <= 0:
-        print(json.dumps({"error": "caps must be positive"}), file=sys.stderr)
-        return EXIT_VALIDATION
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "hom_cap", 1) <= 0 or getattr(args, "max_rank", 1) <= 0 \
+                or getattr(args, "deg_cap", 1) <= 0:
+            raise CliError(EXIT_VALIDATION, "cap-invalid", "caps must be positive")
         return args.fn(args)
     except CliError as exc:
         print(json.dumps({"error": exc.kind, "message": str(exc)}),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import (Q0, Q1, Echelon, dense_vector, denominator_lcm, op_commutator,
@@ -41,12 +41,15 @@ class SpecError(ValueError):
 # classification-level specs
 
 
-@dataclass(frozen=True)
-class SimpleIdealKind:
-    kind: str  # "field" | "bilinear" | "hermitian" | "albert"
-    dim: int = 0       # bilinear: dim of the algebra including the unit
-    comp: int = 0      # hermitian: composition algebra dimension 1|2|4
-    n: int = 0         # hermitian: matrix size
+class SimpleIdealKind(namedtuple("SimpleIdealKind", "kind dim comp n",
+                                 defaults=(0, 0, 0))):
+    """kind: "field" | "bilinear" | "hermitian" | "albert".
+
+    dim: bilinear, dim of the algebra including the unit; comp: hermitian,
+    composition algebra dimension 1|2|4; n: hermitian, matrix size.
+    """
+
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "field":
@@ -74,11 +77,9 @@ def Albert():
     return SimpleIdealKind("albert")
 
 
-@dataclass(frozen=True)
-class RadicalComponentSpec:
-    kind: str                 # "unital" | "tensor"
-    refs: tuple               # ((ideal, label),) or ((i, labelA), (j, labelB))
-    mult: int = 1
+# kind: "unital" | "tensor"; refs: ((ideal, label),) or ((i, labelA), (j, labelB))
+RadicalComponentSpec = namedtuple("RadicalComponentSpec", "kind refs mult",
+                                  defaults=(1,))
 
 
 def Unital(ideal, label, mult=1):
@@ -89,16 +90,15 @@ def TensorOfSpecial(ideal_a, label_a, ideal_b, label_b, mult=1):
     return RadicalComponentSpec("tensor", ((ideal_a, label_a), (ideal_b, label_b)), mult)
 
 
-@dataclass(frozen=True)
-class JordanSpec:
-    ideals: tuple
-    radical: tuple = ()
-    unital: bool = True
+JordanSpec = namedtuple("JordanSpec", "ideals radical unital",
+                        defaults=((), True))
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
+    __slots__ = ("violations",)
+
+    def __init__(self, violations=None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self):
@@ -444,10 +444,13 @@ def _jordan_identity(t):
     return True
 
 
-@dataclass
 class BiRepresentation:
-    algebra: StructureConstants
-    matrices: list  # d x d rational matrices, one per algebra basis vector
+    __slots__ = ("algebra", "matrices")
+
+    def __init__(self, algebra: StructureConstants, matrices: list):
+        self.algebra = algebra
+        # d x d rational matrices, one per algebra basis vector
+        self.matrices = matrices
 
     @property
     def dim(self):
@@ -519,10 +522,17 @@ def check_birepresentation(rep: BiRepresentation) -> bool:
     return True
 
 
-@dataclass
 class PeirceSplit:
-    dims: tuple          # (dim M_0, dim M_1/2, dim M_1)
-    bases: tuple         # eigenvector bases for 0, 1/2, 1
+    __slots__ = ("dims", "bases")
+
+    def __init__(self, dims: tuple, bases: tuple):
+        self.dims = dims      # (dim M_0, dim M_1/2, dim M_1)
+        self.bases = bases    # eigenvector bases for 0, 1/2, 1
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dims == other.dims and self.bases == other.bases
 
 
 def peirce_split(rep: BiRepresentation, e) -> PeirceSplit:

@@ -15,7 +15,6 @@ homological cap.  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Q0, Q1, Echelon
@@ -414,12 +413,15 @@ def pi_product(a: PresentedAlgebra, b: PresentedAlgebra,
 # minimal graded resolutions
 
 
-@dataclass
 class Resolution:
-    vertex: object
-    betti: dict = field(default_factory=dict)   # (i, degree) -> {vertex: count}
-    syzygy_dims: list = field(default_factory=list)  # per step: (deg, vtx) -> dim
-    finished: bool = False
+    __slots__ = ("vertex", "betti", "syzygy_dims", "finished")
+
+    def __init__(self, vertex, betti=None, syzygy_dims=None, finished=False):
+        self.vertex = vertex
+        self.betti = {} if betti is None else betti   # (i, degree) -> {vertex: count}
+        # per step: (deg, vtx) -> dim
+        self.syzygy_dims = [] if syzygy_dims is None else syzygy_dims
+        self.finished = finished
 
     def is_linear(self):
         return all(i == d for (i, d) in self.betti)

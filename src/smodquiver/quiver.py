@@ -17,92 +17,52 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import catalog, jordan, tkk
 from .catalog import SL2
 
+Vertex = namedtuple("Vertex", "vid color label")
 
-@dataclass(frozen=True)
-class Vertex:
-    vid: int
-    color: int
-    label: str
+ThickArrow = namedtuple("ThickArrow", "aid src dst group w_dim")
 
-
-@dataclass(frozen=True)
-class ThickArrow:
-    aid: int
-    src: int
-    dst: int
-    group: int
-    w_dim: int
+ThinArrow = namedtuple("ThinArrow", "tid src dst group w_index")
 
 
-@dataclass(frozen=True)
-class ThinArrow:
-    tid: int
-    src: int
-    dst: int
-    group: int
-    w_index: int
+class Quiver(namedtuple("Quiver", "vertices arrows thin")):
+    """arrows: the thick arrows; thin: their expansion, in a fixed order."""
 
-
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple
-    arrows: tuple       # thick
-    thin: tuple         # expanded, deterministic order
+    __slots__ = ()
 
     def vertex(self, vid):
         return self.vertices[vid]
 
 
-@dataclass(frozen=True)
-class RadicalGroup:
-    index: int
-    support: tuple
-    labels: tuple
-    w_dim: int
-    rtype: str            # "I" | "II"
-    singular: bool
-    parity: str           # normative (table-based) parity of the base module
-    engine_parity: str    # classical parity per the character engine
-    inert: bool = False
+# rtype: "I" | "II"; parity: normative (table-based) parity of the base
+# module; engine_parity: classical parity per the character engine
+RadicalGroup = namedtuple(
+    "RadicalGroup",
+    "index support labels w_dim rtype singular parity engine_parity inert",
+    defaults=(False,))
 
+# terms: ((Fraction coef, (tid_outer, tid_inner)), ...)
+Relation = namedtuple("Relation", "terms")
 
-@dataclass(frozen=True)
-class Relation:
-    terms: tuple  # ((Fraction coef, (tid_outer, tid_inner)), ...)
+# kind: ZeroRelations | A1_SegreSym | A1_SegreAlt | A2_Segre | CliffordOdd
+# | CliffordEven; groups: radical group indices; vertices: vertex ids touched
+# by the block's arrows; isolated: number of quiver vertices outside the block
+Block = namedtuple(
+    "Block",
+    "kind groups vertices thin_ids relations isolated descriptor notes",
+    defaults=("", ()))
 
-
-@dataclass(frozen=True)
-class Block:
-    kind: str             # ZeroRelations | A1_SegreSym | A1_SegreAlt | A2_Segre
-    #                       | CliffordOdd | CliffordEven
-    groups: tuple         # radical group indices
-    vertices: tuple       # vertex ids touched by the block's arrows
-    thin_ids: tuple
-    relations: tuple
-    isolated: int         # number of quiver vertices outside the block
-    descriptor: str = ""
-    notes: tuple = ()
-
-
-@dataclass(frozen=True)
-class QuiverReport:
-    schema_version: int
-    spec: dict
-    summands: tuple       # printable kind names
-    groups: tuple         # RadicalGroup
-    quiver: Quiver
-    blocks: tuple
-    relations: tuple      # global: all block relations plus cross-block zeros
-    wild: bool
-    centext_pairs: tuple  # ((q, q2), dim) sorted
-    centext_total: int
-    notes: tuple
+# summands: printable kind names; groups: RadicalGroup; relations: all block
+# relations plus cross-block zeros; centext_pairs: ((q, q2), dim) sorted
+QuiverReport = namedtuple(
+    "QuiverReport",
+    "schema_version spec summands groups quiver blocks relations wild "
+    "centext_pairs centext_total notes")
 
 
 # ---------------------------------------------------------------------------

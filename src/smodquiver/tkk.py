@@ -13,7 +13,7 @@ spaces, without touching structure constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import jordan
 from .linalg import Echelon, denominator_lcm, op_commutator, op_lines
@@ -33,13 +33,15 @@ class NotUnital(ValueError):
 # explicit construction
 
 
-@dataclass
 class ShortGradedLie:
     """Graded Lie algebra on basis g_{-1} | g_0 | g_1 with sparse brackets."""
 
-    dims: tuple                    # (d_-1, d_0, d_1)
-    bracket: dict                  # (i, j) with i < j -> {k: coeff}
-    triple: tuple                  # (e, h, f) as full coordinate vectors
+    __slots__ = ("dims", "bracket", "triple")
+
+    def __init__(self, dims: tuple, bracket: dict, triple: tuple):
+        self.dims = dims            # (d_-1, d_0, d_1)
+        self.bracket = bracket      # (i, j) with i < j -> {k: coeff}
+        self.triple = triple        # (e, h, f) as full coordinate vectors
 
     @property
     def total_dim(self):
@@ -368,23 +370,21 @@ def kind_of_ideal(ideal: jordan.SimpleIdealKind):
     raise ValueError(f"unknown ideal kind {ideal.kind!r}")
 
 
-@dataclass(frozen=True)
-class RadicalEntry:
-    """A simple summand of the radical, with its multiplicity space."""
+class RadicalEntry(namedtuple("RadicalEntry", "support labels w_dim")):
+    """A simple summand of the radical, with its multiplicity space.
 
-    support: tuple   # one or two summand indices
-    labels: tuple    # parallel catalog names
-    w_dim: int
+    support: one or two summand indices; labels: parallel catalog names.
+    """
+
+    __slots__ = ()
 
     @property
     def is_tensor(self):
         return len(self.support) == 2
 
 
-@dataclass(frozen=True)
-class LieDatum:
-    summands: tuple   # LieKind per simple ideal
-    radical: tuple    # merged RadicalEntry list
+# summands: LieKind per simple ideal; radical: merged RadicalEntry list
+LieDatum = namedtuple("LieDatum", "summands radical")
 
 
 def lie_datum_of_spec(spec: jordan.JordanSpec) -> LieDatum:
@@ -409,10 +409,13 @@ def lie_datum_of_spec(spec: jordan.JordanSpec) -> LieDatum:
 # central extensions
 
 
-@dataclass
 class CentextReport:
-    pair_dims: dict = field(default_factory=dict)  # (q, q') with q <= q' -> dim
-    total: int = 0
+    __slots__ = ("pair_dims", "total")
+
+    def __init__(self, pair_dims=None, total=0):
+        # (q, q') with q <= q' -> dim
+        self.pair_dims = {} if pair_dims is None else pair_dims
+        self.total = total
 
 
 def _parity_indicator(kind, name):

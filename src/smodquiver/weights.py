@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
@@ -55,29 +54,29 @@ class CharacterTooLarge(RuntimeError):
 MAX_CHARACTER_POINTS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    family: str  # one of "A", "B", "C", "D"
-    rank: int
+class RootSystem(namedtuple("RootSystem", "family rank")):
+    """family: one of "A", "B", "C", "D"."""
 
-    def __post_init__(self):
-        if self.family not in "ABCD":
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < 1:
+    __slots__ = ()
+
+    def __new__(cls, family, rank):
+        if family not in "ABCD":
+            raise ValueError(f"unknown family {family!r}")
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if self.family == "D" and self.rank < 2:
+        if family == "D" and rank < 2:
             raise ValueError("D requires rank >= 2")
+        return tuple.__new__(cls, (family, rank))
 
     @property
     def ambient(self):
         return self.rank + 1 if self.family == "A" else self.rank
 
 
-@dataclass(frozen=True)
-class CompositeSystem:
+class CompositeSystem(namedtuple("CompositeSystem", "components")):
     """Orthogonal direct sum of root systems; weights are concatenations."""
 
-    components: tuple
+    __slots__ = ()
 
     @property
     def ambient(self):
@@ -503,12 +502,19 @@ def _constituents(sys, acc):
 # characters as data
 
 
-@dataclass
 class Character:
     """Finite weight multiset with positive integer multiplicities."""
 
-    system: object
-    mults: dict
+    __slots__ = ("system", "mults")
+
+    def __init__(self, system, mults):
+        self.system = system
+        self.mults = mults
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.system == other.system and self.mults == other.mults
 
     def mass(self):
         return sum(self.mults.values())

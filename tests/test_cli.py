@@ -180,6 +180,30 @@ def test_verify_appendix_rank_cap(capsys, monkeypatch):
 def test_positive_cap_required(capsys):
     assert run(["koszul", "--spec", "x.json", "--hom-cap", "0"]) == \
         cli.EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "cap-invalid", "message": "caps must be positive"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["koszul"],
+    ["koszul", "--spec", "x.json", "--hom-cap", "abc"],
+    ["no-such-command"],
+    [],
+], ids=["missing-spec", "bad-int", "unknown-command", "empty"])
+def test_usage_error_is_json(capsys, argv):
+    assert run(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"} and err["error"] == "usage"
+
+
+def test_help_exits_0_on_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["koszul", "-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert "--hom-cap" in captured.out and captured.err == ""
 
 
 def test_tkk_check_scalar_products(tmp_path, capsys):

@@ -16,12 +16,15 @@ from helpers import spin_factor, src_env
 
 _LOADED = ("sorted(m for m in sys.modules if m.startswith('smodquiver.'))")
 
+# standard modules that cost milliseconds to import and that no command needs
+_HEAVY = "sorted({'dataclasses', 'inspect'} & set(sys.modules))"
+
 _RUN_CLI = f"""
 import contextlib, io, json, sys
 from smodquiver import cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, {_LOADED}]))
+print(json.dumps([rc, {_LOADED}, {_HEAVY}]))
 """
 
 
@@ -33,7 +36,7 @@ def _child(code, *argv):
 
 
 def _cli_modules(*argv):
-    rc, loaded = _child(_RUN_CLI, *argv)
+    rc, loaded, _ = _child(_RUN_CLI, *argv)
     assert rc == 0
     return {m.split(".", 1)[1] for m in loaded}
 
@@ -55,7 +58,7 @@ def test_tkk_check_loads_no_character_or_quiver_layer(tmp_path):
 def test_tkk_check_loads_no_construction_for_a_bad_table(tmp_path, table):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(table), encoding="utf-8")
-    rc, loaded = _child(_RUN_CLI, "tkk-check", "--table", str(path))
+    rc, loaded, _ = _child(_RUN_CLI, "tkk-check", "--table", str(path))
     assert rc == 2
     loaded = {m.split(".", 1)[1] for m in loaded}
     assert {"jordan", "linalg"} <= loaded
@@ -66,6 +69,28 @@ def test_verify_appendix_loads_no_algebra_layer():
     loaded = _cli_modules("verify-appendix", "--max-rank", "3")
     assert {"oracles", "catalog", "weights"} <= loaded
     assert not loaded & {"jordan", "tkk", "quiver", "pathalg", "linalg"}
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ideals": [{"kind": "field"}], "radical": [
+        {"kind": "unital", "ideal": 0, "label": "ad", "mult": 2}]}),
+        encoding="utf-8")
+    good = tmp_path / "spin4.json"
+    t = spin_factor(4)
+    good.write_text(json.dumps({"dim": len(t), "products": t}), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 1, "products": [[1]]}), encoding="utf-8")
+    for argv, want_rc in ((("quiver", "--spec", spec), 0),
+                          (("blocks", "--spec", spec), 0),
+                          (("koszul", "--spec", spec), 0),
+                          (("verify-appendix", "--max-rank", "3"), 0),
+                          (("tkk-check", "--table", good), 0),
+                          (("tkk-check", "--table", bad), 2)):
+        rc, _, heavy = _child(_RUN_CLI, *map(str, argv))
+        assert (rc, heavy) == (want_rc, []), argv
+    code = f"import json, sys\nimport smodquiver.cli\nprint(json.dumps({_HEAVY}))"
+    assert _child(code) == []
 
 
 def test_bare_import_loads_no_submodule():
