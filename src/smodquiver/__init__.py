@@ -42,23 +42,7 @@ _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("catalog", "cli", "jordan", "linalg", "oracles", "pathalg",
                "quiver", "tkk", "weights")
 
-__all__ = [
-    "Albert", "BiRepresentation", "Bilinear", "Character", "E7", "Field",
-    "Hermitian", "JordanSpec", "LieDatum", "PresentedAlgebra", "QuiverReport",
-    "RootSystem", "SL", "SL2", "SO1", "SO2", "SP", "ShortGradedLie",
-    "StructureConstants", "TensorOfSpecial", "Unital", "assemble",
-    "arrows_of", "central_extension_dim", "check_birepresentation",
-    "check_jordan_identity", "classify_block", "composite", "dual_weight",
-    "duality_form", "ext_algebra", "ext_sym_square", "from_presentation",
-    "fs_indicator", "grading_eigenvalues", "group_radical", "is_s_half",
-    "jordan_from_short_pair", "koszul_check", "lie_datum_of_spec",
-    "minimal_resolution", "minimality_check", "peirce_split", "pi_product",
-    "plus_product", "regular_birep", "relations_of", "report_from_dict",
-    "report_to_dict", "restrict_s", "s_half_simples", "s_one_simples",
-    "segre_product", "sym_algebra", "tensor_decompose", "tkk_construct",
-    "trivial_multiplicity", "unitalize", "validate_spec",
-    "weight_multiplicities", "weyl_dim", "wildness_flag",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

@@ -162,7 +162,7 @@ def cmd_koszul(args):
         alg = pathalg.from_presentation(report.quiver, report.relations,
                                         deg_cap=args.deg_cap)
         ok, tables = pathalg.koszul_check(alg, hom_cap=args.hom_cap)
-    except (pathalg.CapExceeded, pathalg.NonTerminating) as exc:
+    except pathalg.NonTerminating as exc:
         raise CliError(EXIT_CAP, "cap-exceeded", str(exc)) from exc
     payload = {
         "schemaVersion": report.schema_version,

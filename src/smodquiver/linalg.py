@@ -21,6 +21,12 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+def exact(x):
+    """x as an `int` when it is integral, else as a `Fraction`."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def qvec(seq):
     return [Fraction(x) for x in seq]
 
@@ -168,7 +174,7 @@ class Echelon:
         out = []
         for j in cols:
             if j not in self.rows:
-                v = {j: Q1}
+                v = {j: 1}
                 v.update(neg.get(j, ()))
                 out.append(v)
         return out

@@ -51,12 +51,6 @@ def duality_checks(kind):
     return out
 
 
-def _restrict_equals(kind, m, n, expected):
-    """expected: dict name -> mult ({} for zero)."""
-    got = catalog.restrict_s(kind, m, n)
-    return got == expected
-
-
 def tensor_checks(kind):
     """The tensor-restriction identities, one check per identity."""
     checks = []
@@ -65,7 +59,7 @@ def tensor_checks(kind):
         label = f"({m} (x) {n})^s = " + (
             "0" if not expected else
             " + ".join(k if v == 1 else f"{v}{k}" for k, v in expected.items()))
-        checks.append((label, _restrict_equals(kind, m, n, expected)))
+        checks.append((label, catalog.restrict_s(kind, m, n) == expected))
 
     s = kind.series
     if s == "sl":

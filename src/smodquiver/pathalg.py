@@ -15,17 +15,12 @@ homological cap.  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .linalg import Q0, Q1, Echelon
+from .linalg import Echelon, exact
 
 
 class NonTerminating(RuntimeError):
     """Basis extraction did not reach an empty degree below the cap."""
-
-
-class CapExceeded(RuntimeError):
-    pass
 
 
 class VertexMismatch(ValueError):
@@ -62,7 +57,7 @@ class PresentedAlgebra(GradedProtocol):
     arrow ids, outermost first, so (f, g) means "f after g"; all terms of one
     relation must share endpoints and length.  Relations are quadratic in the
     intended use; longer homogeneous relations are supported for control
-    experiments.
+    experiments.  Each coefficient is normalised once by `linalg.exact`.
     """
 
     def __init__(self, vertices, arrows, relations, deg_cap=8):
@@ -79,7 +74,7 @@ class PresentedAlgebra(GradedProtocol):
                 raise PresentationError(f"arrow {aid} touches unknown vertex")
         self.relations = []
         for rel in relations:
-            terms = tuple((Fraction(c), tuple(path)) for c, path in rel)
+            terms = tuple((exact(c), tuple(path)) for c, path in rel)
             if len({len(p) for _, p in terms}) != 1:
                 raise PresentationError("relation terms must share length")
             ends = set()
@@ -97,9 +92,10 @@ class PresentedAlgebra(GradedProtocol):
         # degree data
         self._src = [[v for v in self.vertices], [a[1] for a in self.arrows]]
         self._dst = [[v for v in self.vertices], [a[2] for a in self.arrows]]
-        self._pairs = [None, None]        # degree d: list of (arrow_pos, x_idx)
-        self._pair_reduce = [None, None]  # pair idx -> ((basis_idx, coef), ...)
-        self._free = [None, None]         # basis: positions into pairs
+        # degree d >= 2: the basis as spanning pairs (arrow_pos, x_idx), and
+        # each spanning pair's nonzero class ((basis_idx, coef), ...)
+        self._basis_pairs = [None, None]
+        self._classes = [None, None]
         self._mul_cache = {}
         self._build()
 
@@ -123,9 +119,9 @@ class PresentedAlgebra(GradedProtocol):
     def mul(self, d1, i, d2, j):
         """Product (d1, i) after (d2, j) as ((k, coef), ...) in degree d1+d2."""
         if d1 == 0:
-            return ((j, Q1),) if self._src[0][i] == self._dst[d2][j] else ()
+            return ((j, 1),) if self._src[0][i] == self._dst[d2][j] else ()
         if d2 == 0:
-            return ((i, Q1),) if self._src[d1][i] == self._dst[0][j] else ()
+            return ((i, 1),) if self._src[d1][i] == self._dst[0][j] else ()
         if d1 + d2 > self.top_degree:
             return ()
         key = (d1, i, d2, j)
@@ -137,11 +133,11 @@ class PresentedAlgebra(GradedProtocol):
         elif d1 == 1:
             out = self._reduce_pair(d2 + 1, i, j)
         else:
-            a, x = self._pairs[d1][self._free[d1][i]]
+            a, x = self._basis_pairs[d1][i]
             acc = {}
             for k, c in self.mul(d1 - 1, x, d2, j):
                 for k2, c2 in self._reduce_pair(d1 - 1 + d2 + 1, a, k):
-                    acc[k2] = acc.get(k2, Q0) + c * c2
+                    acc[k2] = acc.get(k2, 0) + c * c2
             out = tuple((k, c) for k, c in sorted(acc.items()) if c)
         self._mul_cache[key] = out
         return out
@@ -152,21 +148,18 @@ class PresentedAlgebra(GradedProtocol):
         """Class of the spanning pair arrow(x)basis in degree d >= 2."""
         if d > self.top_degree:
             return ()
-        idx = self._pair_index[d].get((arrow_pos, x_idx))
-        if idx is None:
-            return ()
-        return self._pair_reduce[d][idx]
+        return self._classes[d].get((arrow_pos, x_idx), ())
 
     def _tail_class(self, path_tail, d0, j):
         """Class of (path_tail composed after basis (d0, j)) as ((x, c), ...)."""
-        combo = {j: Q1}
+        combo = {j: 1}
         d = d0
         for aid in reversed(path_tail):
             apos = self._arrow_pos[aid]
             nxt = {}
             for x, c in combo.items():
                 for k, c2 in self.mul(1, apos, d, x):
-                    nxt[k] = nxt.get(k, Q0) + c * c2
+                    nxt[k] = nxt.get(k, 0) + c * c2
             combo = {k: c for k, c in nxt.items() if c}
             d += 1
             if not combo:
@@ -188,14 +181,13 @@ class PresentedAlgebra(GradedProtocol):
                 for c, p in terms:
                     for x, c2 in self._tail_class(p[1:], d - length, y).items():
                         key = (self._arrow_pos[p[0]], x)
-                        row[key] = row.get(key, Q0) + c * c2
+                        row[key] = row.get(key, 0) + c * c2
                 row = {index[k]: c for k, c in row.items() if c}
                 if row:
                     rows.append(row)
         return rows
 
     def _build(self):
-        self._pair_index = [None, None]
         d = 2
         while True:
             pairs = []
@@ -203,8 +195,6 @@ class PresentedAlgebra(GradedProtocol):
                 for x in range(self.dims(d - 1)):
                     if self._dst[d - 1][x] == src:
                         pairs.append((apos, x))
-            if not pairs:
-                return
             index = {p: i for i, p in enumerate(pairs)}
             # the free basis is the non-pivot pairs of the relations' RREF;
             # a pair killed outright has the unit row at its pivot
@@ -212,29 +202,19 @@ class PresentedAlgebra(GradedProtocol):
             for row in self._relation_rows(d, index):
                 ech.add(row)
             free = [p for p in range(len(pairs)) if p not in ech.rows]
+            if not free:
+                return  # degree d is zero, and so is every higher degree
             free_pos = {p: t for t, p in enumerate(free)}
-            reduce_tab = [()] * len(pairs)
-            for t, p in enumerate(free):
-                reduce_tab[p] = ((t, Q1),)
+            classes = {pairs[p]: ((t, 1),) for t, p in enumerate(free)}
             for pc, row in ech.rows.items():
                 if row:  # a pair killed outright keeps the empty class
-                    reduce_tab[pc] = tuple((free_pos[j], -c)
-                                           for j, c in sorted(row.items()))
-            self._pairs.append(pairs)
-            self._pair_index.append(index)
-            self._pair_reduce.append(reduce_tab)
-            self._free.append(free)
-            self._src.append([self._src[d - 1][pairs[p][1]] for p in free])
-            self._dst.append([self.arrows[pairs[p][0]][2] for p in free])
-            if not free:
-                # trim the empty degree and stop
-                self._pairs.pop()
-                self._pair_index.pop()
-                self._pair_reduce.pop()
-                self._free.pop()
-                self._src.pop()
-                self._dst.pop()
-                return
+                    classes[pairs[pc]] = tuple((free_pos[j], -c)
+                                               for j, c in sorted(row.items()))
+            basis = [pairs[p] for p in free]
+            self._basis_pairs.append(basis)
+            self._classes.append(classes)
+            self._src.append([self._src[d - 1][x] for _, x in basis])
+            self._dst.append([self.arrows[a][2] for a, _ in basis])
             d += 1
             if d > self.deg_cap:
                 raise NonTerminating(
@@ -249,16 +229,11 @@ class PresentedAlgebra(GradedProtocol):
 
 
 def from_presentation(quiver, relations, deg_cap=8) -> PresentedAlgebra:
-    """Adapter from quiver/relation objects (duck-typed) or raw tuples."""
-    if hasattr(quiver, "thin"):
-        vertices = [v.vid for v in quiver.vertices]
-        arrows = [(t.tid, t.src, t.dst) for t in quiver.thin]
-    else:
-        vertices, arrows = quiver
-    rels = []
-    for r in relations:
-        rels.append(tuple(r.terms) if hasattr(r, "terms") else tuple(r))
-    return PresentedAlgebra(vertices, arrows, rels, deg_cap)
+    """The algebra of a `quiver.Quiver` on its thin arrows modulo its
+    `quiver.Relation`s."""
+    return PresentedAlgebra([v.vid for v in quiver.vertices],
+                            [(t.tid, t.src, t.dst) for t in quiver.thin],
+                            [r.terms for r in relations], deg_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +269,7 @@ class SimpleGradedAlgebra(GradedProtocol):
         out = []
         for label, coef in self._mul_fn(d1, self._basis[d1][i],
                                         d2, self._basis[d2][j]):
-            out.append((self._index[d1 + d2][label], Fraction(coef)))
+            out.append((self._index[d1 + d2][label], coef))
         return tuple(out)
 
 
@@ -379,7 +354,7 @@ class TensorGradedAlgebra(GradedProtocol):
         for ka, ca in self.a.mul(d1, ia, d2, ja):
             for kb, cb in self.b.mul(d1, ib, d2, jb):
                 k = ka * nb + kb
-                out[k] = out.get(k, Q0) + ca * cb
+                out[k] = out.get(k, 0) + ca * cb
         return tuple((k, c) for k, c in sorted(out.items()) if c)
 
 
@@ -405,7 +380,7 @@ def pi_product(a: PresentedAlgebra, b: PresentedAlgebra,
         for faid, fsrc, fdst in f_alg.arrows:
             for gaid, gsrc, gdst in g_alg.arrows:
                 if fsrc == gdst:
-                    rels.append(((Q1, ((f_tag, faid), (g_tag, gaid))),))
+                    rels.append(((1, ((f_tag, faid), (g_tag, gaid))),))
     return PresentedAlgebra(a.vertices, arrows, rels, deg_cap)
 
 
@@ -478,11 +453,11 @@ class _Projective:
                 continue
             for k, c2 in self.alg.mul(gdeg, gidx, d, i):
                 key = out_index[(s, d + gdeg, k)]
-                out[key] = out.get(key, Q0) + c * c2
+                out[key] = out.get(key, 0) + c * c2
         return {k: c for k, c in out.items() if c}
 
 
-def minimal_resolution(alg, vertex, hom_cap=5, deg_cap=None) -> Resolution:
+def minimal_resolution(alg, vertex, hom_cap=5) -> Resolution:
     """Minimal graded resolution of the vertex simple, up to hom_cap steps.
 
     Vectors are sparse {position: coef} over the degree-t basis of a
@@ -498,7 +473,7 @@ def minimal_resolution(alg, vertex, hom_cap=5, deg_cap=None) -> Resolution:
     kernel = {}
     for t in range(1, p.max_degree() + 1):
         if p.basis(t):
-            kernel[t] = [{pos: Q1} for pos in range(len(p.basis(t)))]
+            kernel[t] = [{pos: 1} for pos in range(len(p.basis(t)))]
 
     for step in range(1, hom_cap + 1):
         res.syzygy_dims.append({})
@@ -527,8 +502,6 @@ def minimal_resolution(alg, vertex, hom_cap=5, deg_cap=None) -> Resolution:
                 w = _dst_vertex(p, t, u)
                 if spans.setdefault((t, w), Echelon()).add(u):
                     gens.append((w, t, u))
-        if deg_cap is not None and any(t > deg_cap for _, t, _ in gens):
-            raise CapExceeded(f"syzygy generator beyond degree cap {deg_cap}")
         for w, t, _ in gens:
             counts = res.betti.setdefault((step, t), {})
             counts[w] = counts.get(w, 0) + 1

@@ -46,7 +46,7 @@ RadicalGroup = namedtuple(
     "index support labels w_dim rtype singular parity engine_parity inert",
     defaults=(False,))
 
-# terms: ((Fraction coef, (tid_outer, tid_inner)), ...)
+# terms: ((coef, (tid_outer, tid_inner)), ...), coef an int or a Fraction
 Relation = namedtuple("Relation", "terms")
 
 # kind: ZeroRelations | A1_SegreSym | A1_SegreAlt | A2_Segre | CliffordOdd
@@ -159,9 +159,7 @@ def arrows_of(datum: tkk.LieDatum, groups):
                          for a in thick for wi in range(a.w_dim))
     thin = tuple(ThinArrow(tid, src, dst, grp, wi)
                  for tid, (grp, wi, src, dst, _) in enumerate(thin_sorted))
-    new_groups = [g if g.index not in inert else
-                  RadicalGroup(g.index, g.support, g.labels, g.w_dim, g.rtype,
-                               g.singular, g.parity, g.engine_parity, True)
+    new_groups = [g._replace(inert=True) if g.index in inert else g
                   for g in groups]
     return Quiver(tuple(vertices), thick, thin), new_groups
 
@@ -212,7 +210,6 @@ def relations_of(block_kind, w_dims):
     [S]->[L] over W'; CliffordOdd -> loops ell; CliffordEven -> a: v+ -> v-,
     b: v- -> v+.  ZeroRelations yields the marker "all-zero".
     """
-    one = Fraction(1)
     rels = []
     if block_kind == "ZeroRelations":
         return "all-zero"
@@ -220,53 +217,53 @@ def relations_of(block_kind, w_dims):
         k = w_dims[0]
         for i in range(k):
             for j in range(k):
-                rels.append(((one, (("alpha", i), ("beta", j))),))
+                rels.append(((1, (("alpha", i), ("beta", j))),))
         if block_kind == "A1_SegreSym":
             for i in range(k):
                 for j in range(i + 1, k):
-                    rels.append(((one, (("beta", i), ("alpha", j))),
-                                 (-one, (("beta", j), ("alpha", i)))))
+                    rels.append(((1, (("beta", i), ("alpha", j))),
+                                 (-1, (("beta", j), ("alpha", i)))))
         else:
             for i in range(k):
-                rels.append(((one, (("beta", i), ("alpha", i))),))
+                rels.append(((1, (("beta", i), ("alpha", i))),))
                 for j in range(i + 1, k):
-                    rels.append(((one, (("beta", i), ("alpha", j))),
-                                 (one, (("beta", j), ("alpha", i)))))
+                    rels.append(((1, (("beta", i), ("alpha", j))),
+                                 (1, (("beta", j), ("alpha", i)))))
         return tuple(rels)
     if block_kind == "A2_Segre":
         k, l = w_dims
         for j in range(l):
             for i in range(k):
-                rels.append(((one, (("beta", j), ("alpha", i))),))
-                rels.append(((one, (("delta", i), ("gamma", j))),))
+                rels.append(((1, (("beta", j), ("alpha", i))),))
+                rels.append(((1, (("delta", i), ("gamma", j))),))
             for j2 in range(l):
-                rels.append(((one, (("beta", j), ("gamma", j2))),))
+                rels.append(((1, (("beta", j), ("gamma", j2))),))
         for i in range(k):
             for i2 in range(k):
-                rels.append(((one, (("delta", i), ("alpha", i2))),))
+                rels.append(((1, (("delta", i), ("alpha", i2))),))
         for i in range(k):
             for j in range(l):
-                rels.append(((one, (("alpha", i), ("beta", j))),
-                             (-one, (("gamma", j), ("delta", i)))))
+                rels.append(((1, (("alpha", i), ("beta", j))),
+                             (-1, (("gamma", j), ("delta", i)))))
         return tuple(rels)
     if block_kind == "CliffordOdd":
         k = w_dims[0]
         for i in range(k):
-            rels.append(((one, (("ell", i), ("ell", i))),))
+            rels.append(((1, (("ell", i), ("ell", i))),))
             for j in range(i + 1, k):
-                rels.append(((one, (("ell", i), ("ell", j))),
-                             (-one, (("ell", j), ("ell", i)))))
+                rels.append(((1, (("ell", i), ("ell", j))),
+                             (-1, (("ell", j), ("ell", i)))))
         return tuple(rels)
     if block_kind == "CliffordEven":
         k = w_dims[0]
         for i in range(k):
-            rels.append(((one, (("a", i), ("b", i))),))
-            rels.append(((one, (("b", i), ("a", i))),))
+            rels.append(((1, (("a", i), ("b", i))),))
+            rels.append(((1, (("b", i), ("a", i))),))
             for j in range(i + 1, k):
-                rels.append(((one, (("a", i), ("b", j))),
-                             (one, (("a", j), ("b", i)))))
-                rels.append(((one, (("b", i), ("a", j))),
-                             (one, (("b", j), ("a", i)))))
+                rels.append(((1, (("a", i), ("b", j))),
+                             (1, (("a", j), ("b", i)))))
+                rels.append(((1, (("b", i), ("a", j))),
+                             (1, (("b", j), ("a", i)))))
         return tuple(rels)
     raise ValueError(f"unknown block kind {block_kind!r}")
 
@@ -344,7 +341,7 @@ def _zero_relations(quiver, outer_ids, inner_ids):
     for y in inner_ids:
         for x in outer_ids:
             if thin[x].src == thin[y].dst:
-                rels.append(Relation(((Fraction(1), (x, y)),)))
+                rels.append(Relation(((1, (x, y)),)))
     return rels
 
 

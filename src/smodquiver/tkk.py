@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import jordan
-from .linalg import Echelon, denominator_lcm, op_commutator, op_lines
+from .linalg import Echelon, denominator_lcm, exact, op_commutator, op_lines
 
 MAX_EXPLICIT_DIM = 16
 
@@ -169,11 +169,6 @@ def _act(op, bmap):
     return {xy: vec for xy, vec in out.items() if vec}
 
 
-def _exact(c):
-    """c as an int when it is integral, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
     """Short-graded Lie algebra of a unital algebra given by its table.
 
@@ -191,8 +186,8 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
     unit = jordan.find_unit(sc)
     if unit is None:
         raise NotUnital("algebra has no identity element")
-    unit = [_exact(u) for u in unit]
-    table = [[{k: _exact(c) for k, c in v.items()} for v in row]
+    unit = [exact(u) for u in unit]
+    table = [[{k: exact(c) for k, c in v.items()} for v in row]
              for row in sc.sparse]
 
     # L_i: column j is the vector e_i * e_j

@@ -60,6 +60,16 @@ def test_grading_eigenvalues_examples():
         Fraction(-1), Fraction(0), Fraction(1)}
 
 
+@pytest.mark.parametrize("kind, lam", [
+    (C.SL(6), (0, 2, 0, 0, 0, 0)),
+    (C.SO2(7), (1, -1, 0)),
+    (C.SP(6), (0, 2, 0)),
+])
+def test_grading_eigenvalues_refuse_non_dominant(kind, lam):
+    with pytest.raises(W.NotDominant):
+        C.grading_eigenvalues(kind, lam)
+
+
 def test_cocharacter_pairs_roots_short():
     for kind in (C.SL2, C.SP(6), C.SL(6), C.SO1(12), C.SO2(7), C.SO2(8)):
         sys = kind.root_system()

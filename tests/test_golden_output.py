@@ -3,7 +3,8 @@ tables and verify-appendix ranks, run in process through `cli.main`, must
 hash to the digests recorded in perfbench/golden.json.  Output drift in
 pathalg, linalg, tkk, weights or catalog then fails here without running the
 benchmark.  The golden file is only read; verify-appendix ranks past the
-benchmark's are pinned here."""
+benchmark's, and one koszul resolution larger than its ops, are pinned
+here."""
 
 import hashlib
 import json
@@ -88,9 +89,23 @@ HIGHER_RANKS = {
     10: "0c1d58a7b1e400dbbe05496891749e4932f225266d7f59049a435f1f00cf6576",
 }
 
+# sha256 of koszul stdout on a resolution larger than the benchmark's:
+# field + unital ad x 6 at --hom-cap 5, recorded from the Fraction-seeded
+# resolution engine
+KOSZUL_AD6 = (_spec([_F], [_unital("ad", 6)]), ["--hom-cap", "5"],
+              "2166ac34e04c62eab474a6107e88589218234f909fc934da63cfc06932882ce0")
+
 
 @pytest.mark.parametrize("rank", [3, 4, 5, 8, 10])
 def test_verify_appendix_stdout_matches_golden(rank, capsys):
     argv = ["verify-appendix", "--max-rank", str(rank)]
     expected = HIGHER_RANKS.get(rank) or GOLDEN[f"rank{rank}"]
+    assert _stdout_digest(argv, capsys) == expected
+
+
+def test_larger_koszul_stdout_matches_golden(tmp_path, capsys):
+    spec, extra, expected = KOSZUL_AD6
+    path = tmp_path / "ad6.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["koszul", "--spec", str(path)] + extra
     assert _stdout_digest(argv, capsys) == expected

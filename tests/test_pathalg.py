@@ -10,6 +10,7 @@ from helpers import lam, template_algebra
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver.linalg import Echelon
 
 ONE = Fraction(1)
 
@@ -247,3 +248,65 @@ def test_cube_zero_for_small_singular_multiplicity():
                                   (J.Unital(0, "LrV(1)", 3),)))
     alg = P.from_presentation(rep.quiver, rep.relations)
     assert alg.dims(3) == 1  # top of the symmetric truncated cube
+
+
+# -- exact numbers -----------------------------------------------------------
+
+# one assembled spec per block kind: Segre sym, zero relations and Clifford
+# odd together, then Segre alt, Clifford even, A2 Segre, Clifford odd alone
+TEMPLATE_SPECS = [
+    J.JordanSpec((J.Field(), J.Hermitian(1, 3), J.Bilinear(5)),
+                 (J.TensorOfSpecial(0, "L", 1, "V", 2), J.Unital(1, "ad"),
+                  J.Unital(2, "LrV(1)", 2))),
+    J.JordanSpec((J.Field(), J.Hermitian(4, 3)),
+                 (J.TensorOfSpecial(0, "L", 1, "V", 2),)),
+    J.JordanSpec((J.Field(), J.Field()), (J.TensorOfSpecial(0, "L", 1, "L", 2),)),
+    J.JordanSpec((J.Field(), J.Hermitian(2, 3)),
+                 (J.TensorOfSpecial(0, "L", 1, "V", 2),
+                  J.TensorOfSpecial(0, "L", 1, "V*", 1))),
+    J.JordanSpec((J.Field(),), (J.Unital(0, "ad", 3),)),
+]
+
+
+def _betti_tables(alg):
+    _, tables = P.koszul_check(alg, hom_cap=4)
+    return {v: res.betti for v, res in tables.items()}
+
+
+@pytest.mark.parametrize("spec", TEMPLATE_SPECS)
+def test_integral_templates_stay_int(spec, monkeypatch):
+    kernels = []
+
+    class RecordingEchelon(Echelon):
+        def kernel(self, cols):
+            out = super().kernel(cols)
+            kernels.extend(out)
+            return out
+
+    monkeypatch.setattr(P, "Echelon", RecordingEchelon)
+    rep = Q.assemble(spec)
+    alg = P.from_presentation(rep.quiver, rep.relations)
+    assert all(type(c) is int for terms in alg.relations for c, _ in terms)
+    for d1 in range(alg.top_degree + 1):
+        for d2 in range(alg.top_degree + 1 - d1):
+            for i in range(alg.dims(d1)):
+                for j in range(alg.dims(d2)):
+                    assert all(type(c) is int for _, c in alg.mul(d1, i, d2, j))
+    _betti_tables(alg)
+    assert kernels
+    assert all(type(c) is int for v in kernels for c in v.values())
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), 3])
+@pytest.mark.parametrize("spec", TEMPLATE_SPECS)
+def test_scaled_relations_give_the_same_algebra(spec, scale):
+    # non-unit pivots take the Fraction branch of the elimination
+    rep = Q.assemble(spec)
+    alg = P.from_presentation(rep.quiver, rep.relations)
+    scaled = P.from_presentation(
+        rep.quiver, [Q.Relation(tuple((c * scale, p) for c, p in r.terms))
+                     for r in rep.relations])
+    assert scaled.hilbert() == alg.hilbert()
+    for d in range(alg.top_degree + 1):
+        assert scaled.dims_by_pair(d) == alg.dims_by_pair(d)
+    assert _betti_tables(scaled) == _betti_tables(alg)
