@@ -110,6 +110,8 @@ def _assemble(path):
     except jordan.SpecError as exc:
         raise CliError(EXIT_VALIDATION, "spec-invalid",
                        "; ".join(exc.report.violations)) from exc
+    except quiver.TooManyRelations as exc:
+        raise CliError(EXIT_CAP, "cap-exceeded", str(exc)) from exc
 
 
 def cmd_quiver(args):
@@ -231,6 +233,11 @@ def cmd_tkk_check(args):
         raise CliError(EXIT_CAP, "cap-exceeded",
                        f"table dim {sc.dim} exceeds the explicit construction "
                        f"bound {tkk.MAX_EXPLICIT_DIM}")
+    bits = jordan.table_bits(sc)
+    if bits > tkk.MAX_TABLE_BITS:
+        raise CliError(EXIT_CAP, "cap-exceeded",
+                       f"table bits {bits} (dim^2 times the longest entry) "
+                       f"exceed the bound {tkk.MAX_TABLE_BITS}")
     verdicts = {"jordanIdentity": jordan.check_jordan_identity(sc)}
     if verdicts["jordanIdentity"]:
         try:

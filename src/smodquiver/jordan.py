@@ -348,6 +348,14 @@ def _integral_table(table):
                         for k, c in v.items()} for v in row) for row in table)
 
 
+def table_bits(sc):
+    """dim^2 times the bit length of the largest entry of the table scaled
+    to integers: the size of one operator L_i were every entry that long."""
+    return sc.dim ** 2 * max((abs(c).bit_length()
+                              for row in _integral_table(sc.sparse)
+                              for v in row for c in v.values()), default=0)
+
+
 class StructureConstants:
     """Commutative product on k^n: c[i][j] is the vector e_i * e_j.
 

@@ -23,6 +23,15 @@ from fractions import Fraction
 from . import catalog, jordan, tkk
 from .catalog import SL2
 
+# bound on thin arrows plus composable thin-arrow pairs: every relation is
+# one such pair or a combination of two, so this bounds the report's size
+MAX_QUIVER_SIZE = 40_000
+
+
+class TooManyRelations(RuntimeError):
+    """The quiver's thin arrows and composable pairs exceed MAX_QUIVER_SIZE."""
+
+
 Vertex = namedtuple("Vertex", "vid color label")
 
 ThickArrow = namedtuple("ThickArrow", "aid src dst group w_dim")
@@ -155,6 +164,10 @@ def arrows_of(datum: tkk.LieDatum, groups):
     arrows.sort()
     thick = tuple(ThickArrow(aid, src, dst, grp, w)
                   for aid, (grp, src, dst, w) in enumerate(arrows))
+    size = _quiver_size(thick)
+    if size > MAX_QUIVER_SIZE:
+        raise TooManyRelations(f"{size} thin arrows and composable pairs "
+                               f"exceed the quiver bound {MAX_QUIVER_SIZE}")
     thin_sorted = sorted((a.group, wi, a.src, a.dst, a.aid)
                          for a in thick for wi in range(a.w_dim))
     thin = tuple(ThinArrow(tid, src, dst, grp, wi)
@@ -162,6 +175,17 @@ def arrows_of(datum: tkk.LieDatum, groups):
     new_groups = [g._replace(inert=True) if g.index in inert else g
                   for g in groups]
     return Quiver(tuple(vertices), thick, thin), new_groups
+
+
+def _quiver_size(thick):
+    """Thin arrows plus thin-arrow pairs (x, y) with x composable after y,
+    read off the W dimensions of the thick arrows."""
+    out_dim, in_dim = {}, {}
+    for a in thick:
+        out_dim[a.src] = out_dim.get(a.src, 0) + a.w_dim
+        in_dim[a.dst] = in_dim.get(a.dst, 0) + a.w_dim
+    return sum(out_dim.values()) + sum(
+        w * in_dim.get(v, 0) for v, w in out_dim.items())
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +360,11 @@ def _bind_block(datum, groups, quiver, kind, qidx, thin_map):
 
 def _zero_relations(quiver, outer_ids, inner_ids):
     """One monomial relation per composable (outer after inner) pair."""
-    thin = {t.tid: t for t in quiver.thin}
-    rels = []
-    for y in inner_ids:
-        for x in outer_ids:
-            if thin[x].src == thin[y].dst:
-                rels.append(Relation(((1, (x, y)),)))
-    return rels
+    outer_at = {}
+    for x in outer_ids:
+        outer_at.setdefault(quiver.thin[x].src, []).append(x)
+    return [Relation(((1, (x, y)),))
+            for y in inner_ids for x in outer_at.get(quiver.thin[y].dst, ())]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from . import jordan
 from .linalg import Echelon, denominator_lcm, exact, op_commutator, op_lines
 
 MAX_EXPLICIT_DIM = 16
+# bound on `jordan.table_bits`: each identity-check term multiplies three
+# entries, so its cost grows with their length
+MAX_TABLE_BITS = 2 ** 14
 
 
 class JacobiFails(ArithmeticError):

@@ -16,9 +16,8 @@ The engine is exact end to end and works on dominant weights:
     v + rho into the dominant chamber with its sign;
   * tensor products by Brauer-Klimyk: highest weights on one side, shifted
     by the weights of the other factor, so no product character is formed;
-  * the Frobenius-Schur indicator from the Adams operation
-    psi^2 chi = S^2 - Lambda^2 and the trivial multiplicity of chi (x) chi;
-  * grading eigenvalues from the dominant weights and the Weyl orbit of h.
+  * the Frobenius-Schur indicator from lam alone, as (-1)^<lam, 2 rho-check>;
+  * the eigenvalues of a short grading h from lam alone, as one string.
 
 The catalog's path streams the weights of an irreducible orbit by orbit and
 keeps none; only the public `Character` helpers build full weight sets:
@@ -586,15 +585,10 @@ def _brauer_klimyk(sys, tops, items):
     return _constituents(sys, acc)
 
 
-def _adams2(items):
-    """psi^2 of (weight, mult) pairs: every weight doubled, multiplicities kept."""
-    return ((_add(w, w), m) for w, m in items)
-
-
 def ext_sym_square(c: Character):
     """(S^2, Lambda^2) of a character, as (chi^2 +- psi^2 chi) / 2."""
     sq = char_product(c, c).mults
-    psi = dict(_adams2(c.mults.items()))
+    psi = {_add(w, w): m for w, m in c.mults.items()}   # Adams psi^2
     s2, l2 = {}, {}
     for w, m in sq.items():
         p = psi.get(w, 0)
@@ -616,21 +610,14 @@ def trivial_multiplicity(c: Character) -> int:
 def fs_indicator(sys, lam):
     """Classical Frobenius-Schur indicator: +1 symmetric, -1 skew, 0 non-self-dual.
 
-    S^2 - Lambda^2 is the Adams operation psi^2 chi, whose trivial
-    multiplicity is one Racah-Speiser pass; S^2 + Lambda^2 is chi (x) chi,
-    whose trivial multiplicity comes from Brauer-Klimyk independently.
+    exp(2 pi i rho-check) acts on V_lam by (-1)^<lam, 2 rho-check>, the sign
+    of the form on a self-dual V_lam (Bourbaki, Lie, ch. VIII, 7.5).
     """
     lam_n = normalize_dominant(sys, lam)
     if dual_weight(sys, lam_n) != lam_n:
         return 0
-    psi = _racah_speiser(sys, _adams2(_weights(sys, lam_n)))
-    diff = sum(m for mu, m in psi.items() if is_trivial_weight(sys, mu))
-    total = _brauer_klimyk(sys, {lam_n: 1}, _weights(sys, lam_n)).get(
-        (0,) * sys.ambient, 0)
-    ts, tl = (total + diff) // 2, (total - diff) // 2
-    assert ts >= 0 and tl >= 0 and ts + tl == 1, \
-        "irreducible self-dual module must carry exactly one form"
-    return 1 if ts else -1
+    pairing = sum(2 * ip4(lam_n, a) // ip4(a, a) for a in positive_roots(sys))
+    return -1 if pairing % 2 else 1
 
 
 def eigenvalue_set(c: Character, h2):
@@ -638,15 +625,27 @@ def eigenvalue_set(c: Character, h2):
     return {Fraction(v, 4) for v in {ip4(w, h2) for w in c.mults}}
 
 
+@lru_cache(maxsize=None)
+def _grading_ends(sys, h2):
+    """(dom(h), dom(-h)) of a short grading h; ValueError for any other h."""
+    if any(ip4(a, h2) not in (-4, 0, 4) for a in positive_roots(sys)):
+        raise ValueError(f"{h2} is not a short grading of {sys}")
+    return dominantize(sys, h2), dominantize(sys, tuple(-x for x in h2))
+
+
 def grading_values(sys, lam, h2):
     """Set of pairings <w, h> over the weights w of V_lam (true values).
 
-    <w(mu), h> = <mu, w^-1(h)>, so the dominant weights of V_lam against the
-    Weyl orbit of h give every value without the full weight set.
+    For a short h these run from -<lam, dom(-h)> to <lam, dom(h)> in steps
+    of 1: the weights of V_lam are reached from the top by subtracting simple
+    roots (Humphreys, Lie Algebras, 21.3), and in the chamber where h is
+    dominant each one lowers <w, h> by 0 or 1.
     """
-    hs = _orbit(sys, h2)
+    if not is_dominant(sys, lam):
+        raise NotDominant(lam)
+    top, bottom = _grading_ends(sys, h2)
     return {Fraction(v, 4)
-            for v in {ip4(mu, h) for mu in dominant_character(sys, lam) for h in hs}}
+            for v in range(-ip4(lam, bottom), ip4(lam, top) + 1, 4)}
 
 
 def is_weyl_invariant(c: Character) -> bool:

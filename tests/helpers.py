@@ -254,6 +254,32 @@ def ref_fs_indicator(sys, lam):
     return 1 if ts else -1
 
 
+def ref_grading_values(sys, lam, h2):
+    """Pairings <w, h> over the weights of V_lam (true values), from the
+    dominant character against the Weyl orbit of h: <w(mu), h> equals
+    <mu, w^-1(h)>."""
+    hs = W._orbit(sys, h2)
+    return {Fraction(W.ip4(mu, h), 4)
+            for mu in W.dominant_character(sys, lam) for h in hs}
+
+
+def ref_fs_indicator_adams(sys, lam):
+    """Frobenius-Schur indicator from the Adams operation: the trivial
+    multiplicity of psi^2 chi = S^2 - Lambda^2 by one Racah-Speiser pass,
+    and that of chi (x) chi = S^2 + Lambda^2 by Brauer-Klimyk."""
+    lam_n = W.normalize_dominant(sys, lam)
+    if W.dual_weight(sys, lam_n) != lam_n:
+        return 0
+    psi = W._racah_speiser(sys, ((_add(w, w), m)
+                                 for w, m in W._weights(sys, lam_n)))
+    diff = sum(m for mu, m in psi.items() if W.is_trivial_weight(sys, mu))
+    total = W._brauer_klimyk(sys, {lam_n: 1}, W._weights(sys, lam_n)).get(
+        (0,) * sys.ambient, 0)
+    ts, tl = (total + diff) // 2, (total - diff) // 2
+    assert ts >= 0 and tl >= 0 and ts + tl == 1
+    return 1 if ts else -1
+
+
 # ---------------------------------------------------------------------------
 # reference elimination: the dense Fraction routines the package used before
 # its sparse echelon kernel, kept as an independent oracle for it

@@ -111,6 +111,46 @@ def test_koszul_deg_cap_exceeded(tmp_path, capsys):
     assert err["error"] == "cap-exceeded"
 
 
+def _ad_loops(mult):
+    return jordan.JordanSpec((jordan.Field(),), (jordan.Unital(0, "ad", mult),))
+
+
+# a loop (ad over the field) has mult^2 composable thin pairs; a single arrow
+# (L2V over hermitian(2,3), Table 1 row 5) has none, only mult thin arrows
+@pytest.mark.parametrize("command, spec", [
+    ("quiver", _ad_loops(10 ** 6)),
+    ("blocks", _ad_loops(10 ** 6)),
+    ("koszul", _ad_loops(10 ** 6)),
+    ("quiver", jordan.JordanSpec((jordan.Hermitian(2, 3),),
+                                 (jordan.Unital(0, "L2V", 10 ** 6),))),
+], ids=["quiver", "blocks", "koszul", "quiver-single-arrow"])
+def test_oversized_quiver_exits_4_quickly(tmp_path, command, spec):
+    path = write_spec(tmp_path, spec)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "smodquiver.cli", command, "--spec", path],
+        env=src_env(), capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == cli.EXIT_CAP
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "cap-exceeded"
+    assert elapsed < 5.0, f"the refusal took {elapsed:.1f} s"
+
+
+def test_quiver_size_bound_is_exact(tmp_path, capsys, monkeypatch):
+    # ad over the field at mult m: m thin loops and m^2 composable pairs
+    monkeypatch.setattr(quiver, "MAX_QUIVER_SIZE", 4 + 4 ** 2)
+    for mult, rc in ((4, cli.EXIT_OK), (5, cli.EXIT_CAP)):
+        path = write_spec(tmp_path, _ad_loops(mult))
+        assert run(["blocks", "--spec", path]) == rc
+        captured = capsys.readouterr()
+        if rc == cli.EXIT_OK:
+            assert json.loads(captured.out)["blocks"][0]["relations"] == \
+                mult * (mult + 1) // 2
+        else:
+            assert json.loads(captured.err)["error"] == "cap-exceeded"
+
+
 def test_a2_block_has_six_edges(tmp_path, capsys):
     spec = jordan.JordanSpec(
         (jordan.Field(), jordan.Hermitian(2, 3)),
@@ -373,6 +413,48 @@ def test_tkk_check_dim_cap(tmp_path, capsys, monkeypatch):
                  for j in range(n)] for i in range(n)]
     text = json.dumps({"dim": n, "products": products})
     assert _tkk_check(tmp_path, capsys, text) == (cli.EXIT_CAP, "cap-exceeded")
+
+
+def test_tkk_check_table_bits_cap(tmp_path, capsys, monkeypatch):
+    # dim 2: an entry of MAX_TABLE_BITS / 4 bits is the longest allowed; one
+    # more bit stops the command before the identity check
+    def never(sc):
+        raise AssertionError("identity check ran above the bits cap")
+
+    bits = tkk.MAX_TABLE_BITS // 4
+    for entry, rc in ((2 ** bits - 1, cli.EXIT_VERIFY), (2 ** bits, cli.EXIT_CAP)):
+        products = [[[str(entry) if i == j == k == 0 else "0" for k in range(2)]
+                     for j in range(2)] for i in range(2)]
+        table = tmp_path / "sc.json"
+        table.write_text(json.dumps({"dim": 2, "products": products}),
+                         encoding="utf-8")
+        if rc == cli.EXIT_CAP:
+            monkeypatch.setattr(jordan, "check_jordan_identity", never)
+        assert run(["tkk-check", "--table", str(table)]) == rc
+        captured = capsys.readouterr()
+        if rc == cli.EXIT_CAP:
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == "cap-exceeded"
+
+
+def test_tkk_check_long_dense_entries_exit_4_quickly(tmp_path):
+    # every product of this 8-dimensional table is dense in 3322-bit entries;
+    # without the bound its identity check ran for minutes
+    n = 8
+    table = tmp_path / "dense.json"
+    table.write_text(json.dumps({"dim": n, "products": [
+        [["1e1000"] * n for _ in range(n)] for _ in range(n)]}),
+        encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "smodquiver.cli", "tkk-check", "--table",
+         str(table)], env=src_env(), capture_output=True, text=True,
+        timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == cli.EXIT_CAP
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "cap-exceeded"
+    assert elapsed < 5.0, f"the refusal took {elapsed:.1f} s"
 
 
 # stdout of the 8-dimensional tables whose every structure constant is the

@@ -8,6 +8,7 @@ the appendix kinds of rank 5-7 the public full-character helpers are the
 reference.
 """
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -15,12 +16,13 @@ from math import comb
 import pytest
 
 from helpers import (ref_character, ref_decompose_character,
-                     ref_dominant_character, ref_fs_indicator, ref_orbit,
+                     ref_dominant_character, ref_fs_indicator,
+                     ref_fs_indicator_adams, ref_grading_values, ref_orbit,
                      ref_tensor_decompose)
 from smodquiver import catalog as C
 from smodquiver import cli
 from smodquiver import weights as W
-from smodquiver.weights import Character, RootSystem
+from smodquiver.weights import Character, RootSystem, composite
 
 SMALL_KINDS = [C.SL2, C.SP(4), C.SP(6), C.SP(8), C.SL(4), C.SO1(8)] + \
     [C.SO2(n) for n in range(4, 10)]
@@ -222,6 +224,25 @@ def test_catalog_path_builds_no_full_character(monkeypatch):
                                128, 11440)
 
 
+def test_grading_and_parity_build_no_character(monkeypatch):
+    # both answers come from the highest weight alone: no dominant
+    # character, no weight stream, no Brauer-Klimyk product
+    def never(*args, **kwargs):
+        raise AssertionError("a character was built")
+
+    for name in ("dominant_character", "_weights", "_brauer_klimyk"):
+        monkeypatch.setattr(W, name, never)
+    for kind in cli._appendix_kinds(7):
+        for name in _labels(kind):
+            lam = C.any_weight(kind, name)
+            evs = C.grading_eigenvalues(kind, lam)
+            assert C.is_s_half.__wrapped__(kind, lam) == (evs == C.HALF)
+            assert C.is_s_one(kind, lam) == (name in {
+                lab.name for lab in C.s_one_simples(kind)})
+            assert C.classical_parity.__wrapped__(kind, name) in (
+                "symmetric", "skew", "none")
+
+
 def test_catalog_path_memory_bound():
     # building the full weight sets of Gamma and LrV(8) over so(17) peaks
     # at about 2.4 MB and copying them at 1.3 MB; streaming them peaks near
@@ -237,3 +258,97 @@ def test_catalog_path_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+# -- grading values and indicators from the highest weight ------------------
+#
+# `grading_values` and `fs_indicator` read lam alone; the character routes
+# they replaced (dominant character against the Weyl orbit of h, and the
+# Adams operation with a Brauer-Klimyk square) are the references.
+
+CATALOG_KINDS = cli._appendix_kinds(8) + [C.SL2]
+
+
+def _fundamental_weights(sys):
+    """Doubled fundamental weights of a simple system."""
+    r, fam = sys.rank, sys.family
+    if fam == "A":
+        return [(2,) * i + (0,) * (r + 1 - i) for i in range(1, r + 1)]
+    out = [(2,) * i + (0,) * (r - i) for i in range(1, r + 1)]
+    if fam == "B":
+        out[-1] = (1,) * r
+    elif fam == "D":
+        out[-2:] = [(1,) * (r - 1) + (-1,), (1,) * r]
+    return out
+
+
+def _small_dominant_weights(sys, max_dim):
+    """Every dominant weight whose module has dimension <= max_dim; adding
+    a fundamental weight raises the dimension, so the search stops."""
+    zero = (0,) * sys.ambient
+    seen, todo = {zero}, [zero]
+    while todo:
+        lam = todo.pop()
+        for om in _fundamental_weights(sys):
+            mu = tuple(x + y for x, y in zip(lam, om))
+            if mu not in seen and W.weyl_dim(sys, mu) <= max_dim:
+                seen.add(mu)
+                todo.append(mu)
+    return sorted(seen)
+
+
+# short gradings beyond the catalog's: for all but the composite one
+# dom(-h) != dom(h), so the bottom of the string is not minus its top
+EXTRA_GRADINGS = [
+    (RootSystem("A", 2), (2, 0, 0)),
+    (RootSystem("A", 3), (2, 2, 0, 0)),
+    (RootSystem("D", 3), (1, 1, 1)),
+    (RootSystem("D", 5), (1, 1, 1, 1, 1)),
+    (composite(RootSystem("A", 1), RootSystem("B", 2)), (1, -1, 2, 0)),
+]
+
+
+def test_catalog_labels_match_character_routes():
+    labels = 0
+    for kind in CATALOG_KINDS:
+        sys, h2 = kind.root_system(), kind.cocharacter()
+        for name in _labels(kind):
+            lam = C.any_weight(kind, name)
+            assert W.grading_values(sys, lam, h2) == \
+                ref_grading_values(sys, lam, h2), (kind, name)
+            assert W.fs_indicator(sys, lam) == \
+                ref_fs_indicator_adams(sys, lam), (kind, name)
+            labels += 1
+    assert labels == 134
+
+
+@pytest.mark.parametrize(
+    "kind", [k for k in CATALOG_KINDS if k.root_system().rank <= 4], ids=str)
+def test_small_weights_match_character_routes(kind):
+    # over sl(2) the reference grows as the cube of the dimension
+    sys, h2 = kind.root_system(), kind.cocharacter()
+    weights = _small_dominant_weights(sys, 100 if sys.rank == 1 else 800)
+    assert len(weights) > 10
+    for lam in weights:
+        assert W.grading_values(sys, lam, h2) == \
+            ref_grading_values(sys, lam, h2), lam
+        assert W.fs_indicator(sys, lam) == ref_fs_indicator_adams(sys, lam), lam
+
+
+@pytest.mark.parametrize("sys, h2", EXTRA_GRADINGS, ids=str)
+def test_asymmetric_short_gradings_match(sys, h2):
+    parts = sys.components if hasattr(sys, "components") else (sys,)
+    max_dim = 200 if len(parts) == 1 else 25
+    dom = [_small_dominant_weights(c, max_dim) for c in parts]
+    for combo in itertools.product(*dom):
+        lam = tuple(x for part in combo for x in part)
+        assert W.grading_values(sys, lam, h2) == \
+            ref_grading_values(sys, lam, h2), lam
+
+
+@pytest.mark.parametrize("kind", CATALOG_KINDS, ids=str)
+def test_grading_values_refuse_a_long_grading(kind):
+    sys = kind.root_system()
+    lam = C.any_weight(kind, _labels(kind)[0])
+    with pytest.raises(ValueError, match="not a short grading"):
+        W.grading_values(sys, lam, tuple(2 * x for x in kind.cocharacter()))
