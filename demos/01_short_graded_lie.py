@@ -6,31 +6,31 @@ center), and the exact round trip back to the original multiplication table
 via x*y = [[f, x], y].
 """
 
-from smodquiver import jordan, tkk
+from smodquiver import reference, tables, tkk
 
 ALGEBRAS = {}
 
 # the ground field: e*e = e
-ALGEBRAS["k"] = jordan.StructureConstants([[[1]]])
+ALGEBRAS["k"] = tables.StructureConstants([[[1]]])
 
 # two orthogonal copies of the field
-ALGEBRAS["k + k"] = jordan.StructureConstants(
+ALGEBRAS["k + k"] = tables.StructureConstants(
     [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
 
 # symmetric 2x2 matrices under a*b = ab + ba, basis E11, E22, E12+E21
-ALGEBRAS["Sym2+"] = jordan.StructureConstants([
+ALGEBRAS["Sym2+"] = tables.StructureConstants([
     [[2, 0, 0], [0, 0, 0], [0, 0, 1]],
     [[0, 0, 0], [0, 2, 0], [0, 0, 1]],
     [[0, 0, 1], [0, 0, 1], [2, 2, 0]],
 ])
 
 # full 2x2 matrices, symmetrized
-ALGEBRAS["M2+"] = jordan.plus_product(jordan.matrix_algebra_table(2))
+ALGEBRAS["M2+"] = reference.plus_product(reference.matrix_algebra_table(2))
 
 for name, sc in ALGEBRAS.items():
     print(f"== {name} (dim {sc.dim})")
     print("   satisfies the defining identity:",
-          jordan.check_jordan_identity(sc))
+          tables.check_jordan_identity(sc))
     g = tkk.tkk_construct(sc)
     print(f"   graded dims {g.dims}, total {g.total_dim}")
     print("   minimal:", tkk.minimality_check(g))

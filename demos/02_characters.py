@@ -5,6 +5,7 @@ Freudenthal recursion on dominant weights, tensor decomposition by
 Brauer-Klimyk, duals, invariant-form indicators, and grading eigenvalues.
 """
 
+from smodquiver import reference as R
 from smodquiver import weights as W
 from smodquiver.weights import RootSystem
 
@@ -15,13 +16,13 @@ print("dim of the sp(6) module with highest weight w2:",
       W.weyl_dim(C3, (2, 2, 0)))
 print("dim of a half-spin module of so(12):", W.weyl_dim(D6, (1,) * 6))
 
-ad = W.weight_multiplicities(C3, (4, 0, 0))
+ad = R.weight_multiplicities(C3, (4, 0, 0))
 print("\nsp(6) adjoint: mass", ad.mass(),
       "zero-weight multiplicity", ad.mults[(0, 0, 0)])
 
-v = W.weight_multiplicities(C3, (2, 0, 0))
+v = R.weight_multiplicities(C3, (2, 0, 0))
 print("\nV (x) ad over sp(6) decomposes as:")
-for lam, m in sorted(W.tensor_decompose(v, ad).items()):
+for lam, m in sorted(R.tensor_decompose(v, ad).items()):
     print(f"   {m} x V_{lam} (dim {W.weyl_dim(C3, lam)})")
 
 print("\nduals: w1 of sl(6) ->",
@@ -37,8 +38,8 @@ for label, sys, lam in [
     print(f"   {label}: {W.fs_indicator(sys, lam)}")
 
 print("\ngrading eigenvalues of the so(12) standard module against e1:",
-      sorted(W.eigenvalue_set(W.weight_multiplicities(D6, (2, 0, 0, 0, 0, 0)),
+      sorted(R.eigenvalue_set(R.weight_multiplicities(D6, (2, 0, 0, 0, 0, 0)),
                               (2, 0, 0, 0, 0, 0))))
 print("... and of a half-spin module:",
-      sorted(W.eigenvalue_set(W.weight_multiplicities(D6, (1,) * 6),
+      sorted(R.eigenvalue_set(R.weight_multiplicities(D6, (1,) * 6),
                               (2, 0, 0, 0, 0, 0))))

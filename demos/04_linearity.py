@@ -10,6 +10,7 @@ from fractions import Fraction
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver import reference as R
 
 ONE = Fraction(1)
 
@@ -41,9 +42,9 @@ for v, r in sorted(tables.items()):
 
 # Segre products against polynomial and exterior multiplicity algebras
 a1 = P.PresentedAlgebra([0, 1], [(0, 0, 1), (1, 1, 0)], [[(ONE, (0, 1))]])
-for name, b in (("S(W), dim W = 2", P.sym_algebra(2, 3)),
-                ("Lambda(W), dim W = 2", P.ext_algebra(2))):
-    seg = P.segre_product(a1, b)
+for name, b in (("S(W), dim W = 2", R.sym_algebra(2, 3)),
+                ("Lambda(W), dim W = 2", R.ext_algebra(2))):
+    seg = R.segre_product(a1, b)
     print(f"\nSegre with {name}: hilbert {seg.hilbert()}")
 
 # control: a cubic monomial relation breaks linearity at step 2

@@ -17,30 +17,31 @@ __version__ = "0.1.0"
 
 # home module -> the names re-exported from it
 _EXPORTS = {
-    "jordan": ("Albert", "BiRepresentation", "Bilinear", "Field", "Hermitian",
-               "JordanSpec", "StructureConstants", "TensorOfSpecial", "Unital",
-               "check_birepresentation", "check_jordan_identity",
-               "peirce_split", "plus_product", "regular_birep", "unitalize",
-               "validate_spec"),
-    "tkk": ("LieDatum", "ShortGradedLie", "central_extension_dim",
-            "jordan_from_short_pair", "lie_datum_of_spec", "minimality_check",
+    "jordan": ("Albert", "Bilinear", "Field", "Hermitian", "JordanSpec",
+               "LieDatum", "TensorOfSpecial", "Unital", "central_extension_dim",
+               "lie_datum_of_spec", "unitalize", "validate_spec"),
+    "tables": ("StructureConstants", "check_jordan_identity"),
+    "tkk": ("ShortGradedLie", "jordan_from_short_pair", "minimality_check",
             "tkk_construct"),
-    "weights": ("Character", "RootSystem", "composite", "dual_weight",
-                "ext_sym_square", "fs_indicator", "tensor_decompose",
-                "trivial_multiplicity", "weight_multiplicities", "weyl_dim"),
+    "weights": ("RootSystem", "composite", "dual_weight", "fs_indicator",
+                "weyl_dim"),
     "catalog": ("E7", "SL", "SL2", "SO1", "SO2", "SP", "duality_form",
                 "grading_eigenvalues", "is_s_half", "restrict_s",
                 "s_half_simples", "s_one_simples"),
     "quiver": ("QuiverReport", "assemble", "arrows_of", "classify_block",
-               "group_radical", "relations_of", "report_from_dict",
-               "report_to_dict", "wildness_flag"),
-    "pathalg": ("PresentedAlgebra", "ext_algebra", "from_presentation",
-                "koszul_check", "minimal_resolution", "pi_product",
-                "segre_product", "sym_algebra"),
+               "group_radical", "relations_of", "report_to_dict",
+               "wildness_flag"),
+    "pathalg": ("PresentedAlgebra", "from_presentation", "koszul_check",
+                "minimal_resolution"),
+    "reference": ("BiRepresentation", "Character", "check_birepresentation",
+                  "ext_algebra", "ext_sym_square", "peirce_split", "pi_product",
+                  "plus_product", "regular_birep", "report_from_dict",
+                  "segre_product", "sym_algebra", "tensor_decompose",
+                  "trivial_multiplicity", "weight_multiplicities"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("catalog", "cli", "jordan", "linalg", "oracles", "pathalg",
-               "quiver", "tkk", "weights")
+               "quiver", "reference", "tables", "tkk", "weights")
 
 __all__ = sorted(_HOME)
 

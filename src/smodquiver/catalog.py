@@ -27,7 +27,6 @@ class UnknownLabel(KeyError):
 
 
 HALF = frozenset((Fraction(1, 2), Fraction(-1, 2)))
-SHORT = frozenset((Fraction(-1), Fraction(0), Fraction(1)))
 
 
 class LieKind(namedtuple("LieKind", "series size")):
@@ -256,13 +255,6 @@ def is_s_half(kind, lam):
     return grading_eigenvalues(kind, lam) == HALF
 
 
-def is_s_one(kind, lam):
-    if kind.series == "e7":
-        return False
-    ev = grading_eigenvalues(kind, lam)
-    return ev <= SHORT and ev != {Fraction(0)}
-
-
 @lru_cache(maxsize=None)
 def _name_of_half_weight(kind, lam):
     for name, w in _half_weight_table(kind).items():
@@ -346,17 +338,6 @@ def classical_parity(kind, name):
     sys = kind.root_system()
     ind = weights.fs_indicator(sys, any_weight(kind, name))
     return {1: "symmetric", -1: "skew", 0: "none"}[ind]
-
-
-def parity_discrepancies(kind):
-    """Half-simple names where the table parity differs from the engine."""
-    out = []
-    for lab in s_half_simples(kind):
-        table = duality_form(kind, lab.name).parity
-        engine = classical_parity(kind, lab.name)
-        if table != engine:
-            out.append((lab.name, table, engine))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,9 @@ EXIT_VALIDATION = 2
 EXIT_VERIFY = 3
 EXIT_CAP = 4
 
-# verify-appendix work grows about 2^r to 3^r with the rank r
+# verify-appendix work grows about 2^r to 3^r with the rank r; the appendix
+# starts at rank 2 with so2(5)
+MIN_APPENDIX_RANK = 2
 MAX_APPENDIX_RANK = 12
 
 
@@ -211,6 +213,10 @@ def verify_appendix(max_rank):
 
 
 def cmd_verify_appendix(args):
+    if args.max_rank < MIN_APPENDIX_RANK:
+        raise CliError(EXIT_VALIDATION, "cap-invalid", f"max rank {args.max_rank} "
+                       f"is below rank {MIN_APPENDIX_RANK}, where the appendix "
+                       "starts (so2(5))")
     if args.max_rank > MAX_APPENDIX_RANK:
         raise CliError(EXIT_CAP, "cap-exceeded", f"max rank {args.max_rank} "
                        f"exceeds the appendix bound {MAX_APPENDIX_RANK}")
@@ -220,11 +226,11 @@ def cmd_verify_appendix(args):
 
 
 def cmd_tkk_check(args):
-    from . import jordan
+    from . import tables
 
     try:
         with open(args.table, "r", encoding="utf-8") as fh:
-            sc = jordan.table_from_dict(json.load(fh))
+            sc = tables.table_from_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_VALIDATION, "table-parse", str(exc)) from exc
     from . import tkk  # only a table that parses needs the construction
@@ -233,12 +239,12 @@ def cmd_tkk_check(args):
         raise CliError(EXIT_CAP, "cap-exceeded",
                        f"table dim {sc.dim} exceeds the explicit construction "
                        f"bound {tkk.MAX_EXPLICIT_DIM}")
-    bits = jordan.table_bits(sc)
+    bits = tables.table_bits(sc)
     if bits > tkk.MAX_TABLE_BITS:
         raise CliError(EXIT_CAP, "cap-exceeded",
                        f"table bits {bits} (dim^2 times the longest entry) "
                        f"exceed the bound {tkk.MAX_TABLE_BITS}")
-    verdicts = {"jordanIdentity": jordan.check_jordan_identity(sc)}
+    verdicts = {"jordanIdentity": tables.check_jordan_identity(sc)}
     if verdicts["jordanIdentity"]:
         try:
             g = tkk.tkk_construct(sc)

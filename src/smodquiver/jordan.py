@@ -1,34 +1,23 @@
-"""Commutative algebras with the partial associativity law, and their modules.
+"""Commutative algebras with the partial associativity law, at the spec level.
 
-Carries both classification-level data (`JordanSpec`: simple ideals plus a
-square-zero radical given by catalog labels) and explicit structure constants
-for small algebras, with exact multilinearized identity checks.
-
-Coefficients are exact: `int` or `Fraction`, never a float.  Identities are
-checked on basis tuples after full multilinearization, which is equivalent
-over an infinite field.  The Jordan identity check runs over `int`: every
-term of the linearized identity is a product of three structure constants,
-so scaling the table by the lcm L of its denominators multiplies each side
-by L**3 and leaves the verdict unchanged.
+A `JordanSpec` names an algebra by its classification: simple ideals
+(field, bilinear, hermitian, Albert) plus a square-zero radical whose
+components are catalog labels with multiplicities.  This module parses and
+validates specs (`spec_from_dict`, `load_spec`, `validate_spec`) and maps a
+spec to its graded Lie datum: `lie_datum_of_spec` gives the graded simple
+kind of each ideal and the radical entries with their multiplicity spaces,
+and `central_extension_dim` the dimension of the universal central extension
+of the radical.  No structure constant is built here; the explicit level is
+`tables` (structure constants) and `tkk` (the TKK construction).
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from collections import namedtuple
-from fractions import Fraction
 
-from .linalg import (Q0, Q1, Echelon, dense_vector, denominator_lcm, op_commutator,
-                     op_lines, op_mul, qvec, sparse_vector)
-
-
-class CubicIdentityFails(ArithmeticError):
-    """rho(e)(rho(e)-1)(2 rho(e)-1) != 0: not a module over the algebra."""
-
-
-class NotAssociative(ArithmeticError):
-    pass
+from . import catalog
+from .catalog import E7, SL, SL2, SO1, SO2, SP
 
 
 class SpecError(ValueError):
@@ -110,9 +99,6 @@ _TRIVIAL_NAMES = {"tr", "trivial"}
 
 def validate_spec(spec: JordanSpec) -> ValidationReport:
     """Report-style validation of a classification-level spec."""
-    from . import catalog
-    from .tkk import kind_of_ideal
-
     rep = ValidationReport()
     bad = rep.violations.append
     for i, ideal in enumerate(spec.ideals):
@@ -265,341 +251,129 @@ def load_spec(path) -> JordanSpec:
         return spec_from_dict(json.load(fh))
 
 
-def _exponent(s):
-    """Magnitude of the decimal exponent of a string such as '1.5e-3'.
+# ---------------------------------------------------------------------------
+# the graded Lie datum of a spec
 
-    0 when there is none or it is malformed (Fraction then rejects it).
+
+def kind_of_ideal(ideal: SimpleIdealKind):
+    """The graded simple `catalog.LieKind` of a simple ideal."""
+    if ideal.kind == "field":
+        return SL2
+    if ideal.kind == "bilinear":
+        if ideal.dim < 3:
+            raise ValueError("bilinear ideal requires dim >= 3")
+        return SO2(ideal.dim + 2)
+    if ideal.kind == "hermitian":
+        if ideal.n < 3:
+            raise ValueError("hermitian ideal requires n >= 3")
+        if ideal.comp == 1:
+            return SP(2 * ideal.n)
+        if ideal.comp == 2:
+            return SL(2 * ideal.n)
+        if ideal.comp == 4:
+            return SO1(4 * ideal.n)
+        raise ValueError("hermitian component dim must be 1, 2 or 4")
+    if ideal.kind == "albert":
+        return E7
+    raise ValueError(f"unknown ideal kind {ideal.kind!r}")
+
+
+class RadicalEntry(namedtuple("RadicalEntry", "support labels w_dim")):
+    """A simple summand of the radical, with its multiplicity space.
+
+    support: one or two summand indices; labels: parallel catalog names.
     """
-    _, e, exp = s.lower().partition("e")
-    try:
-        return abs(int(exp)) if e else 0
-    except ValueError:
-        return 0
+
+    __slots__ = ()
+
+    @property
+    def is_tensor(self):
+        return len(self.support) == 2
 
 
-def _rational(x):
-    """A JSON integer, finite JSON number or Fraction string, exactly.
-
-    Fraction expands a string's exponent into an integer with that many
-    digits, so the exponent gets the bound Python already puts on integer
-    digit strings (`sys.get_int_max_str_digits()`; 0, or an interpreter
-    without the limit, means none).
-    """
-    if type(x) is bool or not isinstance(x, (int, float, str)):
-        raise ValueError(f"bad rational {x!r}")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if isinstance(x, str) and limit and _exponent(x) > limit:
-        raise ValueError(f"bad rational {x[:40]!r}: exponent exceeds the "
-                         f"integer digit limit {limit}")
-    try:
-        return Fraction(x)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"bad rational {x!r}: {exc}") from exc
+# summands: LieKind per simple ideal; radical: merged RadicalEntry list
+LieDatum = namedtuple("LieDatum", "summands radical")
 
 
-def table_from_dict(data: dict) -> StructureConstants:
-    """Structure constants from {"dim": n, "products": rows}.
-
-    `dim` must be a JSON integer >= 1 and `products` exactly n rows of n
-    vectors of n rationals, the vector in row i, column j being e_i * e_j.
-    """
-    if not isinstance(data, dict):
-        raise ValueError("table must be a JSON object")
-    n = _int(data, "dim")
-    if n < 1:
-        raise ValueError(f"'dim' must be at least 1, not {n}")
-    rows = data["products"]
-    if not (isinstance(rows, list) and len(rows) == n
-            and all(isinstance(r, list) and len(r) == n for r in rows)):
-        raise ValueError(f"'products' must be {n} rows of {n} vectors")
-    table = []
-    for row in rows:
-        for v in row:
-            if not (isinstance(v, list) and len(v) == n):
-                raise ValueError(f"product entry {v!r} is not a {n}-vector")
-        table.append([[_rational(x) for x in v] for v in row])
-    return StructureConstants(table)
+def lie_datum_of_spec(spec: JordanSpec) -> LieDatum:
+    """Classification-level graded Lie datum of a unital spec."""
+    report = validate_spec(spec)
+    if not report.ok:
+        raise SpecError(report)
+    if not spec.unital:
+        raise ValueError("spec must be unital (apply unitalize first)")
+    kinds = tuple(kind_of_ideal(i) for i in spec.ideals)
+    merged = {}
+    for comp in spec.radical:
+        refs = sorted(comp.refs)
+        key = (tuple(i for i, _ in refs), tuple(l for _, l in refs))
+        merged[key] = merged.get(key, 0) + comp.mult
+    entries = tuple(RadicalEntry(sup, labs, merged[(sup, labs)])
+                    for sup, labs in sorted(merged))
+    return LieDatum(kinds, entries)
 
 
 # ---------------------------------------------------------------------------
-# explicit structure constants
+# central extensions
 
 
-def _sparse_table(table):
-    """table[i][j] as the sparse vector {k: x} of the product e_i * e_j."""
-    return tuple(tuple(sparse_vector(v) for v in row) for row in table)
+class CentextReport:
+    __slots__ = ("pair_dims", "total")
+
+    def __init__(self, pair_dims=None, total=0):
+        # (q, q') with q <= q' -> dim
+        self.pair_dims = {} if pair_dims is None else pair_dims
+        self.total = total
 
 
-def _table_product(table, x, y):
-    """Product of sparse vectors x and y through a sparse table."""
-    out = {}
-    for i, xi in x.items():
-        row = table[i]
-        for j, yj in y.items():
-            for k, c in row[j].items():
-                out[k] = out.get(k, 0) + xi * yj * c
-    return {k: c for k, c in out.items() if c}
+def _parity_indicator(kind, name):
+    """(t_sym, t_alt): trivial multiplicity in S^2 and Lambda^2 (classical)."""
+    p = catalog.classical_parity(kind, name)
+    return (1 if p == "symmetric" else 0, 1 if p == "skew" else 0)
 
 
-def _integral_table(table):
-    """The sparse table times the lcm of its denominators, over int."""
-    scale = denominator_lcm(v for row in table for v in row)
-    return tuple(tuple({k: c.numerator * (scale // c.denominator)
-                        for k, c in v.items()} for v in row) for row in table)
+def _entry_parities(datum, entry):
+    ts, tl = 1, 0  # neutral for the 1-dim case; replaced below
+    if entry.is_tensor:
+        (ka, kb) = (datum.summands[entry.support[0]], datum.summands[entry.support[1]])
+        sa, la_ = _parity_indicator(ka, entry.labels[0])
+        sb, lb_ = _parity_indicator(kb, entry.labels[1])
+        ts = sa * sb + la_ * lb_
+        tl = sa * lb_ + la_ * sb
+    else:
+        kind = datum.summands[entry.support[0]]
+        ts, tl = _parity_indicator(kind, entry.labels[0])
+    return ts, tl
 
 
-def table_bits(sc):
-    """dim^2 times the bit length of the largest entry of the table scaled
-    to integers: the size of one operator L_i were every entry that long."""
-    return sc.dim ** 2 * max((abs(c).bit_length()
-                              for row in _integral_table(sc.sparse)
-                              for v in row for c in v.values()), default=0)
+def _entries_dual(datum, e1, e2):
+    if e1.support != e2.support:
+        return False
+    duals = tuple(catalog.dual_label(datum.summands[i], l)
+                  for i, l in zip(e1.support, e1.labels))
+    return duals == e2.labels
 
 
-class StructureConstants:
-    """Commutative product on k^n: c[i][j] is the vector e_i * e_j.
+def central_extension_dim(datum: LieDatum) -> CentextReport:
+    """dim of the invariants of the alternating square of the radical.
 
-    `sparse` holds the same table as sparse vectors {k: x}."""
-
-    def __init__(self, table):
-        self.c = tuple(tuple(tuple(Fraction(x) for x in v) for v in row)
-                       for row in table)
-        self.dim = len(self.c)
-        for i in range(self.dim):
-            if len(self.c[i]) != self.dim:
-                raise ValueError("table is not square")
-            for j in range(self.dim):
-                if len(self.c[i][j]) != self.dim:
-                    raise ValueError("entries must be n-vectors")
-                if self.c[i][j] != self.c[j][i]:
-                    raise ValueError("table is not commutative")
-        self.sparse = _sparse_table(self.c)
-        self._jordan = None   # verdict of check_jordan_identity, once known
-
-    def mul(self, x, y):
-        xy = _table_product(self.sparse, sparse_vector(x), sparse_vector(y))
-        return dense_vector(xy, self.dim)
-
-    def left_mult_matrix(self, i):
-        """Matrix of x -> e_i * x."""
-        return [[self.c[i][j][k] for j in range(self.dim)] for k in range(self.dim)]
-
-    def __eq__(self, other):
-        return isinstance(other, StructureConstants) and self.c == other.c
-
-
-def find_unit(sc: StructureConstants):
-    """The unit element as a vector, or None.
-
-    The unit u solves u * e_i = e_i for every i: one equation per (i, k)
-    over the columns 0..n-1, with its right-hand side in column n.
+    Computed per pair of radical entries: within one entry W(x)M the
+    contribution is dim S^2(W) * [M alternating] + dim Lambda^2(W) *
+    [M symmetric]; a cross pair contributes dim W * dim W' iff the base
+    modules are dual.  Parities come from the character engine (classical
+    indicators), so this is the honest cohomological dimension.
     """
-    n = sc.dim
-    ech = Echelon()
-    for i in range(n):
-        for k in range(n):
-            row = {j: sc.c[j][i][k] for j in range(n) if sc.c[j][i][k]}
-            if k == i:
-                row[n] = Q1
-            ech.add(row)
-    if n in ech.rows:
-        return None
-    x = [Q0] * n
-    for p, row in ech.rows.items():
-        x[p] = row.get(n, Q0)
-    return x
-
-
-def check_jordan_identity(sc: StructureConstants) -> bool:
-    """Full multilinearization of ((a*a)*b)*a = (a*a)*(b*a) on basis tuples.
-
-    The check runs once per instance over the sparse table scaled to `int`
-    (the identity is homogeneous of degree 3 in the table); the verdict is
-    kept on `sc`.
-    """
-    if sc._jordan is None:
-        sc._jordan = _jordan_identity(_integral_table(sc.sparse))
-    return sc._jordan
-
-
-def _times_basis(t, v, b):
-    """v * e_b through a sparse table."""
-    out = {}
-    for i, x in v.items():
-        for k, c in t[i][b].items():
-            out[k] = out.get(k, 0) + x * c
-    return out
-
-
-def _jordan_identity(t):
-    n = len(t)
-    for x in range(n):
-        for y in range(x, n):
-            for z in range(y, n):
-                # the cyclic shifts (p, q, r) of (x, y, z), as (e_p e_q, r)
-                shifts = ((t[x][y], z), (t[y][z], x), (t[z][x], y))
-                for b in range(n):
-                    # sum over the shifts of ((e_p e_q) e_b) e_r - (e_p e_q)(e_b e_r)
-                    acc = {}
-                    for pq, r in shifts:
-                        left = _times_basis(t, _times_basis(t, pq, b), r)
-                        for k, c in left.items():
-                            acc[k] = acc.get(k, 0) + c
-                        for k, c in _table_product(t, pq, t[b][r]).items():
-                            acc[k] = acc.get(k, 0) - c
-                    if any(acc.values()):
-                        return False
-    return True
-
-
-class BiRepresentation:
-    __slots__ = ("algebra", "matrices")
-
-    def __init__(self, algebra: StructureConstants, matrices: list):
-        self.algebra = algebra
-        # d x d rational matrices, one per algebra basis vector
-        self.matrices = matrices
-
-    @property
-    def dim(self):
-        return len(self.matrices[0]) if self.matrices else 0
-
-    def rho(self, vec):
-        d = self.dim
-        out = [[Q0] * d for _ in range(d)]
-        for coeff, mat in zip(vec, self.matrices):
-            if coeff:
-                for r in range(d):
-                    for c in range(d):
-                        if mat[r][c]:
-                            out[r][c] += coeff * mat[r][c]
-        return out
-
-
-def regular_birep(sc: StructureConstants) -> BiRepresentation:
-    return BiRepresentation(sc, [sc.left_mult_matrix(i) for i in range(sc.dim)])
-
-
-def _op_sum(terms):
-    """sum c * op over the (c, op) pairs, a sparse operator without zeros."""
-    out = {}
-    for c, op in terms:
-        for key, x in op.items():
-            out[key] = out.get(key, 0) + c * x
-    return {key: x for key, x in out.items() if x}
-
-
-def _sparse_ops(rep):
-    """rho of each basis vector, as a sparse operator {(row, col): x}."""
-    return [{(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x}
-            for m in rep.matrices]
-
-
-def _rho(ops, vec):
-    """rho of a sparse vector, from the sparse operators of the basis."""
-    return _op_sum((x, ops[i]) for i, x in vec.items())
-
-
-def check_birepresentation(rep: BiRepresentation) -> bool:
-    """Multilinearized module identities on all basis triples."""
-    sc = rep.algebra
-    n = sc.dim
-    t = sc.sparse
-    ops = _sparse_ops(rep)
-    rho_qr = [[_rho(ops, t[q][r]) for r in range(n)] for q in range(n)]
-
-    # rho(a)rho(b)rho(c) + rho(c)rho(b)rho(a) + rho((a*c)*b)
-    #   = rho(a)rho(b*c) + rho(b)rho(c*a) + rho(c)rho(a*b)
-    for a in range(n):
-        for c in range(a, n):
-            for b in range(n):
-                terms = [(1, op_mul(op_mul(ops[a], ops[b]), ops[c])),
-                         (1, op_mul(op_mul(ops[c], ops[b]), ops[a])),
-                         (1, _rho(ops, _times_basis(t, t[a][c], b)))]
-                terms += [(-1, op_mul(ops[p], rho_qr[q][r]))
-                          for p, q, r in ((a, b, c), (b, c, a), (c, a, b))]
-                if _op_sum(terms):
-                    return False
-    # linearized [rho(a), rho(a*a)] = 0
-    for x in range(n):
-        for y in range(x, n):
-            for z in range(y, n):
-                if _op_sum((1, op_commutator(ops[p], rho_qr[q][r]))
-                           for p, q, r in ((x, y, z), (y, z, x), (z, x, y))):
-                    return False
-    return True
-
-
-class PeirceSplit:
-    __slots__ = ("dims", "bases")
-
-    def __init__(self, dims: tuple, bases: tuple):
-        self.dims = dims      # (dim M_0, dim M_1/2, dim M_1)
-        self.bases = bases    # eigenvector bases for 0, 1/2, 1
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.dims == other.dims and self.bases == other.bases
-
-
-def peirce_split(rep: BiRepresentation, e) -> PeirceSplit:
-    """Eigenspace split of rho(e) for eigenvalues 0, 1/2, 1.
-
-    `e` is a basis index or an explicit vector; it must be the unit of the
-    algebra.  Raises CubicIdentityFails if rho(e)(rho(e)-1)(2rho(e)-1) != 0.
-    """
-    sc = rep.algebra
-    evec = {e: Q1} if isinstance(e, int) else sparse_vector(e)
-    for i in range(sc.dim):
-        if _table_product(sc.sparse, evec, {i: Q1}) != {i: Q1}:
-            raise ValueError("e is not the unit of the algebra")
-    d = rep.dim
-    re = _rho(_sparse_ops(rep), evec)
-    # rho(e)(rho(e)-1)(2rho(e)-1) = 2rho(e)^3 - 3rho(e)^2 + rho(e)
-    re2 = op_mul(re, re)
-    if _op_sum(((2, op_mul(re2, re)), (-3, re2), (1, re))):
-        raise CubicIdentityFails("rho(e)(rho(e)-1)(2rho(e)-1) != 0")
-    ident = {(i, i): Q1 for i in range(d)}
-    bases = []
-    for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        ech = Echelon()
-        for row in op_lines(_op_sum(((1, re), (-lam, ident))))[0].values():
-            ech.add(dict(row))
-        bases.append(tuple(tuple(dense_vector(v, d)) for v in ech.kernel(range(d))))
-    dims = tuple(len(b) for b in bases)
-    assert sum(dims) == d
-    return PeirceSplit(dims, tuple(bases))
-
-
-def plus_product(assoc_table) -> StructureConstants:
-    """Symmetrized product a*b = ab + ba of an associative table."""
-    table = [[qvec(v) for v in row] for row in assoc_table]
-    n = len(table)
-    sparse = _sparse_table(table)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if (_table_product(sparse, sparse[i][j], {k: Q1})
-                        != _table_product(sparse, {i: Q1}, sparse[j][k])):
-                    raise NotAssociative(f"({i}*{j})*{k} != {i}*({j}*{k})")
-    sym = [[tuple(x + y for x, y in zip(table[i][j], table[j][i]))
-            for j in range(n)] for i in range(n)]
-    return StructureConstants(sym)
-
-
-def matrix_algebra_table(n):
-    """Associative structure constants of M_n(k) on the basis E_ij (row-major)."""
-    dim = n * n
-
-    def idx(i, j):
-        return i * n + j
-
-    table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        table[idx(i, j)][idx(k, l)][idx(i, l)] = Fraction(1)
-    return table
+    rep = CentextReport()
+    entries = datum.radical
+    for q, e in enumerate(entries):
+        ts, tl = _entry_parities(datum, e)
+        k = e.w_dim
+        dim = (k * (k + 1) // 2) * tl + (k * (k - 1) // 2) * ts
+        if dim:
+            rep.pair_dims[(q, q)] = dim
+        for q2 in range(q + 1, len(entries)):
+            e2 = entries[q2]
+            if _entries_dual(datum, e, e2):
+                rep.pair_dims[(q, q2)] = e.w_dim * e2.w_dim
+    rep.total = sum(rep.pair_dims.values())
+    return rep

@@ -27,10 +27,6 @@ def exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def qvec(seq):
-    return [Fraction(x) for x in seq]
-
-
 def sparse_vector(seq):
     """Sparse form {index: Fraction} of a dense sequence."""
     return {j: Fraction(x) for j, x in enumerate(seq) if x}

@@ -1,11 +1,11 @@
 """Finite-dimensional graded pointed algebras and their resolutions.
 
-Two carriers share one protocol (dims / src / dst / mul):
-
-  * PresentedAlgebra: quiver + quadratic relations, basis extracted degree by
-    degree (degree-d spanning pairs arrow(x)A_{d-1} modulo relation spreads);
-  * TensorGradedAlgebra: degreewise tensor with a connected graded algebra
-    (Segre products against S(W) or Lambda(W)).
+`PresentedAlgebra` is a quiver with quadratic relations, its basis
+extracted degree by degree (degree-d spanning pairs arrow(x)A_{d-1} modulo
+relation spreads).  It speaks the dims / src / dst / mul protocol of
+`GradedProtocol`; the other carriers of the protocol, the auxiliary
+single-vertex algebras and the Segre and glued products, live in
+`reference`.
 
 On top of the protocol: Hilbert series, minimal graded resolutions of the
 vertex simples with exact Betti tables, and the linearity check up to a
@@ -13,8 +13,6 @@ homological cap.  All arithmetic is exact.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .linalg import Echelon, exact
 
@@ -234,154 +232,6 @@ def from_presentation(quiver, relations, deg_cap=8) -> PresentedAlgebra:
     return PresentedAlgebra([v.vid for v in quiver.vertices],
                             [(t.tid, t.src, t.dst) for t in quiver.thin],
                             [r.terms for r in relations], deg_cap)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary graded algebras (single vertex) and the Segre product
-
-
-class SimpleGradedAlgebra(GradedProtocol):
-    """Connected graded algebra with an explicit basis and product rule."""
-
-    def __init__(self, vertex, basis_by_degree, mul_fn):
-        self.vertices = (vertex,)
-        self._basis = basis_by_degree          # list of lists of labels
-        self._index = [{b: i for i, b in enumerate(layer)}
-                       for layer in basis_by_degree]
-        self._mul_fn = mul_fn
-
-    @property
-    def top_degree(self):
-        return len(self._basis) - 1
-
-    def dims(self, d):
-        return len(self._basis[d]) if 0 <= d <= self.top_degree else 0
-
-    def src(self, d, i):
-        return self.vertices[0]
-
-    def dst(self, d, i):
-        return self.vertices[0]
-
-    def mul(self, d1, i, d2, j):
-        if d1 + d2 > self.top_degree:
-            return ()
-        out = []
-        for label, coef in self._mul_fn(d1, self._basis[d1][i],
-                                        d2, self._basis[d2][j]):
-            out.append((self._index[d1 + d2][label], coef))
-        return tuple(out)
-
-
-def sym_algebra(k, cap, vertex=0) -> SimpleGradedAlgebra:
-    """Polynomial algebra on k variables truncated above degree cap."""
-    basis = [sorted(itertools.combinations_with_replacement(range(k), d))
-             for d in range(cap + 1)]
-
-    def mul(d1, m1, d2, m2):
-        return ((tuple(sorted(m1 + m2)), 1),)
-
-    return SimpleGradedAlgebra(vertex, basis, mul)
-
-
-def ext_algebra(k, vertex=0) -> SimpleGradedAlgebra:
-    """Exterior algebra on k anticommuting generators."""
-    basis = [sorted(itertools.combinations(range(k), d)) for d in range(k + 1)]
-
-    def mul(d1, m1, d2, m2):
-        if set(m1) & set(m2):
-            return ()
-        merged = m1 + m2
-        target = tuple(sorted(merged))
-        # sign of the sorting permutation
-        perm = sorted(range(len(merged)), key=lambda t: merged[t])
-        sign = 1
-        seen = [False] * len(perm)
-        for s in range(len(perm)):
-            if seen[s]:
-                continue
-            length = 0
-            t = s
-            while not seen[t]:
-                seen[t] = True
-                t = perm[t]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return ((target, sign),)
-
-    return SimpleGradedAlgebra(vertex, basis, mul)
-
-
-class TensorGradedAlgebra(GradedProtocol):
-    """Degreewise tensor product A_n (x) B_n; vertices come from A."""
-
-    def __init__(self, a, b):
-        if len(b.vertices) != 1:
-            raise VertexMismatch("second factor must be connected (one vertex)")
-        self.a, self.b = a, b
-        self.vertices = tuple(a.vertices)
-        self.top = min(a.top_degree, b.top_degree)
-        while self.top > 0 and self.dims(self.top) == 0:
-            self.top -= 1
-
-    @property
-    def top_degree(self):
-        return self.top
-
-    def dims(self, d):
-        if d < 0 or d > self.top:
-            return 0
-        return self.a.dims(d) * self.b.dims(d)
-
-    def _split(self, d, i):
-        nb = self.b.dims(d)
-        return divmod(i, nb)
-
-    def src(self, d, i):
-        return self.a.src(d, self._split(d, i)[0])
-
-    def dst(self, d, i):
-        return self.a.dst(d, self._split(d, i)[0])
-
-    def mul(self, d1, i, d2, j):
-        if d1 + d2 > self.top:
-            return ()
-        ia, ib = self._split(d1, i)
-        ja, jb = self._split(d2, j)
-        out = {}
-        nb = self.b.dims(d1 + d2)
-        for ka, ca in self.a.mul(d1, ia, d2, ja):
-            for kb, cb in self.b.mul(d1, ib, d2, jb):
-                k = ka * nb + kb
-                out[k] = out.get(k, 0) + ca * cb
-        return tuple((k, c) for k, c in sorted(out.items()) if c)
-
-
-def segre_product(a, b) -> TensorGradedAlgebra:
-    """Degreewise tensor product of a pointed algebra with a connected one."""
-    return TensorGradedAlgebra(a, b)
-
-
-def pi_product(a: PresentedAlgebra, b: PresentedAlgebra,
-               deg_cap=8) -> PresentedAlgebra:
-    """Glue two presented algebras along a common vertex set; mixed
-    positive-degree products vanish."""
-    if set(a.vertices) != set(b.vertices):
-        raise VertexMismatch("degree-0 parts differ")
-    arrows = [(("a", aid), src, dst) for aid, src, dst in a.arrows]
-    arrows += [(("b", aid), src, dst) for aid, src, dst in b.arrows]
-    rels = []
-    for tag, alg in (("a", a), ("b", b)):
-        for terms in alg.relations:
-            rels.append(tuple((c, tuple((tag, aid) for aid in p))
-                              for c, p in terms))
-    for f_tag, f_alg, g_tag, g_alg in (("a", a, "b", b), ("b", b, "a", a)):
-        for faid, fsrc, fdst in f_alg.arrows:
-            for gaid, gsrc, gdst in g_alg.arrows:
-                if fsrc == gdst:
-                    rels.append(((1, ((f_tag, faid), (g_tag, gaid))),))
-    return PresentedAlgebra(a.vertices, arrows, rels, deg_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import catalog, jordan, tkk
+from . import catalog, jordan
 from .catalog import SL2
 
 # bound on thin arrows plus composable thin-arrow pairs: every relation is
@@ -78,7 +78,7 @@ QuiverReport = namedtuple(
 # radical groups
 
 
-def group_radical(datum: tkk.LieDatum):
+def group_radical(datum: jordan.LieDatum):
     """Radical entries with singularity and form parity attached."""
     half = Fraction(1, 2)
     groups = []
@@ -122,7 +122,7 @@ def _parity_product(p1, p2):
 # vertices and arrows
 
 
-def arrows_of(datum: tkk.LieDatum, groups):
+def arrows_of(datum: jordan.LieDatum, groups):
     """Colored quiver: half simples per summand, one thick arrow per
     (group, direction)."""
     vertices = []
@@ -421,7 +421,7 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
     if not report.ok:
         raise jordan.SpecError(report)
     spec = jordan.unitalize(spec)
-    datum = tkk.lie_datum_of_spec(spec)
+    datum = jordan.lie_datum_of_spec(spec)
     groups = group_radical(datum)
     quiver, groups = arrows_of(datum, groups)
     thin_map = _thin_by_thick(quiver)
@@ -473,7 +473,7 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
             if b1 is not b2:
                 all_rels.extend(_zero_relations(quiver, b1.thin_ids, b2.thin_ids))
 
-    cent = tkk.central_extension_dim(datum)
+    cent = jordan.central_extension_dim(datum)
     return QuiverReport(
         schema_version=1,
         spec=jordan.spec_to_dict(spec),
@@ -528,39 +528,3 @@ def report_to_dict(rep: QuiverReport) -> dict:
                     "total": rep.centext_total},
         "notes": list(rep.notes),
     }
-
-
-def report_from_dict(data: dict) -> QuiverReport:
-    def rel(terms):
-        return Relation(tuple((Fraction(t["coef"]), tuple(t["path"]))
-                              for t in terms))
-
-    vertices = tuple(Vertex(v["id"], v["color"], v["label"])
-                     for v in data["vertices"])
-    arrows = tuple(ThickArrow(a["id"], a["src"], a["dst"], a["group"], a["wDim"])
-                   for a in data["arrows"])
-    thin = tuple(ThinArrow(t["id"], t["src"], t["dst"], t["group"], t["wIndex"])
-                 for t in data["thinArrows"])
-    groups = tuple(RadicalGroup(g["index"], tuple(g["support"]),
-                                tuple(g["labels"]), g["wDim"], g["type"],
-                                g["singular"], g["parity"], g["engineParity"],
-                                g["inert"]) for g in data["groups"])
-    blocks = tuple(Block(b["kind"], tuple(b["groups"]), tuple(b["vertices"]),
-                         tuple(b["thinArrows"]),
-                         tuple(rel(r) for r in b["relations"]),
-                         b["isolated"], b["descriptor"], tuple(b["notes"]))
-                   for b in data["blocks"])
-    return QuiverReport(
-        schema_version=data["schemaVersion"],
-        spec=data["spec"],
-        summands=tuple(data["summands"]),
-        groups=groups,
-        quiver=Quiver(vertices, arrows, thin),
-        blocks=blocks,
-        relations=tuple(rel(r) for r in data["relations"]),
-        wild=data["wild"],
-        centext_pairs=tuple((tuple(p["groups"]), p["dim"])
-                            for p in data["centext"]["pairs"]),
-        centext_total=data["centext"]["total"],
-        notes=tuple(data["notes"]),
-    )

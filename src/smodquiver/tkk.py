@@ -1,25 +1,24 @@
-"""Short-graded Lie algebras from commutative algebra structure constants.
+"""The explicit TKK construction on a table of structure constants.
 
 `tkk_construct` realizes g = g_{-1} + g_0 + g_1 with g_{-1} the algebra J,
 g_0 the span of left multiplications and their commutators inside End(J),
 and g_1 the span of the product map P and its g_0-orbit inside the symmetric
 bilinear maps.  The distinguished triple is (unit, -L_unit, P).  Everything
-is verified: grading, Jacobi, triple identities.
+is verified: grading, Jacobi, triple identities.  `minimality_check` and the
+round trip `jordan_from_short_pair` (x*y = [[f,x],y]) complete what
+`tkk-check` reports; the table itself comes from `tables`.
 
-`lie_datum_of_spec` is the classification-level counterpart: it maps a
-JordanSpec to graded simple kinds plus radical entries with multiplicity
-spaces, without touching structure constants.
+The spec-level counterpart, from a `JordanSpec` to its graded Lie datum
+without structure constants, is `jordan.lie_datum_of_spec`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from . import jordan
 from .linalg import Echelon, denominator_lcm, exact, op_commutator, op_lines
+from .tables import StructureConstants, check_jordan_identity, find_unit
 
 MAX_EXPLICIT_DIM = 16
-# bound on `jordan.table_bits`: each identity-check term multiplies three
+# bound on `tables.table_bits`: each identity-check term multiplies three
 # entries, so its cost grows with their length
 MAX_TABLE_BITS = 2 ** 14
 
@@ -172,7 +171,7 @@ def _act(op, bmap):
     return {xy: vec for xy, vec in out.items() if vec}
 
 
-def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
+def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
     """Short-graded Lie algebra of a unital algebra given by its table.
 
     Operators are sparse {(row, col): x} and bilinear maps sparse
@@ -184,9 +183,9 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
     n = sc.dim
     if n > MAX_EXPLICIT_DIM:
         raise ValueError(f"explicit construction bounded at dim {MAX_EXPLICIT_DIM}")
-    if not jordan.check_jordan_identity(sc):
+    if not check_jordan_identity(sc):
         raise ValueError("structure constants fail the defining identity")
-    unit = jordan.find_unit(sc)
+    unit = find_unit(sc)
     if unit is None:
         raise NotUnital("algebra has no identity element")
     unit = [exact(u) for u in unit]
@@ -290,7 +289,7 @@ def tkk_construct(sc: jordan.StructureConstants) -> ShortGradedLie:
     return g
 
 
-def jordan_from_short_pair(g: ShortGradedLie) -> jordan.StructureConstants:
+def jordan_from_short_pair(g: ShortGradedLie) -> StructureConstants:
     """Product x*y = [[f,x],y] on g_{-1}, from the stored triple."""
     n = g.dims[0]
     _, _, f = g.triple
@@ -309,7 +308,7 @@ def jordan_from_short_pair(g: ShortGradedLie) -> jordan.StructureConstants:
                 raise JacobiFails("[[f,x],y] leaves degree -1")
             row.append(tuple(res.get(k, 0) for k in range(n)))
         table.append(row)
-    return jordan.StructureConstants(table)
+    return StructureConstants(table)
 
 
 def minimality_check(g: ShortGradedLie) -> bool:
@@ -337,137 +336,3 @@ def minimality_check(g: ShortGradedLie) -> bool:
     for row in ad_rows.values():
         ad.add(row)
     return len(ad.rows) == total
-
-
-# ---------------------------------------------------------------------------
-# classification-level map
-
-
-def kind_of_ideal(ideal: jordan.SimpleIdealKind):
-    """The graded simple `catalog.LieKind` of a simple ideal."""
-    from .catalog import E7, SL, SL2, SO1, SO2, SP
-
-    if ideal.kind == "field":
-        return SL2
-    if ideal.kind == "bilinear":
-        if ideal.dim < 3:
-            raise ValueError("bilinear ideal requires dim >= 3")
-        return SO2(ideal.dim + 2)
-    if ideal.kind == "hermitian":
-        if ideal.n < 3:
-            raise ValueError("hermitian ideal requires n >= 3")
-        if ideal.comp == 1:
-            return SP(2 * ideal.n)
-        if ideal.comp == 2:
-            return SL(2 * ideal.n)
-        if ideal.comp == 4:
-            return SO1(4 * ideal.n)
-        raise ValueError("hermitian component dim must be 1, 2 or 4")
-    if ideal.kind == "albert":
-        return E7
-    raise ValueError(f"unknown ideal kind {ideal.kind!r}")
-
-
-class RadicalEntry(namedtuple("RadicalEntry", "support labels w_dim")):
-    """A simple summand of the radical, with its multiplicity space.
-
-    support: one or two summand indices; labels: parallel catalog names.
-    """
-
-    __slots__ = ()
-
-    @property
-    def is_tensor(self):
-        return len(self.support) == 2
-
-
-# summands: LieKind per simple ideal; radical: merged RadicalEntry list
-LieDatum = namedtuple("LieDatum", "summands radical")
-
-
-def lie_datum_of_spec(spec: jordan.JordanSpec) -> LieDatum:
-    """Classification-level graded Lie datum of a unital spec."""
-    report = jordan.validate_spec(spec)
-    if not report.ok:
-        raise jordan.SpecError(report)
-    if not spec.unital:
-        raise ValueError("spec must be unital (apply unitalize first)")
-    kinds = tuple(kind_of_ideal(i) for i in spec.ideals)
-    merged = {}
-    for comp in spec.radical:
-        refs = sorted(comp.refs)
-        key = (tuple(i for i, _ in refs), tuple(l for _, l in refs))
-        merged[key] = merged.get(key, 0) + comp.mult
-    entries = tuple(RadicalEntry(sup, labs, merged[(sup, labs)])
-                    for sup, labs in sorted(merged))
-    return LieDatum(kinds, entries)
-
-
-# ---------------------------------------------------------------------------
-# central extensions
-
-
-class CentextReport:
-    __slots__ = ("pair_dims", "total")
-
-    def __init__(self, pair_dims=None, total=0):
-        # (q, q') with q <= q' -> dim
-        self.pair_dims = {} if pair_dims is None else pair_dims
-        self.total = total
-
-
-def _parity_indicator(kind, name):
-    """(t_sym, t_alt): trivial multiplicity in S^2 and Lambda^2 (classical)."""
-    from . import catalog
-
-    p = catalog.classical_parity(kind, name)
-    return (1 if p == "symmetric" else 0, 1 if p == "skew" else 0)
-
-
-def _entry_parities(datum, entry):
-    ts, tl = 1, 0  # neutral for the 1-dim case; replaced below
-    if entry.is_tensor:
-        (ka, kb) = (datum.summands[entry.support[0]], datum.summands[entry.support[1]])
-        sa, la_ = _parity_indicator(ka, entry.labels[0])
-        sb, lb_ = _parity_indicator(kb, entry.labels[1])
-        ts = sa * sb + la_ * lb_
-        tl = sa * lb_ + la_ * sb
-    else:
-        kind = datum.summands[entry.support[0]]
-        ts, tl = _parity_indicator(kind, entry.labels[0])
-    return ts, tl
-
-
-def _entries_dual(datum, e1, e2):
-    from . import catalog
-
-    if e1.support != e2.support:
-        return False
-    duals = tuple(catalog.dual_label(datum.summands[i], l)
-                  for i, l in zip(e1.support, e1.labels))
-    return duals == e2.labels
-
-
-def central_extension_dim(datum: LieDatum) -> CentextReport:
-    """dim of the invariants of the alternating square of the radical.
-
-    Computed per pair of radical entries: within one entry W(x)M the
-    contribution is dim S^2(W) * [M alternating] + dim Lambda^2(W) *
-    [M symmetric]; a cross pair contributes dim W * dim W' iff the base
-    modules are dual.  Parities come from the character engine (classical
-    indicators), so this is the honest cohomological dimension.
-    """
-    rep = CentextReport()
-    entries = datum.radical
-    for q, e in enumerate(entries):
-        ts, tl = _entry_parities(datum, e)
-        k = e.w_dim
-        dim = (k * (k + 1) // 2) * tl + (k * (k - 1) // 2) * ts
-        if dim:
-            rep.pair_dims[(q, q)] = dim
-        for q2 in range(q + 1, len(entries)):
-            e2 = entries[q2]
-            if _entries_dual(datum, e, e2):
-                rep.pair_dims[(q, q2)] = e.w_dim * e2.w_dim
-    rep.total = sum(rep.pair_dims.values())
-    return rep

@@ -12,17 +12,18 @@ The engine is exact end to end and works on dominant weights:
   * dimensions by the Weyl product formula;
   * dominant-weight multiplicities by Freudenthal's recursion, run over the
     dominant weights only;
-  * decompositions by Racah-Speiser: one pass that reflects each weight
-    v + rho into the dominant chamber with its sign;
+  * the dot action: each weight v + rho reflected into the dominant chamber
+    with its sign;
   * tensor products by Brauer-Klimyk: highest weights on one side, shifted
     by the weights of the other factor, so no product character is formed;
   * the Frobenius-Schur indicator from lam alone, as (-1)^<lam, 2 rho-check>;
   * the eigenvalues of a short grading h from lam alone, as one string.
 
-The catalog's path streams the weights of an irreducible orbit by orbit and
-keeps none; only the public `Character` helpers build full weight sets:
-`weight_multiplicities`, `char_product` and `ext_sym_square`.  Everything
-here is a pure function of its arguments.
+The weights of an irreducible are streamed orbit by orbit and never kept,
+so nothing here builds a full weight set.  The full-character helpers
+(`Character`, `weight_multiplicities`, `char_product`, `ext_sym_square`,
+`decompose_character`, `tensor_decompose`, ...) are reference routines and
+live in `reference`.  Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -44,13 +45,6 @@ class NotDominant(ValueError):
 
 class NonDecomposable(RuntimeError):
     """Internal consistency failure during character subtraction."""
-
-
-class CharacterTooLarge(RuntimeError):
-    """Product character exceeded the configured feasibility bound."""
-
-
-MAX_CHARACTER_POINTS = 10 ** 6
 
 
 class RootSystem(namedtuple("RootSystem", "family rank")):
@@ -147,34 +141,6 @@ def positive_roots(sys):
         roots.extend(tuple(e(i)) for i in range(n))
     elif sys.family == "C":
         roots.extend(tuple(e(i, 4)) for i in range(n))
-    return tuple(roots)
-
-
-@lru_cache(maxsize=None)
-def simple_roots(sys):
-    if isinstance(sys, CompositeSystem):
-        roots = []
-        pos = 0
-        for c in sys.components:
-            roots.extend(_embed(a, pos, sys.ambient) for a in simple_roots(c))
-            pos += c.ambient
-        return tuple(roots)
-    n = sys.ambient
-    roots = []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 2, -2
-        roots.append(tuple(v))
-    v = [0] * n
-    if sys.family == "B":
-        v[n - 1] = 2
-        roots.append(tuple(v))
-    elif sys.family == "C":
-        v[n - 1] = 4
-        roots.append(tuple(v))
-    elif sys.family == "D":
-        v[n - 2], v[n - 1] = 2, 2
-        roots.append(tuple(v))
     return tuple(roots)
 
 
@@ -469,20 +435,6 @@ def _dot_dominant(sys, v):
     return sign, _sub(d, r2)
 
 
-def _racah_speiser(sys, items):
-    """Signed constituents sum_v m_v sign(w) [V_{w.v}] of (v, m_v) pairs.
-
-    Keys are dominant weights at the ambient level of the input; the result
-    is a virtual character and may carry zero or negative entries.
-    """
-    acc = {}
-    for v, m in items:
-        sign, lam = _dot_dominant(sys, v)
-        if sign:
-            acc[lam] = acc.get(lam, 0) + sign * m
-    return acc
-
-
 def _constituents(sys, acc):
     """Normalize signed constituents; raises NonDecomposable on a negative one."""
     r2 = rho2(sys)
@@ -495,78 +447,6 @@ def _constituents(sys, acc):
             key = normalize_dominant(sys, lam)
             out[key] = out.get(key, 0) + m
     return out
-
-
-# ---------------------------------------------------------------------------
-# characters as data
-
-
-class Character:
-    """Finite weight multiset with positive integer multiplicities."""
-
-    __slots__ = ("system", "mults")
-
-    def __init__(self, system, mults):
-        self.system = system
-        self.mults = mults
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.system == other.system and self.mults == other.mults
-
-    def mass(self):
-        return sum(self.mults.values())
-
-
-def weight_multiplicities(sys, lam):
-    """Character of the irreducible with highest weight lam."""
-    return Character(sys, dict(_weights(sys, lam)))
-
-
-def char_product(c1: Character, c2: Character) -> Character:
-    if c1.system != c2.system:
-        raise ValueError("characters live over different systems")
-    if len(c1.mults) * len(c2.mults) > MAX_CHARACTER_POINTS:
-        raise CharacterTooLarge(
-            f"{len(c1.mults)} x {len(c2.mults)} weight points")
-    acc = {}
-    for w1, m1 in c1.mults.items():
-        for w2, m2 in c2.mults.items():
-            w = _add(w1, w2)
-            acc[w] = acc.get(w, 0) + m1 * m2
-    return Character(c1.system, acc)
-
-
-def _require_invariant(c: Character):
-    if not is_weyl_invariant(c):
-        raise NonDecomposable("character is not Weyl invariant")
-
-
-def decompose_character(c: Character):
-    """Decompose into irreducibles by one Racah-Speiser pass over the points.
-
-    Returns {normalized dominant weight: multiplicity}.  Raises
-    NonDecomposable if c is not Weyl invariant or a constituent is negative.
-    """
-    _require_invariant(c)
-    return _constituents(c.system, _racah_speiser(c.system, c.mults.items()))
-
-
-def tensor_decompose(c1: Character, c2: Character):
-    """Constituents of the tensor product, as {dominant weight: mult}.
-
-    Brauer-Klimyk: the factor with more points is decomposed, and each of
-    its constituents V_lam contributes the dot-reflected lam + mu for every
-    weight mu of the other factor.  Both factors must be Weyl invariant.
-    """
-    if c1.system != c2.system:
-        raise ValueError("characters live over different systems")
-    _require_invariant(c1)
-    _require_invariant(c2)
-    big, small = (c1, c2) if len(c1.mults) >= len(c2.mults) else (c2, c1)
-    tops = _racah_speiser(c1.system, big.mults.items())
-    return _brauer_klimyk(c1.system, tops, small.mults.items())
 
 
 def _brauer_klimyk(sys, tops, items):
@@ -585,26 +465,8 @@ def _brauer_klimyk(sys, tops, items):
     return _constituents(sys, acc)
 
 
-def ext_sym_square(c: Character):
-    """(S^2, Lambda^2) of a character, as (chi^2 +- psi^2 chi) / 2."""
-    sq = char_product(c, c).mults
-    psi = {_add(w, w): m for w, m in c.mults.items()}   # Adams psi^2
-    s2, l2 = {}, {}
-    for w, m in sq.items():
-        p = psi.get(w, 0)
-        s2[w] = (m + p) // 2
-        if m != p:
-            l2[w] = (m - p) // 2
-    return Character(c.system, s2), Character(c.system, l2)
-
-
-def trivial_multiplicity(c: Character) -> int:
-    """Multiplicity of the trivial constituent (full decomposition)."""
-    if not c.mults:
-        return 0
-    out = decompose_character(c)
-    zero = (0,) * c.system.ambient
-    return out.get(zero, 0)
+# ---------------------------------------------------------------------------
+# answers from the highest weight alone
 
 
 def fs_indicator(sys, lam):
@@ -618,11 +480,6 @@ def fs_indicator(sys, lam):
         return 0
     pairing = sum(2 * ip4(lam_n, a) // ip4(a, a) for a in positive_roots(sys))
     return -1 if pairing % 2 else 1
-
-
-def eigenvalue_set(c: Character, h2):
-    """Set of pairings <w, h> over the weights of the character (true values)."""
-    return {Fraction(v, 4) for v in {ip4(w, h2) for w in c.mults}}
 
 
 @lru_cache(maxsize=None)
@@ -648,20 +505,3 @@ def grading_values(sys, lam, h2):
             for v in range(-ip4(lam, bottom), ip4(lam, top) + 1, 4)}
 
 
-def is_weyl_invariant(c: Character) -> bool:
-    """Integer test that every simple reflection maps c to itself."""
-    mults = c.mults
-    for a in simple_roots(c.system):
-        aa = ip4(a, a)
-        support = [(i, x) for i, x in enumerate(a) if x]
-        for w, m in mults.items():
-            k, rem = divmod(2 * ip4(w, a), aa)
-            if rem:
-                return False
-            if k:
-                refl = list(w)
-                for i, x in support:
-                    refl[i] -= k * x
-                if mults.get(tuple(refl), 0) != m:
-                    return False
-    return True

@@ -6,9 +6,10 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver import reference as R
+from smodquiver import tables as TB
 from smodquiver import tkk as T
 from smodquiver import weights as W
 from smodquiver.linalg import Echelon, dense_vector, sparse_vector
@@ -127,7 +128,7 @@ def _add(a, b):
 
 def _weight_set(sys, lam):
     """All weights of the irreducible V_lam, by saturation BFS from lam."""
-    simples = W.simple_roots(sys)
+    simples = R.simple_roots(sys)
     seen = {lam}
     queue = [lam]
     while queue:
@@ -193,7 +194,7 @@ def ref_character(sys, lam):
     for w, m in ref_dominant_character(sys, lam).items():
         for v in ref_orbit(sys, w):
             out[v] = m
-    return W.Character(sys, out)
+    return R.Character(sys, out)
 
 
 def ref_decompose_character(c):
@@ -223,7 +224,7 @@ def ref_decompose_character(c):
 
 
 def ref_tensor_decompose(c1, c2):
-    return ref_decompose_character(W.char_product(c1, c2))
+    return ref_decompose_character(R.char_product(c1, c2))
 
 
 def ref_ext_sym_square(c):
@@ -239,7 +240,7 @@ def ref_ext_sym_square(c):
             w = _add(wi, wj)
             s2[w] = s2.get(w, 0) + 1
             l2[w] = l2.get(w, 0) + 1
-    return W.Character(c.system, s2), W.Character(c.system, l2)
+    return R.Character(c.system, s2), R.Character(c.system, l2)
 
 
 def ref_fs_indicator(sys, lam):
@@ -270,7 +271,7 @@ def ref_fs_indicator_adams(sys, lam):
     lam_n = W.normalize_dominant(sys, lam)
     if W.dual_weight(sys, lam_n) != lam_n:
         return 0
-    psi = W._racah_speiser(sys, ((_add(w, w), m)
+    psi = R._racah_speiser(sys, ((_add(w, w), m)
                                  for w, m in W._weights(sys, lam_n)))
     diff = sum(m for mu, m in psi.items() if W.is_trivial_weight(sys, mu))
     total = W._brauer_klimyk(sys, {lam_n: 1}, W._weights(sys, lam_n)).get(
@@ -552,7 +553,7 @@ def ref_tkk_construct(sc):
     n = sc.dim
     if not ref_check_jordan_identity(sc):
         raise ValueError("structure constants fail the defining identity")
-    unit = J.find_unit(sc)
+    unit = TB.find_unit(sc)
     if unit is None:
         raise T.NotUnital("algebra has no identity element")
     zero = Fraction(0)
@@ -720,9 +721,9 @@ def ref_peirce_split(rep, e):
     cubic = ref_mat_mul(ref_mat_mul(re, _ref_mat_sum((1, re), (-1, ident))),
                         _ref_mat_sum((2, re), (-1, ident)))
     if not _is_zero(cubic):
-        raise J.CubicIdentityFails("rho(e)(rho(e)-1)(2rho(e)-1) != 0")
+        raise R.CubicIdentityFails("rho(e)(rho(e)-1)(2rho(e)-1) != 0")
     bases = []
     for lam in (Fraction(0), Fraction(1, 2), ONE):
         shifted = _ref_mat_sum((1, re), (-lam, ident))
         bases.append(tuple(tuple(v) for v in ref_nullspace(shifted)))
-    return J.PeirceSplit(tuple(len(b) for b in bases), tuple(bases))
+    return R.PeirceSplit(tuple(len(b) for b in bases), tuple(bases))

@@ -16,6 +16,8 @@ from smodquiver import oracles
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver import reference as R
+from smodquiver import tables as TB
 from smodquiver import tkk as T
 from smodquiver import weights as W
 
@@ -360,14 +362,14 @@ def test_criterion_5_duality_oracle():
         for name, ok in oracles.duality_checks(kind):
             assert ok, f"{kind}: {name}"
     # the table/engine discrepancy is exactly the documented one
-    assert C.parity_discrepancies(C.SP(6)) == [("V", "symmetric", "skew")]
-    assert C.parity_discrepancies(C.SP(8)) == [("V", "symmetric", "skew")]
-    assert C.parity_discrepancies(C.SO1(12)) == [("V", "skew", "symmetric")]
-    assert C.parity_discrepancies(C.SO1(16)) == [("V", "skew", "symmetric")]
+    assert R.parity_discrepancies(C.SP(6)) == [("V", "symmetric", "skew")]
+    assert R.parity_discrepancies(C.SP(8)) == [("V", "symmetric", "skew")]
+    assert R.parity_discrepancies(C.SO1(12)) == [("V", "skew", "symmetric")]
+    assert R.parity_discrepancies(C.SO1(16)) == [("V", "skew", "symmetric")]
     # spinor rows and sl(2): engine agrees with the table
     for kind in (C.SL2, C.SO2(5), C.SO2(7), C.SO2(9), C.SO2(11), C.SO2(13),
                  C.SO2(8), C.SO2(12), C.SO2(16), C.SO2(10), C.SO2(14)):
-        assert C.parity_discrepancies(kind) == []
+        assert R.parity_discrepancies(kind) == []
     dt = time.time() - t0
     _report(f"[acceptance] criterion 5 (duality/form oracle): PASS ({dt:.1f}s)")
 
@@ -377,14 +379,14 @@ def test_criterion_5_duality_oracle():
 
 def test_criterion_6_tkk_oracle():
     t0 = time.time()
-    field = J.StructureConstants([[[1]]])
-    two = J.StructureConstants([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
-    sym2 = J.StructureConstants([
+    field = TB.StructureConstants([[[1]]])
+    two = TB.StructureConstants([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    sym2 = TB.StructureConstants([
         [[2, 0, 0], [0, 0, 0], [0, 0, 1]],
         [[0, 0, 0], [0, 2, 0], [0, 0, 1]],
         [[0, 0, 1], [0, 0, 1], [2, 2, 0]],
     ])
-    m2 = J.plus_product(J.matrix_algebra_table(2))
+    m2 = R.plus_product(R.matrix_algebra_table(2))
     expected_dims = {1: 3, 2: 6, 3: 10, 4: 15}
     for sc in (field, two, sym2, m2):
         g = T.tkk_construct(sc)  # raises if Jacobi or the triple fails
@@ -442,7 +444,7 @@ IDEAL_POOL = [J.Field(), J.Bilinear(3), J.Bilinear(4), J.Bilinear(5),
 
 
 def random_spec(rng):
-    from smodquiver.tkk import kind_of_ideal
+    from smodquiver.jordan import kind_of_ideal
 
     ideals = tuple(rng.choice(IDEAL_POOL)
                    for _ in range(rng.randint(1, 3)))
@@ -531,7 +533,7 @@ def _direct_centext(kinds, bases, wdims):
     comp = W.composite(*systems)
     total = {}
     for base, wd in zip(bases, wdims):
-        factors = [W.weight_multiplicities(k.root_system(),
+        factors = [R.weight_multiplicities(k.root_system(),
                                            C.any_weight(k, name)).mults
                    for k, name in zip(kinds, base)]
         for assignment in itertools.product(*[f.items() for f in factors]):
@@ -540,9 +542,9 @@ def _direct_centext(kinds, bases, wdims):
             for _, c in assignment:
                 m *= c
             total[w] = total.get(w, 0) + m
-    rad = W.Character(comp, total)
-    _, l2 = W.ext_sym_square(rad)
-    return W.trivial_multiplicity(l2)
+    rad = R.Character(comp, total)
+    _, l2 = R.ext_sym_square(rad)
+    return R.trivial_multiplicity(l2)
 
 
 def test_criterion_9_central_extension_dims():
@@ -553,7 +555,7 @@ def test_criterion_9_central_extension_dims():
     for k in (1, 2, 3):
         spec = J.JordanSpec((F(), H(4, 3)),
                             (J.TensorOfSpecial(0, "L", 1, "V", k),))
-        rep = T.central_extension_dim(T.lie_datum_of_spec(spec))
+        rep = J.central_extension_dim(J.lie_datum_of_spec(spec))
         assert rep.total == k * (k + 1) // 2
         direct = _direct_centext((C.SL2, C.SO1(12)), [("L", "V")], [k])
         assert direct == rep.total
@@ -561,7 +563,7 @@ def test_criterion_9_central_extension_dims():
     for k in (1, 2, 3):
         spec = J.JordanSpec((F(), H(1, 3)),
                             (J.TensorOfSpecial(0, "L", 1, "V", k),))
-        rep = T.central_extension_dim(T.lie_datum_of_spec(spec))
+        rep = J.central_extension_dim(J.lie_datum_of_spec(spec))
         assert rep.total == k * (k - 1) // 2
         direct = _direct_centext((C.SL2, C.SP(6)), [("L", "V")], [k])
         assert direct == rep.total
@@ -570,7 +572,7 @@ def test_criterion_9_central_extension_dims():
         spec = J.JordanSpec((F(), H(2, 3)),
                             (J.TensorOfSpecial(0, "L", 1, "V", k),
                              J.TensorOfSpecial(0, "L", 1, "V*", l)))
-        rep = T.central_extension_dim(T.lie_datum_of_spec(spec))
+        rep = J.central_extension_dim(J.lie_datum_of_spec(spec))
         assert rep.total == k * l
         direct = _direct_centext((C.SL2, C.SL(6)), [("L", "V"), ("L", "V*")],
                                  [k, l])

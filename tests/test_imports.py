@@ -5,6 +5,7 @@ engine modules inside the commands that use them.  Module sets are read in
 a fresh interpreter, after `cli.main` returns.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,12 @@ import pytest
 
 import smodquiver
 from helpers import spin_factor, src_env
+from smodquiver import reference
+
+# public classes and functions of the library-only module, defined there
+_LIBRARY_ONLY = {name for name, value in vars(reference).items()
+                 if not name.startswith("_")
+                 and getattr(value, "__module__", None) == reference.__name__}
 
 _LOADED = ("sorted(m for m in sys.modules if m.startswith('smodquiver.'))")
 
@@ -41,14 +48,58 @@ def _cli_modules(*argv):
     return {m.split(".", 1)[1] for m in loaded}
 
 
+@pytest.fixture
+def commands(tmp_path):
+    """One command line per subcommand, two for tkk-check, with its exit."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ideals": [{"kind": "field"}], "radical": [
+        {"kind": "unital", "ideal": 0, "label": "ad", "mult": 2}]}),
+        encoding="utf-8")
+    good = tmp_path / "spin4.json"
+    t = spin_factor(4)
+    good.write_text(json.dumps({"dim": len(t), "products": t}), encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 1, "products": [[1]]}), encoding="utf-8")
+    return [(tuple(map(str, argv)), rc) for argv, rc in (
+        (("quiver", "--spec", spec), 0),
+        (("blocks", "--spec", spec), 0),
+        (("koszul", "--spec", spec), 0),
+        (("verify-appendix", "--max-rank", "3"), 0),
+        (("tkk-check", "--table", good), 0),
+        (("tkk-check", "--table", bad), 2))]
+
+
+@pytest.mark.parametrize("command", ["quiver", "blocks", "koszul"])
+def test_spec_commands_load_no_table_level(commands, command):
+    argv = next(argv for argv, _ in commands if argv[0] == command)
+    loaded = _cli_modules(*argv)
+    assert {"jordan", "catalog", "weights", "quiver"} <= loaded
+    assert not loaded & {"tkk", "tables", "oracles", "reference"}
+
+
+def test_no_command_loads_library_only_code(commands):
+    # neither the module itself nor any of its names in a loaded module
+    assert {"weight_multiplicities", "sym_algebra", "peirce_split",
+            "report_from_dict"} <= _LIBRARY_ONLY
+    for argv, want_rc in commands:
+        rc, loaded, _ = _child(_RUN_CLI, *argv)
+        assert rc == want_rc, argv
+        assert "smodquiver.reference" not in loaded, argv
+        found = {name for mod in loaded
+                 for name in vars(importlib.import_module(mod))
+                 if name in _LIBRARY_ONLY}
+        assert not found, (argv, sorted(found))
+
+
 def test_tkk_check_loads_no_character_or_quiver_layer(tmp_path):
     t = spin_factor(4)
     table = tmp_path / "spin4.json"
     table.write_text(json.dumps({"dim": len(t), "products": t}),
                      encoding="utf-8")
     loaded = _cli_modules("tkk-check", "--table", str(table))
-    assert {"tkk", "jordan", "linalg"} <= loaded
-    assert not loaded & {"weights", "catalog", "quiver", "pathalg", "oracles"}
+    assert {"tkk", "tables", "linalg"} <= loaded
+    assert not loaded & {"jordan", "weights", "catalog", "quiver", "pathalg",
+                         "oracles", "reference"}
 
 
 @pytest.mark.parametrize("table", [
@@ -61,8 +112,9 @@ def test_tkk_check_loads_no_construction_for_a_bad_table(tmp_path, table):
     rc, loaded, _ = _child(_RUN_CLI, "tkk-check", "--table", str(path))
     assert rc == 2
     loaded = {m.split(".", 1)[1] for m in loaded}
-    assert {"jordan", "linalg"} <= loaded
+    assert {"tables", "linalg"} <= loaded
     assert "tkk" not in loaded
+    assert "jordan" not in loaded
 
 
 def test_verify_appendix_loads_no_algebra_layer():
@@ -71,23 +123,9 @@ def test_verify_appendix_loads_no_algebra_layer():
     assert not loaded & {"jordan", "tkk", "quiver", "pathalg", "linalg"}
 
 
-def test_no_command_imports_dataclasses_or_inspect(tmp_path):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"ideals": [{"kind": "field"}], "radical": [
-        {"kind": "unital", "ideal": 0, "label": "ad", "mult": 2}]}),
-        encoding="utf-8")
-    good = tmp_path / "spin4.json"
-    t = spin_factor(4)
-    good.write_text(json.dumps({"dim": len(t), "products": t}), encoding="utf-8")
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dim": 1, "products": [[1]]}), encoding="utf-8")
-    for argv, want_rc in ((("quiver", "--spec", spec), 0),
-                          (("blocks", "--spec", spec), 0),
-                          (("koszul", "--spec", spec), 0),
-                          (("verify-appendix", "--max-rank", "3"), 0),
-                          (("tkk-check", "--table", good), 0),
-                          (("tkk-check", "--table", bad), 2)):
-        rc, _, heavy = _child(_RUN_CLI, *map(str, argv))
+def test_no_command_imports_dataclasses_or_inspect(commands):
+    for argv, want_rc in commands:
+        rc, _, heavy = _child(_RUN_CLI, *argv)
         assert (rc, heavy) == (want_rc, []), argv
     code = f"import json, sys\nimport smodquiver.cli\nprint(json.dumps({_HEAVY}))"
     assert _child(code) == []

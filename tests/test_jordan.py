@@ -10,11 +10,13 @@ import pytest
 from helpers import (direct_sum, random_commutative_table, random_rational,
                      ref_check_birepresentation, ref_mat_mul, ref_peirce_split)
 from smodquiver import jordan as J
+from smodquiver import reference as R
+from smodquiver import tables as TB
 
 
 def sym2_table():
     # basis E11, E22, X = E12+E21 of the symmetric 2x2 matrices, a*b = ab+ba
-    return J.StructureConstants([
+    return TB.StructureConstants([
         [[2, 0, 0], [0, 0, 0], [0, 0, 1]],
         [[0, 0, 0], [0, 2, 0], [0, 0, 1]],
         [[0, 0, 1], [0, 0, 1], [2, 2, 0]],
@@ -88,18 +90,18 @@ def test_spec_json_round_trip():
 
 
 def test_jordan_identity_field():
-    assert J.check_jordan_identity(J.StructureConstants([[[1]]]))
+    assert TB.check_jordan_identity(TB.StructureConstants([[[1]]]))
 
 
 def test_jordan_identity_m2plus():
-    m2 = J.plus_product(J.matrix_algebra_table(2))
-    assert J.check_jordan_identity(m2)
+    m2 = R.plus_product(R.matrix_algebra_table(2))
+    assert TB.check_jordan_identity(m2)
 
 
 def test_jordan_identity_fails():
     # e1*e1 = e2, e2*e2 = e1, e1*e2 = 0: direct expansion at a = b = e2 gives
     # ((a*a)*b)*a = (e1*e2)*e2 = 0 but (a*a)*(b*a) = e1*e1 = e2.
-    bad = J.StructureConstants([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+    bad = TB.StructureConstants([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
 
     def mul(x, y):
         return bad.mul(x, y)
@@ -110,22 +112,22 @@ def test_jordan_identity_fails():
     rhs = mul(aa, mul(b, a))
     assert lhs == [Fraction(0), Fraction(0)]
     assert rhs == [Fraction(0), Fraction(1)]
-    assert not J.check_jordan_identity(bad)
+    assert not TB.check_jordan_identity(bad)
 
 
 def test_plus_product_requires_associative():
     # a commutative but non-associative table
     table = [[[0, 1], [1, 0]], [[1, 0], [1, 1]]]
-    with pytest.raises(J.NotAssociative):
-        J.plus_product(table)
+    with pytest.raises(R.NotAssociative):
+        R.plus_product(table)
 
 
 def test_plus_product_commutative_double():
     # associative commutative: k x k; symmetrization doubles the table
     table = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
-    sc = J.plus_product(table)
+    sc = R.plus_product(table)
     assert sc.c[0][0] == (Fraction(2), Fraction(0))
-    assert J.check_jordan_identity(sc)
+    assert TB.check_jordan_identity(sc)
 
 
 def test_plus_product_on_random_associative_tables():
@@ -140,30 +142,30 @@ def test_plus_product_on_random_associative_tables():
     put(1, 1, 1)   # E22 E22
     put(0, 2, 2)   # E11 E12 = E12
     put(2, 1, 2)   # E12 E22 = E12
-    sc = J.plus_product(table)
-    assert J.check_jordan_identity(sc)
+    sc = R.plus_product(table)
+    assert TB.check_jordan_identity(sc)
 
 
 # -- birepresentations -------------------------------------------------------
 
 
 def test_regular_birep_is_module():
-    for sc in (J.StructureConstants([[[1]]]), sym2_table(),
-               J.plus_product(J.matrix_algebra_table(2))):
-        assert J.check_jordan_identity(sc)
-        assert J.check_birepresentation(J.regular_birep(sc))
+    for sc in (TB.StructureConstants([[[1]]]), sym2_table(),
+               R.plus_product(R.matrix_algebra_table(2))):
+        assert TB.check_jordan_identity(sc)
+        assert R.check_birepresentation(R.regular_birep(sc))
 
 
 def test_zero_module():
     sc = sym2_table()
-    zero = J.BiRepresentation(sc, [[[Fraction(0)] * 2 for _ in range(2)]
+    zero = R.BiRepresentation(sc, [[[Fraction(0)] * 2 for _ in range(2)]
                                    for _ in range(sc.dim)])
-    assert J.check_birepresentation(zero)
+    assert R.check_birepresentation(zero)
 
 
 def test_tensor_of_specials_is_module():
     # two copies of the defining special action of M2+ on k^2, glued on k^2(x)k^2
-    m2 = J.plus_product(J.matrix_algebra_table(2))
+    m2 = R.plus_product(R.matrix_algebra_table(2))
 
     def unit_mat(i, j):
         m = [[Fraction(0)] * 2 for _ in range(2)]
@@ -186,38 +188,38 @@ def test_tensor_of_specials_is_module():
     eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     mats = [[[x + y for x, y in zip(r1, r2)]
              for r1, r2 in zip(kron(s, eye), kron(eye, s))] for s in sigma]
-    rep = J.BiRepresentation(m2, mats)
-    assert J.check_birepresentation(rep)
+    rep = R.BiRepresentation(m2, mats)
+    assert R.check_birepresentation(rep)
 
 
 def test_birep_fails_on_random_noncommuting():
-    sc = J.StructureConstants([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    sc = TB.StructureConstants([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
     mats = [[[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]],
             [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(0)]]]
-    rep = J.BiRepresentation(sc, mats)
+    rep = R.BiRepresentation(sc, mats)
     # direct violation of the triple identity at (a, b, c) = (e1, e1, e2)
-    assert not J.check_birepresentation(rep)
+    assert not R.check_birepresentation(rep)
 
 
 # -- Peirce split ------------------------------------------------------------
 
 
 def test_peirce_identity_action():
-    sc = J.StructureConstants([[[1]]])
+    sc = TB.StructureConstants([[[1]]])
     d = 3
     eye = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    rep = J.BiRepresentation(sc, [eye])
-    ps = J.peirce_split(rep, 0)
+    rep = R.BiRepresentation(sc, [eye])
+    ps = R.peirce_split(rep, 0)
     assert ps.dims == (0, 0, d)
 
 
 def test_peirce_half_action_is_special():
-    sc = J.StructureConstants([[[1]]])
+    sc = TB.StructureConstants([[[1]]])
     d = 2
     half = [[Fraction(1, 2) if i == j else Fraction(0) for j in range(d)]
             for i in range(d)]
-    rep = J.BiRepresentation(sc, [half])
-    ps = J.peirce_split(rep, 0)
+    rep = R.BiRepresentation(sc, [half])
+    ps = R.peirce_split(rep, 0)
     assert ps.dims == (0, d, 0)
     # one-sided law rho(a*b) = rho(a)rho(b)+rho(b)rho(a) on the half part
     lhs = rep.rho(sc.c[0][0])
@@ -226,26 +228,26 @@ def test_peirce_half_action_is_special():
 
 
 def test_peirce_rejects_third_eigenvalue():
-    sc = J.StructureConstants([[[1]]])
+    sc = TB.StructureConstants([[[1]]])
     third = [[Fraction(1, 3)]]
-    rep = J.BiRepresentation(sc, [third])
-    with pytest.raises(J.CubicIdentityFails):
-        J.peirce_split(rep, 0)
+    rep = R.BiRepresentation(sc, [third])
+    with pytest.raises(R.CubicIdentityFails):
+        R.peirce_split(rep, 0)
 
 
 def test_peirce_requires_unit():
-    sc = J.StructureConstants([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
-    rep = J.regular_birep(sc)
+    sc = TB.StructureConstants([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    rep = R.regular_birep(sc)
     with pytest.raises(ValueError):
-        J.peirce_split(rep, 0)  # e1 is idempotent but not the unit
-    ps = J.peirce_split(rep, [Fraction(1), Fraction(1)])
+        R.peirce_split(rep, 0)  # e1 is idempotent but not the unit
+    ps = R.peirce_split(rep, [Fraction(1), Fraction(1)])
     assert sum(ps.dims) == 2
 
 
 def test_peirce_sums_to_dim_on_regular_reps():
-    for sc in (sym2_table(), J.plus_product(J.matrix_algebra_table(2))):
-        unit = J.find_unit(sc)
-        ps = J.peirce_split(J.regular_birep(sc), unit)
+    for sc in (sym2_table(), R.plus_product(R.matrix_algebra_table(2))):
+        unit = TB.find_unit(sc)
+        ps = R.peirce_split(R.regular_birep(sc), unit)
         assert sum(ps.dims) == sc.dim
         assert ps.dims[2] == sc.dim  # regular module is unital
 
@@ -283,40 +285,40 @@ def _outcome(fn, *args):
 
 def test_module_checks_match_dense_reference():
     rng = random.Random(20261018)
-    tables = [J.StructureConstants([[[1]]]), sym2_table(),
-              J.plus_product(J.matrix_algebra_table(2)),
-              J.StructureConstants(direct_sum([[[1]]], [[[1]]]))]
-    tables += [J.StructureConstants(random_commutative_table(rng, n, density))
+    tables = [TB.StructureConstants([[[1]]]), sym2_table(),
+              R.plus_product(R.matrix_algebra_table(2)),
+              TB.StructureConstants(direct_sum([[[1]]], [[[1]]]))]
+    tables += [TB.StructureConstants(random_commutative_table(rng, n, density))
                for n in (1, 2, 3) for density in (0.2, 0.5, 1.0) for _ in range(2)]
     cases = []   # (representation, the e handed to peirce_split)
     for sc in tables:
-        unit = J.find_unit(sc)
+        unit = TB.find_unit(sc)
         e = 0 if unit is None else unit
-        regular = J.regular_birep(sc)
+        regular = R.regular_birep(sc)
         cases.append((regular, e))
         # the regular representation perturbed at one entry
         mats = [[row[:] for row in m] for m in regular.matrices]
         i, r, c = (rng.randrange(sc.dim) for _ in range(3))
         mats[i][r][c] += random_rational(rng)
-        cases.append((J.BiRepresentation(sc, mats), e))
+        cases.append((R.BiRepresentation(sc, mats), e))
         d = rng.randint(1, 3)
-        cases.append((J.BiRepresentation(
+        cases.append((R.BiRepresentation(
             sc, [_random_matrix(rng, d, 0.4) for _ in range(sc.dim)]), e))
-    field = J.StructureConstants([[[1]]])
+    field = TB.StructureConstants([[[1]]])
     for d in (1, 2, 3):
         for eigenvalues in itertools.combinations_with_replacement(
                 (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1, 3)), d):
             rho_e = _conjugated_scalar(rng, eigenvalues)
-            cases.append((J.BiRepresentation(field, [rho_e]), 0))
+            cases.append((R.BiRepresentation(field, [rho_e]), 0))
     verdicts, splits = [], []
     for rep, e in cases:
-        verdict = J.check_birepresentation(rep)
+        verdict = R.check_birepresentation(rep)
         assert verdict == ref_check_birepresentation(rep)
         verdicts.append(verdict)
-        split = _outcome(J.peirce_split, rep, e)
+        split = _outcome(R.peirce_split, rep, e)
         assert split == _outcome(ref_peirce_split, rep, e)
         splits.append(split)
     assert True in verdicts and False in verdicts
-    assert J.CubicIdentityFails in splits and ValueError in splits
-    assert any(isinstance(s, J.PeirceSplit) and s.dims[1] and s.dims[2]
+    assert R.CubicIdentityFails in splits and ValueError in splits
+    assert any(isinstance(s, R.PeirceSplit) and s.dims[1] and s.dims[2]
                for s in splits)

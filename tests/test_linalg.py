@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from helpers import (RefSpanSolver, direct_sum, random_commutative_table,
                      ref_nullspace, ref_rref, ref_solve)
-from smodquiver import jordan as J
-from smodquiver.linalg import (Echelon, dense_vector, op_commutator, op_mul, qvec,
+from smodquiver import tables as TB
+from smodquiver.linalg import (Echelon, dense_vector, op_commutator, op_mul,
                                sparse_vector)
+from smodquiver.reference import qvec
 
 
 def _qmat(rows):
@@ -205,8 +206,8 @@ def test_find_unit_matches_dense_solve():
             tables += [unital, direct_sum(unital, [[[1]]])]
     units = []
     for t in tables:
-        sc = J.StructureConstants(t)
-        unit = J.find_unit(sc)
+        sc = TB.StructureConstants(t)
+        unit = TB.find_unit(sc)
         assert unit == ref_solve(*_unit_system(sc))
         units.append(unit)
     assert any(u is None for u in units)

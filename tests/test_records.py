@@ -8,7 +8,7 @@ from smodquiver import catalog as C
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
-from smodquiver import tkk as T
+from smodquiver import reference as R
 from smodquiver import weights as W
 
 _F = {"kind": "field"}
@@ -69,7 +69,7 @@ def test_record_semantics():
                          (rep.quiver.vertices[0], "label"),
                          (rep.blocks[0], "kind"), (rep.groups[0], "w_dim"),
                          (C.duality_form(C.SL2, "L"), "parity"),
-                         (T.lie_datum_of_spec(J.JordanSpec((J.Field(),))),
+                         (J.lie_datum_of_spec(J.JordanSpec((J.Field(),))),
                           "radical")):
         with pytest.raises(AttributeError):
             setattr(frozen, name, None)
@@ -88,4 +88,4 @@ def test_record_semantics():
     for name, data in BLOCK_SHAPE_SPECS.items():
         r = Q.assemble(J.spec_from_dict(data))
         wire = json.loads(json.dumps(Q.report_to_dict(r)))
-        assert Q.report_from_dict(wire) == r, name
+        assert R.report_from_dict(wire) == r, name

@@ -6,19 +6,21 @@ import pytest
 
 from smodquiver import catalog as C
 from smodquiver import jordan as J
+from smodquiver import reference as R
+from smodquiver import tables as TB
 from smodquiver import tkk as T
 
 
 def field_sc():
-    return J.StructureConstants([[[1]]])
+    return TB.StructureConstants([[[1]]])
 
 
 def two_fields_sc():
-    return J.StructureConstants([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
+    return TB.StructureConstants([[[1, 0], [0, 0]], [[0, 0], [0, 1]]])
 
 
 def sym2_sc():
-    return J.StructureConstants([
+    return TB.StructureConstants([
         [[2, 0, 0], [0, 0, 0], [0, 0, 1]],
         [[0, 0, 0], [0, 2, 0], [0, 0, 1]],
         [[0, 0, 1], [0, 0, 1], [2, 2, 0]],
@@ -26,7 +28,7 @@ def sym2_sc():
 
 
 def m2_sc():
-    return J.plus_product(J.matrix_algebra_table(2))
+    return R.plus_product(R.matrix_algebra_table(2))
 
 
 # -- explicit construction ---------------------------------------------------
@@ -81,7 +83,7 @@ def test_half_entries_give_exact_coefficients():
     for i in range(1, 4):
         products[0][i][i] = products[i][0][i] = "2"
         products[i][i][0] = "1/2"
-    sc = J.table_from_dict({"dim": 4, "products": products})
+    sc = TB.table_from_dict({"dim": 4, "products": products})
     g = T.tkk_construct(sc)
     assert g.dims == (4, 7, 4)
     coefficients = [c for vec in g.bracket.values() for c in vec.values()]
@@ -137,7 +139,7 @@ def bilinear_form_algebra(d):
     c[0][0][0] = Fraction(1)
     for i in range(1, d):
         c[i][i][0] = Fraction(1)
-    return J.StructureConstants(c)
+    return TB.StructureConstants(c)
 
 
 def test_bilinear_form_algebras_match_classification():
@@ -145,25 +147,25 @@ def test_bilinear_form_algebras_match_classification():
     # classification map assigns to a bilinear ideal of dimension d
     for d in (3, 4, 5):
         sc = bilinear_form_algebra(d)
-        assert J.check_jordan_identity(sc)
+        assert TB.check_jordan_identity(sc)
         g = T.tkk_construct(sc)
         n = d + 2
         assert g.total_dim == n * (n - 1) // 2
         assert T.minimality_check(g)
         assert T.jordan_from_short_pair(g) == sc
-        kind = T.kind_of_ideal(J.Bilinear(d))
+        kind = J.kind_of_ideal(J.Bilinear(d))
         assert kind.size == n
 
 
 def test_not_unital_rejected():
     # the 1-dim algebra with zero product has no unit
-    sc = J.StructureConstants([[[0]]])
+    sc = TB.StructureConstants([[[0]]])
     with pytest.raises(T.NotUnital):
         T.tkk_construct(sc)
 
 
 def test_dimension_bound():
-    big = J.StructureConstants(
+    big = TB.StructureConstants(
         [[[1 if i == j == k else 0 for k in range(17)]
           for j in range(17)] for i in range(17)])
     with pytest.raises(ValueError):
@@ -174,27 +176,27 @@ def test_dimension_bound():
 
 
 def test_kind_of_ideal():
-    assert T.kind_of_ideal(J.Field()) == C.SL2
-    assert T.kind_of_ideal(J.Hermitian(1, 3)) == C.SP(6)
-    assert T.kind_of_ideal(J.Hermitian(2, 3)) == C.SL(6)
-    assert T.kind_of_ideal(J.Hermitian(4, 3)) == C.SO1(12)
-    assert T.kind_of_ideal(J.Bilinear(5)) == C.SO2(7)   # odd dim -> odd so
-    assert T.kind_of_ideal(J.Bilinear(4)) == C.SO2(6)   # even dim -> even so
-    assert T.kind_of_ideal(J.Albert()) == C.E7
+    assert J.kind_of_ideal(J.Field()) == C.SL2
+    assert J.kind_of_ideal(J.Hermitian(1, 3)) == C.SP(6)
+    assert J.kind_of_ideal(J.Hermitian(2, 3)) == C.SL(6)
+    assert J.kind_of_ideal(J.Hermitian(4, 3)) == C.SO1(12)
+    assert J.kind_of_ideal(J.Bilinear(5)) == C.SO2(7)   # odd dim -> odd so
+    assert J.kind_of_ideal(J.Bilinear(4)) == C.SO2(6)   # even dim -> even so
+    assert J.kind_of_ideal(J.Albert()) == C.E7
 
 
 def test_lie_datum_basic():
     spec = J.JordanSpec((J.Hermitian(2, 3),), (J.Unital(0, "ad"),))
-    d = T.lie_datum_of_spec(spec)
+    d = J.lie_datum_of_spec(spec)
     assert d.summands == (C.SL(6),)
-    assert d.radical == (T.RadicalEntry((0,), ("ad",), 1),)
+    assert d.radical == (J.RadicalEntry((0,), ("ad",), 1),)
 
 
 def test_lie_datum_merges_identical_entries():
     spec = J.JordanSpec((J.Hermitian(1, 3), J.Field()),
                         (J.TensorOfSpecial(1, "L", 0, "V"),
                          J.TensorOfSpecial(0, "V", 1, "L")))
-    d = T.lie_datum_of_spec(spec)
+    d = J.lie_datum_of_spec(spec)
     assert len(d.radical) == 1
     assert d.radical[0].w_dim == 2
     assert d.radical[0].support == (0, 1)
@@ -203,19 +205,19 @@ def test_lie_datum_merges_identical_entries():
 def test_lie_datum_requires_unital():
     spec = J.JordanSpec((J.Field(),), (), unital=False)
     with pytest.raises(ValueError):
-        T.lie_datum_of_spec(spec)
+        J.lie_datum_of_spec(spec)
 
 
 def test_lie_datum_rejects_invalid():
     with pytest.raises(J.SpecError):
-        T.lie_datum_of_spec(J.JordanSpec((J.Hermitian(4, 2),)))
+        J.lie_datum_of_spec(J.JordanSpec((J.Hermitian(4, 2),)))
 
 
 # -- central extensions ------------------------------------------------------
 
 
 def _datum(ideals, radical):
-    return T.lie_datum_of_spec(J.JordanSpec(ideals, radical))
+    return J.lie_datum_of_spec(J.JordanSpec(ideals, radical))
 
 
 def test_centext_skew_base_pairing():
@@ -225,7 +227,7 @@ def test_centext_skew_base_pairing():
     for k, expect in ((1, 1), (2, 3), (3, 6)):
         d = _datum((J.Field(), J.Hermitian(4, 3)),
                    (J.TensorOfSpecial(0, "L", 1, "V", mult=k),))
-        assert T.central_extension_dim(d).total == expect
+        assert J.central_extension_dim(d).total == expect
 
 
 def test_centext_symmetric_base_pairing():
@@ -234,7 +236,7 @@ def test_centext_symmetric_base_pairing():
     for k, expect in ((1, 0), (2, 1), (3, 3)):
         d = _datum((J.Field(), J.Hermitian(1, 3)),
                    (J.TensorOfSpecial(0, "L", 1, "V", mult=k),))
-        assert T.central_extension_dim(d).total == expect
+        assert J.central_extension_dim(d).total == expect
 
 
 def test_centext_dual_pair():
@@ -242,7 +244,7 @@ def test_centext_dual_pair():
         d = _datum((J.Field(), J.Hermitian(2, 3)),
                    (J.TensorOfSpecial(0, "L", 1, "V", mult=k),
                     J.TensorOfSpecial(0, "L", 1, "V*", mult=l)))
-        rep = T.central_extension_dim(d)
+        rep = J.central_extension_dim(d)
         assert rep.pair_dims.get((0, 1)) == k * l
         assert rep.total == k * l
 
@@ -251,7 +253,7 @@ def test_centext_clifford_shape():
     # W (x) V over so2(7): center Lambda^2(W)
     for k, expect in ((1, 0), (2, 1), (3, 3)):
         d = _datum((J.Bilinear(5),), (J.Unital(0, "LrV(1)", mult=k),))
-        assert T.central_extension_dim(d).total == expect
+        assert J.central_extension_dim(d).total == expect
 
 
 def test_centext_against_direct_character_computation():
@@ -262,12 +264,12 @@ def test_centext_against_direct_character_computation():
     k = 2
     d = _datum(kinds, (J.TensorOfSpecial(0, "L", 1, "V", mult=k),))
     comp = W.composite(C.SL2.root_system(), C.SP(6).root_system())
-    l = W.weight_multiplicities(C.SL2.root_system(), (2, 0))
-    v = W.weight_multiplicities(C.SP(6).root_system(), (2, 0, 0))
+    l = R.weight_multiplicities(C.SL2.root_system(), (2, 0))
+    v = R.weight_multiplicities(C.SP(6).root_system(), (2, 0, 0))
     mults = {}
     for w1, m1 in l.mults.items():
         for w2, m2 in v.mults.items():
             mults[w1 + w2] = mults.get(w1 + w2, 0) + k * m1 * m2
-    rad = W.Character(comp, mults)
-    s2, l2 = W.ext_sym_square(rad)
-    assert W.trivial_multiplicity(l2) == T.central_extension_dim(d).total
+    rad = R.Character(comp, mults)
+    s2, l2 = R.ext_sym_square(rad)
+    assert R.trivial_multiplicity(l2) == J.central_extension_dim(d).total

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from helpers import (direct_sum, matrix_plus, ref_check_jacobi,
                      ref_check_jordan_identity, ref_minimality_check,
                      ref_tkk_construct, spin_factor)
-from smodquiver import jordan as J
+from smodquiver import reference as R
+from smodquiver import tables as TB
 from smodquiver import tkk as T
 
 TABLES = {
@@ -25,8 +26,8 @@ TABLES = {
     "sym2+": [[[2, 0, 0], [0, 0, 0], [0, 0, 1]],
               [[0, 0, 0], [0, 2, 0], [0, 0, 1]],
               [[0, 0, 1], [0, 0, 1], [2, 2, 0]]],
-    "m2+": J.plus_product(J.matrix_algebra_table(2)).c,
-    "m3+": J.plus_product(J.matrix_algebra_table(3)).c,
+    "m2+": R.plus_product(R.matrix_algebra_table(2)).c,
+    "m3+": R.plus_product(R.matrix_algebra_table(3)).c,
     **{f"spin{n}": spin_factor(n) for n in range(3, 9)},
     "m2+ + spin5": direct_sum(matrix_plus(2), spin_factor(5)),
 }
@@ -42,8 +43,8 @@ def _outcome(construct, sc):
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_construction_matches_dense_reference(name):
-    g = T.tkk_construct(J.StructureConstants(TABLES[name]))
-    ref = ref_tkk_construct(J.StructureConstants(TABLES[name]))
+    g = T.tkk_construct(TB.StructureConstants(TABLES[name]))
+    ref = ref_tkk_construct(TB.StructureConstants(TABLES[name]))
     assert g.dims == ref.dims
     assert g.bracket == ref.bracket
     assert g.triple == ref.triple
@@ -69,12 +70,12 @@ def test_identity_verdicts_on_perturbed_tables(name):
     verdicts = []
     for _ in range(4):
         table = _perturbed(TABLES[name], rng)
-        ok = J.check_jordan_identity(J.StructureConstants(table))
-        assert ok == ref_check_jordan_identity(J.StructureConstants(table))
+        ok = TB.check_jordan_identity(TB.StructureConstants(table))
+        assert ok == ref_check_jordan_identity(TB.StructureConstants(table))
         verdicts.append(ok)
         if ok and len(table) <= 5:
-            exc, g = _outcome(T.tkk_construct, J.StructureConstants(table))
-            ref_exc, ref = _outcome(ref_tkk_construct, J.StructureConstants(table))
+            exc, g = _outcome(T.tkk_construct, TB.StructureConstants(table))
+            ref_exc, ref = _outcome(ref_tkk_construct, TB.StructureConstants(table))
             assert exc == ref_exc
             if g is not None:
                 assert (g.dims, g.bracket, g.triple) == \
@@ -84,16 +85,16 @@ def test_identity_verdicts_on_perturbed_tables(name):
 
 
 def test_identity_verdict_is_kept_on_the_instance(monkeypatch):
-    sc = J.StructureConstants(spin_factor(4))
-    assert J.check_jordan_identity(sc)
-    monkeypatch.setattr(J, "_jordan_identity", None)  # a second run would fail
-    assert J.check_jordan_identity(sc)
+    sc = TB.StructureConstants(spin_factor(4))
+    assert TB.check_jordan_identity(sc)
+    monkeypatch.setattr(TB, "_jordan_identity", None)  # a second run would fail
+    assert TB.check_jordan_identity(sc)
     assert T.tkk_construct(sc).dims == (4, 7, 4)
 
 
 @pytest.mark.parametrize("name", ["field", "sym2+", "m2+", "spin4", "spin5"])
 def test_jacobi_and_minimality_verdicts_on_perturbed_brackets(name):
-    g = T.tkk_construct(J.StructureConstants(TABLES[name]))
+    g = T.tkk_construct(TB.StructureConstants(TABLES[name]))
     rng = random.Random(f"bracket {name}")
     keys = sorted(g.bracket)
     for _ in range(6):
@@ -135,8 +136,8 @@ def _rebased(table, d):
 
 
 def _assert_identity_verdicts_agree(table):
-    ok = J.check_jordan_identity(J.StructureConstants(table))
-    assert ok == ref_check_jordan_identity(J.StructureConstants(table))
+    ok = TB.check_jordan_identity(TB.StructureConstants(table))
+    assert ok == ref_check_jordan_identity(TB.StructureConstants(table))
     return ok
 
 
@@ -196,7 +197,7 @@ def _perturbed_bracket(g, rng):
     spin_factor(8), matrix_plus(3), direct_sum(matrix_plus(2), spin_factor(5))],
     ids=["spin8", "m3-plus", "m2-plus+spin5"])
 def test_scatter_jacobi_matches_reference_seeded(table):
-    g = T.tkk_construct(J.StructureConstants(table))
+    g = T.tkk_construct(TB.StructureConstants(table))
     rng = random.Random(f"scatter jacobi {len(table)} {g.dims}")
     verdicts = set()
     for _ in range(12):
@@ -209,7 +210,7 @@ def test_scatter_jacobi_matches_reference_seeded(table):
 
 @functools.lru_cache(maxsize=None)
 def _small_lie(name):
-    return T.tkk_construct(J.StructureConstants(TABLES[name]))
+    return T.tkk_construct(TB.StructureConstants(TABLES[name]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,8 +9,10 @@ from fractions import Fraction
 
 import pytest
 
+from smodquiver import reference as R
 from smodquiver import weights as W
-from smodquiver.weights import Character, RootSystem, composite
+from smodquiver.reference import Character
+from smodquiver.weights import RootSystem, composite
 
 A1 = RootSystem("A", 1)
 A2 = RootSystem("A", 2)
@@ -36,20 +38,20 @@ def test_weyl_dim_requires_dominant():
 
 
 def test_weight_multiplicities_a1_adjoint():
-    ch = W.weight_multiplicities(A1, (4, 0))
+    ch = R.weight_multiplicities(A1, (4, 0))
     assert ch.mults == {(4, 0): 1, (2, 2): 1, (0, 4): 1}
 
 
 def test_weight_multiplicities_b2_spinor_minuscule():
     # independent oracle: the orbit of (1/2,1/2) under signed permutations
     orbit = {(s1, s2) for s1 in (1, -1) for s2 in (1, -1)}
-    ch = W.weight_multiplicities(B2, (1, 1))
+    ch = R.weight_multiplicities(B2, (1, 1))
     assert ch.mults == {w: 1 for w in orbit}
 
 
 def test_weight_multiplicities_c3_adjoint_zero_weight():
     # 21 = 18 roots + 3-dim Cartan; Freudenthal must give 3 at weight zero
-    ch = W.weight_multiplicities(C3, (4, 0, 0))
+    ch = R.weight_multiplicities(C3, (4, 0, 0))
     assert ch.mass() == 21
     assert ch.mults[(0, 0, 0)] == 3
 
@@ -57,56 +59,56 @@ def test_weight_multiplicities_c3_adjoint_zero_weight():
 def test_mass_conservation_various():
     for sys, lam in [(C3, (2, 2, 0)), (D6, (1,) * 6), (B2, (2, 0)),
                      (A5, (2, 2, 0, 0, 0, 0)), (D5, (2, 2, 0, 0, 0))]:
-        ch = W.weight_multiplicities(sys, lam)
+        ch = R.weight_multiplicities(sys, lam)
         assert ch.mass() == W.weyl_dim(sys, lam)
 
 
 def test_characters_weyl_invariant():
     for sys, lam in [(C3, (4, 0, 0)), (B2, (1, 1)), (D5, (1, 1, 1, 1, -1)),
                      (A2, (4, 2, 0))]:
-        assert W.is_weyl_invariant(W.weight_multiplicities(sys, lam))
+        assert R.is_weyl_invariant(R.weight_multiplicities(sys, lam))
 
 
 def test_tensor_clebsch_gordan():
-    v = W.weight_multiplicities(A1, (2, 0))
-    dec = W.tensor_decompose(v, v)
+    v = R.weight_multiplicities(A1, (2, 0))
+    dec = R.tensor_decompose(v, v)
     assert dec == {(4, 0): 1, (0, 0): 1}
     dims = sum(W.weyl_dim(A1, lam) * m for lam, m in dec.items())
     assert dims == 4
 
 
 def test_tensor_c3_standard_with_adjoint():
-    v = W.weight_multiplicities(C3, (2, 0, 0))
-    ad = W.weight_multiplicities(C3, (4, 0, 0))
-    dec = W.tensor_decompose(v, ad)
+    v = R.weight_multiplicities(C3, (2, 0, 0))
+    ad = R.weight_multiplicities(C3, (4, 0, 0))
+    dec = R.tensor_decompose(v, ad)
     assert dec.get((2, 0, 0), 0) >= 1
     total = sum(W.weyl_dim(C3, lam) * m for lam, m in dec.items())
     assert total == 6 * 21
 
 
 def test_tensor_d6_spinor_pair():
-    gp = W.weight_multiplicities(D6, (1,) * 6)
-    gm = W.weight_multiplicities(D6, (1,) * 5 + (-1,))
-    dec = W.tensor_decompose(gp, gm)
+    gp = R.weight_multiplicities(D6, (1,) * 6)
+    gm = R.weight_multiplicities(D6, (1,) * 5 + (-1,))
+    dec = R.tensor_decompose(gp, gm)
     total = sum(W.weyl_dim(D6, lam) * m for lam, m in dec.items())
     assert total == 32 * 32
     # rank even: no half-graded constituent in Gamma+ (x) Gamma- for the
     # second short grading h = e1
     h2 = (2, 0, 0, 0, 0, 0)
     for lam in dec:
-        ch = W.weight_multiplicities(D6, lam)
-        evs = W.eigenvalue_set(ch, h2)
+        ch = R.weight_multiplicities(D6, lam)
+        evs = R.eigenvalue_set(ch, h2)
         assert evs != {Fraction(1, 2), Fraction(-1, 2)}
 
 
 def test_tensor_reexpansion_reproduces_product():
-    v = W.weight_multiplicities(B2, (2, 0))
-    g = W.weight_multiplicities(B2, (1, 1))
-    prod = W.char_product(v, g)
-    dec = W.decompose_character(prod)
+    v = R.weight_multiplicities(B2, (2, 0))
+    g = R.weight_multiplicities(B2, (1, 1))
+    prod = R.char_product(v, g)
+    dec = R.decompose_character(prod)
     rebuilt = {}
     for lam, m in dec.items():
-        for w, k in W.weight_multiplicities(B2, lam).mults.items():
+        for w, k in R.weight_multiplicities(B2, lam).mults.items():
             rebuilt[w] = rebuilt.get(w, 0) + m * k
     assert rebuilt == prod.mults
 
@@ -124,52 +126,52 @@ def test_dual_weight_involution():
 
 
 def test_ext_sym_square_a1():
-    v = W.weight_multiplicities(A1, (2, 0))
-    s2, l2 = W.ext_sym_square(v)
+    v = R.weight_multiplicities(A1, (2, 0))
+    s2, l2 = R.ext_sym_square(v)
     assert s2.mass() == 3 and l2.mass() == 1
 
 
 def test_ext_sym_square_mass_identities():
     for sys, lam in [(C3, (2, 0, 0)), (B2, (1, 1)), (A2, (2, 0, 0))]:
-        ch = W.weight_multiplicities(sys, lam)
+        ch = R.weight_multiplicities(sys, lam)
         d = ch.mass()
-        s2, l2 = W.ext_sym_square(ch)
+        s2, l2 = R.ext_sym_square(ch)
         assert s2.mass() == d * (d + 1) // 2
         assert l2.mass() == d * (d - 1) // 2
 
 
 def test_ext_square_c2_standard_zero_weight():
     # independent enumeration: pairs of distinct weights of V summing to zero
-    ch = W.weight_multiplicities(C2, (2, 0))
+    ch = R.weight_multiplicities(C2, (2, 0))
     items = sorted(ch.mults)
     count = sum(1 for i in range(len(items)) for j in range(i + 1, len(items))
                 if tuple(a + b for a, b in zip(items[i], items[j])) == (0, 0))
     assert count == 2
-    _, l2 = W.ext_sym_square(ch)
+    _, l2 = R.ext_sym_square(ch)
     assert l2.mults[(0, 0)] == 2
 
 
 def test_trivial_multiplicity():
-    ad = W.weight_multiplicities(A1, (4, 0))
-    assert W.trivial_multiplicity(ad) == 0
-    v = W.weight_multiplicities(A2, (2, 0, 0))
-    vs = W.weight_multiplicities(A2, (2, 2, 0))
-    assert W.trivial_multiplicity(W.char_product(v, vs)) == 1
+    ad = R.weight_multiplicities(A1, (4, 0))
+    assert R.trivial_multiplicity(ad) == 0
+    v = R.weight_multiplicities(A2, (2, 0, 0))
+    vs = R.weight_multiplicities(A2, (2, 2, 0))
+    assert R.trivial_multiplicity(R.char_product(v, vs)) == 1
 
 
 def test_trivial_multiplicity_product_system_square():
     # Lambda^2(L (x) L') over sl2+sl2 decomposes as ad(x)tr + tr(x)ad:
     # no invariants (the invariant pairing is symmetric); S^2 carries one.
     comp = composite(A1, A1)
-    l = W.weight_multiplicities(A1, (2, 0))
+    l = R.weight_multiplicities(A1, (2, 0))
     mults = {}
     for w1, m1 in l.mults.items():
         for w2, m2 in l.mults.items():
             mults[w1 + w2] = m1 * m2
     lxl = Character(comp, mults)
-    s2, l2 = W.ext_sym_square(lxl)
-    assert W.trivial_multiplicity(l2) == 0
-    assert W.trivial_multiplicity(s2) == 1
+    s2, l2 = R.ext_sym_square(lxl)
+    assert R.trivial_multiplicity(l2) == 0
+    assert R.trivial_multiplicity(s2) == 1
 
 
 def test_fs_indicator_examples():
@@ -192,15 +194,15 @@ def test_fs_nonzero_iff_self_dual():
 
 def test_grading_eigenvalue_sets():
     # sl(2n) standard against h = (1/2^n, -1/2^n)
-    ch = W.weight_multiplicities(A5, (2, 0, 0, 0, 0, 0))
-    evs = W.eigenvalue_set(ch, (1, 1, 1, -1, -1, -1))
+    ch = R.weight_multiplicities(A5, (2, 0, 0, 0, 0, 0))
+    evs = R.eigenvalue_set(ch, (1, 1, 1, -1, -1, -1))
     assert evs == {Fraction(1, 2), Fraction(-1, 2)}
     # so(2m+1) spinor against h = e1
-    ch = W.weight_multiplicities(RootSystem("B", 3), (1, 1, 1))
-    assert W.eigenvalue_set(ch, (2, 0, 0)) == {Fraction(1, 2), Fraction(-1, 2)}
+    ch = R.weight_multiplicities(RootSystem("B", 3), (1, 1, 1))
+    assert R.eigenvalue_set(ch, (2, 0, 0)) == {Fraction(1, 2), Fraction(-1, 2)}
     # so1(4n) adjoint against h = (1/2,...,1/2)
-    ch = W.weight_multiplicities(RootSystem("D", 4), (2, 2, 0, 0))
-    assert W.eigenvalue_set(ch, (1, 1, 1, 1)) == {Fraction(-1), Fraction(0),
+    ch = R.weight_multiplicities(RootSystem("D", 4), (2, 2, 0, 0))
+    assert R.eigenvalue_set(ch, (1, 1, 1, 1)) == {Fraction(-1), Fraction(0),
                                                   Fraction(1)}
 
 
@@ -223,11 +225,11 @@ def test_exterior_power_characters_combinatorially():
                 w = tuple(sum(x) for x in zip(*combo))
                 expected[w] = expected.get(w, 0) + 1
             lam = (2,) * r + (0,) * (sys.rank - r)
-            got = W.weight_multiplicities(sys, lam)
+            got = R.weight_multiplicities(sys, lam)
             assert got.mults == expected
 
 
 def test_character_cap():
     big = Character(A1, {(2 * i, 0): 1 for i in range(1100)})
-    with pytest.raises(W.CharacterTooLarge):
-        W.char_product(big, big)
+    with pytest.raises(R.CharacterTooLarge):
+        R.char_product(big, big)
