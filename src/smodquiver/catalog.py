@@ -340,6 +340,13 @@ def classical_parity(kind, name):
     return {1: "symmetric", -1: "skew", 0: "none"}[ind]
 
 
+def parity_product(p1, p2):
+    """Form parity of the tensor product of modules of parities p1 and p2."""
+    if "none" in (p1, p2):
+        return "none"
+    return "symmetric" if p1 == p2 else "skew"
+
+
 @lru_cache(maxsize=None)
 def graded_piece_dim(kind, name, level):
     """Dimension of the h-eigenvalue-`level` piece of a catalog simple."""

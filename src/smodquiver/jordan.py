@@ -326,24 +326,11 @@ class CentextReport:
         self.total = total
 
 
-def _parity_indicator(kind, name):
-    """(t_sym, t_alt): trivial multiplicity in S^2 and Lambda^2 (classical)."""
-    p = catalog.classical_parity(kind, name)
-    return (1 if p == "symmetric" else 0, 1 if p == "skew" else 0)
-
-
-def _entry_parities(datum, entry):
-    ts, tl = 1, 0  # neutral for the 1-dim case; replaced below
-    if entry.is_tensor:
-        (ka, kb) = (datum.summands[entry.support[0]], datum.summands[entry.support[1]])
-        sa, la_ = _parity_indicator(ka, entry.labels[0])
-        sb, lb_ = _parity_indicator(kb, entry.labels[1])
-        ts = sa * sb + la_ * lb_
-        tl = sa * lb_ + la_ * sb
-    else:
-        kind = datum.summands[entry.support[0]]
-        ts, tl = _parity_indicator(kind, entry.labels[0])
-    return ts, tl
+def _entry_parity(datum, entry):
+    """Classical form parity of the base module of a radical entry."""
+    ps = [catalog.classical_parity(datum.summands[i], label)
+          for i, label in zip(entry.support, entry.labels)]
+    return catalog.parity_product(*ps) if entry.is_tensor else ps[0]
 
 
 def _entries_dual(datum, e1, e2):
@@ -366,9 +353,9 @@ def central_extension_dim(datum: LieDatum) -> CentextReport:
     rep = CentextReport()
     entries = datum.radical
     for q, e in enumerate(entries):
-        ts, tl = _entry_parities(datum, e)
         k = e.w_dim
-        dim = (k * (k + 1) // 2) * tl + (k * (k - 1) // 2) * ts
+        dim = {"skew": k * (k + 1) // 2,
+               "symmetric": k * (k - 1) // 2}.get(_entry_parity(datum, e), 0)
         if dim:
             rep.pair_dims[(q, q)] = dim
         for q2 in range(q + 1, len(entries)):

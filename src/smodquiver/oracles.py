@@ -8,6 +8,8 @@ tests.
 
 from __future__ import annotations
 
+import math
+
 from . import catalog, weights
 
 # the two documented table-vs-engine parity exceptions: standard modules of
@@ -142,21 +144,14 @@ def _expected_dim(kind, name):
             if name == "Gamma":
                 return 2 ** m
             r = int(name[4:-1])
-            return _binom(2 * m + 1, r)
+            return math.comb(2 * m + 1, r)
         if name in ("Gamma+", "Gamma-"):
             return 2 ** (m - 1)
         if name in ("Lambda+", "Lambda-"):
-            return _binom(2 * m, m) // 2
+            return math.comb(2 * m, m) // 2
         r = int(name[4:-1])
-        return _binom(2 * m, r)
+        return math.comb(2 * m, r)
     return None
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def appendix_checks(kind):

@@ -239,14 +239,11 @@ def from_presentation(quiver, relations, deg_cap=8) -> PresentedAlgebra:
 
 
 class Resolution:
-    __slots__ = ("vertex", "betti", "syzygy_dims", "finished")
+    __slots__ = ("vertex", "betti")
 
-    def __init__(self, vertex, betti=None, syzygy_dims=None, finished=False):
+    def __init__(self, vertex, betti=None):
         self.vertex = vertex
         self.betti = {} if betti is None else betti   # (i, degree) -> {vertex: count}
-        # per step: (deg, vtx) -> dim
-        self.syzygy_dims = [] if syzygy_dims is None else syzygy_dims
-        self.finished = finished
 
     def is_linear(self):
         return all(i == d for (i, d) in self.betti)
@@ -256,63 +253,49 @@ class Resolution:
 
 
 class _Projective:
-    """Direct sum of shifted vertex projectives over a protocol algebra."""
+    """Direct sum of shifted vertex projectives over a protocol algebra.
+
+    Its basis falls into blocks by (degree t, destination vertex w): blocks
+    maps (t, w) to the list of (summand_idx, d, i) spanning it.
+    """
 
     def __init__(self, alg, summands):
         self.alg = alg
-        self.summands = tuple(summands)  # (vertex, shift)
-        self._basis = {}
-        self._index = {}
+        self.blocks = {}
+        for s, (v, shift) in enumerate(summands):
+            for d in range(alg.top_degree + 1):
+                for i in range(alg.dims(d)):
+                    if alg.src(d, i) == v:
+                        self.blocks.setdefault((shift + d, alg.dst(d, i)),
+                                               []).append((s, d, i))
+        self._pos = {key: {b: pos for pos, b in enumerate(basis)}
+                     for key, basis in self.blocks.items()}
 
-    def basis(self, t):
-        """Basis of degree t: list of (summand_idx, d, i, dst)."""
-        if t in self._basis:
-            return self._basis[t]
-        out = []
-        for s, (v, shift) in enumerate(self.summands):
-            d = t - shift
-            if 0 <= d <= self.alg.top_degree:
-                for i in range(self.alg.dims(d)):
-                    if self.alg.src(d, i) == v:
-                        out.append((s, d, i, self.alg.dst(d, i)))
-        self._basis[t] = out
-        return out
-
-    def index(self, t):
-        """Position of (summand_idx, d, i) in basis(t)."""
-        if t not in self._index:
-            self._index[t] = {(s, d, i): pos for pos, (s, d, i, _)
-                              in enumerate(self.basis(t))}
-        return self._index[t]
-
-    def max_degree(self):
-        if not self.summands:
-            return -1
-        return max(shift for _, shift in self.summands) + self.alg.top_degree
-
-    def act(self, t, vec, gdeg, gidx):
-        """Left action of algebra element (gdeg, gidx) on a sparse degree-t
-        vector {position: coef}; returns a sparse degree-(t + gdeg) vector."""
-        src_g = self.alg.src(gdeg, gidx)
-        basis_t = self.basis(t)
-        out_index = self.index(t + gdeg)
+    def act(self, key, vec, gdeg, gidx):
+        """Left action of algebra element (gdeg, gidx) on a sparse vector
+        {position: coef} of block key = (t, w); returns a sparse vector of
+        block (t + gdeg, dst(g)), empty when g does not start at w or that
+        block does not exist."""
+        t, w = key
+        out_pos = self._pos.get((t + gdeg, self.alg.dst(gdeg, gidx)))
+        if out_pos is None or self.alg.src(gdeg, gidx) != w:
+            return {}
+        basis = self.blocks[key]
         out = {}
         for pos, c in vec.items():
-            s, d, i, dst = basis_t[pos]
-            if dst != src_g:
-                continue
+            s, d, i = basis[pos]
             for k, c2 in self.alg.mul(gdeg, gidx, d, i):
-                key = out_index[(s, d + gdeg, k)]
-                out[key] = out.get(key, 0) + c * c2
-        return {k: c for k, c in out.items() if c}
+                j = out_pos[(s, d + gdeg, k)]
+                out[j] = out.get(j, 0) + c * c2
+        return {j: c for j, c in out.items() if c}
 
 
 def minimal_resolution(alg, vertex, hom_cap=5) -> Resolution:
     """Minimal graded resolution of the vertex simple, up to hom_cap steps.
 
-    Vectors are sparse {position: coef} over the degree-t basis of a
-    projective.  Every map here preserves the destination vertex, so spans
-    and kernels are computed one vertex at a time.
+    Every map here preserves degree and destination vertex, so vectors are
+    sparse {position: coef} over one (degree, vertex) block of a projective,
+    and spans, generators and kernels are computed one block at a time.
     """
     if vertex not in alg.vertices:
         raise VertexMismatch(f"unknown vertex {vertex!r}")
@@ -320,78 +303,44 @@ def minimal_resolution(alg, vertex, hom_cap=5) -> Resolution:
     res.betti[(0, 0)] = {vertex: 1}
     p = _Projective(alg, [(vertex, 0)])
     # first syzygy: everything of positive degree in P^0
-    kernel = {}
-    for t in range(1, p.max_degree() + 1):
-        if p.basis(t):
-            kernel[t] = [{pos: 1} for pos in range(len(p.basis(t)))]
-
+    kernel = {key: [{pos: 1} for pos in range(len(basis))]
+              for key, basis in p.blocks.items() if key[0] > 0}
     for step in range(1, hom_cap + 1):
-        res.syzygy_dims.append({})
-        for t in sorted(kernel):
-            by_vtx = {}
-            for v in kernel[t]:
-                w = _dst_vertex(p, t, v)
-                by_vtx[w] = by_vtx.get(w, 0) + 1
-            for w, dim in sorted(by_vtx.items(), key=lambda kv: str(kv[0])):
-                res.syzygy_dims[-1][(t, w)] = dim
-        if not kernel:
-            res.finished = True
-            return res
-        # minimal generators of the kernel, degree by degree: the kernel
-        # vectors outside the span of the arrow images of degree t - 1
-        gens = []  # (w, t, vector over P_t)
-        spans = {}  # (t, w) -> Echelon
-        for t in sorted(kernel):
-            for u in kernel.get(t - 1, ()):
-                for gi in range(alg.dims(1)):
-                    img = p.act(t - 1, u, 1, gi)
-                    if img:
-                        w = _dst_vertex(p, t, img)
-                        spans.setdefault((t, w), Echelon()).add(img)
-            for u in kernel[t]:
-                w = _dst_vertex(p, t, u)
-                if spans.setdefault((t, w), Echelon()).add(u):
-                    gens.append((w, t, u))
-        for w, t, _ in gens:
+        # minimal generators of the kernel, block by block: the kernel
+        # vectors at (t, w) outside the span of the images of the kernel at
+        # (t - 1, src(a)) under each arrow a into w
+        gens = []  # ((t, w), vector)
+        for (t, w), vectors in kernel.items():
+            span = Echelon()
+            for a in range(alg.dims(1)):
+                if alg.dst(1, a) == w:
+                    below = (t - 1, alg.src(1, a))
+                    for u in kernel.get(below, ()):
+                        span.add(p.act(below, u, 1, a))
+            for u in vectors:
+                if span.add(u):
+                    gens.append(((t, w), u))
+        for (t, w), _ in gens:
             counts = res.betti.setdefault((step, t), {})
             counts[w] = counts.get(w, 0) + 1
-        # next projective and the kernel of P_next -> P, one vertex at a time
-        pnext = _Projective(alg, [(w, t) for w, t, _ in gens])
-        kernel_next = {}
-        for t in range(0, pnext.max_degree() + 1):
-            cols = {}  # w -> source positions
-            rows = {}  # w -> target position -> {source position: coef}
-            for j, (s, d, i, w) in enumerate(pnext.basis(t)):
-                shift, gvec = gens[s][1], gens[s][2]
-                img = p.act(shift, gvec, d, i) if d > 0 else gvec
-                if img and _dst_vertex(p, t, img) != w:
-                    raise AssertionError("map mixes vertex components")
-                cols.setdefault(w, []).append(j)
-                block = rows.setdefault(w, {})
-                for r, c in img.items():
-                    block.setdefault(r, {})[j] = c
-            null = []
-            for w, block_cols in cols.items():
-                ech = Echelon()
-                for row in rows[w].values():
-                    ech.add(row)
-                null += ech.kernel(block_cols)
+        if not gens or step == hom_cap:
+            break  # the kernel of the last map would feed no further step
+        # the next projective, and the kernel of P_next -> P block by block
+        pnext = _Projective(alg, [(w, t) for (t, w), _ in gens])
+        kernel = {}
+        for key, basis in pnext.blocks.items():
+            rows = {}  # target position -> {source position: coef}
+            for j, (s, d, i) in enumerate(basis):
+                for r, c in p.act(*gens[s], d, i).items():
+                    rows.setdefault(r, {})[j] = c
+            ech = Echelon()
+            for row in rows.values():
+                ech.add(row)
+            null = ech.kernel(range(len(basis)))
             if null:
-                # in the order of the free columns, as one kernel would give
-                kernel_next[t] = sorted(null, key=lambda v: next(iter(v)))
+                kernel[key] = null
         p = pnext
-        kernel = kernel_next
-    res.finished = not kernel
     return res
-
-
-def _dst_vertex(p, t, vec):
-    """Destination vertex shared by the support of a nonzero sparse vector."""
-    basis = p.basis(t)
-    ws = {basis[pos][3] for pos in vec}
-    if len(ws) != 1:
-        raise AssertionError("kernel vector mixes vertex components")
-    return ws.pop()
 
 
 def koszul_check(alg, hom_cap=5):

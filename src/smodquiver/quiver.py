@@ -90,12 +90,11 @@ def group_radical(datum: jordan.LieDatum):
             singular = all(h == 1 for h in halves)
             forms = [catalog.duality_form(k, l) for k, l in zip(kinds, e.labels)]
             if all(f.dual == l for f, l in zip(forms, e.labels)):
-                parity = _parity_product(forms[0].parity, forms[1].parity)
+                parity = catalog.parity_product(forms[0].parity, forms[1].parity)
             else:
                 parity = "none"
             eng = [catalog.classical_parity(k, l) for k, l in zip(kinds, e.labels)]
-            engine_parity = (_parity_product(eng[0], eng[1])
-                             if "none" not in eng else "none")
+            engine_parity = catalog.parity_product(*eng)
         else:
             kind, label = kinds[0], e.labels[0]
             if kind.series == "e7":
@@ -110,12 +109,6 @@ def group_radical(datum: jordan.LieDatum):
                                    "I" if e.is_tensor else "II",
                                    singular, parity, engine_parity))
     return groups
-
-
-def _parity_product(p1, p2):
-    if "none" in (p1, p2):
-        return "none"
-    return "symmetric" if p1 == p2 else "skew"
 
 
 # ---------------------------------------------------------------------------

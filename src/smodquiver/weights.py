@@ -238,8 +238,8 @@ def weyl_dim(sys, lam):
         return out
     r2 = rho2(sys)
     lr = _add(lam, r2)
-    d, rem = divmod(_prod(ip4(lr, a) for a in positive_roots(sys)),
-                    _prod(ip4(r2, a) for a in positive_roots(sys)))
+    d, rem = divmod(math.prod(ip4(lr, a) for a in positive_roots(sys)),
+                    math.prod(ip4(r2, a) for a in positive_roots(sys)))
     assert rem == 0 and d > 0
     return d
 
@@ -294,7 +294,8 @@ def _multinomial(w):
 def _orbit_size(sys, w):
     """|W . w|, counted by formula rather than enumerated."""
     if isinstance(sys, CompositeSystem):
-        return _prod(_orbit_size(c, p) for c, p in zip(sys.components, sys.split(w)))
+        return math.prod(_orbit_size(c, p)
+                         for c, p in zip(sys.components, sys.split(w)))
     if sys.family == "A":
         return _multinomial(w)
     mags = [abs(x) for x in w]
@@ -321,7 +322,7 @@ def dominant_character(sys, lam):
                  for c, p in zip(sys.components, sys.split(lam))]
         out = {}
         for combo in itertools.product(*parts):
-            out[_join([w for w, _ in combo])] = _prod(m for _, m in combo)
+            out[_join([w for w, _ in combo])] = math.prod(m for _, m in combo)
         return out
     roots = positive_roots(sys)
     r2 = rho2(sys)
@@ -355,13 +356,6 @@ def dominant_character(sys, lam):
     total = sum(m * _orbit_size(sys, w) for w, m in mult.items())
     assert total == weyl_dim(sys, lam), "Freudenthal mass check failed"
     return mult
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
 
 
 def _weights(sys, lam):

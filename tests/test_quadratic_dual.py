@@ -8,6 +8,11 @@ matrix Hilbert series satisfy H_A(t) . H_{A^!}(-t)^T = I
 Quadratic Algebras, ch. 2).  A^! is often infinite dimensional, so its
 dimensions are computed degree by degree up to the homological cap as
 paths modulo the two-sided ideal, and the identity is checked up to there.
+
+The same dimensions predict the Betti numbers of a Koszul algebra: the
+linear resolution of the simple at v has b_{i,i}(w) equal to the number
+of length-i paths of A^! from w to v, `truncated_dims(...)[i][(w, v)]`
+(BGS 1996, Thm 2.6.1).
 """
 
 from fractions import Fraction
@@ -15,7 +20,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import lam, template_algebra
+from smodquiver import jordan as J
 from smodquiver import pathalg as P
+from smodquiver import quiver as Q
 from smodquiver.linalg import Echelon
 
 HOM_CAP = 5
@@ -28,8 +35,30 @@ CERTIFIED = ([("A1_SegreSym", (k,)) for k in (1, 2, 3)]
              + [("lam", (k,)) for k in (1, 2, 3)])
 
 
+_F = {"kind": "field"}
+
+
+def _tensor(la, lb, mult):
+    return {"kind": "tensor", "a": {"ideal": 0, "label": la},
+            "b": {"ideal": 1, "label": lb}, "mult": mult}
+
+
+# assembled specs: field + ad x 6, and the a2-segre dual pair block
+ASSEMBLED = {
+    "ad6": {"ideals": [_F], "radical": [
+        {"kind": "unital", "ideal": 0, "label": "ad", "mult": 6}]},
+    "a2-segre": {"ideals": [_F, {"kind": "hermitian", "comp": 2, "n": 3}],
+                 "radical": [_tensor("L", "V", 2), _tensor("L", "V*", 2)]},
+}
+
+
 def _algebra(kind, dims):
     return lam(dims[0]) if kind == "lam" else template_algebra(kind, dims)
+
+
+def _assembled(name):
+    rep = Q.assemble(J.spec_from_dict(ASSEMBLED[name]))
+    return P.from_presentation(rep.quiver, rep.relations)
 
 
 def _paths(arrows, length):
@@ -122,3 +151,21 @@ def test_truncated_dims_agree_with_basis_extraction():
         alg = _algebra(kind, dims)
         got = truncated_dims(alg.vertices, alg.arrows, alg.relations, HOM_CAP)
         assert got == [alg.dims_by_pair(d) for d in range(HOM_CAP + 1)]
+
+
+@pytest.mark.parametrize(
+    "alg", [pytest.param((kind, dims), id=f"{kind}{dims}")
+            for kind, dims in CERTIFIED]
+    + [pytest.param(name, id=name) for name in sorted(ASSEMBLED)])
+def test_betti_numbers_of_quadratic_dual(alg):
+    """The minimal resolution's linear Betti numbers are the dimensions of
+    the quadratic dual, computed without resolving anything."""
+    alg = _assembled(alg) if isinstance(alg, str) else _algebra(*alg)
+    h_dual = truncated_dims(*quadratic_dual(alg), HOM_CAP)
+    for v in alg.vertices:
+        res = P.minimal_resolution(alg, v, HOM_CAP)
+        assert res.is_linear(), v
+        for i in range(HOM_CAP + 1):
+            want = {w: h_dual[i].get((w, v), 0) for w in alg.vertices}
+            assert res.betti.get((i, i), {}) == {
+                w: n for w, n in want.items() if n}, (v, i)
