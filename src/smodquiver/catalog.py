@@ -26,6 +26,16 @@ class UnknownLabel(KeyError):
     pass
 
 
+# bound on the dimension of a module whose weights `restrict_s` and
+# `graded_piece_dim` walk one by one: spinors and Lambda+- of a large
+# so(n) would otherwise take seconds to hours
+MAX_WALKED_DIM = 2 ** 16
+
+
+class ModuleTooLarge(RuntimeError):
+    """A module whose weights would be walked exceeds MAX_WALKED_DIM."""
+
+
 HALF = frozenset((Fraction(1, 2), Fraction(-1, 2)))
 
 
@@ -255,6 +265,17 @@ def is_s_half(kind, lam):
     return grading_eigenvalues(kind, lam) == HALF
 
 
+def _walk(kind, lam):
+    """Every (weight, multiplicity) pair of V_lam, once its dimension is
+    known to be within MAX_WALKED_DIM."""
+    sys = kind.root_system()
+    dim = weights.weyl_dim(sys, lam)
+    if dim > MAX_WALKED_DIM:
+        raise ModuleTooLarge(f"a module of {kind} of dimension {dim} exceeds "
+                             f"the weight-walk bound {MAX_WALKED_DIM}")
+    return weights._weights(sys, lam)
+
+
 @lru_cache(maxsize=None)
 def _name_of_half_weight(kind, lam):
     for name, w in _half_weight_table(kind).items():
@@ -277,7 +298,7 @@ def restrict_s(kind, m_name, n_name):
     out = {}
     # the highest weight of the larger factor, the weights of the smaller
     for lam, mult in weights._brauer_klimyk(
-            sys, {top: 1}, weights._weights(sys, other)).items():
+            sys, {top: 1}, _walk(kind, other)).items():
         if weights.is_trivial_weight(sys, lam):
             out["tr"] = out.get("tr", 0) + mult
         elif is_s_half(kind, lam):
@@ -354,5 +375,5 @@ def graded_piece_dim(kind, name, level):
         # short grading of e7 relative to its sl2: (27, 79, 27)
         return {Fraction(1): 27, Fraction(-1): 27, Fraction(0): 79}.get(level, 0)
     h2 = kind.cocharacter()
-    pairs = weights._weights(kind.root_system(), any_weight(kind, name))
+    pairs = _walk(kind, any_weight(kind, name))
     return sum(m for w, m in pairs if Fraction(weights.ip4(w, h2), 4) == level)

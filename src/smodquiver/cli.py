@@ -104,7 +104,7 @@ def _load_spec(path):
 
 
 def _assemble(path):
-    from . import jordan, quiver
+    from . import catalog, jordan, quiver
 
     spec = _load_spec(path)
     try:
@@ -112,7 +112,7 @@ def _assemble(path):
     except jordan.SpecError as exc:
         raise CliError(EXIT_VALIDATION, "spec-invalid",
                        "; ".join(exc.report.violations)) from exc
-    except quiver.TooManyRelations as exc:
+    except (quiver.TooManyRelations, catalog.ModuleTooLarge) as exc:
         raise CliError(EXIT_CAP, "cap-exceeded", str(exc)) from exc
 
 

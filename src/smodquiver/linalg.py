@@ -32,11 +32,13 @@ def sparse_vector(seq):
     return {j: Fraction(x) for j, x in enumerate(seq) if x}
 
 
-def denominator_lcm(vectors):
-    """The lcm of the denominators of the sparse vectors' coefficients.
-
-    Scaling by it makes every coefficient an integer."""
-    return math.lcm(*(c.denominator for v in vectors for c in v.values()))
+def integral(maps):
+    """The dicts, all scaled by the lcm of their values' denominators, with
+    `int` values: a list of dicts with the same keys."""
+    maps = list(maps)
+    scale = math.lcm(*(c.denominator for m in maps for c in m.values()))
+    return [{k: c.numerator * (scale // c.denominator) for k, c in m.items()}
+            for m in maps]
 
 
 def dense_vector(v, n):
@@ -64,6 +66,15 @@ def op_mul(a, b):
         for c, y in brows.get(t, ()):
             out[(r, c)] = out.get((r, c), 0) + x * y
     return out
+
+
+def op_sum(terms):
+    """sum c * op over the (c, op) pairs, without zero entries."""
+    out = {}
+    for c, op in terms:
+        for key, x in op.items():
+            out[key] = out.get(key, 0) + c * x
+    return {key: x for key, x in out.items() if x}
 
 
 def op_commutator(a, b):

@@ -84,6 +84,7 @@ def group_radical(datum: jordan.LieDatum):
     groups = []
     for q, e in enumerate(datum.radical):
         kinds = [datum.summands[i] for i in e.support]
+        engine_parity = jordan._entry_parity(datum, e)
         if e.is_tensor:
             halves = [catalog.graded_piece_dim(k, l, half)
                       for k, l in zip(kinds, e.labels)]
@@ -93,18 +94,14 @@ def group_radical(datum: jordan.LieDatum):
                 parity = catalog.parity_product(forms[0].parity, forms[1].parity)
             else:
                 parity = "none"
-            eng = [catalog.classical_parity(k, l) for k, l in zip(kinds, e.labels)]
-            engine_parity = catalog.parity_product(*eng)
         else:
             kind, label = kinds[0], e.labels[0]
             if kind.series == "e7":
                 singular = False
             else:
                 singular = catalog.graded_piece_dim(kind, label, Fraction(1)) == 1
-            if catalog.dual_label(kind, label) == label:
-                parity = engine_parity = catalog.classical_parity(kind, label)
-            else:
-                parity = engine_parity = "none"
+            # a label that is not self-dual already has classical parity "none"
+            parity = engine_parity
         groups.append(RadicalGroup(q, e.support, e.labels, e.w_dim,
                                    "I" if e.is_tensor else "II",
                                    singular, parity, engine_parity))
@@ -200,11 +197,9 @@ def classify_block(datum, groups, q):
             if form.dual == sname:
                 kind = "A1_SegreSym" if form.parity == "symmetric" else "A1_SegreAlt"
                 return kind, (q,)
-            dual_labels = tuple(catalog.dual_label(k, l)
-                                for k, l in zip(kinds, g.labels))
             for g2 in groups:
                 if (g2.index != q and g2.rtype == "I"
-                        and g2.support == g.support and g2.labels == dual_labels):
+                        and jordan._entries_dual(datum, g, g2)):
                     return "A2_Segre", tuple(sorted((q, g2.index)))
         return "ZeroRelations", (q,)
     kind = kinds[0]

@@ -32,12 +32,12 @@ from functools import lru_cache
 
 from .catalog import (classical_parity, duality_form, grading_eigenvalues,
                       s_half_simples)
-from .linalg import (Q0, Q1, Echelon, dense_vector, op_commutator, op_lines,
-                     op_mul, sparse_vector)
+from .linalg import (Q0, Q1, Echelon, dense_vector, exact, op_commutator,
+                     op_lines, op_mul, op_sum, sparse_vector)
 from .pathalg import GradedProtocol, PresentedAlgebra, VertexMismatch
 from .quiver import (Block, Quiver, QuiverReport, RadicalGroup, Relation,
                      ThickArrow, ThinArrow, Vertex)
-from .tables import StructureConstants, _sparse_table, _table_product, _times_basis
+from .tables import StructureConstants
 from .weights import (CompositeSystem, NonDecomposable, _add, _brauer_klimyk,
                       _constituents, _dot_dominant, _embed, _weights, ip4)
 
@@ -423,16 +423,10 @@ class BiRepresentation:
 
 
 def regular_birep(sc: StructureConstants) -> BiRepresentation:
-    return BiRepresentation(sc, [sc.left_mult_matrix(i) for i in range(sc.dim)])
-
-
-def _op_sum(terms):
-    """sum c * op over the (c, op) pairs, a sparse operator without zeros."""
-    out = {}
-    for c, op in terms:
-        for key, x in op.items():
-            out[key] = out.get(key, 0) + c * x
-    return {key: x for key, x in out.items() if x}
+    """The algebra as a module over itself: rho(e_i) is the matrix of L_i."""
+    n = sc.dim
+    return BiRepresentation(sc, [[[sc.c[i][j][k] for j in range(n)]
+                                  for k in range(n)] for i in range(n)])
 
 
 def _sparse_ops(rep):
@@ -443,14 +437,20 @@ def _sparse_ops(rep):
 
 def _rho(ops, vec):
     """rho of a sparse vector, from the sparse operators of the basis."""
-    return _op_sum((x, ops[i]) for i, x in vec.items())
+    return op_sum((x, ops[i]) for i, x in vec.items())
+
+
+def _products(sc):
+    """e_q * e_r as a sparse vector at [q][r]: column r of L_q."""
+    return [[dict(cols.get(r, ())) for r in range(sc.dim)]
+            for cols in (op_lines(op)[1] for op in sc.ops)]
 
 
 def check_birepresentation(rep: BiRepresentation) -> bool:
     """Multilinearized module identities on all basis triples."""
     sc = rep.algebra
     n = sc.dim
-    t = sc.sparse
+    t = _products(sc)
     ops = _sparse_ops(rep)
     rho_qr = [[_rho(ops, t[q][r]) for r in range(n)] for q in range(n)]
 
@@ -461,16 +461,16 @@ def check_birepresentation(rep: BiRepresentation) -> bool:
             for b in range(n):
                 terms = [(1, op_mul(op_mul(ops[a], ops[b]), ops[c])),
                          (1, op_mul(op_mul(ops[c], ops[b]), ops[a])),
-                         (1, _rho(ops, _times_basis(t, t[a][c], b)))]
+                         (1, op_sum((x, rho_qr[k][b]) for k, x in t[a][c].items()))]
                 terms += [(-1, op_mul(ops[p], rho_qr[q][r]))
                           for p, q, r in ((a, b, c), (b, c, a), (c, a, b))]
-                if _op_sum(terms):
+                if op_sum(terms):
                     return False
     # linearized [rho(a), rho(a*a)] = 0
     for x in range(n):
         for y in range(x, n):
             for z in range(y, n):
-                if _op_sum((1, op_commutator(ops[p], rho_qr[q][r]))
+                if op_sum((1, op_commutator(ops[p], rho_qr[q][r]))
                            for p, q, r in ((x, y, z), (y, z, x), (z, x, y))):
                     return False
     return True
@@ -497,20 +497,19 @@ def peirce_split(rep: BiRepresentation, e) -> PeirceSplit:
     """
     sc = rep.algebra
     evec = {e: Q1} if isinstance(e, int) else sparse_vector(e)
-    for i in range(sc.dim):
-        if _table_product(sc.sparse, evec, {i: Q1}) != {i: Q1}:
-            raise ValueError("e is not the unit of the algebra")
+    if _rho(sc.ops, evec) != {(i, i): 1 for i in range(sc.dim)}:   # L_e = I
+        raise ValueError("e is not the unit of the algebra")
     d = rep.dim
     re = _rho(_sparse_ops(rep), evec)
     # rho(e)(rho(e)-1)(2rho(e)-1) = 2rho(e)^3 - 3rho(e)^2 + rho(e)
     re2 = op_mul(re, re)
-    if _op_sum(((2, op_mul(re2, re)), (-3, re2), (1, re))):
+    if op_sum(((2, op_mul(re2, re)), (-3, re2), (1, re))):
         raise CubicIdentityFails("rho(e)(rho(e)-1)(2rho(e)-1) != 0")
     ident = {(i, i): Q1 for i in range(d)}
     bases = []
     for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
         ech = Echelon()
-        for row in op_lines(_op_sum(((1, re), (-lam, ident))))[0].values():
+        for row in op_lines(op_sum(((1, re), (-lam, ident))))[0].values():
             ech.add(dict(row))
         bases.append(tuple(tuple(dense_vector(v, d)) for v in ech.kernel(range(d))))
     dims = tuple(len(b) for b in bases)
@@ -522,13 +521,17 @@ def plus_product(assoc_table) -> StructureConstants:
     """Symmetrized product a*b = ab + ba of an associative table."""
     table = [[qvec(v) for v in row] for row in assoc_table]
     n = len(table)
-    sparse = _sparse_table(table)
+    # L_i of the associative product: column j is e_i e_j
+    ops = [{(k, j): exact(x) for j, v in enumerate(row) for k, x in enumerate(v)
+            if x} for row in table]
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                if (_table_product(sparse, sparse[i][j], {k: Q1})
-                        != _table_product(sparse, {i: Q1}, sparse[j][k])):
-                    raise NotAssociative(f"({i}*{j})*{k} != {i}*({j}*{k})")
+            lij = op_sum((x, ops[k]) for k, x in enumerate(table[i][j]) if x)
+            # column k of L_{e_i e_j} - L_i L_j is (e_i e_j) e_k - e_i (e_j e_k)
+            diff = op_sum(((1, lij), (-1, op_mul(ops[i], ops[j]))))
+            if diff:
+                k = min(col for _, col in diff)
+                raise NotAssociative(f"({i}*{j})*{k} != {i}*({j}*{k})")
     sym = [[tuple(x + y for x, y in zip(table[i][j], table[j][i]))
             for j in range(n)] for i in range(n)]
     return StructureConstants(sym)

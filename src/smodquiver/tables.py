@@ -1,8 +1,9 @@
 """Commutative algebras given by explicit structure constants.
 
 This is the table level of the package, what `tkk-check` parses and checks
-before the TKK construction: the JSON table format, the exact product, the
-unit, and the multilinearized Jordan identity.
+before the TKK construction: the JSON table format, the left
+multiplications L_i through which every product goes, the unit, and the
+multilinearized Jordan identity in operator form.
 
 Coefficients are exact: `int` or `Fraction`, never a float.  Identities are
 checked on basis tuples after full multilinearization, which is equivalent
@@ -17,7 +18,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .linalg import Q0, Q1, Echelon, dense_vector, denominator_lcm, sparse_vector
+from .linalg import (Q0, Echelon, dense_vector, exact, integral, op_commutator,
+                     op_lines, op_mul, op_sum)
 
 # ---------------------------------------------------------------------------
 # JSON wire format
@@ -85,64 +87,43 @@ def table_from_dict(data: dict) -> StructureConstants:
 # explicit structure constants
 
 
-def _sparse_table(table):
-    """table[i][j] as the sparse vector {k: x} of the product e_i * e_j."""
-    return tuple(tuple(sparse_vector(v) for v in row) for row in table)
-
-
-def _table_product(table, x, y):
-    """Product of sparse vectors x and y through a sparse table."""
-    out = {}
-    for i, xi in x.items():
-        row = table[i]
-        for j, yj in y.items():
-            for k, c in row[j].items():
-                out[k] = out.get(k, 0) + xi * yj * c
-    return {k: c for k, c in out.items() if c}
-
-
-def _integral_table(table):
-    """The sparse table times the lcm of its denominators, over int."""
-    scale = denominator_lcm(v for row in table for v in row)
-    return tuple(tuple({k: c.numerator * (scale // c.denominator)
-                        for k, c in v.items()} for v in row) for row in table)
-
-
 def table_bits(sc):
     """dim^2 times the bit length of the largest entry of the table scaled
     to integers: the size of one operator L_i were every entry that long."""
-    return sc.dim ** 2 * max((abs(c).bit_length()
-                              for row in _integral_table(sc.sparse)
-                              for v in row for c in v.values()), default=0)
+    return sc.dim ** 2 * max((abs(c).bit_length() for op in integral(sc.ops)
+                              for c in op.values()), default=0)
 
 
 class StructureConstants:
     """Commutative product on k^n: c[i][j] is the vector e_i * e_j.
 
-    `sparse` holds the same table as sparse vectors {k: x}."""
+    `ops[i]` is the left multiplication L_i as a sparse operator
+    {(k, j): x}, its column j the product e_i * e_j, each entry an `int`
+    when it is integral; every product of table elements goes through them.
+    """
 
     def __init__(self, table):
         self.c = tuple(tuple(tuple(Fraction(x) for x in v) for v in row)
                        for row in table)
-        self.dim = len(self.c)
-        for i in range(self.dim):
-            if len(self.c[i]) != self.dim:
+        n = self.dim = len(self.c)
+        for i in range(n):
+            if len(self.c[i]) != n:
                 raise ValueError("table is not square")
-            for j in range(self.dim):
-                if len(self.c[i][j]) != self.dim:
+            for j in range(n):
+                if len(self.c[i][j]) != n:
                     raise ValueError("entries must be n-vectors")
                 if self.c[i][j] != self.c[j][i]:
                     raise ValueError("table is not commutative")
-        self.sparse = _sparse_table(self.c)
+        self.ops = tuple({(k, j): exact(x) for j in range(n)
+                          for k, x in enumerate(self.c[i][j]) if x}
+                         for i in range(n))
         self._jordan = None   # verdict of check_jordan_identity, once known
 
     def mul(self, x, y):
-        xy = _table_product(self.sparse, sparse_vector(x), sparse_vector(y))
-        return dense_vector(xy, self.dim)
-
-    def left_mult_matrix(self, i):
-        """Matrix of x -> e_i * x."""
-        return [[self.c[i][j][k] for j in range(self.dim)] for k in range(self.dim)]
+        """x * y = L_x y, of dense vectors."""
+        lx = op_sum((c, op) for c, op in zip(x, self.ops) if c)
+        xy = op_mul(lx, {(j, 0): c for j, c in enumerate(y) if c})
+        return dense_vector({k: c for (k, _), c in xy.items()}, self.dim)
 
     def __eq__(self, other):
         return isinstance(other, StructureConstants) and self.c == other.c
@@ -151,16 +132,18 @@ class StructureConstants:
 def find_unit(sc: StructureConstants):
     """The unit element as a vector, or None.
 
-    The unit u solves u * e_i = e_i for every i: one equation per (i, k)
-    over the columns 0..n-1, with its right-hand side in column n.
+    The unit u solves u * e_i = L_i u = e_i for every i: one equation per
+    row k of L_i over the columns 0..n-1, with its right-hand side in
+    column n.
     """
     n = sc.dim
     ech = Echelon()
-    for i in range(n):
+    for i, op in enumerate(sc.ops):
+        rows, _ = op_lines(op)
         for k in range(n):
-            row = {j: sc.c[j][i][k] for j in range(n) if sc.c[j][i][k]}
+            row = dict(rows.get(k, ()))
             if k == i:
-                row[n] = Q1
+                row[n] = 1
             ech.add(row)
     if n in ech.rows:
         return None
@@ -171,42 +154,29 @@ def find_unit(sc: StructureConstants):
 
 
 def check_jordan_identity(sc: StructureConstants) -> bool:
-    """Full multilinearization of ((a*a)*b)*a = (a*a)*(b*a) on basis tuples.
+    """Full multilinearization of ((a*a)*b)*a = (a*a)*(b*a), in operator form.
 
-    The check runs once per instance over the sparse table scaled to `int`
-    (the identity is homogeneous of degree 3 in the table); the verdict is
-    kept on `sc`.
+    For each basis triple the sum over its cyclic shifts (p, q, r) of
+    [L_r, L_{e_p e_q}] vanishes; column b of that sum is the identity on the
+    basis tuple with e_b in the place of b.  The check runs once per
+    instance over the operators scaled to `int` (the identity is
+    homogeneous of degree 3 in the table); the verdict is kept on `sc`.
     """
     if sc._jordan is None:
-        sc._jordan = _jordan_identity(_integral_table(sc.sparse))
+        sc._jordan = _jordan_identity(integral(sc.ops))
     return sc._jordan
 
 
-def _times_basis(t, v, b):
-    """v * e_b through a sparse table."""
-    out = {}
-    for i, x in v.items():
-        for k, c in t[i][b].items():
-            out[k] = out.get(k, 0) + x * c
-    return out
-
-
-def _jordan_identity(t):
-    n = len(t)
+def _jordan_identity(ops):
+    n = len(ops)
+    cols = [op_lines(op)[1] for op in ops]
+    # L_{e_p e_q} for p <= q, from column q of L_p
+    prod = {(p, q): op_sum((x, ops[k]) for k, x in cols[p].get(q, ()))
+            for p in range(n) for q in range(p, n)}
     for x in range(n):
         for y in range(x, n):
             for z in range(y, n):
-                # the cyclic shifts (p, q, r) of (x, y, z), as (e_p e_q, r)
-                shifts = ((t[x][y], z), (t[y][z], x), (t[z][x], y))
-                for b in range(n):
-                    # sum over the shifts of ((e_p e_q) e_b) e_r - (e_p e_q)(e_b e_r)
-                    acc = {}
-                    for pq, r in shifts:
-                        left = _times_basis(t, _times_basis(t, pq, b), r)
-                        for k, c in left.items():
-                            acc[k] = acc.get(k, 0) + c
-                        for k, c in _table_product(t, pq, t[b][r]).items():
-                            acc[k] = acc.get(k, 0) - c
-                    if any(acc.values()):
-                        return False
+                shifts = ((prod[x, y], z), (prod[y, z], x), (prod[x, z], y))
+                if op_sum((1, op_commutator(ops[r], pq)) for pq, r in shifts):
+                    return False
     return True

@@ -14,7 +14,7 @@ without structure constants, is `jordan.lie_datum_of_spec`.
 
 from __future__ import annotations
 
-from .linalg import Echelon, denominator_lcm, exact, op_commutator, op_lines
+from .linalg import Echelon, exact, integral, op_commutator, op_lines, op_sum
 from .tables import StructureConstants, check_jordan_identity, find_unit
 
 MAX_EXPLICIT_DIM = 16
@@ -65,13 +65,10 @@ class ShortGradedLie:
         return {k: -c for k, c in self.bracket.get((j, i), {}).items()}
 
     def bracket_vec(self, u, v):
+        """[u, v] of sparse vectors {index: coeff}."""
         out = {}
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
+        for i, ui in u.items():
+            for j, vj in v.items():
                 for k, c in self.bracket_basis(i, j).items():
                     out[k] = out.get(k, 0) + ui * vj * c
         return {k: c for k, c in out.items() if c}
@@ -95,15 +92,11 @@ class ShortGradedLie:
         (it is then -[[e_k,e_i],e_j]) and +1 otherwise.  A triple whose three
         brackets vanish gets no term and holds trivially.
         """
-        scale = denominator_lcm(self.bracket.values())
-        # ad[i][j] = scale * [e_i, e_j] for every nonzero bracket, both signs
+        # ad[i][j] = [e_i, e_j] scaled to int, for every bracket, both signs
         ad = {}
-        for (i, j), vec in self.bracket.items():
-            vec = {k: c.numerator * (scale // c.denominator)
-                   for k, c in vec.items() if c}
-            if vec:
-                ad.setdefault(i, {})[j] = vec
-                ad.setdefault(j, {})[i] = {k: -c for k, c in vec.items()}
+        for (i, j), vec in zip(self.bracket, integral(self.bracket.values())):
+            ad.setdefault(i, {})[j] = vec
+            ad.setdefault(j, {})[i] = {k: -c for k, c in vec.items()}
         acc = {}  # (i, j, k) -> the sum of its terms, a sparse vector
         for a, ad_a in ad.items():
             for b, vec in ad_a.items():
@@ -126,15 +119,10 @@ class ShortGradedLie:
 
     def check_triple(self):
         """e in g_{-1}, h in g_0, f in g_1 with [e,f]=h, [h,e]=-e, [h,f]=f."""
-        e, h, f = self.triple
-        ef = self.bracket_vec(e, f)
-        if {k: c for k, c in enumerate(h) if c} != ef:
-            return False
-        he = self.bracket_vec(h, e)
-        if {k: -c for k, c in enumerate(e) if c} != he:
-            return False
-        hf = self.bracket_vec(h, f)
-        return {k: c for k, c in enumerate(f) if c} == hf
+        e, h, f = ({k: c for k, c in enumerate(v) if c} for v in self.triple)
+        return (self.bracket_vec(e, f) == h
+                and self.bracket_vec(h, e) == {k: -c for k, c in e.items()}
+                and self.bracket_vec(h, f) == f)
 
 
 def _op_key(op, n):
@@ -146,10 +134,6 @@ def _map_key(bmap, n):
     """A bilinear map {(x, y): {k: c}} as one sparse vector, key (x*n + y)*n + k."""
     return {(x * n + y) * n + k: c for (x, y), vec in bmap.items()
             for k, c in vec.items()}
-
-
-def _pruned(acc):
-    return {k: c for k, c in acc.items() if c}
 
 
 def _act(op, bmap):
@@ -167,7 +151,7 @@ def _act(op, bmap):
             for dst in (out.setdefault((x, y), {}), out.setdefault((y, x), {})):
                 for k, c in vec.items():
                     dst[k] = dst.get(k, 0) - l * c
-    out = {xy: _pruned(vec) for xy, vec in out.items()}
+    out = {xy: {k: c for k, c in vec.items() if c} for xy, vec in out.items()}
     return {xy: vec for xy, vec in out.items() if vec}
 
 
@@ -176,9 +160,10 @@ def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
 
     Operators are sparse {(row, col): x} and bilinear maps sparse
     {(x, y): {k: c}}; each degree is spanned in one `Echelon` over their
-    flattened entries.  Integral table entries and unit coordinates are kept
-    as `int`, so on an integral table the arithmetic stays over `int` up to
-    the first pivot other than +-1.
+    flattened entries.  L_a is the table's `sc.ops[a]`, whose integral
+    entries are `int`, and integral unit coordinates are kept as `int`, so on
+    an integral table the arithmetic stays over `int` up to the first pivot
+    other than +-1.
     """
     n = sc.dim
     if n > MAX_EXPLICIT_DIM:
@@ -189,12 +174,7 @@ def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
     if unit is None:
         raise NotUnital("algebra has no identity element")
     unit = [exact(u) for u in unit]
-    table = [[{k: exact(c) for k, c in v.items()} for v in row]
-             for row in sc.sparse]
-
-    # L_i: column j is the vector e_i * e_j
-    lmaps = [{(k, j): c for j in range(n) for k, c in table[i][j].items()}
-             for i in range(n)]
+    ops = sc.ops   # L_i: column j is the vector e_i * e_j
 
     # g_0: span of L_a and [L_a, L_b]
     g0 = Echelon(track=True)
@@ -204,15 +184,17 @@ def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
         if g0.add(_op_key(op, n)):
             g0_ops.append(op)
 
-    for op in lmaps:
+    for op in ops:
         add_op(op)
     for i in range(n):
         for j in range(i + 1, n):
-            add_op(op_commutator(lmaps[i], lmaps[j]))
+            add_op(op_commutator(ops[i], ops[j]))
 
     # g_1: span of P and L_a.P, inside symmetric bilinear maps
-    ptensor = {(x, y): table[x][y]
-               for x in range(n) for y in range(n) if table[x][y]}
+    ptensor = {}
+    for x, op in enumerate(ops):
+        for (k, y), c in op.items():
+            ptensor.setdefault((x, y), {})[k] = c
     g1 = Echelon(track=True)
     g1_maps = []
 
@@ -221,7 +203,7 @@ def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
             g1_maps.append(b)
 
     add_map(ptensor)
-    for op in lmaps:
+    for op in ops:
         add_map(_act(op, ptensor))
 
     d0, d1 = len(g0_ops), len(g1_maps)
@@ -270,14 +252,10 @@ def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
             put(n + a, n + d0 + b, g1_coords(_act(op, B)))
 
     evec = [0] * total
-    for i, x in enumerate(unit):
-        evec[i] = x
-    neg_le = {}
-    for i, u in enumerate(unit):
-        for key, c in lmaps[i].items():
-            neg_le[key] = neg_le.get(key, 0) - u * c
+    evec[:n] = unit
+    neg_le = op_sum((-u, ops[i]) for i, u in enumerate(unit) if u)
     hvec = [0] * total
-    for t, c in g0_coords(_pruned(neg_le)).items():
+    for t, c in g0_coords(neg_le).items():
         hvec[t] = c
     fvec = [0] * total
     for t, c in g1_coords(ptensor).items():
@@ -292,18 +270,13 @@ def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
 def jordan_from_short_pair(g: ShortGradedLie) -> StructureConstants:
     """Product x*y = [[f,x],y] on g_{-1}, from the stored triple."""
     n = g.dims[0]
-    _, _, f = g.triple
+    f = {k: c for k, c in enumerate(g.triple[2]) if c}
     table = []
     for i in range(n):
-        xi = [1 if t == i else 0 for t in range(g.total_dim)]
-        fx = g.bracket_vec(f, xi)
-        fxv = [0] * g.total_dim
-        for k, c in fx.items():
-            fxv[k] = c
+        fx = g.bracket_vec(f, {i: 1})
         row = []
         for j in range(n):
-            xj = [1 if t == j else 0 for t in range(g.total_dim)]
-            res = g.bracket_vec(fxv, xj)
+            res = g.bracket_vec(fx, {j: 1})
             if any(k >= n for k in res):
                 raise JacobiFails("[[f,x],y] leaves degree -1")
             row.append(tuple(res.get(k, 0) for k in range(n)))

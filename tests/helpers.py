@@ -457,7 +457,7 @@ def random_commutative_table(rng, n, density):
     return t
 
 
-def _ref_mul(table, x, y):
+def ref_mul(table, x, y):
     n = len(table)
     out = [Fraction(0)] * n
     for i, xi in enumerate(x):
@@ -484,8 +484,8 @@ def ref_check_jordan_identity(sc):
 
     def f(x, y, b, z):
         xy = c[x][y]
-        left = _ref_mul(c, _ref_mul(c, xy, _ref_basis(n, b)), _ref_basis(n, z))
-        right = _ref_mul(c, xy, c[b][z])
+        left = ref_mul(c, ref_mul(c, xy, _ref_basis(n, b)), _ref_basis(n, z))
+        right = ref_mul(c, xy, c[b][z])
         return [l - r for l, r in zip(left, right)]
 
     for x in range(n):
@@ -686,7 +686,7 @@ def ref_check_birepresentation(rep):
     for a in range(n):
         for c in range(a, n):
             for b in range(n):
-                acb = sc.mul(sc.c[a][c], _ref_basis(n, b))
+                acb = ref_mul(sc.c, sc.c[a][c], _ref_basis(n, b))
                 m = _ref_mat_sum(
                     (1, mm(mm(rhos[a], rhos[b]), rhos[c])),
                     (1, mm(mm(rhos[c], rhos[b]), rhos[a])),
@@ -713,7 +713,7 @@ def ref_peirce_split(rep, e):
     n = sc.dim
     evec = _ref_basis(n, e) if isinstance(e, int) else [Fraction(x) for x in e]
     for i in range(n):
-        if sc.mul(evec, _ref_basis(n, i)) != _ref_basis(n, i):
+        if ref_mul(sc.c, evec, _ref_basis(n, i)) != _ref_basis(n, i):
             raise ValueError("e is not the unit of the algebra")
     d = rep.dim
     re = rep.rho(evec)

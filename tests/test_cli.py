@@ -151,6 +151,36 @@ def test_quiver_size_bound_is_exact(tmp_path, capsys, monkeypatch):
             assert json.loads(captured.err)["error"] == "cap-exceeded"
 
 
+# spinors and Lambda+ of a large so(n) have millions to billions of weights;
+# before the weight-walk bound the first spec ran for 28.7 s and the other
+# two were still running after 15-20 s
+_WALKED = {
+    "bilinear44-tensor-L-Gamma+": jordan.JordanSpec(
+        (jordan.Field(), jordan.Bilinear(44)),
+        (jordan.TensorOfSpecial(0, "L", 1, "Gamma+"),)),
+    "bilinear60-tensor-L-Gamma+": jordan.JordanSpec(
+        (jordan.Field(), jordan.Bilinear(60)),
+        (jordan.TensorOfSpecial(0, "L", 1, "Gamma+"),)),
+    "bilinear38-unital-Lambda+": jordan.JordanSpec(
+        (jordan.Bilinear(38),), (jordan.Unital(0, "Lambda+"),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WALKED))
+def test_oversized_module_exits_4_quickly(tmp_path, name):
+    path = write_spec(tmp_path, _WALKED[name])
+    for command in ("quiver", "blocks", "koszul"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "smodquiver.cli", command, "--spec", path],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == cli.EXIT_CAP, command
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "cap-exceeded"
+        assert elapsed < 2.0, f"{command}: the refusal took {elapsed:.1f} s"
+
+
 def test_a2_block_has_six_edges(tmp_path, capsys):
     spec = jordan.JordanSpec(
         (jordan.Field(), jordan.Hermitian(2, 3)),

@@ -3,21 +3,32 @@
 
 Every input must reach a documented exit (0, 2, 3 or 4) without an
 exception escaping, and an error exit (2 or 4) must print exactly one JSON
-object with `error` and `message` on stderr.  Inputs stay small
-(multiplicities up to 3, algebra and table dimensions up to 4) so each
-example runs in well under a second; the draws are derandomized so the suite
-is repeatable.
+object with `error` and `message` on stderr, within `EXAMPLE_SECONDS`.
+Multiplicities stay up to 3 and table dimensions and most algebra dimensions
+up to 4; bilinear ideals reach dimension 80, whose spinors and Lambda+- lie
+far past the weight-walk bound.  The draws are derandomized so the suite is
+repeatable.
 """
 
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smodquiver import cli
+# imported up front, so that no example's time includes compiling a layer
+from smodquiver import cli, pathalg, quiver, tkk  # noqa: F401
+
+# wall-time bound of one example.  The slowest drawn example took 6 ms (in
+# process, layers imported, 2-core shared machine), but a spec just under the
+# weight-walk bound, such as field + bilinear(32) with L (x) Gamma+, takes
+# about 0.5 s on cold caches; the bound admits every such input and still
+# fails on unbounded work like the 28.7 s walk over the weights of a spinor
+# of so(46)
+EXAMPLE_SECONDS = 2.0
 
 EXITS = {cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_VERIFY, cli.EXIT_CAP}
 
@@ -45,7 +56,7 @@ MULT = st.integers(min_value=1, max_value=3)
 IDEALS = _mostly(st.one_of(
     st.just({"kind": "field"}),
     st.builds(lambda d: {"kind": "bilinear", "dim": d},
-              _mostly(st.integers(2, 4))),
+              _mostly(st.integers(2, 80))),
     st.builds(lambda c, n: {"kind": "hermitian", "comp": c, "n": n},
               _mostly(st.sampled_from([1, 2, 4]), st.sampled_from([0, 3])),
               _mostly(st.integers(2, 4))),
@@ -125,8 +136,11 @@ def workdir(tmp_path_factory):
 def _run(argv):
     """Exit code, stdout and stderr of `cli.main(argv)`, run in process."""
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    assert elapsed < EXAMPLE_SECONDS, (argv, elapsed)
     return rc, out.getvalue(), err.getvalue()
 
 

@@ -8,6 +8,7 @@ here."""
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,9 +58,16 @@ TKK = {
 }
 
 
-def _stdout_digest(argv, capsys):
-    assert cli.main(argv) == 0
+def _stdout_digest(argv, capsys, rc=0):
+    assert cli.main(argv) == rc
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def _write_table(t, path):
+    table = {"dim": len(t),
+             "products": [[[str(x) for x in v] for v in row] for row in t]}
+    path.write_text(json.dumps(table), encoding="utf-8")
+    return str(path)
 
 
 @pytest.mark.parametrize("name", sorted(KOSZUL))
@@ -73,13 +81,39 @@ def test_koszul_stdout_matches_golden(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(TKK))
 def test_tkk_check_stdout_matches_golden(name, tmp_path, capsys):
-    t = TKK[name]
-    table = {"dim": len(t),
-             "products": [[[str(x) for x in v] for v in row] for row in t]}
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(table), encoding="utf-8")
-    argv = ["tkk-check", "--table", str(path)]
+    argv = ["tkk-check", "--table", _write_table(TKK[name], tmp_path / "t.json")]
     assert _stdout_digest(argv, capsys) == GOLDEN[name]
+
+
+def _spin_half(n):
+    """The spin factor of the form with e_i e_i = 1/2 e_0: Fraction entries."""
+    t = spin_factor(n)
+    for i in range(1, n):
+        t[i][i][0] = Fraction(1, 2)
+    return t
+
+
+# sha256 of tkk-check stdout on tables the benchmark does not run, with the
+# exit code, recorded from the per-basis-tuple identity check and the table
+# rebuilt inside the construction
+TKK_MORE = {
+    "spin16": (spin_factor(16), 0,
+               "00dfcbe8268bee0a4837febe7c61c25b5a876d8e339ddd918f21e4767d933b2b"),
+    "m4-plus": (matrix_plus(4), 0,
+                "6d09624a23af48c33bd4b9ad38c80339df9b8ed849656215bc63a3593ddb9858"),
+    # associative and commutative, so it passes the identity, but no unit
+    "ones8": ([[[1] * 8 for _ in range(8)] for _ in range(8)], cli.EXIT_VERIFY,
+              "3d60699cef9e445f2c600cc677a4f0136592b3a8d067b14095e07f91ba39d918"),
+    "spin6-half": (_spin_half(6), 0,
+                   "a13dd1ee00a7b4afcf5d02d91f3e041663e1f550f40b5d50092d5af5ee7a23f0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TKK_MORE))
+def test_more_tkk_check_stdout_matches_golden(name, tmp_path, capsys):
+    t, rc, expected = TKK_MORE[name]
+    argv = ["tkk-check", "--table", _write_table(t, tmp_path / "t.json")]
+    assert _stdout_digest(argv, capsys, rc) == expected
 
 
 # sha256 of verify-appendix stdout at ranks the benchmark does not run,

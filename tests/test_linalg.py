@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (RefSpanSolver, direct_sum, random_commutative_table,
-                     ref_nullspace, ref_rref, ref_solve)
+                     random_rational, ref_mul, ref_nullspace, ref_rref,
+                     ref_solve)
 from smodquiver import tables as TB
 from smodquiver.linalg import (Echelon, dense_vector, op_commutator, op_mul,
                                sparse_vector)
@@ -172,7 +173,7 @@ def test_echelon_unit_int_pivot_keeps_the_row_integral():
     assert ech.coords({0: 1, 1: -2, 2: 7}) == {0: -1, 1: 1}
 
 
-# -- find_unit: its augmented Echelon against the dense solve ------------------
+# -- the table level: L_i, the product and the unit against dense routines -----
 
 
 def _unit_system(sc):
@@ -195,7 +196,7 @@ def _adjoin_unit(t):
     return [[product(i, j) for j in range(n)] for i in range(n)]
 
 
-def test_find_unit_matches_dense_solve():
+def _seeded_tables():
     rng = random.Random(7)
     tables = [[[[1]]], [[[0]]], direct_sum([[[1]]], [[[1]]])]
     for n in (1, 2, 3):
@@ -204,9 +205,31 @@ def test_find_unit_matches_dense_solve():
                        random_commutative_table(rng, n + 1, density)]
             unital = _adjoin_unit(random_commutative_table(rng, n, density))
             tables += [unital, direct_sum(unital, [[[1]]])]
+    return [TB.StructureConstants(t) for t in tables]
+
+
+def test_operators_and_product_match_dense_products():
+    rng = random.Random(8)
+    for sc in _seeded_tables():
+        n = sc.dim
+        for i in range(n):
+            # column j of L_i is e_i * e_j, integral entries as int
+            basis_i = [Fraction(int(t == i)) for t in range(n)]
+            cols = [ref_mul(sc.c, basis_i, [Fraction(int(t == j)) for t in range(n)])
+                    for j in range(n)]
+            assert sc.ops[i] == {(k, j): col[k] for j, col in enumerate(cols)
+                                 for k in range(n) if col[k]}
+            assert all(type(x) is int for x in sc.ops[i].values()
+                       if x.denominator == 1)
+        for _ in range(3):
+            x, y = ([random_rational(rng) if rng.random() < 0.6 else Fraction(0)
+                     for _ in range(n)] for _ in range(2))
+            assert sc.mul(x, y) == ref_mul(sc.c, x, y)
+
+
+def test_find_unit_matches_dense_solve():
     units = []
-    for t in tables:
-        sc = TB.StructureConstants(t)
+    for sc in _seeded_tables():
         unit = TB.find_unit(sc)
         assert unit == ref_solve(*_unit_system(sc))
         units.append(unit)
