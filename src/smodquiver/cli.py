@@ -29,6 +29,32 @@ class CliError(Exception):
         self.kind = kind
 
 
+# engine exceptions by home module, with the exit code and error kind each
+# becomes in `main`; a module that was never imported raised nothing
+ENGINE_ERRORS = (
+    ("jordan", "SpecError", EXIT_VALIDATION, "spec-invalid"),
+    ("catalog", "UnknownLabel", EXIT_VALIDATION, "spec-invalid"),
+    ("catalog", "ModuleTooLarge", EXIT_CAP, "cap-exceeded"),
+    ("quiver", "TooManyRelations", EXIT_CAP, "cap-exceeded"),
+    ("pathalg", "NonTerminating", EXIT_CAP, "cap-exceeded"),
+    ("pathalg", "VertexMismatch", EXIT_VERIFY, "verification-failed"),
+    ("pathalg", "PresentationError", EXIT_VERIFY, "verification-failed"),
+    ("weights", "NonDecomposable", EXIT_VERIFY, "verification-failed"),
+    ("tkk", "JacobiFails", EXIT_VERIFY, "verification-failed"),
+    ("tkk", "NotUnital", EXIT_VERIFY, "verification-failed"),
+)
+
+
+def _engine_error(exc):
+    """The `CliError` an engine exception maps to, or None."""
+    for module, name, code, kind in ENGINE_ERRORS:
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None and isinstance(exc, getattr(mod, name)):
+            # str() of a KeyError would quote its message
+            return CliError(code, kind, "; ".join(map(str, exc.args)))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -104,16 +130,9 @@ def _load_spec(path):
 
 
 def _assemble(path):
-    from . import catalog, jordan, quiver
+    from . import quiver
 
-    spec = _load_spec(path)
-    try:
-        return quiver.assemble(spec)
-    except jordan.SpecError as exc:
-        raise CliError(EXIT_VALIDATION, "spec-invalid",
-                       "; ".join(exc.report.violations)) from exc
-    except (quiver.TooManyRelations, catalog.ModuleTooLarge) as exc:
-        raise CliError(EXIT_CAP, "cap-exceeded", str(exc)) from exc
+    return quiver.assemble(_load_spec(path))
 
 
 def cmd_quiver(args):
@@ -162,12 +181,9 @@ def cmd_koszul(args):
     from . import pathalg
 
     report = _assemble(args.spec)
-    try:
-        alg = pathalg.from_presentation(report.quiver, report.relations,
-                                        deg_cap=args.deg_cap)
-        ok, tables = pathalg.koszul_check(alg, hom_cap=args.hom_cap)
-    except pathalg.NonTerminating as exc:
-        raise CliError(EXIT_CAP, "cap-exceeded", str(exc)) from exc
+    alg = pathalg.from_presentation(report.quiver, report.relations,
+                                    deg_cap=args.deg_cap)
+    ok, tables = pathalg.koszul_check(alg, hom_cap=args.hom_cap)
     payload = {
         "schemaVersion": report.schema_version,
         "homCap": args.hom_cap,
@@ -321,10 +337,13 @@ def main(argv=None):
                 or getattr(args, "deg_cap", 1) <= 0:
             raise CliError(EXIT_VALIDATION, "cap-invalid", "caps must be positive")
         return args.fn(args)
-    except CliError as exc:
-        print(json.dumps({"error": exc.kind, "message": str(exc)}),
+    except Exception as exc:
+        err = exc if isinstance(exc, CliError) else _engine_error(exc)
+        if err is None:
+            raise
+        print(json.dumps({"error": err.kind, "message": str(err)}),
               file=sys.stderr)
-        return exc.code
+        return err.code
 
 
 if __name__ == "__main__":

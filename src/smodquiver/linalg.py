@@ -58,14 +58,38 @@ def op_lines(op):
     return rows, cols
 
 
-def op_mul(a, b):
-    """Product of operators {(row, col): x}; it may hold zero entries."""
-    brows, _ = op_lines(b)
+def op_apply(op, v):
+    """op(v) of an operator and a sparse vector, without zero entries."""
     out = {}
+    for (r, c), x in op.items():
+        if c in v:
+            out[r] = out.get(r, 0) + x * v[c]
+    return {r: x for r, x in out.items() if x}
+
+
+def op_mul_add(out, a, brows, c=1):
+    """out += c * ab, in place, for operators a and b, b given by its rows
+    (`op_lines(b)[0]`).  out holds the rows of the sum, {row: {col: x}},
+    and may be left holding zero entries."""
     for (r, t), x in a.items():
-        for c, y in brows.get(t, ()):
-            out[(r, c)] = out.get((r, c), 0) + x * y
+        row = brows.get(t)
+        if row:
+            cx = c * x
+            dst = out.setdefault(r, {})
+            for col, y in row:
+                dst[col] = dst.get(col, 0) + cx * y
     return out
+
+
+def _op_of_rows(rows):
+    """The operator {(row, col): x} with rows {row: {col: x}}, without zero
+    entries."""
+    return {(r, c): x for r, row in rows.items() for c, x in row.items() if x}
+
+
+def op_mul(a, b):
+    """Product of operators {(row, col): x}, without zero entries."""
+    return _op_of_rows(op_mul_add({}, a, op_lines(b)[0]))
 
 
 def op_sum(terms):
@@ -79,10 +103,8 @@ def op_sum(terms):
 
 def op_commutator(a, b):
     """ab - ba, without zero entries."""
-    out = op_mul(a, b)
-    for key, x in op_mul(b, a).items():
-        out[key] = out.get(key, 0) - x
-    return {key: x for key, x in out.items() if x}
+    out = op_mul_add({}, a, op_lines(b)[0])
+    return _op_of_rows(op_mul_add(out, b, op_lines(a)[0], -1))
 
 
 def _axpy(vec, c, other):

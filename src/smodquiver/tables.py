@@ -18,8 +18,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .linalg import (Q0, Echelon, dense_vector, exact, integral, op_commutator,
-                     op_lines, op_mul, op_sum)
+from .linalg import (Q0, Echelon, dense_vector, exact, integral, op_apply,
+                     op_lines, op_mul_add, op_sum)
 
 # ---------------------------------------------------------------------------
 # JSON wire format
@@ -122,8 +122,7 @@ class StructureConstants:
     def mul(self, x, y):
         """x * y = L_x y, of dense vectors."""
         lx = op_sum((c, op) for c, op in zip(x, self.ops) if c)
-        xy = op_mul(lx, {(j, 0): c for j, c in enumerate(y) if c})
-        return dense_vector({k: c for (k, _), c in xy.items()}, self.dim)
+        return dense_vector(op_apply(lx, dict(enumerate(y))), self.dim)
 
     def __eq__(self, other):
         return isinstance(other, StructureConstants) and self.c == other.c
@@ -169,14 +168,19 @@ def check_jordan_identity(sc: StructureConstants) -> bool:
 
 def _jordan_identity(ops):
     n = len(ops)
-    cols = [op_lines(op)[1] for op in ops]
+    lines = [op_lines(op) for op in ops]
     # L_{e_p e_q} for p <= q, from column q of L_p
-    prod = {(p, q): op_sum((x, ops[k]) for k, x in cols[p].get(q, ()))
+    prod = {(p, q): op_sum((x, ops[k]) for k, x in lines[p][1].get(q, ()))
             for p in range(n) for q in range(p, n)}
+    # each operator split into rows once, for every product it enters
+    prod_rows = {pq: op_lines(op)[0] for pq, op in prod.items()}
     for x in range(n):
         for y in range(x, n):
             for z in range(y, n):
-                shifts = ((prod[x, y], z), (prod[y, z], x), (prod[x, z], y))
-                if op_sum((1, op_commutator(ops[r], pq)) for pq, r in shifts):
+                acc = {}
+                for pq, r in (((x, y), z), ((y, z), x), ((x, z), y)):
+                    op_mul_add(acc, ops[r], prod_rows[pq])
+                    op_mul_add(acc, prod[pq], lines[r][0], -1)
+                if any(c for row in acc.values() for c in row.values()):
                     return False
     return True

@@ -2,11 +2,12 @@
 
 `tkk_construct` realizes g = g_{-1} + g_0 + g_1 with g_{-1} the algebra J,
 g_0 the span of left multiplications and their commutators inside End(J),
-and g_1 the span of the product map P and its g_0-orbit inside the symmetric
-bilinear maps.  The distinguished triple is (unit, -L_unit, P).  Everything
-is verified: grading, Jacobi, triple identities.  `minimality_check` and the
-round trip `jordan_from_short_pair` (x*y = [[f,x],y]) complete what
-`tkk-check` reports; the table itself comes from `tables`.
+and g_1 a copy of J, the vector v standing for the map {x v y}; the product
+map P is the unit's.  The distinguished triple is (unit, -L_unit, P).
+Everything is verified: grading, Jacobi, triple identities.
+`minimality_check` and the round trip `jordan_from_short_pair`
+(x*y = [[f,x],y]) complete what `tkk-check` reports; the table itself comes
+from `tables`.
 
 The spec-level counterpart, from a `JordanSpec` to its graded Lie datum
 without structure constants, is `jordan.lie_datum_of_spec`.
@@ -14,7 +15,8 @@ without structure constants, is `jordan.lie_datum_of_spec`.
 
 from __future__ import annotations
 
-from .linalg import Echelon, exact, integral, op_commutator, op_lines, op_sum
+from .linalg import (Echelon, exact, integral, op_apply, op_commutator,
+                     op_lines, op_sum)
 from .tables import StructureConstants, check_jordan_identity, find_unit
 
 MAX_EXPLICIT_DIM = 16
@@ -51,11 +53,7 @@ class ShortGradedLie:
 
     def degree(self, i):
         n, d0, _ = self.dims
-        if i < n:
-            return -1
-        if i < n + d0:
-            return 0
-        return 1
+        return -1 if i < n else 0 if i < n + d0 else 1
 
     def bracket_basis(self, i, j):
         if i == j:
@@ -130,37 +128,17 @@ def _op_key(op, n):
     return {r * n + c: x for (r, c), x in op.items()}
 
 
-def _map_key(bmap, n):
-    """A bilinear map {(x, y): {k: c}} as one sparse vector, key (x*n + y)*n + k."""
-    return {(x * n + y) * n + k: c for (x, y), vec in bmap.items()
-            for k, c in vec.items()}
-
-
-def _act(op, bmap):
-    """(L.B)(x,y) = L(B(x,y)) - B(Lx,y) - B(x,Ly) on a symmetric map B."""
-    rows, cols = op_lines(op)
-    out = {}
-    for xy, vec in bmap.items():
-        dst = out.setdefault(xy, {})
-        for k, c in vec.items():
-            for r, x in cols.get(k, ()):
-                dst[r] = dst.get(r, 0) + x * c
-    for (t, y), vec in bmap.items():
-        for x, l in rows.get(t, ()):
-            # B(Lx, y) and B(y, Lx), both read off B(t, y); twice when x == y
-            for dst in (out.setdefault((x, y), {}), out.setdefault((y, x), {})):
-                for k, c in vec.items():
-                    dst[k] = dst.get(k, 0) - l * c
-    out = {xy: {k: c for k, c in vec.items() if c} for xy, vec in out.items()}
-    return {xy: vec for xy, vec in out.items() if vec}
-
-
 def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
     """Short-graded Lie algebra of a unital algebra given by its table.
 
-    Operators are sparse {(row, col): x} and bilinear maps sparse
-    {(x, y): {k: c}}; each degree is spanned in one `Echelon` over their
-    flattened entries.  L_a is the table's `sc.ops[a]`, whose integral
+    Operators are sparse {(row, col): x}, and g_0 is spanned in one tracking
+    `Echelon` over their flattened entries.  g_1 is a copy of J: the vector
+    v stands for the map B_v(x, y) = {x v y} = (xv)y + x(vy) - v(xy), so the
+    product map P is B_unit and L_a.P = -B_{e_a}.  Its basis is the vectors
+    an n-column tracking `Echelon` keeps from unit, -e_0, ..., -e_{n-1}.
+    Every T in g_0 is L_{Te} plus a derivation (Jacobson 1968, ch. I), so
+    [T, B_v] = B_{Tv - 2(Te)v}, and [B_v, x] is the operator
+    [L_x, L_v] + L_{xv}.  L_a is the table's `sc.ops[a]`, whose integral
     entries are `int`, and integral unit coordinates are kept as `int`, so on
     an integral table the arithmetic stays over `int` up to the first pivot
     other than +-1.
@@ -173,95 +151,70 @@ def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
     unit = find_unit(sc)
     if unit is None:
         raise NotUnital("algebra has no identity element")
-    unit = [exact(u) for u in unit]
+    unit = {i: exact(u) for i, u in enumerate(unit) if u}
     ops = sc.ops   # L_i: column j is the vector e_i * e_j
+
+    def lmul(v):
+        """L_v of a sparse vector v."""
+        return op_sum((c, ops[k]) for k, c in v.items())
 
     # g_0: span of L_a and [L_a, L_b]
     g0 = Echelon(track=True)
-    g0_ops = []
+    comms = tuple(op_commutator(ops[i], ops[j])
+                  for i in range(n) for j in range(i + 1, n))
+    g0_ops = [op for op in ops + comms if g0.add(_op_key(op, n))]
 
-    def add_op(op):
-        if g0.add(_op_key(op, n)):
-            g0_ops.append(op)
-
-    for op in ops:
-        add_op(op)
-    for i in range(n):
-        for j in range(i + 1, n):
-            add_op(op_commutator(ops[i], ops[j]))
-
-    # g_1: span of P and L_a.P, inside symmetric bilinear maps
-    ptensor = {}
-    for x, op in enumerate(ops):
-        for (k, y), c in op.items():
-            ptensor.setdefault((x, y), {})[k] = c
+    # g_1: B_v for the kept v of unit, -e_0, ..., -e_{n-1}; they span J
     g1 = Echelon(track=True)
-    g1_maps = []
+    g1_vecs = [v for v in [unit] + [{a: -1} for a in range(n)] if g1.add(v)]
 
-    def add_map(b):
-        if g1.add(_map_key(b, n)):
-            g1_maps.append(b)
-
-    add_map(ptensor)
-    for op in ops:
-        add_map(_act(op, ptensor))
-
-    d0, d1 = len(g0_ops), len(g1_maps)
+    d0, d1 = len(g0_ops), len(g1_vecs)
     total = n + d0 + d1
     bracket = {}
 
-    def put(i, j, vec_dict):
-        vec_dict = {k: c for k, c in vec_dict.items() if c}
-        if not vec_dict:
-            return
-        if i < j:
-            bracket[(i, j)] = vec_dict
-        else:
-            bracket[(j, i)] = {k: -c for k, c in vec_dict.items()}
-
-    def coords(ech, key, shift, error):
-        """Coordinates in g (generator t is basis vector shift + t)."""
-        c = ech.coords(key)
-        if c is None:
-            raise JacobiFails(error)
-        return {shift + t: x for t, x in sorted(c.items())}
+    def put(i, j, vec):
+        """[e_i, e_j] = vec, for i < j."""
+        vec = {k: c for k, c in vec.items() if c}
+        if vec:
+            bracket[(i, j)] = vec
 
     def g0_coords(op):
-        return coords(g0, _op_key(op, n), n,
-                      "operator outside the constructed degree-0 span")
+        """Coordinates in g (generator t is basis vector n + t)."""
+        c = g0.coords(_op_key(op, n))
+        if c is None:
+            raise JacobiFails("operator outside the constructed degree-0 span")
+        return {n + t: x for t, x in sorted(c.items())}
 
-    def g1_coords(b):
-        return coords(g1, _map_key(b, n), n + d0,
-                      "bilinear map outside the constructed degree-1 span")
+    def g1_coords(v):
+        return {n + d0 + t: x for t, x in sorted(g1.coords(v).items())}
 
-    # [L, x] = L(x)
+    # [x, L] = -L(x)
     for a, op in enumerate(g0_ops):
         _, cols = op_lines(op)
         for i in range(n):
-            put(n + a, i, dict(sorted(cols.get(i, ()))))
-    # [B, x](y) = B(x, y), an operator in g_0
-    for b, B in enumerate(g1_maps):
+            put(i, n + a, {k: -c for k, c in sorted(cols.get(i, ()))})
+    # [x, B_v] = [L_v, L_x] - L_{xv}, an operator in g_0
+    for b, v in enumerate(g1_vecs):
+        lv = lmul(v)
         for i in range(n):
-            op = {(k, y): c for y in range(n) for k, c in B.get((i, y), {}).items()}
-            put(n + d0 + b, i, g0_coords(op))
-    # [L, L'] and [L, B]
+            op = op_sum(((1, op_commutator(lv, ops[i])),
+                         (-1, lmul(op_apply(ops[i], v)))))
+            put(i, n + d0 + b, g0_coords(op))
+    # [L, L'] and [T, B_v] = B_{Tv - 2(Te)v}
     for a, op in enumerate(g0_ops):
         for b in range(a + 1, d0):
             put(n + a, n + b, g0_coords(op_commutator(op, g0_ops[b])))
-        for b, B in enumerate(g1_maps):
-            put(n + a, n + d0 + b, g1_coords(_act(op, B)))
+        shifted = op_sum(((1, op), (-2, lmul(op_apply(op, unit)))))
+        for b, v in enumerate(g1_vecs):
+            put(n + a, n + d0 + b, g1_coords(op_apply(shifted, v)))
 
-    evec = [0] * total
-    evec[:n] = unit
-    neg_le = op_sum((-u, ops[i]) for i, u in enumerate(unit) if u)
-    hvec = [0] * total
-    for t, c in g0_coords(neg_le).items():
-        hvec[t] = c
-    fvec = [0] * total
-    for t, c in g1_coords(ptensor).items():
-        fvec[t] = c
+    def dense(vec):
+        return tuple(vec.get(k, 0) for k in range(total))
 
-    g = ShortGradedLie((n, d0, d1), bracket, (tuple(evec), tuple(hvec), tuple(fvec)))
+    # e = unit, h = -L_unit and f = P = B_unit, the first kept vector of g_1
+    hvec = g0_coords(lmul({i: -u for i, u in unit.items()}))
+    triple = (dense(unit), dense(hvec), dense({n + d0: 1}))
+    g = ShortGradedLie((n, d0, d1), bracket, triple)
     if not (g.check_grading() and g.check_triple() and g.check_jacobi()):
         raise JacobiFails("constructed bracket fails verification")
     return g

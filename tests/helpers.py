@@ -6,6 +6,8 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
 from smodquiver import reference as R
@@ -440,6 +442,51 @@ def direct_sum(a, b):
         for j in range(m):
             t[n + i][n + j][n:] = b[i][j]
     return t
+
+
+def change_basis(table, p):
+    """The table on the basis f_i = sum_j p[j][i] e_j, the columns of the
+    invertible matrix p: f_i f_j in e-coordinates, mapped back by p^-1."""
+    n = len(table)
+    red, _ = ref_rref([[Fraction(x) for x in row] + [ONE if j == i else 0
+                                                       for j in range(n)]
+                       for i, row in enumerate(p)])
+    inv = [row[n:] for row in red]
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            e = [sum(p[a][i] * p[b][j] * table[a][b][k]
+                     for a in range(n) for b in range(n)) for k in range(n)]
+            out[i][j] = [sum(inv[m][k] * e[k] for k in range(n))
+                         for m in range(n)]
+    return out
+
+
+# unital Jordan tables up to dimension 6, for `jordan_in_random_basis`
+JORDAN_TABLES = ([spin_factor(n) for n in range(1, 7)] + [matrix_plus(2)]
+                 + [direct_sum(spin_factor(a), spin_factor(b))
+                    for a in range(1, 4) for b in range(a, 7 - a)]
+                 + [direct_sum(matrix_plus(2), spin_factor(b)) for b in (1, 2)])
+
+
+@st.composite
+def jordan_in_random_basis(draw, min_dim=1, max_dim=6):
+    """A table of `JORDAN_TABLES` in a random basis: p = LU with L lower
+    triangular, its diagonal nonzero, and U unit upper triangular, so p is
+    invertible with small integer entries; most entries come out dense
+    `Fraction`s, and the unit is no basis vector."""
+    table = draw(st.sampled_from([t for t in JORDAN_TABLES
+                                  if min_dim <= len(t) <= max_dim]))
+    n = len(table)
+    small = st.integers(-1, 1)
+    low = [[draw(st.sampled_from([1, -1, 2, -2, 3])) if i == j
+            else draw(small) if j < i else 0 for j in range(n)]
+           for i in range(n)]
+    up = [[1 if i == j else draw(small) if j > i else 0 for j in range(n)]
+          for i in range(n)]
+    p = [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    return change_basis(table, p)
 
 
 def random_rational(rng):

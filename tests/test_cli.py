@@ -8,7 +8,8 @@ import time
 import pytest
 
 from helpers import src_env
-from smodquiver import cli, jordan, oracles, quiver, reference, tables, tkk
+from smodquiver import (catalog, cli, jordan, oracles, pathalg, quiver,
+                        reference, tables, tkk, weights)
 
 
 def write_spec(tmp_path, spec, name="spec.json"):
@@ -199,6 +200,62 @@ def test_validation_exit_code(tmp_path, capsys):
     assert run(["quiver", "--spec", path]) == cli.EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "spec-invalid"
+
+
+def _raise(exc):
+    def engine_call(*args, **kwargs):
+        raise exc
+    return engine_call
+
+
+# (engine module, function, exception raised from it, subcommand, exit, kind)
+ENGINE_RAISES = {
+    "NonTerminating": (pathalg, "koszul_check", pathalg.NonTerminating("deg"),
+                       "koszul", cli.EXIT_CAP, "cap-exceeded"),
+    "VertexMismatch": (pathalg, "koszul_check",
+                       pathalg.VertexMismatch("unknown vertex 9"), "koszul",
+                       cli.EXIT_VERIFY, "verification-failed"),
+    "PresentationError": (pathalg, "from_presentation",
+                          pathalg.PresentationError("duplicate arrow ids"),
+                          "koszul", cli.EXIT_VERIFY, "verification-failed"),
+    "NonDecomposable": (quiver, "assemble",
+                        weights.NonDecomposable("negative constituent"),
+                        "quiver", cli.EXIT_VERIFY, "verification-failed"),
+    "UnknownLabel": (quiver, "assemble", catalog.UnknownLabel("no label V9"),
+                     "blocks", cli.EXIT_VALIDATION, "spec-invalid"),
+    "SpecError": (quiver, "assemble",
+                  jordan.SpecError(jordan.validate_spec(
+                      jordan.JordanSpec((jordan.Hermitian(4, 2),), ()))),
+                  "quiver", cli.EXIT_VALIDATION, "spec-invalid"),
+    "JacobiFails": (tables, "check_jordan_identity", tkk.JacobiFails("bad"),
+                    "tkk-check", cli.EXIT_VERIFY, "verification-failed"),
+    "NotUnital": (tables, "check_jordan_identity", tkk.NotUnital("no unit"),
+                  "tkk-check", cli.EXIT_VERIFY, "verification-failed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_RAISES))
+def test_engine_exception_maps_to_its_exit(tmp_path, capsys, monkeypatch,
+                                           name):
+    module, fn, exc, command, code, kind = ENGINE_RAISES[name]
+    monkeypatch.setattr(module, fn, _raise(exc))
+    if command == "tkk-check":
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps({"dim": 1, "products": [[["1"]]]}),
+                        encoding="utf-8")
+        argv = [command, "--table", str(path)]
+    else:
+        argv = [command, "--spec", write_spec(tmp_path, SL6_AD)]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": kind, "message": exc.args[0]}
+
+
+def test_unmapped_exception_escapes(tmp_path, monkeypatch):
+    monkeypatch.setattr(quiver, "assemble", _raise(ZeroDivisionError("bug")))
+    with pytest.raises(ZeroDivisionError):
+        run(["quiver", "--spec", write_spec(tmp_path, SL6_AD)])
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -6,8 +6,9 @@ exception escaping, and an error exit (2 or 4) must print exactly one JSON
 object with `error` and `message` on stderr, within `EXAMPLE_SECONDS`.
 Multiplicities stay up to 3 and table dimensions and most algebra dimensions
 up to 4; bilinear ideals reach dimension 80, whose spinors and Lambda+- lie
-far past the weight-walk bound.  The draws are derandomized so the suite is
-repeatable.
+far past the weight-walk bound.  About one table in three is a Jordan table
+in a random basis, so that it reaches the TKK construction.  The draws are
+derandomized so the suite is repeatable.
 """
 
 import contextlib
@@ -18,6 +19,8 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import jordan_in_random_basis
 
 # imported up front, so that no example's time includes compiling a layer
 from smodquiver import cli, pathalg, quiver, tkk  # noqa: F401
@@ -106,14 +109,20 @@ BAD_ENTRIES = st.sampled_from(["1/0", "x", "1e99999", True, None, [1]])
 
 @st.composite
 def tables(draw):
-    n = draw(st.integers(1, 4))
-    # commutative by construction unless a cell is redrawn below
-    prod = {}
-    for i in range(n):
-        for j in range(i, n):
-            prod[i, j] = prod[j, i] = draw(st.lists(ENTRIES, min_size=n,
-                                                    max_size=n))
-    rows = [[list(prod[i, j]) for j in range(n)] for i in range(n)]
+    if draw(_one_in(3)):
+        # a Jordan table in a random basis: one that reaches the construction
+        rows = [[[str(x) for x in v] for v in row]
+                for row in draw(jordan_in_random_basis(max_dim=4))]
+        n = len(rows)
+    else:
+        n = draw(st.integers(1, 4))
+        # commutative by construction unless a cell is redrawn below
+        prod = {}
+        for i in range(n):
+            for j in range(i, n):
+                prod[i, j] = prod[j, i] = draw(st.lists(ENTRIES, min_size=n,
+                                                        max_size=n))
+        rows = [[list(prod[i, j]) for j in range(n)] for i in range(n)]
     i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
     if draw(_one_in(10)):    # one entry malformed
         rows[i][j][k] = draw(BAD_ENTRIES)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (direct_sum, matrix_plus, ref_check_jacobi,
-                     ref_check_jordan_identity, ref_minimality_check,
-                     ref_tkk_construct, spin_factor)
+from helpers import (direct_sum, jordan_in_random_basis, matrix_plus,
+                     ref_check_jacobi, ref_check_jordan_identity,
+                     ref_minimality_check, ref_tkk_construct, spin_factor)
 from smodquiver import reference as R
 from smodquiver import tables as TB
 from smodquiver import tkk as T
@@ -219,3 +219,35 @@ def _small_lie(name):
 def test_scatter_jacobi_matches_reference_property(name, rng):
     h = _perturbed_bracket(_small_lie(name), rng)
     assert h.check_jacobi() == ref_check_jacobi(h)
+
+
+# -- Jordan tables in a random basis --------------------------------------------
+#
+# An integer change of basis keeps a table Jordan and unital, but its entries
+# become dense Fractions and its unit is no basis vector, so T e is no basis
+# vector either and the -2(Te)v term of [T, B_v] = B_{Tv - 2(Te)v} is
+# exercised on every degree-0 basis element.  The dense reference takes 1 to
+# 5 s on one such table of dimension 5 or 6, so it is compared up to
+# dimension 4; above that the construction's own checks (grading, triple and
+# Jacobi, run inside it), minimality and the round trip stand alone.
+
+
+@settings(max_examples=15, deadline=None)
+@given(jordan_in_random_basis(max_dim=4))
+def test_construction_in_a_random_basis_matches_dense_reference(table):
+    sc = TB.StructureConstants(table)
+    g = T.tkk_construct(sc)
+    ref = ref_tkk_construct(TB.StructureConstants(table))
+    assert (g.dims, g.bracket, g.triple) == (ref.dims, ref.bracket, ref.triple)
+    assert T.minimality_check(g)
+    assert T.jordan_from_short_pair(g) == sc
+
+
+@settings(max_examples=4, deadline=None)
+@given(jordan_in_random_basis(min_dim=5))
+def test_construction_in_a_random_basis_checks_itself_at_dims_5_and_6(table):
+    sc = TB.StructureConstants(table)
+    g = T.tkk_construct(sc)
+    assert g.dims[0] == g.dims[2] == len(table)
+    assert T.minimality_check(g)
+    assert T.jordan_from_short_pair(g) == sc
