@@ -10,9 +10,22 @@ single-vertex algebras and the Segre and glued products, live in
 On top of the protocol: Hilbert series, minimal graded resolutions of the
 vertex simples with exact Betti tables, and the linearity check up to a
 homological cap.  All arithmetic is exact.
+
+The PBW certificate.  Order the arrows by position (ascending id) and the
+length-2 paths lexicographically.  The pivots of the relations' RREF over
+the composable pairs are the leading pairs S; a normal word is a path with
+no consecutive pair in S, and the normal words span A.  When the degree-3
+normal words of each endpoint pair are as many as the degree-3 basis, the
+relations are a quadratic Groebner basis (Bergman's diamond lemma, Adv.
+Math. 1978), every dimension of A is a count of normal words, and A is
+Koszul (Priddy, Trans. AMS 1970).  Its Koszul dual is then PBW on the words
+whose consecutive pairs all lie in S, so the Betti tables of the simples
+are counts of those words.  Any other algebra is resolved.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .linalg import Echelon, exact
 
@@ -31,6 +44,10 @@ class PresentationError(ValueError):
 
 class GradedProtocol:
     """Helpers shared by every carrier of the dims / src / dst / mul protocol."""
+
+    # the leading pairs S of a PBW presentation; only `PresentedAlgebra`
+    # certifies one
+    pbw = None
 
     def hilbert(self):
         return tuple(self.dims(d) for d in range(self.top_degree + 1))
@@ -56,6 +73,13 @@ class PresentedAlgebra(GradedProtocol):
     relation must share endpoints and length.  Relations are quadratic in the
     intended use; longer homogeneous relations are supported for control
     experiments.  Each coefficient is normalised once by `linalg.exact`.
+
+    Degrees up to 3 are extracted at construction.  When the relations pass
+    the PBW certificate, `pbw` holds S as (outer, inner) pairs of arrow
+    positions, the dimensions above degree 3 are counts of normal words, and
+    such a degree is extracted on first use by `src`, `dst` or `mul`.  Every
+    other algebra is extracted in full.  Either way `NonTerminating` is
+    raised when degree `deg_cap` is still nonzero.
     """
 
     def __init__(self, vertices, arrows, relations, deg_cap=8):
@@ -87,7 +111,8 @@ class PresentedAlgebra(GradedProtocol):
                 raise PresentationError("relation terms must share endpoints")
             self.relations.append(terms)
         self.deg_cap = deg_cap
-        # degree data
+        # degree data; _dims covers every degree, the rest the extracted ones
+        self._dims = [len(self.vertices), len(self.arrows)]
         self._src = [[v for v in self.vertices], [a[1] for a in self.arrows]]
         self._dst = [[v for v in self.vertices], [a[2] for a in self.arrows]]
         # degree d >= 2: the basis as spanning pairs (arrow_pos, x_idx), and
@@ -101,17 +126,19 @@ class PresentedAlgebra(GradedProtocol):
 
     @property
     def top_degree(self):
-        return len(self._src) - 1
+        return len(self._dims) - 1
 
     def dims(self, d):
-        if d < 0 or d > self.top_degree:
-            return 0
-        return len(self._src[d])
+        return self._dims[d] if 0 <= d < len(self._dims) else 0
 
     def src(self, d, i):
+        if d >= len(self._src):
+            self._extend(d)
         return self._src[d][i]
 
     def dst(self, d, i):
+        if d >= len(self._dst):
+            self._extend(d)
         return self._dst[d][i]
 
     def mul(self, d1, i, d2, j):
@@ -126,6 +153,8 @@ class PresentedAlgebra(GradedProtocol):
         hit = self._mul_cache.get(key)
         if hit is not None:
             return hit
+        if d1 + d2 >= len(self._src):
+            self._extend(d1 + d2)
         if self._src[d1][i] != self._dst[d2][j]:
             out = ()
         elif d1 == 1:
@@ -185,45 +214,107 @@ class PresentedAlgebra(GradedProtocol):
                     rows.append(row)
         return rows
 
+    def _add_degree(self):
+        """Extract the next degree d from degree d - 1; its dimension, and
+        nothing stored when it is 0."""
+        d = len(self._src)
+        pairs = []
+        for apos, (aid, src, dst) in enumerate(self.arrows):
+            for x in range(self.dims(d - 1)):
+                if self._dst[d - 1][x] == src:
+                    pairs.append((apos, x))
+        index = {p: i for i, p in enumerate(pairs)}
+        # the free basis is the non-pivot pairs of the relations' RREF;
+        # a pair killed outright has the unit row at its pivot
+        ech = Echelon()
+        for row in self._relation_rows(d, index):
+            ech.add(row)
+        if d == 2:
+            # degree-1 index and arrow position agree: the pivots are S
+            self._leading = frozenset(pairs[p] for p in ech.rows)
+        free = [p for p in range(len(pairs)) if p not in ech.rows]
+        if not free:
+            return 0
+        free_pos = {p: t for t, p in enumerate(free)}
+        classes = {pairs[p]: ((t, 1),) for t, p in enumerate(free)}
+        for pc, row in ech.rows.items():
+            if row:  # a pair killed outright keeps the empty class
+                classes[pairs[pc]] = tuple((free_pos[j], -c)
+                                           for j, c in sorted(row.items()))
+        basis = [pairs[p] for p in free]
+        self._basis_pairs.append(basis)
+        self._classes.append(classes)
+        self._src.append([self._src[d - 1][x] for _, x in basis])
+        self._dst.append([self.arrows[a][2] for a, _ in basis])
+        return len(free)
+
+    def _extend(self, d):
+        """Extract the degrees up to d that a PBW build deferred."""
+        while len(self._src) <= min(d, self.top_degree):
+            self._add_degree()
+
+    def _grow(self, n):
+        """Record the next degree's dimension n; False when it is 0."""
+        if not n:
+            return False  # so is every higher degree
+        self._dims.append(n)
+        if self.top_degree >= self.deg_cap:
+            raise NonTerminating(
+                f"degree {self.deg_cap} reached with dimension "
+                f"{n} still nonzero")
+        return True
+
+    def _certificate(self):
+        """S when the relations are quadratic and the degree-3 normal words
+        of each endpoint pair are as many as the basis, else None."""
+        if any(len(terms[0][1]) != 2 for terms in self.relations):
+            return None
+        normal = self._basis_pairs[2] if self.top_degree >= 2 else ()
+        words = next(islice(_words(self.arrows, normal), 2, None), {})
+        by_pair = {}
+        for (v, f), n in words.items():
+            key = (v, self.arrows[f][2])
+            by_pair[key] = by_pair.get(key, 0) + n
+        return self._leading if by_pair == self.dims_by_pair(3) else None
+
     def _build(self):
-        d = 2
-        while True:
-            pairs = []
-            for apos, (aid, src, dst) in enumerate(self.arrows):
-                for x in range(self.dims(d - 1)):
-                    if self._dst[d - 1][x] == src:
-                        pairs.append((apos, x))
-            index = {p: i for i, p in enumerate(pairs)}
-            # the free basis is the non-pivot pairs of the relations' RREF;
-            # a pair killed outright has the unit row at its pivot
-            ech = Echelon()
-            for row in self._relation_rows(d, index):
-                ech.add(row)
-            free = [p for p in range(len(pairs)) if p not in ech.rows]
-            if not free:
-                return  # degree d is zero, and so is every higher degree
-            free_pos = {p: t for t, p in enumerate(free)}
-            classes = {pairs[p]: ((t, 1),) for t, p in enumerate(free)}
-            for pc, row in ech.rows.items():
-                if row:  # a pair killed outright keeps the empty class
-                    classes[pairs[pc]] = tuple((free_pos[j], -c)
-                                               for j, c in sorted(row.items()))
-            basis = [pairs[p] for p in free]
-            self._basis_pairs.append(basis)
-            self._classes.append(classes)
-            self._src.append([self._src[d - 1][x] for _, x in basis])
-            self._dst.append([self.arrows[a][2] for a, _ in basis])
-            d += 1
-            if d > self.deg_cap:
-                raise NonTerminating(
-                    f"degree {self.deg_cap} reached with dimension "
-                    f"{len(free)} still nonzero")
+        # degrees 2 and 3 decide the certificate
+        while self.top_degree < 3 and self._grow(self._add_degree()):
+            pass
+        self.pbw = self._certificate()
+        if self.top_degree < 3:
+            return  # built in full
+        if self.pbw is None:
+            while self._grow(self._add_degree()):
+                pass
+            return
+        # a PBW algebra has as many basis elements as normal words
+        for d, words in enumerate(_words(self.arrows, self._basis_pairs[2]), 1):
+            if d > 3:
+                self._grow(sum(words.values()))
 
     # -- conveniences ------------------------------------------------------
 
     def total_dim(self):
         return sum(self.hilbert())
 
+
+
+def _words(arrows, pairs):
+    """The arrow words whose consecutive pairs all lie in `pairs`, by length
+    1, 2, ... while there are any: {(start vertex, outermost arrow position):
+    count} for each length.  `pairs` holds (outer, inner) arrow positions."""
+    after = {}
+    for f, g in pairs:
+        after.setdefault(g, []).append(f)
+    words = {(a[1], pos): 1 for pos, a in enumerate(arrows)}
+    while words:
+        yield words
+        longer = {}
+        for (v, g), n in words.items():
+            for f in after.get(g, ()):
+                longer[(v, f)] = longer.get((v, f), 0) + n
+        words = longer
 
 
 def from_presentation(quiver, relations, deg_cap=8) -> PresentedAlgebra:
@@ -343,8 +434,29 @@ def minimal_resolution(alg, vertex, hom_cap=5) -> Resolution:
     return res
 
 
+def _counted_resolutions(alg, hom_cap):
+    """Betti tables of the vertex simples of a PBW algebra up to hom_cap.
+
+    The resolutions are linear, and b_{i,i}(w) for the simple at v is the
+    number of arrow words of length i from v to w whose consecutive pairs
+    all lie in S: the words spanning the Koszul dual.
+    """
+    tables = {v: Resolution(v, {(0, 0): {v: 1}}) for v in alg.vertices}
+    for step, words in zip(range(1, hom_cap + 1), _words(alg.arrows, alg.pbw)):
+        for (v, f), n in words.items():
+            counts = tables[v].betti.setdefault((step, step), {})
+            w = alg.arrows[f][2]
+            counts[w] = counts.get(w, 0) + n
+    return tables
+
+
 def koszul_check(alg, hom_cap=5):
-    """True iff every vertex simple has a linear resolution up to hom_cap."""
+    """True iff every vertex simple has a linear resolution up to hom_cap.
+
+    A PBW algebra is Koszul and its tables are counted; any other algebra
+    is resolved vertex by vertex."""
+    if alg.pbw is not None:
+        return True, _counted_resolutions(alg, hom_cap)
     tables = {}
     ok = True
     for v in alg.vertices:

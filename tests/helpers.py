@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import types
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -18,6 +19,7 @@ from smodquiver.linalg import Echelon, dense_vector, sparse_vector
 
 ONE = Fraction(1)
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "perfbench"
 
 
 def src_env():
@@ -462,6 +464,21 @@ def change_basis(table, p):
     return out
 
 
+LU_DIAGONAL = (1, -1, 2, -2, 3)
+
+
+def lu_matrix(n, diagonal, off):
+    """p = LU with L lower triangular, its diagonal drawn by diagonal(), and
+    U unit upper triangular, the entries off the diagonal drawn by off():
+    invertible, with small integer entries."""
+    low = [[diagonal() if i == j else off() if j < i else 0 for j in range(n)]
+           for i in range(n)]
+    up = [[1 if i == j else off() if j > i else 0 for j in range(n)]
+          for i in range(n)]
+    return [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
 # unital Jordan tables up to dimension 6, for `jordan_in_random_basis`
 JORDAN_TABLES = ([spin_factor(n) for n in range(1, 7)] + [matrix_plus(2)]
                  + [direct_sum(spin_factor(a), spin_factor(b))
@@ -471,22 +488,51 @@ JORDAN_TABLES = ([spin_factor(n) for n in range(1, 7)] + [matrix_plus(2)]
 
 @st.composite
 def jordan_in_random_basis(draw, min_dim=1, max_dim=6):
-    """A table of `JORDAN_TABLES` in a random basis: p = LU with L lower
-    triangular, its diagonal nonzero, and U unit upper triangular, so p is
-    invertible with small integer entries; most entries come out dense
-    `Fraction`s, and the unit is no basis vector."""
+    """A table of `JORDAN_TABLES` in the basis of a random `lu_matrix`:
+    most entries come out dense `Fraction`s, and the unit is no basis
+    vector."""
     table = draw(st.sampled_from([t for t in JORDAN_TABLES
                                   if min_dim <= len(t) <= max_dim]))
-    n = len(table)
-    small = st.integers(-1, 1)
-    low = [[draw(st.sampled_from([1, -1, 2, -2, 3])) if i == j
-            else draw(small) if j < i else 0 for j in range(n)]
-           for i in range(n)]
-    up = [[1 if i == j else draw(small) if j > i else 0 for j in range(n)]
-          for i in range(n)]
-    p = [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)]
-         for i in range(n)]
+    p = lu_matrix(len(table),
+                  lambda: draw(st.sampled_from(LU_DIAGONAL)),
+                  lambda: draw(st.integers(-1, 1)))
     return change_basis(table, p)
+
+
+def change_arrow_basis(alg, rng):
+    """The quadratic `alg` presented after a change of arrow basis within
+    each vertex pair: arrow a stands for sum_b p[a][b] b, p a `lu_matrix`
+    drawn from rng.  The algebra is the same up to an isomorphism that
+    fixes the vertices, so its Hilbert series and Betti tables are too, but
+    its relations are generic and seldom a Groebner basis."""
+    by_pair = {}
+    for aid, src, dst in alg.arrows:
+        by_pair.setdefault((src, dst), []).append(aid)
+    sub = {}
+    for ids in by_pair.values():
+        p = lu_matrix(len(ids), lambda: rng.choice(LU_DIAGONAL),
+                      lambda: rng.randint(-1, 1))
+        for a, row in zip(ids, p):
+            sub[a] = [(c, b) for c, b in zip(row, ids) if c]
+    relations = []
+    for terms in alg.relations:
+        row = {}
+        for c, (f, g) in terms:
+            for cf, f2 in sub[f]:
+                for cg, g2 in sub[g]:
+                    row[f2, g2] = row.get((f2, g2), 0) + c * cf * cg
+        relations.append([(c, path) for path, c in row.items() if c])
+    return P.PresentedAlgebra(alg.vertices, alg.arrows, relations, alg.deg_cap)
+
+
+def bench_corpus():
+    """The benchmark's spec generator, `perfbench/corpus.py`, executed from
+    its source so that nothing is written next to it."""
+    path = BENCH / "corpus.py"
+    mod = types.ModuleType("corpus")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         mod.__dict__)
+    return mod
 
 
 def random_rational(rng):

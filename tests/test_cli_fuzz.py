@@ -7,8 +7,13 @@ object with `error` and `message` on stderr, within `EXAMPLE_SECONDS`.
 Multiplicities stay up to 3 and table dimensions and most algebra dimensions
 up to 4; bilinear ideals reach dimension 80, whose spinors and Lambda+- lie
 far past the weight-walk bound.  About one table in three is a Jordan table
-in a random basis, so that it reaches the TKK construction.  The draws are
-derandomized so the suite is repeatable.
+in a random basis, so that it reaches the TKK construction.  About one spec
+in two is a valid spec shaped like the benchmark corpus, so that it reaches
+`koszul`; there the Betti tables on stdout must be those of the minimal
+resolutions.  The same algebra in a random arrow basis must give them too,
+through `koszul_check`'s fallback wherever the new relations fail the PBW
+certificate.  The draws
+are derandomized so the suite is repeatable.
 """
 
 import contextlib
@@ -20,10 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import jordan_in_random_basis
+from helpers import bench_corpus, change_arrow_basis, jordan_in_random_basis
 
 # imported up front, so that no example's time includes compiling a layer
 from smodquiver import cli, pathalg, quiver, tkk  # noqa: F401
+from smodquiver import jordan
 
 # wall-time bound of one example.  The slowest drawn example took 6 ms (in
 # process, layers imported, 2-core shared machine), but a spec just under the
@@ -85,6 +91,35 @@ def _radical(n_ideals):
         st.builds(lambda ref: {"kind": "unital", **ref}, _ref(n_ideals)),
     ), st.one_of(JUNK, st.builds(lambda ref: {"kind": "other", **ref},
                                  _ref(n_ideals))))
+
+
+# (ideal, half simples, short-graded simples) of the benchmark corpus
+POOL = bench_corpus().IDEAL_POOL
+
+
+@st.composite
+def valid_specs(draw, components=st.integers(0, 4), mults=MULT, pool=POOL):
+    """A spec shaped like `perfbench/corpus.random_spec`: 1-3 ideals of its
+    pool and up to 4 radical components of multiplicity 1-3, each a tensor
+    of half simples of two ideals or a short-graded simple of one."""
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    radical = []
+    for _ in range(draw(components)):
+        mult = draw(mults)
+        if len(picks) > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(len(picks))))[:2]
+            radical.append({
+                "kind": "tensor",
+                "a": {"ideal": i, "label": draw(st.sampled_from(picks[i][1]))},
+                "b": {"ideal": j, "label": draw(st.sampled_from(picks[j][1]))},
+                "mult": mult})
+        else:
+            i = draw(st.integers(0, len(picks) - 1))
+            radical.append({"kind": "unital", "ideal": i,
+                            "label": draw(st.sampled_from(picks[i][2])),
+                            "mult": mult})
+    return {"ideals": [dict(p[0]) for p in picks], "radical": radical,
+            "unital": True}
 
 
 @st.composite
@@ -164,15 +199,76 @@ def _check(rc, out, err):
         assert out
 
 
+HOM_CAP = 3
+
+# the most arrows of an algebra resolved again in a random arrow basis: the
+# dense relations make that resolution slow, at HOM_CAP 0.1 s for
+# CliffordOdd(4) (4 loops), about 10 s for CliffordOdd(5) and 14-28 s for
+# the 8 loops of bilinear(3) with LrV(1) and LrV(2) twice each, mult 2
+REBASE_MAX_ARROWS = 4
+
+
+def _rendered(tables):
+    """Betti tables {vertex: Resolution} as `koszul` prints them."""
+    return {f"v{v}": {f"{i},{d}": {f"v{w}": c for w, c in counts.items()}
+                      for (i, d), counts in res.betti.items()}
+            for v, res in tables.items()}
+
+
+def _resolved(alg):
+    """The verdict and rendered tables of the minimal resolutions."""
+    tables = {v: pathalg.minimal_resolution(alg, v, HOM_CAP)
+              for v in alg.vertices}
+    return all(r.is_linear() for r in tables.values()), _rendered(tables)
+
+
+def _algebra(spec):
+    rep = quiver.assemble(jordan.spec_from_dict(spec))
+    return pathalg.from_presentation(rep.quiver, rep.relations)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(spec=specs(), command=st.sampled_from(["quiver", "blocks", "koszul"]))
+@given(spec=st.one_of(specs(), valid_specs()),
+       command=st.sampled_from(["quiver", "blocks", "koszul"]))
 def test_spec_commands_exit_as_documented(workdir, spec, command):
     path = workdir / "spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     argv = [command, "--spec", str(path)]
     if command == "koszul":
-        argv += ["--hom-cap", "3"]
-    _check(*_run(argv))
+        argv += ["--hom-cap", str(HOM_CAP)]
+    rc, out, err = _run(argv)
+    _check(rc, out, err)
+    if command == "koszul" and rc == cli.EXIT_OK:
+        data = json.loads(out)
+        assert (data["koszul"], data["betti"]) == _resolved(_algebra(spec))
+
+
+# field and bilinear(3-5) ideals, one or two components of multiplicity 2-3:
+# among them the Clifford blocks that a change of arrow basis takes out of
+# PBW form
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=valid_specs(st.integers(1, 2), st.integers(2, 3), POOL[:4]),
+       rng=st.randoms(use_true_random=False))
+def test_koszul_betti_tables_match_the_resolutions(workdir, spec, rng):
+    path = workdir / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    rc, out, err = _run(["koszul", "--spec", str(path),
+                         "--hom-cap", str(HOM_CAP)])
+    _check(rc, out, err)
+    if rc != cli.EXIT_OK:
+        return
+    data = json.loads(out)
+    alg = _algebra(spec)
+    assert (data["koszul"], data["betti"]) == _resolved(alg)
+    if len(alg.arrows) > REBASE_MAX_ARROWS:
+        return
+    # the same algebra on generic relations: Clifford blocks of
+    # multiplicity 2 or more lose the certificate and are resolved
+    other = change_arrow_basis(alg, rng)
+    start = time.perf_counter()
+    ok, tables = pathalg.koszul_check(other, HOM_CAP)
+    assert time.perf_counter() - start < EXAMPLE_SECONDS
+    assert (ok, _rendered(tables)) == (data["koszul"], data["betti"])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

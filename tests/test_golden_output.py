@@ -3,8 +3,8 @@ tables and verify-appendix ranks, run in process through `cli.main`, must
 hash to the digests recorded in perfbench/golden.json.  Output drift in
 pathalg, linalg, tkk, weights or catalog then fails here without running the
 benchmark.  The golden file is only read; verify-appendix ranks past the
-benchmark's, and one koszul resolution larger than its ops, are pinned
-here."""
+benchmark's, koszul inputs larger than its ops and the degree-cap exit of
+koszul are pinned here."""
 
 import hashlib
 import json
@@ -143,3 +143,55 @@ def test_larger_koszul_stdout_matches_golden(tmp_path, capsys):
     path.write_text(json.dumps(spec), encoding="utf-8")
     argv = ["koszul", "--spec", str(path)] + extra
     assert _stdout_digest(argv, capsys) == expected
+
+
+def _lv(mult):
+    return _spec([_F, _her(1, 3)], [_tensor("L", "V", mult)])
+
+
+# sha256 of koszul stdout on larger inputs, recorded from the minimal
+# resolutions: (spec, extra argv, digest)
+KOSZUL_MORE = {
+    "lv6": (_lv(6), [],
+            "0944be836678705f51be3b9bfb6919d44484694f5e1d6c0d079bf3fd598e9287"),
+    "lv8": (_lv(8), [],
+            "d236bde605d062d508654fe7af26ba3c9282c31e3a825b6884385d07a114ed88"),
+    "lv10": (_lv(10), [],
+             "4720e16a323a62a9ca8e79e4e822800ffe1a1b4959fe69475d527b1099140d05"),
+    "lv12": (_lv(12), [],
+             "d2ff15f1e3796763a8066178c9a1fcfd901a3a108410455e66a24093d927fbd0"),
+    "ad6-hom6": (_spec([_F], [_unital("ad", 6)]), ["--hom-cap", "6"],
+                 "42639231eb4ae055e99dccee3a1749991a314cdeb445d911984c2e1bc17ba8a7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KOSZUL_MORE))
+def test_more_koszul_stdout_matches_golden(name, tmp_path, capsys):
+    spec, extra, expected = KOSZUL_MORE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["koszul", "--spec", str(path)] + extra
+    assert _stdout_digest(argv, capsys) == expected
+
+
+# the exit-4 stderr of field + ad x 7, whose algebra has top degree 7, at a
+# degree cap below it; at cap 1 the message names degree 1 and reports the
+# dimension of degree 2, the first degree the extraction builds
+DEG_CAP_ERRORS = {
+    1: "degree 1 reached with dimension 21 still nonzero",
+    3: "degree 3 reached with dimension 35 still nonzero",
+    5: "degree 5 reached with dimension 21 still nonzero",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(DEG_CAP_ERRORS))
+def test_koszul_deg_cap_error_matches_golden(cap, tmp_path, capsys):
+    path = tmp_path / "ad7.json"
+    path.write_text(json.dumps(_spec([_F], [_unital("ad", 7)])),
+                    encoding="utf-8")
+    argv = ["koszul", "--spec", str(path), "--deg-cap", str(cap)]
+    assert cli.main(argv) == cli.EXIT_CAP
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == json.dumps({"error": "cap-exceeded",
+                              "message": DEG_CAP_ERRORS[cap]}) + "\n"
