@@ -3,8 +3,9 @@ tables and verify-appendix ranks, run in process through `cli.main`, must
 hash to the digests recorded in perfbench/golden.json.  Output drift in
 pathalg, linalg, tkk, weights or catalog then fails here without running the
 benchmark.  The golden file is only read; verify-appendix ranks past the
-benchmark's, koszul inputs larger than its ops and the degree-cap exit of
-koszul are pinned here."""
+benchmark's, koszul inputs larger than its ops, the quiver and blocks
+renderings of the koszul specs and the degree-cap exit of koszul are pinned
+here."""
 
 import hashlib
 import json
@@ -143,6 +144,95 @@ def test_larger_koszul_stdout_matches_golden(tmp_path, capsys):
     path.write_text(json.dumps(spec), encoding="utf-8")
     argv = ["koszul", "--spec", str(path)] + extra
     assert _stdout_digest(argv, capsys) == expected
+
+
+# sha256 of quiver and blocks stdout on the koszul specs, by output format;
+# recorded with the rendering still inside `cli`
+RENDERINGS = {
+    "a2-segre": {
+        ("blocks", "json"):
+            "7937a4eca6abc9d6f0c91d47f190e7b945eb41299e16d8e3ed65075affffce9d",
+        ("blocks", "text"):
+            "0bdb84e9fc3ddc9452d578ac3da41b89e3e06aa117be63e9b93cf2d4c27a6c98",
+        ("quiver", "dot"):
+            "777c86ec526b0de22e3b8520350bc0e9f722d01fefb3432569a59889f5fcde4f",
+        ("quiver", "json"):
+            "88ece26a1da32024fc630d0da23bb5a96d565b7559473d8197dc0cdfd200383a",
+        ("quiver", "text"):
+            "37f167c35ff77e4970d6ce27b8b615bc663d47ad0927cf3eba0f660b9db7fdeb",
+    },
+    "basis-ad7": {
+        ("blocks", "json"):
+            "392a5e14c80ef067a5cc808e22064fc87ba8f8b0600b86c4f7169ca0c60663cf",
+        ("blocks", "text"):
+            "91af9eee27b0466b09c49922979e982d180738ebbf64e4c5d9ee43b025dea051",
+        ("quiver", "dot"):
+            "2fb42d47e50bc8df6ca7b0d015ce9c7e88d18dc72d96e1b5b5d6472048ef8f85",
+        ("quiver", "json"):
+            "bab780e5f8216e0dceb2451bc5a4367b89479a2d9cf44d1b3fdf7d283e38a309",
+        ("quiver", "text"):
+            "8f1c0f34b08c7d0cac9b5ed4dea135c387a43d4e6ed1fd75dc05f382d974cbc4",
+    },
+    "clifford-even": {
+        ("blocks", "json"):
+            "5b72835d5d78d9934402cb02352a1d83b95e61ce01437d5583e34ed2de3d39b3",
+        ("blocks", "text"):
+            "70e9ce4c282810dc75e727e57c1e3d1a4aaf61475ba88b4b3a122516b0776cba",
+        ("quiver", "dot"):
+            "226036ca427cf3820e285cb17d21449339449366daa6706e97363825bfae315f",
+        ("quiver", "json"):
+            "da3b741aac96ed0d1c6a06ad64f61481d1136df7bcbd2188dc071a6b17a37b46",
+        ("quiver", "text"):
+            "2e35810c1e9346596b234884c88fc2c69db783adbf35810a782cecd550f6b2ba",
+    },
+    "clifford-odd": {
+        ("blocks", "json"):
+            "097802060945e040ac9e9b8a0a07ce897ee284ba40499b5699ee3d227e11ffec",
+        ("blocks", "text"):
+            "a85fcc25c6ecb472ef1280f48d9f4a0ae54c76c7d6673a35f0b7c44835965e77",
+        ("quiver", "dot"):
+            "9f5771f990b072c972848a44bfeb45952010b30282bca7a6e87240183ab2d1b2",
+        ("quiver", "json"):
+            "8d715b9f6732f198695c0d8798f7a5b406327c91fc3410c85d1222e87010efb0",
+        ("quiver", "text"):
+            "ce0b843e35af35af9ab4c89a83dd1f1632169068f9dbcf5cae9fb496833933b5",
+    },
+    "segre-alt": {
+        ("blocks", "json"):
+            "f05a741798418b8911ea3c5cb2fd2067efbdc51e8578769e6c6e0fd153f15194",
+        ("blocks", "text"):
+            "7c1af2abe15b66a05fa9df5d93ac2fa237a1f28eba7b9e869ba1f3518583195a",
+        ("quiver", "dot"):
+            "f7c2bbcadbb2f089143ef671036d8be44adb3155bb64c9c2593921889a7818f5",
+        ("quiver", "json"):
+            "d0b5948dfba730619b06e7a684831084ec0bcc6a6c2b31f919babe894c0e76dd",
+        ("quiver", "text"):
+            "4f1388a2b7f8f364dcc66b7ecb09f2c24743b271e2dc5427d3bdf4ab2a77f913",
+    },
+    "segre-sym": {
+        ("blocks", "json"):
+            "c25b9a28be4d1018351061cde41568e9487ff65edd9a728a650480b98b8d8506",
+        ("blocks", "text"):
+            "5639b0c1dff56766b6f2eeb1ed0052f9a968bb55c0009019f712458733868573",
+        ("quiver", "dot"):
+            "b09d63f19d8d20c03a518a40738c0dae48294c639daa099f95bd37897b40f2ea",
+        ("quiver", "json"):
+            "8a5a948faf3b273b509be0e3ae489460c967e943c600705d03bc14a7bd71c3da",
+        ("quiver", "text"):
+            "c9444d96f8d1bcdce8c6b304c20bcff36c9a467f14390477ad7d07b49d6bfc44",
+    },
+}
+
+
+@pytest.mark.parametrize("command,fmt", [
+    ("quiver", "json"), ("quiver", "dot"), ("quiver", "text"),
+    ("blocks", "json"), ("blocks", "text")])
+@pytest.mark.parametrize("name", sorted(KOSZUL))
+def test_rendered_stdout_matches_golden(name, command, fmt, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(KOSZUL[name][0]), encoding="utf-8")
+    argv = [command, "--spec", str(path), "--format", fmt]
+    assert _stdout_digest(argv, capsys) == RENDERINGS[name][(command, fmt)]
 
 
 def _lv(mult):
