@@ -8,7 +8,6 @@ them.
 
 from smodquiver import jordan as J
 from smodquiver import quiver as Q
-from smodquiver.cli import emit_dot
 
 SPECS = [
     ("sp(6) with its adjoint radical",
@@ -46,4 +45,4 @@ for title, spec in SPECS:
     print()
 
 print("DOT rendering of the dual-pair block:")
-print(emit_dot(Q.assemble(SPECS[5][1])))
+print(Q.emit_dot(Q.assemble(SPECS[5][1])))

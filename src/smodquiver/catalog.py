@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from . import weights
@@ -36,7 +35,9 @@ class ModuleTooLarge(RuntimeError):
     """A module whose weights would be walked exceeds MAX_WALKED_DIM."""
 
 
-HALF = frozenset((Fraction(1, 2), Fraction(-1, 2)))
+# the h-eigenvalues -1/2, +1/2 of a half simple, in the quarter units
+# `weights.ip4` counts in
+HALF4 = range(-2, 3, 4)
 
 
 class LieKind(namedtuple("LieKind", "series size")):
@@ -253,7 +254,8 @@ def any_weight(kind, name):
 
 
 def grading_eigenvalues(kind, lam):
-    """Set of h-eigenvalues on the irreducible with highest weight lam."""
+    """Set of h-eigenvalues on the irreducible with highest weight lam, as
+    `Fraction`s."""
     return weights.grading_values(kind.root_system(), lam, kind.cocharacter())
 
 
@@ -262,7 +264,8 @@ def is_s_half(kind, lam):
     """True iff V_lam carries eigenvalues exactly {-1/2, +1/2}."""
     if kind.series == "e7":
         return False
-    return grading_eigenvalues(kind, lam) == HALF
+    return weights.grading_levels4(kind.root_system(), lam,
+                                   kind.cocharacter()) == HALF4
 
 
 def _walk(kind, lam):
@@ -368,12 +371,19 @@ def parity_product(p1, p2):
     return "symmetric" if p1 == p2 else "skew"
 
 
-@lru_cache(maxsize=None)
 def graded_piece_dim(kind, name, level):
-    """Dimension of the h-eigenvalue-`level` piece of a catalog simple."""
+    """Dimension of the h-eigenvalue-`level` piece of a catalog simple;
+    `level` is an `int` or a `Fraction`."""
+    return graded_piece_dim4(kind, name, 4 * level)
+
+
+@lru_cache(maxsize=None)
+def graded_piece_dim4(kind, name, level4):
+    """`graded_piece_dim` with the level in quarter units, the unit
+    `weights.ip4` counts in: the piece of eigenvalue level4 / 4."""
     if kind.series == "e7":
         # short grading of e7 relative to its sl2: (27, 79, 27)
-        return {Fraction(1): 27, Fraction(-1): 27, Fraction(0): 79}.get(level, 0)
+        return {4: 27, -4: 27, 0: 79}.get(level4, 0)
     h2 = kind.cocharacter()
     pairs = _walk(kind, any_weight(kind, name))
-    return sum(m for w, m in pairs if Fraction(weights.ip4(w, h2), 4) == level)
+    return sum(m for w, m in pairs if weights.ip4(w, h2) == level4)

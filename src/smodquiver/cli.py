@@ -55,51 +55,6 @@ def _engine_error(exc):
     return None
 
 
-# ---------------------------------------------------------------------------
-# rendering
-
-
-def emit_dot(report) -> str:
-    """DOT rendering of a `quiver.QuiverReport`; relations become comments."""
-    lines = ["digraph quiver {"]
-    for v in report.quiver.vertices:
-        lines.append(f'  v{v.vid} [label="c{v.color}:{v.label}"];')
-    for t in report.quiver.thin:
-        style = ", style=dashed" if t.group % 2 == 1 else ""
-        lines.append(f'  v{t.src} -> v{t.dst} [label="g{t.group}w{t.w_index}"'
-                     f'{style}];')
-    lines.append("}")
-    for rel in report.relations:
-        parts = []
-        for coef, (f, g) in rel.terms:
-            prefix = "+" if coef >= 0 else "-"
-            mag = abs(coef)
-            coefs = "" if mag == 1 else f"{mag}*"
-            parts.append(f"{prefix} {coefs}t{f}.t{g}")
-        lines.append("// relation: " + " ".join(parts) + " = 0")
-    return "\n".join(lines) + "\n"
-
-
-def emit_text(report) -> str:
-    """Plain-text rendering of a `quiver.QuiverReport`."""
-    lines = ["summands: " + ", ".join(report.summands)]
-    for v in report.quiver.vertices:
-        lines.append(f"  vertex v{v.vid}: color {v.color}, {v.label}")
-    for a in report.quiver.arrows:
-        lines.append(f"  arrow a{a.aid}: v{a.src} -> v{a.dst} "
-                     f"(group {a.group}, W dim {a.w_dim})")
-    for b in report.blocks:
-        desc = f" [{b.descriptor}]" if b.descriptor else ""
-        lines.append(f"block {b.kind}{desc}: groups {list(b.groups)}, "
-                     f"vertices {list(b.vertices)}, isolated {b.isolated}, "
-                     f"{len(b.relations)} relations")
-    lines.append(f"wild: {str(report.wild).lower()}")
-    lines.append(f"central extension dim: {report.centext_total}")
-    for n in report.notes:
-        lines.append(f"note: {n}")
-    return "\n".join(lines) + "\n"
-
-
 def _write(out, text):
     if not out:
         sys.stdout.write(text)
@@ -140,40 +95,22 @@ def cmd_quiver(args):
 
     report = _assemble(args.spec)
     if args.format == "dot":
-        _write(args.out, emit_dot(report))
+        _write(args.out, quiver.emit_dot(report))
     elif args.format == "text":
-        _write(args.out, emit_text(report))
+        _write(args.out, quiver.emit_text(report))
     else:
         _write(args.out, _json_dumps(quiver.report_to_dict(report)))
     return EXIT_OK
 
 
 def cmd_blocks(args):
-    report = _assemble(args.spec)
-    rows = []
-    for b in report.blocks:
-        rows.append({
-            "kind": b.kind,
-            "descriptor": b.descriptor,
-            "groups": list(b.groups),
-            "vertices": [f"c{report.quiver.vertex(v).color}:"
-                         f"{report.quiver.vertex(v).label}" for v in b.vertices],
-            "isolated": b.isolated,
-            "relations": len(b.relations),
-            "notes": list(b.notes),
-        })
-    payload = {"schemaVersion": report.schema_version, "blocks": rows,
-               "wild": report.wild, "centextTotal": report.centext_total}
+    from . import quiver
+
+    table = quiver.blocks_to_dict(_assemble(args.spec))
     if args.format == "text":
-        lines = []
-        for r in rows:
-            desc = f" [{r['descriptor']}]" if r["descriptor"] else ""
-            lines.append(f"{r['kind']}{desc}: vertices "
-                         f"{', '.join(r['vertices']) or '(none)'}; "
-                         f"isolated {r['isolated']}; {r['relations']} relations")
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, quiver.emit_blocks_text(table))
     else:
-        _write(args.out, _json_dumps(payload))
+        _write(args.out, _json_dumps(table))
     return EXIT_OK
 
 
@@ -199,35 +136,6 @@ def cmd_koszul(args):
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _appendix_kinds(max_rank):
-    from . import catalog
-
-    kinds = [catalog.SL(n) for n in range(6, 2 * max_rank + 2, 2)
-             if n - 1 <= max_rank]
-    kinds += [catalog.SP(2 * m) for m in range(3, max_rank + 1)]
-    kinds += [catalog.SO1(4 * m) for m in range(3, max_rank // 2 + 1)]
-    kinds += [catalog.SO2(2 * m + 1) for m in range(2, max_rank + 1)]
-    kinds += [catalog.SO2(2 * m) for m in range(3, max_rank + 1)]
-    return kinds
-
-
-def verify_appendix(max_rank):
-    """Duality and tensor-restriction checks for all kinds up to max_rank.
-
-    Returns (failures, lines): one human-readable line per checked identity
-    family, 'ok' or 'FAIL'.
-    """
-    from . import oracles
-
-    lines = []
-    failures = 0
-    for kind in _appendix_kinds(max_rank):
-        for name, ok in oracles.appendix_checks(kind):
-            lines.append(f"{'ok  ' if ok else 'FAIL'} {kind}: {name}")
-            failures += 0 if ok else 1
-    return failures, lines
-
-
 def cmd_verify_appendix(args):
     if args.max_rank < MIN_APPENDIX_RANK:
         raise CliError(EXIT_VALIDATION, "cap-invalid", f"max rank {args.max_rank} "
@@ -236,7 +144,9 @@ def cmd_verify_appendix(args):
     if args.max_rank > MAX_APPENDIX_RANK:
         raise CliError(EXIT_CAP, "cap-exceeded", f"max rank {args.max_rank} "
                        f"exceeds the appendix bound {MAX_APPENDIX_RANK}")
-    failures, lines = verify_appendix(args.max_rank)
+    from . import oracles
+
+    failures, lines = oracles.verify_appendix(args.max_rank)
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 

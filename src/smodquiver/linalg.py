@@ -10,26 +10,31 @@ so the form is the unique RREF of the span whatever order the rows arrive
 in.  Dividing by a pivot is the only division: a `Fraction` pivot divides as
 usual, an `int` pivot of +-1 keeps an integral row integral and any other
 `int` pivot goes through `Fraction`.
+
+`fractions` is imported where a `Fraction` is first built: on division by a
+pivot other than +-1, or in `exact` on a non-integral input.  Work over
+`int` never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 def exact(x):
-    """x as an `int` when it is integral, else as a `Fraction`."""
+    """x as an `int` when it is integral, else as a `Fraction`; an `int` is
+    returned as it is."""
+    if type(x) is int:
+        return x
+    from fractions import Fraction
+
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
 def sparse_vector(seq):
-    """Sparse form {index: Fraction} of a dense sequence."""
-    return {j: Fraction(x) for j, x in enumerate(seq) if x}
+    """Sparse form {index: exact value} of a dense sequence."""
+    return {j: exact(x) for j, x in enumerate(seq) if x}
 
 
 def integral(maps):
@@ -43,7 +48,7 @@ def integral(maps):
 
 def dense_vector(v, n):
     """Dense form, of length n, of a sparse vector."""
-    out = [Q0] * n
+    out = [0] * n
     for j, x in v.items():
         out[j] = x
     return out
@@ -164,10 +169,12 @@ class Echelon:
             row = {j: x * pv for j, x in red.items()}
         else:
             if type(pv) is int:
+                from fractions import Fraction
+
                 pv = Fraction(pv)   # int / int would be a float
             row = {j: x / pv for j, x in red.items()}
         if self.exprs is not None:
-            inv = pv if type(pv) is int else Q1 / pv
+            inv = pv if type(pv) is int else 1 / pv
             expr = {g: -c * inv for g, c in combo.items()}
             expr[self.n_kept] = inv
         if q in self._touched:

@@ -157,3 +157,30 @@ def _expected_dim(kind, name):
 def appendix_checks(kind):
     """All duality, dimension and tensor checks for one kind."""
     return dimension_checks(kind) + duality_checks(kind) + tensor_checks(kind)
+
+
+def appendix_kinds(max_rank):
+    """The kinds of the appendix up to rank max_rank, in the order
+    `verify_appendix` checks them."""
+    kinds = [catalog.SL(n) for n in range(6, 2 * max_rank + 2, 2)
+             if n - 1 <= max_rank]
+    kinds += [catalog.SP(2 * m) for m in range(3, max_rank + 1)]
+    kinds += [catalog.SO1(4 * m) for m in range(3, max_rank // 2 + 1)]
+    kinds += [catalog.SO2(2 * m + 1) for m in range(2, max_rank + 1)]
+    kinds += [catalog.SO2(2 * m) for m in range(3, max_rank + 1)]
+    return kinds
+
+
+def verify_appendix(max_rank):
+    """Duality and tensor-restriction checks for all kinds up to max_rank.
+
+    Returns (failures, lines): one human-readable line per checked identity
+    family, 'ok' or 'FAIL'.
+    """
+    lines = []
+    failures = 0
+    for kind in appendix_kinds(max_rank):
+        for name, ok in appendix_checks(kind):
+            lines.append(f"{'ok  ' if ok else 'FAIL'} {kind}: {name}")
+            failures += 0 if ok else 1
+    return failures, lines

@@ -194,22 +194,32 @@ class PresentedAlgebra(GradedProtocol):
         return combo
 
     def _relation_rows(self, d, index):
-        """Spread rows of the relations in degree d, in pair coordinates."""
+        """Spread rows of the relations in degree d, in pair coordinates.
+
+        A relation of length l spreads over the degree-(d - l) basis
+        elements that end at its source; that basis is indexed by end
+        vertex once per degree.
+        """
         rows = []
+        ending_at = {}   # d - l -> {vertex: basis indices ending there}
         for terms in self.relations:
             length = len(terms[0][1])
             if d < length or self.dims(d - length) == 0:
                 continue
-            src_r = self._asrc[terms[0][1][-1]]
-            for y in range(self.dims(d - length)):
-                if self._dst[d - length][y] != src_r:
-                    continue
+            by_dst = ending_at.get(d - length)
+            if by_dst is None:
+                by_dst = ending_at[d - length] = {}
+                for y, v in enumerate(self._dst[d - length]):
+                    by_dst.setdefault(v, []).append(y)
+            # each term as (coef, position of its outer arrow, the rest)
+            split = [(c, self._arrow_pos[p[0]], p[1:]) for c, p in terms]
+            for y in by_dst.get(self._asrc[terms[0][1][-1]], ()):
                 row = {}
-                for c, p in terms:
-                    for x, c2 in self._tail_class(p[1:], d - length, y).items():
-                        key = (self._arrow_pos[p[0]], x)
+                for c, apos, tail in split:
+                    for x, c2 in self._tail_class(tail, d - length, y).items():
+                        key = index[(apos, x)]
                         row[key] = row.get(key, 0) + c * c2
-                row = {index[k]: c for k, c in row.items() if c}
+                row = {k: c for k, c in row.items() if c}
                 if row:
                     rows.append(row)
         return rows

@@ -1,7 +1,8 @@
 """Assembly of the module-category quiver with quadratic relations.
 
 Pipeline: JordanSpec -> LieDatum -> radical groups -> colored quiver ->
-block classification -> relation templates -> QuiverReport.
+block classification -> relation templates -> QuiverReport, and the
+report's renderings: the JSON dict, the building-block table, DOT and text.
 
 Conventions:
   * vertices are colored by summand index, sorted by (color, catalog order);
@@ -18,7 +19,6 @@ Conventions:
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import catalog, jordan
 from .catalog import SL2
@@ -80,13 +80,13 @@ QuiverReport = namedtuple(
 
 def group_radical(datum: jordan.LieDatum):
     """Radical entries with singularity and form parity attached."""
-    half = Fraction(1, 2)
     groups = []
     for q, e in enumerate(datum.radical):
         kinds = [datum.summands[i] for i in e.support]
         engine_parity = jordan._entry_parity(datum, e)
         if e.is_tensor:
-            halves = [catalog.graded_piece_dim(k, l, half)
+            # the h-eigenvalue-1/2 pieces, the level in quarter units
+            halves = [catalog.graded_piece_dim4(k, l, 2)
                       for k, l in zip(kinds, e.labels)]
             singular = all(h == 1 for h in halves)
             forms = [catalog.duality_form(k, l) for k, l in zip(kinds, e.labels)]
@@ -99,7 +99,8 @@ def group_radical(datum: jordan.LieDatum):
             if kind.series == "e7":
                 singular = False
             else:
-                singular = catalog.graded_piece_dim(kind, label, Fraction(1)) == 1
+                # the h-eigenvalue-1 piece
+                singular = catalog.graded_piece_dim4(kind, label, 4) == 1
             # a label that is not self-dual already has classical parity "none"
             parity = engine_parity
         groups.append(RadicalGroup(q, e.support, e.labels, e.w_dim,
@@ -516,3 +517,77 @@ def report_to_dict(rep: QuiverReport) -> dict:
                     "total": rep.centext_total},
         "notes": list(rep.notes),
     }
+
+
+def blocks_to_dict(rep: QuiverReport) -> dict:
+    """The building-block table: one row per block, vertices by name."""
+    rows = []
+    for b in rep.blocks:
+        rows.append({
+            "kind": b.kind,
+            "descriptor": b.descriptor,
+            "groups": list(b.groups),
+            "vertices": [f"c{rep.quiver.vertex(v).color}:"
+                         f"{rep.quiver.vertex(v).label}" for v in b.vertices],
+            "isolated": b.isolated,
+            "relations": len(b.relations),
+            "notes": list(b.notes),
+        })
+    return {"schemaVersion": rep.schema_version, "blocks": rows,
+            "wild": rep.wild, "centextTotal": rep.centext_total}
+
+
+# ---------------------------------------------------------------------------
+# text renderings
+
+
+def emit_dot(rep: QuiverReport) -> str:
+    """DOT rendering of a report; relations become comments."""
+    lines = ["digraph quiver {"]
+    for v in rep.quiver.vertices:
+        lines.append(f'  v{v.vid} [label="c{v.color}:{v.label}"];')
+    for t in rep.quiver.thin:
+        style = ", style=dashed" if t.group % 2 == 1 else ""
+        lines.append(f'  v{t.src} -> v{t.dst} [label="g{t.group}w{t.w_index}"'
+                     f'{style}];')
+    lines.append("}")
+    for rel in rep.relations:
+        parts = []
+        for coef, (f, g) in rel.terms:
+            prefix = "+" if coef >= 0 else "-"
+            mag = abs(coef)
+            coefs = "" if mag == 1 else f"{mag}*"
+            parts.append(f"{prefix} {coefs}t{f}.t{g}")
+        lines.append("// relation: " + " ".join(parts) + " = 0")
+    return "\n".join(lines) + "\n"
+
+
+def emit_text(rep: QuiverReport) -> str:
+    """Plain-text rendering of a report."""
+    lines = ["summands: " + ", ".join(rep.summands)]
+    for v in rep.quiver.vertices:
+        lines.append(f"  vertex v{v.vid}: color {v.color}, {v.label}")
+    for a in rep.quiver.arrows:
+        lines.append(f"  arrow a{a.aid}: v{a.src} -> v{a.dst} "
+                     f"(group {a.group}, W dim {a.w_dim})")
+    for b in rep.blocks:
+        desc = f" [{b.descriptor}]" if b.descriptor else ""
+        lines.append(f"block {b.kind}{desc}: groups {list(b.groups)}, "
+                     f"vertices {list(b.vertices)}, isolated {b.isolated}, "
+                     f"{len(b.relations)} relations")
+    lines.append(f"wild: {str(rep.wild).lower()}")
+    lines.append(f"central extension dim: {rep.centext_total}")
+    for n in rep.notes:
+        lines.append(f"note: {n}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_blocks_text(data: dict) -> str:
+    """Plain-text rendering of a `blocks_to_dict` table, one line a block."""
+    lines = []
+    for r in data["blocks"]:
+        desc = f" [{r['descriptor']}]" if r["descriptor"] else ""
+        lines.append(f"{r['kind']}{desc}: vertices "
+                     f"{', '.join(r['vertices']) or '(none)'}; "
+                     f"isolated {r['isolated']}; {r['relations']} relations")
+    return "\n".join(lines) + "\n"

@@ -32,14 +32,17 @@ from functools import lru_cache
 
 from .catalog import (classical_parity, duality_form, grading_eigenvalues,
                       s_half_simples)
-from .linalg import (Q0, Q1, Echelon, dense_vector, exact, op_commutator,
-                     op_lines, op_mul, op_sum, sparse_vector)
+from .linalg import (Echelon, dense_vector, exact, op_commutator, op_lines,
+                     op_mul, op_sum, sparse_vector)
 from .pathalg import GradedProtocol, PresentedAlgebra, VertexMismatch
 from .quiver import (Block, Quiver, QuiverReport, RadicalGroup, Relation,
                      ThickArrow, ThinArrow, Vertex)
 from .tables import StructureConstants
 from .weights import (CompositeSystem, NonDecomposable, _add, _brauer_klimyk,
                       _constituents, _dot_dominant, _embed, _weights, ip4)
+
+Q0 = Fraction(0)
+Q1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,9 @@ def eigenvalue_set(c: Character, h2):
 # catalog answers no subcommand asks for
 
 
+# the h-eigenvalue sets of the half simples, and the eigenvalues a short
+# grading allows
+HALF = frozenset((Fraction(1, 2), Fraction(-1, 2)))
 SHORT = frozenset((Fraction(-1), Fraction(0), Fraction(1)))
 
 

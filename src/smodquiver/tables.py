@@ -5,20 +5,20 @@ before the TKK construction: the JSON table format, the left
 multiplications L_i through which every product goes, the unit, and the
 multilinearized Jordan identity in operator form.
 
-Coefficients are exact: `int` or `Fraction`, never a float.  Identities are
-checked on basis tuples after full multilinearization, which is equivalent
-over an infinite field.  The Jordan identity check runs over `int`: every
-term of the linearized identity is a product of three structure constants,
-so scaling the table by the lcm L of its denominators multiplies each side
-by L**3 and leaves the verdict unchanged.
+Coefficients are exact: `int` where integral, `Fraction` only where not,
+never a float.  Identities are checked on basis tuples after full
+multilinearization, which is equivalent over an infinite field.  The Jordan
+identity check runs over `int`: every term of the linearized identity is a
+product of three structure constants, so scaling the table by the lcm L of
+its denominators multiplies each side by L**3 and leaves the verdict
+unchanged.
 """
 
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
-from .linalg import (Q0, Echelon, dense_vector, exact, integral, op_apply,
+from .linalg import (Echelon, dense_vector, exact, integral, op_apply,
                      op_lines, op_mul_add, op_sum)
 
 # ---------------------------------------------------------------------------
@@ -38,21 +38,34 @@ def _exponent(s):
 
 
 def _rational(x):
-    """A JSON integer, finite JSON number or Fraction string, exactly.
+    """A JSON integer, finite JSON number or Fraction string, exactly, as
+    `linalg.exact` makes it.
 
-    Fraction expands a string's exponent into an integer with that many
-    digits, so the exponent gets the bound Python already puts on integer
-    digit strings (`sys.get_int_max_str_digits()`; 0, or an interpreter
-    without the limit, means none).
+    A JSON integer is returned as it is, and a string without underscores
+    that `int` reads is one `Fraction` reads to the same integer, so no
+    `Fraction` is built for it (`Fraction` reads underscores only from
+    Python 3.11 on).  `Fraction` reads the rest; it expands a string's
+    exponent into an integer with that many digits, so the exponent gets
+    the bound Python already puts on integer digit strings
+    (`sys.get_int_max_str_digits()`; 0, or an interpreter without the
+    limit, means none).
     """
+    if type(x) is int:
+        return x
     if type(x) is bool or not isinstance(x, (int, float, str)):
         raise ValueError(f"bad rational {x!r}")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if isinstance(x, str) and limit and _exponent(x) > limit:
-        raise ValueError(f"bad rational {x[:40]!r}: exponent exceeds the "
-                         f"integer digit limit {limit}")
+    if isinstance(x, str):
+        if "_" not in x:
+            try:
+                return int(x)
+            except ValueError:
+                pass
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and _exponent(x) > limit:
+            raise ValueError(f"bad rational {x[:40]!r}: exponent exceeds the "
+                             f"integer digit limit {limit}")
     try:
-        return Fraction(x)
+        return exact(x)
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"bad rational {x!r}: {exc}") from exc
 
@@ -97,13 +110,14 @@ def table_bits(sc):
 class StructureConstants:
     """Commutative product on k^n: c[i][j] is the vector e_i * e_j.
 
-    `ops[i]` is the left multiplication L_i as a sparse operator
-    {(k, j): x}, its column j the product e_i * e_j, each entry an `int`
-    when it is integral; every product of table elements goes through them.
+    `c` holds every entry once, as `linalg.exact` makes it: an `int` when
+    it is integral, else a `Fraction`.  `ops[i]` is the left multiplication
+    L_i as a sparse operator {(k, j): x} on those entries, its column j the
+    product e_i * e_j; every product of table elements goes through them.
     """
 
     def __init__(self, table):
-        self.c = tuple(tuple(tuple(Fraction(x) for x in v) for v in row)
+        self.c = tuple(tuple(tuple(exact(x) for x in v) for v in row)
                        for row in table)
         n = self.dim = len(self.c)
         for i in range(n):
@@ -114,7 +128,7 @@ class StructureConstants:
                     raise ValueError("entries must be n-vectors")
                 if self.c[i][j] != self.c[j][i]:
                     raise ValueError("table is not commutative")
-        self.ops = tuple({(k, j): exact(x) for j in range(n)
+        self.ops = tuple({(k, j): x for j in range(n)
                           for k, x in enumerate(self.c[i][j]) if x}
                          for i in range(n))
         self._jordan = None   # verdict of check_jordan_identity, once known
@@ -146,9 +160,9 @@ def find_unit(sc: StructureConstants):
             ech.add(row)
     if n in ech.rows:
         return None
-    x = [Q0] * n
+    x = [0] * n
     for p, row in ech.rows.items():
-        x[p] = row.get(n, Q0)
+        x[p] = row.get(n, 0)
     return x
 
 

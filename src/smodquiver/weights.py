@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
@@ -159,6 +158,14 @@ def rho2(sys):
     return tuple(2 * (r - i) - 2 for i in range(r))
 
 
+@lru_cache(maxsize=None)
+def _weyl_denominator(sys):
+    """The product of <rho, alpha> over the positive roots of a simple
+    system, in `ip4` units: the denominator of the Weyl dimension formula."""
+    r2 = rho2(sys)
+    return math.prod(ip4(r2, a) for a in positive_roots(sys))
+
+
 def is_dominant(sys, w):
     if isinstance(sys, CompositeSystem):
         return all(is_dominant(c, p) for c, p in zip(sys.components, sys.split(w)))
@@ -236,10 +243,9 @@ def weyl_dim(sys, lam):
         for c, p in zip(sys.components, sys.split(lam)):
             out *= weyl_dim(c, p)
         return out
-    r2 = rho2(sys)
-    lr = _add(lam, r2)
+    lr = _add(lam, rho2(sys))
     d, rem = divmod(math.prod(ip4(lr, a) for a in positive_roots(sys)),
-                    math.prod(ip4(r2, a) for a in positive_roots(sys)))
+                    _weyl_denominator(sys))
     assert rem == 0 and d > 0
     return d
 
@@ -484,18 +490,25 @@ def _grading_ends(sys, h2):
     return dominantize(sys, h2), dominantize(sys, tuple(-x for x in h2))
 
 
-def grading_values(sys, lam, h2):
-    """Set of pairings <w, h> over the weights w of V_lam (true values).
+def grading_levels4(sys, lam, h2):
+    """The pairings 4<w, h> over the weights w of V_lam, as a range.
 
-    For a short h these run from -<lam, dom(-h)> to <lam, dom(h)> in steps
-    of 1: the weights of V_lam are reached from the top by subtracting simple
-    roots (Humphreys, Lie Algebras, 21.3), and in the chamber where h is
-    dominant each one lowers <w, h> by 0 or 1.
+    For a short h the pairings <w, h> run from -<lam, dom(-h)> to
+    <lam, dom(h)> in steps of 1: the weights of V_lam are reached from the
+    top by subtracting simple roots (Humphreys, Lie Algebras, 21.3), and in
+    the chamber where h is dominant each one lowers <w, h> by 0 or 1.
     """
     if not is_dominant(sys, lam):
         raise NotDominant(lam)
     top, bottom = _grading_ends(sys, h2)
-    return {Fraction(v, 4)
-            for v in range(-ip4(lam, bottom), ip4(lam, top) + 1, 4)}
+    return range(-ip4(lam, bottom), ip4(lam, top) + 1, 4)
+
+
+def grading_values(sys, lam, h2):
+    """Set of pairings <w, h> over the weights w of V_lam (true values), as
+    `Fraction`s."""
+    from fractions import Fraction
+
+    return {Fraction(v, 4) for v in grading_levels4(sys, lam, h2)}
 
 

@@ -20,7 +20,7 @@ from helpers import (ref_character, ref_decompose_character,
                      ref_fs_indicator_adams, ref_grading_values, ref_orbit,
                      ref_tensor_decompose)
 from smodquiver import catalog as C
-from smodquiver import cli
+from smodquiver import oracles
 from smodquiver import reference as R
 from smodquiver import weights as W
 from smodquiver.reference import Character
@@ -45,7 +45,8 @@ def _ref_restrict(kind, m_name, n_name, character=ref_character,
     for lam, mult in decompose(cm, cn).items():
         if W.is_trivial_weight(sys, lam):
             out["tr"] = out.get("tr", 0) + mult
-        elif R.eigenvalue_set(character(sys, lam), kind.cocharacter()) == C.HALF:
+        elif R.eigenvalue_set(character(sys, lam),
+                              kind.cocharacter()) == R.HALF:
             out[C._name_of_half_weight(kind, lam)] = \
                 out.get(C._name_of_half_weight(kind, lam), 0) + mult
     return out
@@ -144,7 +145,8 @@ def test_restrict_s_so17_past_the_product_cap():
 # tensor_decompose, ext_sym_square and trivial_multiplicity rebuild every
 # answer from full characters for each appendix kind of rank 5-7.
 
-WIDE_KINDS = [k for k in cli._appendix_kinds(7) if k.root_system().rank >= 5]
+WIDE_KINDS = [k for k in oracles.appendix_kinds(7)
+              if k.root_system().rank >= 5]
 
 # ext_sym_square squares the character pointwise, so its cost is the square
 # of the number of weights; past this many it would take tens of seconds
@@ -211,8 +213,8 @@ def _so17_answers():
     return (C.restrict_s.__wrapped__(kind, gamma, top),
             C.classical_parity.__wrapped__(kind, gamma),
             C.classical_parity.__wrapped__(kind, top),
-            C.graded_piece_dim.__wrapped__(kind, gamma, Fraction(1, 2)),
-            C.graded_piece_dim.__wrapped__(kind, top, Fraction(0)))
+            C.graded_piece_dim4.__wrapped__(kind, gamma, 2),
+            C.graded_piece_dim4.__wrapped__(kind, top, 0))
 
 
 def test_catalog_path_builds_no_full_character(monkeypatch):
@@ -234,11 +236,11 @@ def test_grading_and_parity_build_no_character(monkeypatch):
 
     for name in ("dominant_character", "_weights", "_brauer_klimyk"):
         monkeypatch.setattr(W, name, never)
-    for kind in cli._appendix_kinds(7):
+    for kind in oracles.appendix_kinds(7):
         for name in _labels(kind):
             lam = C.any_weight(kind, name)
             evs = C.grading_eigenvalues(kind, lam)
-            assert C.is_s_half.__wrapped__(kind, lam) == (evs == C.HALF)
+            assert C.is_s_half.__wrapped__(kind, lam) == (evs == R.HALF)
             assert R.is_s_one(kind, lam) == (name in {
                 lab.name for lab in C.s_one_simples(kind)})
             assert C.classical_parity.__wrapped__(kind, name) in (
@@ -268,7 +270,7 @@ def test_catalog_path_memory_bound():
 # they replaced (dominant character against the Weyl orbit of h, and the
 # Adams operation with a Brauer-Klimyk square) are the references.
 
-CATALOG_KINDS = cli._appendix_kinds(8) + [C.SL2]
+CATALOG_KINDS = oracles.appendix_kinds(8) + [C.SL2]
 
 
 def _fundamental_weights(sys):

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import smodquiver
-from helpers import spin_factor, src_env
+from helpers import matrix_plus, spin_factor, src_env
 from smodquiver import reference
 
 # public classes and functions of the library-only module, defined there
@@ -26,12 +26,16 @@ _LOADED = ("sorted(m for m in sys.modules if m.startswith('smodquiver.'))")
 # standard modules that cost milliseconds to import and that no command needs
 _HEAVY = "sorted({'dataclasses', 'inspect'} & set(sys.modules))"
 
+# `fractions` and the standard modules it imports, about 4 ms together: a
+# command loads them only for a value that is not an integer
+_NUMERIC = "sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules))"
+
 _RUN_CLI = f"""
 import contextlib, io, json, sys
 from smodquiver import cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, {_LOADED}, {_HEAVY}]))
+print(json.dumps([rc, {_LOADED}, {_HEAVY}, {_NUMERIC}]))
 """
 
 
@@ -43,7 +47,7 @@ def _child(code, *argv):
 
 
 def _cli_modules(*argv):
-    rc, loaded, _ = _child(_RUN_CLI, *argv)
+    rc, loaded, *_ = _child(_RUN_CLI, *argv)
     assert rc == 0
     return {m.split(".", 1)[1] for m in loaded}
 
@@ -82,7 +86,7 @@ def test_no_command_loads_library_only_code(commands):
     assert {"weight_multiplicities", "sym_algebra", "peirce_split",
             "report_from_dict"} <= _LIBRARY_ONLY
     for argv, want_rc in commands:
-        rc, loaded, _ = _child(_RUN_CLI, *argv)
+        rc, loaded, *_ = _child(_RUN_CLI, *argv)
         assert rc == want_rc, argv
         assert "smodquiver.reference" not in loaded, argv
         found = {name for mod in loaded
@@ -109,8 +113,9 @@ def test_tkk_check_loads_no_character_or_quiver_layer(tmp_path):
 def test_tkk_check_loads_no_construction_for_a_bad_table(tmp_path, table):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(table), encoding="utf-8")
-    rc, loaded, _ = _child(_RUN_CLI, "tkk-check", "--table", str(path))
-    assert rc == 2
+    rc, loaded, _, numeric = _child(_RUN_CLI, "tkk-check", "--table",
+                                    str(path))
+    assert (rc, numeric) == (2, [])
     loaded = {m.split(".", 1)[1] for m in loaded}
     assert {"tables", "linalg"} <= loaded
     assert "tkk" not in loaded
@@ -125,10 +130,55 @@ def test_verify_appendix_loads_no_algebra_layer():
 
 def test_no_command_imports_dataclasses_or_inspect(commands):
     for argv, want_rc in commands:
-        rc, _, heavy = _child(_RUN_CLI, *argv)
+        rc, _, heavy, _ = _child(_RUN_CLI, *argv)
         assert (rc, heavy) == (want_rc, []), argv
     code = f"import json, sys\nimport smodquiver.cli\nprint(json.dumps({_HEAVY}))"
     assert _child(code) == []
+
+
+def test_no_command_loads_fractions(commands):
+    # every value on these paths is an integer, the unit e_0 of spin4 too
+    for argv, want_rc in commands:
+        rc, _, _, numeric = _child(_RUN_CLI, *argv)
+        assert (rc, numeric) == (want_rc, []), argv
+
+
+# tkk-check tables of the benchmark that run the construction on integers;
+# its two tables that exit 2 are in the bad-table test above
+INTEGRAL_TABLES = {
+    "spin8": ({"dim": 8, "products": spin_factor(8)}, 0),
+    "non-unital": ({"dim": 1, "products": [[["0"]]]}, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_TABLES))
+def test_tkk_check_on_an_integral_table_loads_no_fractions(tmp_path, name):
+    table, want_rc = INTEGRAL_TABLES[name]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    rc, _, _, numeric = _child(_RUN_CLI, "tkk-check", "--table", str(path))
+    assert (rc, numeric) == (want_rc, [])
+
+
+def test_a_non_integral_unit_may_load_fractions(tmp_path):
+    # M_2 with E_ij o E_kl = E_ij E_kl + E_kl E_ij has the unit I/2
+    t = matrix_plus(2)
+    path = tmp_path / "m2-plus.json"
+    path.write_text(json.dumps({"dim": len(t), "products": t}),
+                    encoding="utf-8")
+    rc, _, _, numeric = _child(_RUN_CLI, "tkk-check", "--table", str(path))
+    assert rc == 0
+    assert "fractions" in numeric
+
+
+def test_cli_keeps_no_command_body_of_a_level():
+    # rendering lives in quiver, the appendix run in oracles
+    from smodquiver import cli, oracles, quiver
+
+    assert not {"emit_dot", "emit_text", "verify_appendix",
+                "_appendix_kinds"} & set(vars(cli))
+    assert callable(quiver.emit_dot) and callable(quiver.emit_text)
+    assert callable(oracles.verify_appendix)
 
 
 def test_bare_import_loads_no_submodule():

@@ -32,6 +32,17 @@ def test_weyl_dim_examples():
     assert W.weyl_dim(A5, (4, 2, 2, 2, 2, 0)) == 35        # adjoint of sl(6)
 
 
+def test_weyl_denominator_is_computed_once_per_system():
+    # prod <rho, alpha> depends on the system alone
+    sys = RootSystem("B", 6)
+    W._weyl_denominator.cache_clear()
+    dims = [W.weyl_dim(sys, lam) for lam in
+            [(0,) * 6, (2,) + (0,) * 5, (1,) * 6, (2, 2) + (0,) * 4]]
+    assert dims == [1, 13, 64, 78]
+    info = W._weyl_denominator.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_weyl_dim_requires_dominant():
     with pytest.raises(W.NotDominant):
         W.weyl_dim(C3, (0, 2, 0))
