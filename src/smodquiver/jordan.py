@@ -300,6 +300,11 @@ def lie_datum_of_spec(spec: JordanSpec) -> LieDatum:
     report = validate_spec(spec)
     if not report.ok:
         raise SpecError(report)
+    return _lie_datum(spec)
+
+
+def _lie_datum(spec):
+    """`lie_datum_of_spec` of a spec already validated."""
     if not spec.unital:
         raise ValueError("spec must be unital (apply unitalize first)")
     kinds = tuple(kind_of_ideal(i) for i in spec.ideals)

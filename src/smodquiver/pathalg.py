@@ -95,6 +95,11 @@ class PresentedAlgebra(GradedProtocol):
             if src not in vset or dst not in vset:
                 raise PresentationError(f"arrow {aid} touches unknown vertex")
         self.relations = []
+        # each relation as (length, source vertex, nonzero terms), a term as
+        # (coef, outer arrow position, first tail arrow position, the other
+        # tail arrow ids), the tail innermost first
+        self._spreads = []
+        pos = self._arrow_pos
         for rel in relations:
             terms = tuple((exact(c), tuple(path)) for c, path in rel)
             if len({len(p) for _, p in terms}) != 1:
@@ -110,11 +115,15 @@ class PresentedAlgebra(GradedProtocol):
             if len(ends) != 1:
                 raise PresentationError("relation terms must share endpoints")
             self.relations.append(terms)
+            self._spreads.append((len(terms[0][1]), ends.pop()[0], [
+                (c, pos[p[0]], pos[p[-1]], p[-2:0:-1]) for c, p in terms if c]))
         self.deg_cap = deg_cap
         # degree data; _dims covers every degree, the rest the extracted ones
         self._dims = [len(self.vertices), len(self.arrows)]
         self._src = [[v for v in self.vertices], [a[1] for a in self.arrows]]
         self._dst = [[v for v in self.vertices], [a[2] for a in self.arrows]]
+        # each degree's basis indices by end vertex
+        self._ending = [_by_vertex(dst) for dst in self._dst]
         # degree d >= 2: the basis as spanning pairs (arrow_pos, x_idx), and
         # each spanning pair's nonzero class ((basis_idx, coef), ...)
         self._basis_pairs = [None, None]
@@ -158,12 +167,12 @@ class PresentedAlgebra(GradedProtocol):
         if self._src[d1][i] != self._dst[d2][j]:
             out = ()
         elif d1 == 1:
-            out = self._reduce_pair(d2 + 1, i, j)
+            out = self._classes[d2 + 1].get((i, j), ())
         else:
             a, x = self._basis_pairs[d1][i]
             acc = {}
             for k, c in self.mul(d1 - 1, x, d2, j):
-                for k2, c2 in self._reduce_pair(d1 - 1 + d2 + 1, a, k):
+                for k2, c2 in self._classes[d1 + d2].get((a, k), ()):
                     acc[k2] = acc.get(k2, 0) + c * c2
             out = tuple((k, c) for k, c in sorted(acc.items()) if c)
         self._mul_cache[key] = out
@@ -171,84 +180,67 @@ class PresentedAlgebra(GradedProtocol):
 
     # -- construction ------------------------------------------------------
 
-    def _reduce_pair(self, d, arrow_pos, x_idx):
-        """Class of the spanning pair arrow(x)basis in degree d >= 2."""
-        if d > self.top_degree:
-            return ()
-        return self._classes[d].get((arrow_pos, x_idx), ())
-
-    def _tail_class(self, path_tail, d0, j):
-        """Class of (path_tail composed after basis (d0, j)) as ((x, c), ...)."""
-        combo = {j: 1}
-        d = d0
-        for aid in reversed(path_tail):
-            apos = self._arrow_pos[aid]
-            nxt = {}
-            for x, c in combo.items():
-                for k, c2 in self.mul(1, apos, d, x):
-                    nxt[k] = nxt.get(k, 0) + c * c2
-            combo = {k: c for k, c in nxt.items() if c}
-            d += 1
-            if not combo:
-                break
-        return combo
-
     def _relation_rows(self, d, index):
-        """Spread rows of the relations in degree d, in pair coordinates.
-
-        A relation of length l spreads over the degree-(d - l) basis
-        elements that end at its source; that basis is indexed by end
-        vertex once per degree.
-        """
-        rows = []
-        ending_at = {}   # d - l -> {vertex: basis indices ending there}
-        for terms in self.relations:
-            length = len(terms[0][1])
-            if d < length or self.dims(d - length) == 0:
+        """The pairs that single-term spread rows of the relations kill in
+        degree d, and the other rows, in pair coordinates.  A relation of
+        length l spreads over the degree-(d - l) basis elements y ending at
+        its source; a term's tail after y is read off the stored classes
+        arrow by arrow, a degree-0 y giving the arrow."""
+        killed, rows = set(), []
+        classes, pos = self._classes, self._arrow_pos
+        for length, source, split in self._spreads:
+            d0 = d - length
+            if d0 < 0:
                 continue
-            by_dst = ending_at.get(d - length)
-            if by_dst is None:
-                by_dst = ending_at[d - length] = {}
-                for y, v in enumerate(self._dst[d - length]):
-                    by_dst.setdefault(v, []).append(y)
-            # each term as (coef, position of its outer arrow, the rest)
-            split = [(c, self._arrow_pos[p[0]], p[1:]) for c, p in terms]
-            for y in by_dst.get(self._asrc[terms[0][1][-1]], ()):
+            after = classes[d0 + 1]   # None when y is a vertex
+            for y in self._ending[d0].get(source, ()):
                 row = {}
-                for c, apos, tail in split:
-                    for x, c2 in self._tail_class(tail, d - length, y).items():
-                        key = index[(apos, x)]
+                for c, apos, first, rest in split:
+                    combo = after.get((first, y), ()) if d0 else ((first, 1),)
+                    k = d0 + 1
+                    for t in rest:
+                        k += 1
+                        acc = {}
+                        for x, cx in combo:
+                            for x2, c2 in classes[k].get((pos[t], x), ()):
+                                acc[x2] = acc.get(x2, 0) + cx * c2
+                        combo = [(x, cx) for x, cx in acc.items() if cx]
+                    for x, c2 in combo:
+                        key = index[apos, x]
                         row[key] = row.get(key, 0) + c * c2
-                row = {k: c for k, c in row.items() if c}
-                if row:
+                if len(split) > 1:  # terms cancel only each other
+                    row = {k: c for k, c in row.items() if c}
+                if len(row) == 1:
+                    killed.update(row)
+                elif row:
                     rows.append(row)
-        return rows
+        return killed, rows
 
     def _add_degree(self):
         """Extract the next degree d from degree d - 1; its dimension, and
         nothing stored when it is 0."""
         d = len(self._src)
-        pairs = []
-        for apos, (aid, src, dst) in enumerate(self.arrows):
-            for x in range(self.dims(d - 1)):
-                if self._dst[d - 1][x] == src:
-                    pairs.append((apos, x))
+        pairs = [(apos, x) for apos, a in enumerate(self.arrows)
+                 for x in self._ending[d - 1].get(a[1], ())]
         index = {p: i for i, p in enumerate(pairs)}
-        # the free basis is the non-pivot pairs of the relations' RREF;
-        # a pair killed outright has the unit row at its pivot
+        # the free basis is the non-pivot pairs of the relations' RREF.  A
+        # single-term row kills its pair outright, so the RREF is the unit
+        # rows of the killed pairs and the RREF of the other rows off them
+        killed, rows = self._relation_rows(d, index)
         ech = Echelon()
-        for row in self._relation_rows(d, index):
-            ech.add(row)
+        for row in rows:
+            ech.add({k: c for k, c in row.items() if k not in killed})
+        pivots = killed.union(ech.rows)
         if d == 2:
             # degree-1 index and arrow position agree: the pivots are S
-            self._leading = frozenset(pairs[p] for p in ech.rows)
-        free = [p for p in range(len(pairs)) if p not in ech.rows]
+            self._leading = frozenset(pairs[p] for p in pivots)
+        free = [p for p in range(len(pairs)) if p not in pivots]
         if not free:
             return 0
         free_pos = {p: t for t, p in enumerate(free)}
         classes = {pairs[p]: ((t, 1),) for t, p in enumerate(free)}
         for pc, row in ech.rows.items():
-            if row:  # a pair killed outright keeps the empty class
+            if row:  # a killed pair keeps the empty class
                 classes[pairs[pc]] = tuple((free_pos[j], -c)
                                            for j, c in sorted(row.items()))
         basis = [pairs[p] for p in free]
@@ -256,6 +248,7 @@ class PresentedAlgebra(GradedProtocol):
         self._classes.append(classes)
         self._src.append([self._src[d - 1][x] for _, x in basis])
         self._dst.append([self.arrows[a][2] for a, _ in basis])
+        self._ending.append(_by_vertex(self._dst[d]))
         return len(free)
 
     def _extend(self, d):
@@ -308,6 +301,13 @@ class PresentedAlgebra(GradedProtocol):
     def total_dim(self):
         return sum(self.hilbert())
 
+
+def _by_vertex(ends):
+    """{vertex: the indices i with ends[i] == vertex, ascending}."""
+    out = {}
+    for i, v in enumerate(ends):
+        out.setdefault(v, []).append(i)
+    return out
 
 
 def _words(arrows, pairs):

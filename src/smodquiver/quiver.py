@@ -409,8 +409,9 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
     report = jordan.validate_spec(spec)
     if not report.ok:
         raise jordan.SpecError(report)
+    # validated as given: unitalizing can bring an ideal index into range
     spec = jordan.unitalize(spec)
-    datum = jordan.lie_datum_of_spec(spec)
+    datum = jordan._lie_datum(spec)
     groups = group_radical(datum)
     quiver, groups = arrows_of(datum, groups)
     thin_map = _thin_by_thick(quiver)

@@ -525,6 +525,86 @@ def change_arrow_basis(alg, rng):
     return P.PresentedAlgebra(alg.vertices, alg.arrows, relations, alg.deg_cap)
 
 
+# ---------------------------------------------------------------------------
+# reference basis extraction: the route `PresentedAlgebra` took before it
+# read relation spreads off its stored classes and set single-term rows
+# aside.  Each degree scans every arrow against every basis element of the
+# degree below for its composable pairs, spreads each relation tail through
+# `mul` one basis element at a time, and sends every row through one
+# `Echelon`; the RREF is unique, so the bases, classes and S agree.
+
+
+class RefPresentedAlgebra(P.PresentedAlgebra):
+    """`PresentedAlgebra` with the reference extraction of each degree."""
+
+    def _tail_class(self, path_tail, d0, j):
+        """Class of (path_tail composed after basis (d0, j)) as {x: c}."""
+        combo = {j: 1}
+        d = d0
+        for aid in reversed(path_tail):
+            apos = self._arrow_pos[aid]
+            nxt = {}
+            for x, c in combo.items():
+                for k, c2 in self.mul(1, apos, d, x):
+                    nxt[k] = nxt.get(k, 0) + c * c2
+            combo = {k: c for k, c in nxt.items() if c}
+            d += 1
+            if not combo:
+                break
+        return combo
+
+    def _relation_rows(self, d, index):
+        rows = []
+        for terms in self.relations:
+            length = len(terms[0][1])
+            if d < length or self.dims(d - length) == 0:
+                continue
+            source = self._asrc[terms[0][1][-1]]
+            for y in range(self.dims(d - length)):
+                if self._dst[d - length][y] != source:
+                    continue
+                row = {}
+                for c, p in terms:
+                    apos = self._arrow_pos[p[0]]
+                    tail = self._tail_class(p[1:], d - length, y)
+                    for x, c2 in tail.items():
+                        key = index[(apos, x)]
+                        row[key] = row.get(key, 0) + c * c2
+                row = {k: c for k, c in row.items() if c}
+                if row:
+                    rows.append(row)
+        return rows
+
+    def _add_degree(self):
+        d = len(self._src)
+        pairs = []
+        for apos, (aid, src, dst) in enumerate(self.arrows):
+            for x in range(self.dims(d - 1)):
+                if self._dst[d - 1][x] == src:
+                    pairs.append((apos, x))
+        index = {p: i for i, p in enumerate(pairs)}
+        ech = Echelon()
+        for row in self._relation_rows(d, index):
+            ech.add(row)
+        if d == 2:
+            self._leading = frozenset(pairs[p] for p in ech.rows)
+        free = [p for p in range(len(pairs)) if p not in ech.rows]
+        if not free:
+            return 0
+        free_pos = {p: t for t, p in enumerate(free)}
+        classes = {pairs[p]: ((t, 1),) for t, p in enumerate(free)}
+        for pc, row in ech.rows.items():
+            if row:
+                classes[pairs[pc]] = tuple((free_pos[j], -c)
+                                           for j, c in sorted(row.items()))
+        basis = [pairs[p] for p in free]
+        self._basis_pairs.append(basis)
+        self._classes.append(classes)
+        self._src.append([self._src[d - 1][x] for _, x in basis])
+        self._dst.append([self.arrows[a][2] for a, _ in basis])
+        return len(free)
+
+
 def bench_corpus():
     """The benchmark's spec generator, `perfbench/corpus.py`, executed from
     its source so that nothing is written next to it."""

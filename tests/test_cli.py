@@ -202,6 +202,20 @@ def test_validation_exit_code(tmp_path, capsys):
     assert err["error"] == "spec-invalid"
 
 
+def test_spec_is_validated_before_it_is_unitalized(tmp_path, capsys):
+    # index 1 is the field ideal that unitalizing adds
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"ideals": [{"kind": "field"}], "radical": [
+        {"kind": "unital", "ideal": 1, "label": "ad", "mult": 1}],
+        "unital": False}), encoding="utf-8")
+    assert run(["quiver", "--spec", str(path)]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == json.dumps({
+        "error": "spec-invalid",
+        "message": "radical 0: ideal index out of range"}) + "\n"
+
+
 def _raise(exc):
     def engine_call(*args, **kwargs):
         raise exc

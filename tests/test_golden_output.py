@@ -250,6 +250,8 @@ KOSZUL_MORE = {
              "4720e16a323a62a9ca8e79e4e822800ffe1a1b4959fe69475d527b1099140d05"),
     "lv12": (_lv(12), [],
              "d2ff15f1e3796763a8066178c9a1fcfd901a3a108410455e66a24093d927fbd0"),
+    "lv24": (_lv(24), [],
+             "0c311bf61d4ca9b758d0a3a12a22b874174d78978a973f322211d36ece1c7376"),
     "ad6-hom6": (_spec([_F], [_unital("ad", 6)]), ["--hom-cap", "6"],
                  "42639231eb4ae055e99dccee3a1749991a314cdeb445d911984c2e1bc17ba8a7"),
 }

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import smodquiver
-from helpers import matrix_plus, spin_factor, src_env
+from helpers import SRC, matrix_plus, spin_factor, src_env
 from smodquiver import reference
 
 # public classes and functions of the library-only module, defined there
@@ -71,6 +71,43 @@ def commands(tmp_path):
         (("verify-appendix", "--max-rank", "3"), 0),
         (("tkk-check", "--table", good), 0),
         (("tkk-check", "--table", bad), 2))]
+
+
+# the README Start-up row of each command line of `commands`, by its
+# subcommand and exit
+_STARTUP_ROWS = {("quiver", 0): "`quiver`, `blocks`",
+                 ("blocks", 0): "`quiver`, `blocks`",
+                 ("koszul", 0): "`koszul`",
+                 ("verify-appendix", 0): "`verify-appendix`",
+                 ("tkk-check", 0): "`tkk-check`, valid table",
+                 ("tkk-check", 2): "`tkk-check`, table that exits 2"}
+
+
+def _startup_table():
+    """The source lines of each row of the README Start-up table."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    lines = text.split("\n## Start-up\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in lines.splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            rows[cells[0]] = int(cells[2].replace(",", ""))
+    return rows
+
+
+def test_no_command_loads_more_source_than_the_readme_table(commands):
+    # a growing module or a second code path shows here as lines each CLI
+    # process compiles, before it shows as start-up time
+    table = _startup_table()
+    assert set(table) == set(_STARTUP_ROWS.values())
+    for argv, want_rc in commands:
+        rc, loaded, *_ = _child(_RUN_CLI, *argv)
+        assert rc == want_rc, argv
+        files = [SRC / "smodquiver" / "__init__.py"] + [
+            SRC / "smodquiver" / (m.split(".", 1)[1] + ".py") for m in loaded]
+        lines = sum(len(f.read_text(encoding="utf-8").splitlines())
+                    for f in files)
+        assert lines <= table[_STARTUP_ROWS[argv[0], rc]], (argv, lines)
 
 
 @pytest.mark.parametrize("command", ["quiver", "blocks", "koszul"])
