@@ -25,9 +25,9 @@ class UnknownLabel(KeyError):
     pass
 
 
-# bound on the dimension of a module whose weights `restrict_s` and
-# `graded_piece_dim` walk one by one: spinors and Lambda+- of a large
-# so(n) would otherwise take seconds to hours
+# bound on the dimension of a module whose weights `restrict_s` walks: spinors
+# and Lambda+- of a large so(n) would take seconds to hours.  `graded_piece_dim`
+# walks none, but keeps the bound so that no exit code changes
 MAX_WALKED_DIM = 2 ** 16
 
 
@@ -268,15 +268,11 @@ def is_s_half(kind, lam):
                                    kind.cocharacter()) == HALF4
 
 
-def _walk(kind, lam):
-    """Every (weight, multiplicity) pair of V_lam, once its dimension is
-    known to be within MAX_WALKED_DIM."""
-    sys = kind.root_system()
-    dim = weights.weyl_dim(sys, lam)
+def _check_walk(kind, dim):
+    """Raise ModuleTooLarge if dim exceeds MAX_WALKED_DIM."""
     if dim > MAX_WALKED_DIM:
         raise ModuleTooLarge(f"a module of {kind} of dimension {dim} exceeds "
                              f"the weight-walk bound {MAX_WALKED_DIM}")
-    return weights._weights(sys, lam)
 
 
 @lru_cache(maxsize=None)
@@ -296,12 +292,14 @@ def restrict_s(kind, m_name, n_name):
     """
     sys = kind.root_system()
     top, other = half_weight(kind, m_name), any_weight(kind, n_name)
-    if weights.weyl_dim(sys, top) < weights.weyl_dim(sys, other):
-        top, other = other, top
+    top_dim, other_dim = weights.weyl_dim(sys, top), weights.weyl_dim(sys, other)
+    if top_dim < other_dim:
+        top, other, other_dim = other, top, top_dim
+    _check_walk(kind, other_dim)
     out = {}
     # the highest weight of the larger factor, the weights of the smaller
     for lam, mult in weights._brauer_klimyk(
-            sys, {top: 1}, _walk(kind, other)).items():
+            sys, {top: 1}, weights._weights(sys, other)).items():
         if weights.is_trivial_weight(sys, lam):
             out["tr"] = out.get("tr", 0) + mult
         elif is_s_half(kind, lam):
@@ -384,6 +382,7 @@ def graded_piece_dim4(kind, name, level4):
     if kind.series == "e7":
         # short grading of e7 relative to its sl2: (27, 79, 27)
         return {4: 27, -4: 27, 0: 79}.get(level4, 0)
-    h2 = kind.cocharacter()
-    pairs = _walk(kind, any_weight(kind, name))
-    return sum(m for w, m in pairs if weights.ip4(w, h2) == level4)
+    pieces = weights.graded_pieces4(kind.root_system(), any_weight(kind, name),
+                                    kind.cocharacter())
+    _check_walk(kind, sum(pieces.values()))   # the Weyl dimension
+    return pieces.get(level4, 0)

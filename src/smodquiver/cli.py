@@ -20,6 +20,8 @@ EXIT_CAP = 4
 # starts at rank 2 with so2(5)
 MIN_APPENDIX_RANK = 2
 MAX_APPENDIX_RANK = 12
+# koszul keeps one Betti row per resolution step; goldens and demos use <= 6
+MAX_HOM_CAP = 1000
 
 
 class CliError(Exception):
@@ -115,6 +117,9 @@ def cmd_blocks(args):
 
 
 def cmd_koszul(args):
+    if args.hom_cap > MAX_HOM_CAP:
+        raise CliError(EXIT_CAP, "cap-exceeded", f"hom cap {args.hom_cap} "
+                       f"exceeds the resolution bound {MAX_HOM_CAP}")
     from . import pathalg
 
     report = _assemble(args.spec)

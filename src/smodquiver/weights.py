@@ -17,7 +17,7 @@ The engine is exact end to end and works on dominant weights:
   * tensor products by Brauer-Klimyk: highest weights on one side, shifted
     by the weights of the other factor, so no product character is formed;
   * the Frobenius-Schur indicator from lam alone, as (-1)^<lam, 2 rho-check>;
-  * the eigenvalues of a short grading h from lam alone, as one string.
+  * a short grading h's eigenvalues and eigenspace dimensions from lam alone.
 
 The weights of an irreducible are streamed orbit by orbit and never kept,
 so nothing here builds a full weight set.  The full-character helpers
@@ -160,8 +160,8 @@ def rho2(sys):
 
 @lru_cache(maxsize=None)
 def _weyl_denominator(sys):
-    """The product of <rho, alpha> over the positive roots of a simple
-    system, in `ip4` units: the denominator of the Weyl dimension formula."""
+    """The product of <rho, alpha> over the positive roots, in `ip4` units:
+    the denominator of the Weyl dimension formula."""
     r2 = rho2(sys)
     return math.prod(ip4(r2, a) for a in positive_roots(sys))
 
@@ -234,20 +234,19 @@ def _add(a, b):
 # dimensions and multiplicities
 
 
+def _weyl_product(sys, lam, roots, denominator):
+    """prod <lam + rho, alpha> over the roots, over their prod <rho, alpha>."""
+    lr = _add(lam, rho2(sys))
+    d, rem = divmod(math.prod(ip4(lr, a) for a in roots), denominator)
+    assert rem == 0 and d > 0
+    return d
+
+
 def weyl_dim(sys, lam):
     """Dimension of the irreducible with highest weight lam (doubled)."""
     if not is_dominant(sys, lam):
         raise NotDominant(lam)
-    if isinstance(sys, CompositeSystem):
-        out = 1
-        for c, p in zip(sys.components, sys.split(lam)):
-            out *= weyl_dim(c, p)
-        return out
-    lr = _add(lam, rho2(sys))
-    d, rem = divmod(math.prod(ip4(lr, a) for a in positive_roots(sys)),
-                    _weyl_denominator(sys))
-    assert rem == 0 and d > 0
-    return d
+    return _weyl_product(sys, lam, positive_roots(sys), _weyl_denominator(sys))
 
 
 def _distinct_permutations(w):
@@ -488,6 +487,33 @@ def _grading_ends(sys, h2):
     if any(ip4(a, h2) not in (-4, 0, 4) for a in positive_roots(sys)):
         raise ValueError(f"{h2} is not a short grading of {sys}")
     return dominantize(sys, h2), dominantize(sys, tuple(-x for x in h2))
+
+
+@lru_cache(maxsize=None)
+def _levi(sys, d2):
+    """The positive roots a dominant grading d2 kills, and prod <rho, alpha>."""
+    roots = tuple(a for a in positive_roots(sys) if ip4(a, d2) == 0)
+    return roots, math.prod(ip4(rho2(sys), a) for a in roots)
+
+
+def graded_pieces4(sys, lam, h2):
+    """{4<w, h>: dimension} over the weights w of V_lam, for a short grading
+    h whose values on V_lam span at most 2.  For a dominant d, the top
+    d-eigenspace is the irreducible of highest weight lam of the Levi
+    subalgebra d centralises (Humphreys, Lie Algebras, 21.3; Knapp, Lie
+    Groups Beyond an Introduction, ch. V).  The top piece for h is that for
+    dom(h), the bottom one that for dom(-h); the rest lies between."""
+    ends = _grading_ends(sys, h2)
+    top, bottom = ip4(lam, ends[0]), -ip4(lam, ends[1])
+    if top - bottom > 8:
+        raise ValueError(f"the values of {h2} on V_{lam} span more than 2")
+    dim = weyl_dim(sys, lam)
+    pieces = {level: _weyl_product(sys, lam, *_levi(sys, d2))
+              for level, d2 in zip((top, bottom), ends)}
+    if top - bottom == 8:
+        pieces[top - 4] = dim - pieces[top] - pieces[bottom]
+    assert min(pieces.values()) > 0 and sum(pieces.values()) == dim
+    return pieces
 
 
 def grading_levels4(sys, lam, h2):

@@ -268,6 +268,17 @@ def ref_grading_values(sys, lam, h2):
             for mu in W.dominant_character(sys, lam) for h in hs}
 
 
+def ref_graded_pieces4(sys, lam, h2):
+    """{4<w, h>: dimension} of the h-eigenspaces of V_lam, by walking every
+    weight, as `catalog.graded_piece_dim4` did before it read the pieces
+    off Levi products."""
+    out = {}
+    for w, m in W._weights(sys, lam):
+        level4 = W.ip4(w, h2)
+        out[level4] = out.get(level4, 0) + m
+    return out
+
+
 def ref_fs_indicator_adams(sys, lam):
     """Frobenius-Schur indicator from the Adams operation: the trivial
     multiplicity of psi^2 chi = S^2 - Lambda^2 by one Racah-Speiser pass,

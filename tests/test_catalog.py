@@ -163,7 +163,8 @@ def test_kind_guards():
 
 def test_walk_bound_is_exact(monkeypatch):
     # the spinor Gamma of so(7) has dimension 8; the cached entry points are
-    # bypassed so that every call walks (level 1/2 is 2 in quarter units)
+    # bypassed so that every call checks the bound (level 1/2 is 2 in
+    # quarter units)
     kind, half = C.SO2(7), 2
     monkeypatch.setattr(C, "MAX_WALKED_DIM", 8)
     assert C.graded_piece_dim4.__wrapped__(kind, "Gamma", half) == 4

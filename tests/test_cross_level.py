@@ -1,0 +1,107 @@
+"""The explicit TKK against the spec level.
+
+For a simple J and J (x) k[e_1..e_m] with e_i e_j = 0, the explicit
+construction `tkk_construct` on a structure-constant table and the spec
+level (`jordan` -> `catalog`) are computed apart.  The spec is the ideal of
+J with a unital radical of the adjoint label at multiplicity m: each level
+of the TKK of the table is the graded piece of the kind's adjoint plus, for
+each radical entry, its multiplicity times the piece of its label.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from helpers import matrix_plus, spin_factor
+from smodquiver import catalog as C
+from smodquiver import jordan as J
+from smodquiver import tables as TB
+from smodquiver import tkk as T
+
+# tables up to this dimension, the explicit construction's bound
+MAX_DIM = 16
+
+
+def sym_plus(n):
+    """Symmetric n x n matrices with x o y = (xy + yx) / 2, on the basis
+    E_ii and E_ij + E_ji (i < j)."""
+    basis = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {b: k for k, b in enumerate(basis)}
+
+    def matrix(b):
+        i, j = b
+        return {(i, j): 1, (j, i): 1}
+
+    d = len(basis)
+    t = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for p, a in enumerate(basis):
+        for q, b in enumerate(basis):
+            prod = {}
+            for x, y in ((matrix(a), matrix(b)), (matrix(b), matrix(a))):
+                for (i, k), u in x.items():
+                    for (k2, j), v in y.items():
+                        if k == k2:
+                            prod[i, j] = prod.get((i, j), 0) + Fraction(u * v, 2)
+            # a symmetric matrix in the basis: its upper triangle
+            for (i, j), c in prod.items():
+                if i <= j:
+                    t[p][q][index[i, j]] = c
+    return t
+
+
+def dual_numbers(table, m):
+    """J (x) k[e_1..e_m] with e_i e_j = 0, on the basis x (x) 1 then
+    x (x) e_i, block by block."""
+    n = len(table)
+    d = n * (m + 1)
+    t = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for a in range(n):
+        for b in range(n):
+            for k, c in enumerate(table[a][b]):
+                # (a (x) f)(b (x) g) = ab (x) fg, and fg = 0 unless f or g is 1
+                for i in range(m + 1):
+                    t[a][i * n + b][i * n + k] = c
+                    t[i * n + a][b][i * n + k] = c
+    return t
+
+
+# the simple J: its ideal in a spec, its table, and its kind's adjoint label
+SIMPLES = {
+    "field": (J.Field(), [[[1]]], "ad"),
+    **{f"spin{d}": (J.Bilinear(d), spin_factor(d), "LrV(2)")
+       for d in (3, 4, 5, 6, 8)},
+    "sym3": (J.Hermitian(1, 3), sym_plus(3), "ad"),
+    "m3-plus": (J.Hermitian(2, 3), matrix_plus(3), "ad"),
+}
+
+# every m with a table of at most MAX_DIM dimensions
+CASES = [(name, m) for name, (_, table, _) in SIMPLES.items()
+         for m in range(MAX_DIM // len(table))]
+
+
+def _spec_levels(ideal, label, m):
+    """dim g_-1, g_0, g_1 of the spec's graded Lie datum."""
+    radical = (J.Unital(0, label, m),) if m else ()
+    datum = J.lie_datum_of_spec(J.JordanSpec((ideal,), radical))
+    kind, = datum.summands
+    return tuple(C.graded_piece_dim(kind, label, level) + sum(
+        e.w_dim * C.graded_piece_dim(kind, e.labels[0], level)
+        for e in datum.radical) for level in (-1, 0, 1))
+
+
+def _explicit_levels(table, m):
+    """dim g_-1, g_0, g_1 of the TKK of the table of J (x) k[e_1..e_m]."""
+    return tuple(T.tkk_construct(TB.StructureConstants(dual_numbers(table, m))).dims)
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=[f"{n}-m{m}" for n, m in CASES])
+def test_explicit_tkk_matches_spec_level(name, m):
+    ideal, table, label = SIMPLES[name]
+    assert _explicit_levels(table, m) == _spec_levels(ideal, label, m)
+
+
+def test_spot_values():
+    # so(7) is 5 + 11 + 5, doubled by one e
+    assert _explicit_levels(spin_factor(5), 1) == (10, 22, 10)
+    assert _spec_levels(J.Bilinear(5), "LrV(2)", 1) == (10, 22, 10)
+    assert len(CASES) == 35 and ("m3-plus", 0) in CASES

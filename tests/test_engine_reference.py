@@ -17,8 +17,8 @@ import pytest
 
 from helpers import (ref_character, ref_decompose_character,
                      ref_dominant_character, ref_fs_indicator,
-                     ref_fs_indicator_adams, ref_grading_values, ref_orbit,
-                     ref_tensor_decompose)
+                     ref_fs_indicator_adams, ref_graded_pieces4,
+                     ref_grading_values, ref_orbit, ref_tensor_decompose)
 from smodquiver import catalog as C
 from smodquiver import oracles
 from smodquiver import reference as R
@@ -344,10 +344,20 @@ def test_asymmetric_short_gradings_match(sys, h2):
     parts = sys.components if hasattr(sys, "components") else (sys,)
     max_dim = 200 if len(parts) == 1 else 25
     dom = [_small_dominant_weights(c, max_dim) for c in parts]
+    short = 0
     for combo in itertools.product(*dom):
         lam = tuple(x for part in combo for x in part)
         assert W.grading_values(sys, lam, h2) == \
             ref_grading_values(sys, lam, h2), lam
+        # graded pieces, where swapping dom(h) and dom(-h) changes them
+        if len(W.grading_levels4(sys, lam, h2)) > 3:
+            with pytest.raises(ValueError, match="span more than 2"):
+                W.graded_pieces4(sys, lam, h2)
+            continue
+        assert W.graded_pieces4(sys, lam, h2) == \
+            ref_graded_pieces4(sys, lam, h2), lam
+        short += 1
+    assert short >= 6
 
 
 @pytest.mark.parametrize("kind", CATALOG_KINDS, ids=str)
@@ -356,3 +366,40 @@ def test_grading_values_refuse_a_long_grading(kind):
     lam = C.any_weight(kind, _labels(kind)[0])
     with pytest.raises(ValueError, match="not a short grading"):
         W.grading_values(sys, lam, tuple(2 * x for x in kind.cocharacter()))
+
+
+# -- graded pieces from Levi products --------------------------------------
+#
+# `graded_pieces4` reads the top pieces of dom(h) and dom(-h) as Levi Weyl
+# products and a middle piece as the rest of the Weyl dimension; the weight
+# walk `catalog.graded_piece_dim4` did before is the reference.
+
+
+def test_graded_pieces_match_the_weight_walk():
+    assert C.SO1(12) in CATALOG_KINDS
+    cases = 0
+    for kind in CATALOG_KINDS:
+        sys = kind.root_system()
+        for name in _labels(kind):
+            lam = C.any_weight(kind, name)
+            if W.weyl_dim(sys, lam) > C.MAX_WALKED_DIM:
+                continue
+            walked = ref_graded_pieces4(sys, lam, kind.cocharacter())
+            for level4 in range(-8, 9):
+                assert C.graded_piece_dim4.__wrapped__(kind, name, level4) \
+                    == walked.get(level4, 0), (str(kind), name, level4)
+                cases += 1
+    assert cases == 2278
+
+
+def test_graded_pieces_walk_no_weights(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("weights were walked")
+
+    for name in ("_weights", "dominant_character"):
+        monkeypatch.setattr(W, name, never)
+    # the spinor of so(33) has 2^16 weights, at the walk bound
+    assert C.graded_piece_dim4.__wrapped__(C.SO2(33), "Gamma", 2) == 32768
+    kind, _, top = _SO17
+    assert [C.graded_piece_dim4.__wrapped__(kind, top, level4)
+            for level4 in (0, 4)] == [11440, 6435]

@@ -4,8 +4,8 @@ hash to the digests recorded in perfbench/golden.json.  Output drift in
 pathalg, linalg, tkk, weights or catalog then fails here without running the
 benchmark.  The golden file is only read; verify-appendix ranks past the
 benchmark's, koszul inputs larger than its ops, the quiver and blocks
-renderings of the koszul specs and the degree-cap exit of koszul are pinned
-here."""
+renderings of the koszul specs and the degree- and hom-cap exits of koszul
+are pinned here."""
 
 import hashlib
 import json
@@ -287,3 +287,30 @@ def test_koszul_deg_cap_error_matches_golden(cap, tmp_path, capsys):
     assert out == ""
     assert err == json.dumps({"error": "cap-exceeded",
                               "message": DEG_CAP_ERRORS[cap]}) + "\n"
+
+
+# the exit-4 stderr of koszul above `cli.MAX_HOM_CAP`, refused before the
+# spec is assembled
+HOM_CAP_ERRORS = {
+    1001: "hom cap 1001 exceeds the resolution bound 1000",
+    10 ** 20: "hom cap 100000000000000000000 exceeds the resolution bound 1000",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(HOM_CAP_ERRORS))
+def test_koszul_hom_cap_error_matches_golden(cap, tmp_path, capsys,
+                                              monkeypatch):
+    def never(path):
+        raise AssertionError("a spec was assembled above the hom cap")
+
+    assert cli.MAX_HOM_CAP + 1 == min(HOM_CAP_ERRORS)
+    monkeypatch.setattr(cli, "_assemble", never)
+    spec, _ = KOSZUL["clifford-odd"]
+    path = tmp_path / "clifford-odd.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["koszul", "--spec", str(path), "--hom-cap", str(cap)]
+    assert cli.main(argv) == cli.EXIT_CAP
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == json.dumps({"error": "cap-exceeded",
+                              "message": HOM_CAP_ERRORS[cap]}) + "\n"
