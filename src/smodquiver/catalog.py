@@ -9,6 +9,10 @@ The duality/form table is hard data: for the sp and so1 standard modules it
 deliberately differs from the classical Frobenius-Schur indicator (which
 `weights.fs_indicator` reports); the table drives block classification, the
 engine drives the honest invariant-form computations.
+
+Every answer reads highest weights alone: membership, graded pieces and
+parities through `weights`, and the tensor restriction `restrict_s` by the
+minuscule rule, since every half simple is minuscule.  No weight is walked.
 """
 
 from __future__ import annotations
@@ -25,14 +29,15 @@ class UnknownLabel(KeyError):
     pass
 
 
-# bound on the dimension of a module whose weights `restrict_s` walks: spinors
-# and Lambda+- of a large so(n) would take seconds to hours.  `graded_piece_dim`
-# walks none, but keeps the bound so that no exit code changes
+# bound on the Weyl dimension of a radical label, from when its weights were
+# walked: a spinor or Lambda+- of a large so(n) would have taken seconds to
+# hours.  Nothing walks weights now; `graded_piece_dim4` keeps the bound so
+# that no exit code changes
 MAX_WALKED_DIM = 2 ** 16
 
 
 class ModuleTooLarge(RuntimeError):
-    """A module whose weights would be walked exceeds MAX_WALKED_DIM."""
+    """A catalog simple's Weyl dimension exceeds MAX_WALKED_DIM."""
 
 
 # the h-eigenvalues -1/2, +1/2 of a half simple, in the quarter units
@@ -268,45 +273,26 @@ def is_s_half(kind, lam):
                                    kind.cocharacter()) == HALF4
 
 
-def _check_walk(kind, dim):
-    """Raise ModuleTooLarge if dim exceeds MAX_WALKED_DIM."""
-    if dim > MAX_WALKED_DIM:
-        raise ModuleTooLarge(f"a module of {kind} of dimension {dim} exceeds "
-                             f"the weight-walk bound {MAX_WALKED_DIM}")
-
-
-@lru_cache(maxsize=None)
-def _name_of_half_weight(kind, lam):
-    for name, w in _half_weight_table(kind).items():
-        if w == lam:
-            return name
-    return None
-
-
 @lru_cache(maxsize=None)
 def restrict_s(kind, m_name, n_name):
     """(M (x) N) restricted to half simples and the trivial module.
 
     M is a half simple of the kind, N any catalog simple.  Returns a dict
     mapping half-simple names (or "tr") to multiplicities.
+
+    Every half simple V_lam is minuscule: each of its weights lies in W.lam,
+    with multiplicity 1.  So for the highest weight mu of N, each shifted
+    weight mu + w(lam) is dominant or has mu + w(lam) + rho on a wall, and
+    V_mu (x) V_lam is the sum of V_{mu + w(lam)} over the dominant ones, one
+    copy each (Brauer-Klimyk).  V_nu occurs, once, exactly when nu - mu lies
+    in W.lam.
     """
     sys = kind.root_system()
-    top, other = half_weight(kind, m_name), any_weight(kind, n_name)
-    top_dim, other_dim = weights.weyl_dim(sys, top), weights.weyl_dim(sys, other)
-    if top_dim < other_dim:
-        top, other, other_dim = other, top, top_dim
-    _check_walk(kind, other_dim)
-    out = {}
-    # the highest weight of the larger factor, the weights of the smaller
-    for lam, mult in weights._brauer_klimyk(
-            sys, {top: 1}, weights._weights(sys, other)).items():
-        if weights.is_trivial_weight(sys, lam):
-            out["tr"] = out.get("tr", 0) + mult
-        elif is_s_half(kind, lam):
-            name = _name_of_half_weight(kind, lam)
-            assert name is not None, f"half simple {lam} missing from catalog of {kind}"
-            out[name] = out.get(name, 0) + mult
-    return out
+    lam, mu = half_weight(kind, m_name), any_weight(kind, n_name)
+    candidates = {"tr": (0,) * sys.ambient, **_half_weight_table(kind)}
+    return {name: 1 for name, nu in candidates.items()
+            if weights.normalize_dominant(
+                sys, weights.dominantize(sys, weights._sub(nu, mu))) == lam}
 
 
 def dual_label(kind, name):
@@ -384,5 +370,8 @@ def graded_piece_dim4(kind, name, level4):
         return {4: 27, -4: 27, 0: 79}.get(level4, 0)
     pieces = weights.graded_pieces4(kind.root_system(), any_weight(kind, name),
                                     kind.cocharacter())
-    _check_walk(kind, sum(pieces.values()))   # the Weyl dimension
+    dim = sum(pieces.values())   # the Weyl dimension
+    if dim > MAX_WALKED_DIM:
+        raise ModuleTooLarge(f"a module of {kind} of dimension {dim} exceeds "
+                             f"the weight-walk bound {MAX_WALKED_DIM}")
     return pieces.get(level4, 0)

@@ -41,7 +41,6 @@ ENGINE_ERRORS = (
     ("pathalg", "NonTerminating", EXIT_CAP, "cap-exceeded"),
     ("pathalg", "VertexMismatch", EXIT_VERIFY, "verification-failed"),
     ("pathalg", "PresentationError", EXIT_VERIFY, "verification-failed"),
-    ("weights", "NonDecomposable", EXIT_VERIFY, "verification-failed"),
     ("tkk", "JacobiFails", EXIT_VERIFY, "verification-failed"),
     ("tkk", "NotUnital", EXIT_VERIFY, "verification-failed"),
 )

@@ -1,4 +1,4 @@
-"""Exact character computations for the classical root systems A, B, C, D.
+"""Exact answers from a highest weight, for the classical root systems A-D.
 
 Conventions:
   * weights live in the standard epsilon-basis and are stored as tuples of
@@ -8,29 +8,24 @@ Conventions:
     while intermediate tensor bookkeeping keeps the ambient level;
   * inner products of doubled vectors are 4x the true value (`ip4`).
 
-The engine is exact end to end and works on dominant weights:
+Every answer here reads the highest weight lam alone and walks no weights:
   * dimensions by the Weyl product formula;
-  * dominant-weight multiplicities by Freudenthal's recursion, run over the
-    dominant weights only;
-  * the dot action: each weight v + rho reflected into the dominant chamber
-    with its sign;
-  * tensor products by Brauer-Klimyk: highest weights on one side, shifted
-    by the weights of the other factor, so no product character is formed;
-  * the Frobenius-Schur indicator from lam alone, as (-1)^<lam, 2 rho-check>;
-  * a short grading h's eigenvalues and eigenspace dimensions from lam alone.
+  * duals and dominant representatives of Weyl orbits;
+  * the Frobenius-Schur indicator, as (-1)^<lam, 2 rho-check>;
+  * a short grading h's eigenvalues and eigenspace dimensions, the latter
+    as Levi Weyl products.
 
-The weights of an irreducible are streamed orbit by orbit and never kept,
-so nothing here builds a full weight set.  The full-character helpers
-(`Character`, `weight_multiplicities`, `char_product`, `ext_sym_square`,
-`decompose_character`, `tensor_decompose`, ...) are reference routines and
-live in `reference`.  Everything here is a pure function of its arguments.
+The weight walk (Freudenthal's dominant characters, Weyl orbits, the dot
+action) and the full-character helpers built on it (`Character`,
+`weight_multiplicities`, `tensor_decompose`, ...) are reference routines
+and live in `reference`.  Everything here is a pure function of its
+arguments.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, mul, sub
 
@@ -40,10 +35,6 @@ from operator import add, mul, sub
 
 class NotDominant(ValueError):
     pass
-
-
-class NonDecomposable(RuntimeError):
-    """Internal consistency failure during character subtraction."""
 
 
 class RootSystem(namedtuple("RootSystem", "family rank")):
@@ -204,10 +195,6 @@ def normalize_dominant(sys, w):
     return tuple(w)
 
 
-def is_trivial_weight(sys, w):
-    return all(x == 0 for x in normalize_dominant(sys, w))
-
-
 def dual_weight(sys, lam):
     """Highest weight of the dual module, -w0(lam), as a normalized label."""
     if isinstance(sys, CompositeSystem):
@@ -231,7 +218,7 @@ def _add(a, b):
 
 
 # ---------------------------------------------------------------------------
-# dimensions and multiplicities
+# dimensions
 
 
 def _weyl_product(sys, lam, roots, denominator):
@@ -247,221 +234,6 @@ def weyl_dim(sys, lam):
     if not is_dominant(sys, lam):
         raise NotDominant(lam)
     return _weyl_product(sys, lam, positive_roots(sys), _weyl_denominator(sys))
-
-
-def _distinct_permutations(w):
-    """Each distinct permutation of the multiset w once, in lexicographic order."""
-    a = sorted(w)
-    n = len(a)
-    while True:
-        yield tuple(a)
-        i = n - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
-
-
-def _orbit(sys, w):
-    """Full Weyl orbit of a doubled weight, as a list of distinct tuples."""
-    if isinstance(sys, CompositeSystem):
-        parts = [_orbit(c, p) for c, p in zip(sys.components, sys.split(w))]
-        return [_join(combo) for combo in itertools.product(*parts)]
-    if sys.family == "A":
-        return list(_distinct_permutations(w))
-    mags = [abs(x) for x in w]
-    parity = None
-    if sys.family == "D" and 0 not in mags:
-        # without a zero coordinate, D only flips signs in pairs
-        parity = sum(1 for x in w if x < 0) % 2
-    orbit = []
-    for p in _distinct_permutations(mags):
-        choices = [(x,) if x == 0 else (x, -x) for x in p]
-        for signed in itertools.product(*choices):
-            if parity is None or sum(1 for x in signed if x < 0) % 2 == parity:
-                orbit.append(signed)
-    return orbit
-
-
-def _multinomial(w):
-    """Number of distinct permutations of the multiset w."""
-    out = math.factorial(len(w))
-    for c in Counter(w).values():
-        out //= math.factorial(c)
-    return out
-
-
-def _orbit_size(sys, w):
-    """|W . w|, counted by formula rather than enumerated."""
-    if isinstance(sys, CompositeSystem):
-        return math.prod(_orbit_size(c, p)
-                         for c, p in zip(sys.components, sys.split(w)))
-    if sys.family == "A":
-        return _multinomial(w)
-    mags = [abs(x) for x in w]
-    size = _multinomial(mags) << sum(1 for x in mags if x)
-    if sys.family == "D" and 0 not in mags:
-        size //= 2
-    return size
-
-
-@lru_cache(maxsize=None)
-def dominant_character(sys, lam):
-    """Multiplicities of the dominant weights of V_lam (Freudenthal).
-
-    The dominant weights are found by subtracting positive roots from lam
-    while staying dominant; by Stembridge's chain lemma this reaches every
-    dominant weight below lam.  The recursion then runs over them in order
-    of decreasing height, reading string multiplicities off the dominant
-    representative of each string point.
-    """
-    if not is_dominant(sys, lam):
-        raise NotDominant(lam)
-    if isinstance(sys, CompositeSystem):
-        parts = [dominant_character(c, p).items()
-                 for c, p in zip(sys.components, sys.split(lam))]
-        out = {}
-        for combo in itertools.product(*parts):
-            out[_join([w for w, _ in combo])] = math.prod(m for _, m in combo)
-        return out
-    roots = positive_roots(sys)
-    r2 = rho2(sys)
-    seen = {lam}
-    stack = [lam]
-    while stack:
-        nu = stack.pop()
-        for a in roots:
-            mu = _sub(nu, a)
-            if mu not in seen and is_dominant(sys, mu):
-                seen.add(mu)
-                stack.append(mu)
-    doms = sorted(seen, key=lambda w: (-ip4(w, r2), w))
-    lr = _add(lam, r2)
-    nlam = ip4(lr, lr)
-    mult = {lam: 1}
-    for mu in doms:
-        if mu == lam:
-            continue
-        mr = _add(mu, r2)
-        denom = nlam - ip4(mr, mr)
-        acc = 0
-        for a in roots:
-            nu = _add(mu, a)
-            while (top := dominantize(sys, nu)) in mult:
-                acc += mult[top] * ip4(nu, a)
-                nu = _add(nu, a)
-        val, rem = divmod(2 * acc, denom)
-        assert rem == 0 and val > 0
-        mult[mu] = val
-    total = sum(m * _orbit_size(sys, w) for w, m in mult.items())
-    assert total == weyl_dim(sys, lam), "Freudenthal mass check failed"
-    return mult
-
-
-def _weights(sys, lam):
-    """Every (weight, multiplicity) pair of V_lam, walked orbit by orbit."""
-    for w, m in dominant_character(sys, lam).items():
-        for v in _orbit(sys, w):
-            yield v, m
-
-
-# ---------------------------------------------------------------------------
-# the dot action
-
-
-def _sort_sign(x):
-    """Sign of the permutation sorting x into decreasing order; 0 on a tie."""
-    sign = 1
-    n = len(x)
-    for i in range(n):
-        xi = x[i]
-        for j in range(i + 1, n):
-            if xi < x[j]:
-                sign = -sign
-            elif xi == x[j]:
-                return 0
-    return sign
-
-
-def _chamber(sys, x):
-    """(sign, d): d = w(x) is strictly dominant and sign = det(w).
-
-    Returns (0, None) when x lies on a wall of the Weyl chambers.
-    """
-    if isinstance(sys, CompositeSystem):
-        sign, parts = 1, []
-        for c, p in zip(sys.components, sys.split(x)):
-            s, d = _chamber(c, p)
-            if not s:
-                return 0, None
-            sign *= s
-            parts.append(d)
-        return sign, _join(parts)
-    if sys.family == "A":
-        sign = _sort_sign(x)
-        return (sign, tuple(sorted(x, reverse=True))) if sign else (0, None)
-    mags = [abs(t) for t in x]
-    sign = _sort_sign(mags)
-    if not sign:
-        return 0, None
-    negs = sum(1 for t in x if t < 0)
-    d = sorted(mags, reverse=True)
-    if sys.family in "BC":
-        if d[-1] == 0:
-            return 0, None
-        return (-sign if negs % 2 else sign), tuple(d)
-    # D: an even number of sign changes; a zero coordinate absorbs the odd one
-    if negs % 2 and d[-1] != 0:
-        d[-1] = -d[-1]
-    return sign, tuple(d)
-
-
-def _dot_dominant(sys, v):
-    """Reflect v + rho into the dominant chamber: (sign, w(v + rho) - rho).
-
-    Returns (0, None) when v + rho lies on a wall, where v contributes
-    nothing to a Racah-Speiser sum.
-    """
-    r2 = rho2(sys)
-    sign, d = _chamber(sys, _add(v, r2))
-    if not sign:
-        return 0, None
-    return sign, _sub(d, r2)
-
-
-def _constituents(sys, acc):
-    """Normalize signed constituents; raises NonDecomposable on a negative one."""
-    r2 = rho2(sys)
-    out = {}
-    for lam in sorted(acc, key=lambda w: (ip4(w, r2), w), reverse=True):
-        m = acc[lam]
-        if m < 0:
-            raise NonDecomposable(f"negative constituent {lam} -> {m}")
-        if m:
-            key = normalize_dominant(sys, lam)
-            out[key] = out.get(key, 0) + m
-    return out
-
-
-def _brauer_klimyk(sys, tops, items):
-    """Constituents of (sum_lam m_lam V_lam) (x) V, as {dominant weight: mult}.
-
-    tops is {lam: m_lam}; items are the (weight, mult) pairs of V, read once.
-    V must be Weyl invariant: each weight mu of V sends every lam to the
-    dot-reflected lam + mu, so no product character is formed.
-    """
-    acc = {}
-    for mu, k in items:
-        for lam, m in tops.items():
-            sign, nu = _dot_dominant(sys, _add(lam, mu))
-            if sign:
-                acc[nu] = acc.get(nu, 0) + sign * m * k
-    return _constituents(sys, acc)
 
 
 # ---------------------------------------------------------------------------

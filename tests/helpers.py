@@ -9,6 +9,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from smodquiver import catalog as C
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
 from smodquiver import reference as R
@@ -213,13 +214,13 @@ def ref_decompose_character(c):
     while rem:
         top = max(rem, key=lambda w: (W.ip4(w, r2), w))
         if not W.is_dominant(sys, top) or rem[top] < 0:
-            raise W.NonDecomposable(f"leading term {top} -> {rem.get(top)}")
+            raise R.NonDecomposable(f"leading term {top} -> {rem.get(top)}")
         m = rem[top]
         out[W.normalize_dominant(sys, top)] = out.get(W.normalize_dominant(sys, top), 0) + m
         for w, k in ref_character(sys, top).mults.items():
             nv = rem.get(w, 0) - m * k
             if nv < 0:
-                raise W.NonDecomposable(f"negative multiplicity at {w}")
+                raise R.NonDecomposable(f"negative multiplicity at {w}")
             if nv:
                 rem[w] = nv
             else:
@@ -263,9 +264,9 @@ def ref_grading_values(sys, lam, h2):
     """Pairings <w, h> over the weights of V_lam (true values), from the
     dominant character against the Weyl orbit of h: <w(mu), h> equals
     <mu, w^-1(h)>."""
-    hs = W._orbit(sys, h2)
+    hs = R._orbit(sys, h2)
     return {Fraction(W.ip4(mu, h), 4)
-            for mu in W.dominant_character(sys, lam) for h in hs}
+            for mu in R.dominant_character(sys, lam) for h in hs}
 
 
 def ref_graded_pieces4(sys, lam, h2):
@@ -273,9 +274,36 @@ def ref_graded_pieces4(sys, lam, h2):
     weight, as `catalog.graded_piece_dim4` did before it read the pieces
     off Levi products."""
     out = {}
-    for w, m in W._weights(sys, lam):
+    for w, m in R._weights(sys, lam):
         level4 = W.ip4(w, h2)
         out[level4] = out.get(level4, 0) + m
+    return out
+
+
+def ref_brauer_klimyk(sys, top, items):
+    """Constituents of V_top (x) V, V given by its (weight, mult) pairs, as
+    {dominant weight: mult}: each weight mu of V sends top to the
+    dot-reflected top + mu (Brauer-Klimyk), so no product is formed."""
+    return R._constituents(sys, R._racah_speiser(
+        sys, ((_add(top, mu), k) for mu, k in items)))
+
+
+def ref_restrict_walk(kind, m_name, n_name):
+    """`catalog.restrict_s` by the weight walk it ran before the minuscule
+    rule: the highest weight of the factor of larger Weyl dimension through
+    Brauer-Klimyk against every weight of the other."""
+    sys = kind.root_system()
+    top, other = C.half_weight(kind, m_name), C.any_weight(kind, n_name)
+    if W.weyl_dim(sys, top) < W.weyl_dim(sys, other):
+        top, other = other, top
+    names = {w: name for name, w in C._half_weight_table(kind).items()}
+    out = {}
+    for lam, mult in ref_brauer_klimyk(sys, top, R._weights(sys, other)).items():
+        if R.is_trivial_weight(sys, lam):
+            out["tr"] = out.get("tr", 0) + mult
+        elif C.is_s_half(kind, lam):
+            # a half simple missing from the catalog raises KeyError
+            out[names[lam]] = out.get(names[lam], 0) + mult
     return out
 
 
@@ -287,9 +315,9 @@ def ref_fs_indicator_adams(sys, lam):
     if W.dual_weight(sys, lam_n) != lam_n:
         return 0
     psi = R._racah_speiser(sys, ((_add(w, w), m)
-                                 for w, m in W._weights(sys, lam_n)))
-    diff = sum(m for mu, m in psi.items() if W.is_trivial_weight(sys, mu))
-    total = W._brauer_klimyk(sys, {lam_n: 1}, W._weights(sys, lam_n)).get(
+                                 for w, m in R._weights(sys, lam_n)))
+    diff = sum(m for mu, m in psi.items() if R.is_trivial_weight(sys, mu))
+    total = ref_brauer_klimyk(sys, lam_n, R._weights(sys, lam_n)).get(
         (0,) * sys.ambient, 0)
     ts, tl = (total + diff) // 2, (total - diff) // 2
     assert ts >= 0 and tl >= 0 and ts + tl == 1

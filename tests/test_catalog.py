@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from smodquiver import catalog as C
+from smodquiver import oracles
 from smodquiver import reference as R
 from smodquiver import weights as W
 
@@ -164,7 +165,8 @@ def test_kind_guards():
 def test_walk_bound_is_exact(monkeypatch):
     # the spinor Gamma of so(7) has dimension 8; the cached entry points are
     # bypassed so that every call checks the bound (level 1/2 is 2 in
-    # quarter units)
+    # quarter units).  The graded pieces are its one enforcement point:
+    # restrict_s walks no weights and answers under any bound
     kind, half = C.SO2(7), 2
     monkeypatch.setattr(C, "MAX_WALKED_DIM", 8)
     assert C.graded_piece_dim4.__wrapped__(kind, "Gamma", half) == 4
@@ -172,5 +174,16 @@ def test_walk_bound_is_exact(monkeypatch):
     monkeypatch.setattr(C, "MAX_WALKED_DIM", 7)
     with pytest.raises(C.ModuleTooLarge):
         C.graded_piece_dim4.__wrapped__(kind, "Gamma", half)
-    with pytest.raises(C.ModuleTooLarge):
-        C.restrict_s.__wrapped__(kind, "Gamma", "LrV(3)")
+    monkeypatch.setattr(C, "MAX_WALKED_DIM", 1)
+    assert C.restrict_s.__wrapped__(kind, "Gamma", "LrV(3)") == {"Gamma": 1}
+
+
+@pytest.mark.parametrize("kind", oracles.appendix_kinds(12) + [C.SL2],
+                         ids=str)
+def test_every_half_simple_is_minuscule(kind):
+    # restrict_s reads tensor products off the minuscule rule: a half simple
+    # whose dominant character held a second weight would get wrong arrows
+    sys = kind.root_system()
+    for lab in C.s_half_simples(kind):
+        assert R.dominant_character(sys, lab.weight) == {lab.weight: 1}, \
+            lab.name

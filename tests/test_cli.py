@@ -1,5 +1,6 @@
 """Command line front end: outputs, determinism, exit codes."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from helpers import src_env
 from smodquiver import (catalog, cli, jordan, oracles, pathalg, quiver,
-                        reference, tables, tkk, weights)
+                        reference, tables, tkk)
 
 
 def write_spec(tmp_path, spec, name="spec.json"):
@@ -232,9 +233,6 @@ ENGINE_RAISES = {
     "PresentationError": (pathalg, "from_presentation",
                           pathalg.PresentationError("duplicate arrow ids"),
                           "koszul", cli.EXIT_VERIFY, "verification-failed"),
-    "NonDecomposable": (quiver, "assemble",
-                        weights.NonDecomposable("negative constituent"),
-                        "quiver", cli.EXIT_VERIFY, "verification-failed"),
     "UnknownLabel": (quiver, "assemble", catalog.UnknownLabel("no label V9"),
                      "blocks", cli.EXIT_VALIDATION, "spec-invalid"),
     "SpecError": (quiver, "assemble",
@@ -264,6 +262,18 @@ def test_engine_exception_maps_to_its_exit(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": kind, "message": exc.args[0]}
+
+
+def test_every_mapped_exception_exists_in_its_home_module():
+    # `_engine_error` looks each name up without a default, so a row naming
+    # a moved or deleted exception would turn its exit into a traceback
+    for module, name, code, kind in cli.ENGINE_ERRORS:
+        mod = importlib.import_module(f"smodquiver.{module}")
+        exc = getattr(mod, name, None)
+        assert isinstance(exc, type) and issubclass(exc, Exception), \
+            (module, name)
+        assert exc.__module__ == mod.__name__, (module, name)
+        assert code in (cli.EXIT_VALIDATION, cli.EXIT_VERIFY, cli.EXIT_CAP)
 
 
 def test_unmapped_exception_escapes(tmp_path, monkeypatch):

@@ -49,6 +49,51 @@ def sym_plus(n):
     return t
 
 
+# quaternion units 1, i, j, k: QMUL[a][b] = (sign, c) with e_a e_b = sign e_c
+QMUL = [[(1, 0), (1, 1), (1, 2), (1, 3)],
+        [(1, 1), (-1, 0), (1, 3), (-1, 2)],
+        [(1, 2), (-1, 3), (-1, 0), (1, 1)],
+        [(1, 3), (1, 2), (-1, 1), (-1, 0)]]
+
+
+def quaternion_plus(n):
+    """Hermitian n x n quaternion matrices with x o y = xy + yx, on the
+    basis E_ii and q E_ij + conj(q) E_ji (i < j, q = 1, i, j, k).  The
+    entries are integers and the unit is I/2."""
+    basis = [(i, i, 0) for i in range(n)] + [
+        (i, j, q) for i in range(n) for j in range(i + 1, n) for q in range(4)]
+    index = {b: k for k, b in enumerate(basis)}
+
+    def matrix(b):
+        """{(row, col): {unit: coefficient}}"""
+        i, j, q = b
+        if i == j:
+            return {(i, i): {0: 1}}
+        return {(i, j): {q: 1}, (j, i): {q: 1 if q == 0 else -1}}
+
+    d = len(basis)
+    t = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for p, a in enumerate(basis):
+        for r, b in enumerate(basis):
+            prod = {}
+            for x, y in ((matrix(a), matrix(b)), (matrix(b), matrix(a))):
+                for (i, k), u in x.items():
+                    for (k2, j), v in y.items():
+                        if k != k2:
+                            continue
+                        entry = prod.setdefault((i, j), [0] * 4)
+                        for qa, ca in u.items():
+                            for qb, cb in v.items():
+                                sign, q = QMUL[qa][qb]
+                                entry[q] += sign * ca * cb
+            # a hermitian matrix in the basis: its diagonal and upper triangle
+            for (i, j), entry in prod.items():
+                for q, c in enumerate(entry):
+                    if i <= j and c:
+                        t[p][r][index[i, j, q]] = c
+    return t
+
+
 def dual_numbers(table, m):
     """J (x) k[e_1..e_m] with e_i e_j = 0, on the basis x (x) 1 then
     x (x) e_i, block by block."""
@@ -72,6 +117,7 @@ SIMPLES = {
        for d in (3, 4, 5, 6, 8)},
     "sym3": (J.Hermitian(1, 3), sym_plus(3), "ad"),
     "m3-plus": (J.Hermitian(2, 3), matrix_plus(3), "ad"),
+    "h3-quaternion": (J.Hermitian(4, 3), quaternion_plus(3), "ad"),
 }
 
 # every m with a table of at most MAX_DIM dimensions
@@ -104,4 +150,15 @@ def test_spot_values():
     # so(7) is 5 + 11 + 5, doubled by one e
     assert _explicit_levels(spin_factor(5), 1) == (10, 22, 10)
     assert _spec_levels(J.Bilinear(5), "LrV(2)", 1) == (10, 22, 10)
-    assert len(CASES) == 35 and ("m3-plus", 0) in CASES
+    assert len(CASES) == 36 and ("m3-plus", 0) in CASES
+    # H_3 over the quaternions: so(12), 15 + 36 + 15
+    assert _explicit_levels(quaternion_plus(3), 0) == (15, 36, 15)
+    assert _spec_levels(J.Hermitian(4, 3), "ad", 0) == (15, 36, 15)
+
+
+def test_quaternionic_h3_is_minimal_and_round_trips():
+    sc = TB.StructureConstants(quaternion_plus(3))
+    assert TB.check_jordan_identity(sc)
+    g = T.tkk_construct(sc)
+    assert T.minimality_check(g)
+    assert T.jordan_from_short_pair(g) == sc

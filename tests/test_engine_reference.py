@@ -15,11 +15,13 @@ from math import comb
 
 import pytest
 
-from helpers import (ref_character, ref_decompose_character,
+from helpers import (bench_corpus, ref_character, ref_decompose_character,
                      ref_dominant_character, ref_fs_indicator,
                      ref_fs_indicator_adams, ref_graded_pieces4,
-                     ref_grading_values, ref_orbit, ref_tensor_decompose)
+                     ref_grading_values, ref_orbit, ref_restrict_walk,
+                     ref_tensor_decompose)
 from smodquiver import catalog as C
+from smodquiver import jordan as J
 from smodquiver import oracles
 from smodquiver import reference as R
 from smodquiver import weights as W
@@ -41,14 +43,14 @@ def _ref_restrict(kind, m_name, n_name, character=ref_character,
     sys = kind.root_system()
     cm = character(sys, C.half_weight(kind, m_name))
     cn = character(sys, C.any_weight(kind, n_name))
+    names = {lab.weight: lab.name for lab in C.s_half_simples(kind)}
     out = {}
     for lam, mult in decompose(cm, cn).items():
-        if W.is_trivial_weight(sys, lam):
+        if R.is_trivial_weight(sys, lam):
             out["tr"] = out.get("tr", 0) + mult
         elif R.eigenvalue_set(character(sys, lam),
                               kind.cocharacter()) == R.HALF:
-            out[C._name_of_half_weight(kind, lam)] = \
-                out.get(C._name_of_half_weight(kind, lam), 0) + mult
+            out[names[lam]] = out.get(names[lam], 0) + mult
     return out
 
 
@@ -58,12 +60,12 @@ def test_characters_match_reference(kind):
     assert sys.rank <= 4
     for name in _labels(kind):
         lam = C.any_weight(kind, name)
-        dom = W.dominant_character(sys, lam)
+        dom = R.dominant_character(sys, lam)
         assert dom == ref_dominant_character(sys, lam), name
         assert list(dom) == list(ref_dominant_character(sys, lam)), name
         for w in dom:
-            orbit = W._orbit(sys, w)
-            assert len(orbit) == len(set(orbit)) == W._orbit_size(sys, w)
+            orbit = R._orbit(sys, w)
+            assert len(orbit) == len(set(orbit)) == R._orbit_size(sys, w)
             assert set(orbit) == ref_orbit(sys, w)
         ch = R.weight_multiplicities(sys, lam)
         assert ch.mults == ref_character(sys, lam).mults, name
@@ -95,12 +97,12 @@ def test_non_decomposable_contract():
     lopsided = Character(a1, {(2, 0): 1})
     virtual = Character(a1, {(4, 0): 1, (0, 4): 1})   # ad minus trivial
     for c in (lopsided, virtual):
-        with pytest.raises(W.NonDecomposable):
+        with pytest.raises(R.NonDecomposable):
             ref_decompose_character(c)
-        with pytest.raises(W.NonDecomposable):
+        with pytest.raises(R.NonDecomposable):
             R.decompose_character(c)
     v = R.weight_multiplicities(a1, (2, 0))
-    with pytest.raises(W.NonDecomposable):
+    with pytest.raises(R.NonDecomposable):
         R.tensor_decompose(v, lopsided)
 
 
@@ -111,7 +113,7 @@ def test_tensor_decompose_checks_both_factors_restrict_s_skips(monkeypatch):
     v = R.weight_multiplicities(a1, (2, 0))
     skewed = Character(a1, {(4, 0): 1, (2, 2): 1, (0, 4): 2})
     for pair in ((v, skewed), (skewed, v)):
-        with pytest.raises(W.NonDecomposable):
+        with pytest.raises(R.NonDecomposable):
             R.tensor_decompose(*pair)
 
     def never(c):
@@ -131,6 +133,22 @@ def test_b7_spinor_times_top_exterior_power():
     assert len(dec) == 8
     assert sum(m * W.weyl_dim(b7, lam) for lam, m in dec.items()) == \
         2 ** 7 * comb(15, 7)
+
+
+# the kinds of the criterion-8 ideal pool, which the benchmark's spec sweep
+# draws from
+POOL_KINDS = [J.kind_of_ideal(J.spec_from_dict({"ideals": [ideal]}).ideals[0])
+              for ideal, _, _ in bench_corpus().IDEAL_POOL]
+
+
+@pytest.mark.parametrize("kind", list(dict.fromkeys(
+    oracles.appendix_kinds(8) + POOL_KINDS)), ids=str)
+def test_restrict_s_matches_the_weight_walk(kind):
+    # the minuscule rule against the Brauer-Klimyk walk it replaced
+    for m_name in C._half_order(kind):
+        for n_name in _labels(kind):
+            assert C.restrict_s.__wrapped__(kind, m_name, n_name) == \
+                ref_restrict_walk(kind, m_name, n_name), (m_name, n_name)
 
 
 def test_restrict_s_so17_past_the_product_cap():
@@ -228,14 +246,20 @@ def test_catalog_path_builds_no_full_character(monkeypatch):
                                128, 11440)
 
 
+# the weight walk, which only `reference` holds
+WALK = ("dominant_character", "_weights", "_orbit", "_orbit_size",
+        "_dot_dominant", "_chamber", "_constituents", "_racah_speiser")
+
+
 def test_grading_and_parity_build_no_character(monkeypatch):
-    # both answers come from the highest weight alone: no dominant
-    # character, no weight stream, no Brauer-Klimyk product
+    # every answer comes from the highest weight alone: no dominant
+    # character, no weight stream, no dot action
     def never(*args, **kwargs):
         raise AssertionError("a character was built")
 
-    for name in ("dominant_character", "_weights", "_brauer_klimyk"):
-        monkeypatch.setattr(W, name, never)
+    for name in WALK:
+        assert not hasattr(W, name) and not hasattr(C, name), name
+        monkeypatch.setattr(R, name, never)
     for kind in oracles.appendix_kinds(7):
         for name in _labels(kind):
             lam = C.any_weight(kind, name)
@@ -245,16 +269,15 @@ def test_grading_and_parity_build_no_character(monkeypatch):
                 lab.name for lab in C.s_one_simples(kind)})
             assert C.classical_parity.__wrapped__(kind, name) in (
                 "symmetric", "skew", "none")
+            for m_name in C._half_order(kind):
+                assert set(C.restrict_s.__wrapped__(
+                    kind, m_name, name).values()) <= {1}
 
 
 def test_catalog_path_memory_bound():
     # building the full weight sets of Gamma and LrV(8) over so(17) peaks
-    # at about 2.4 MB and copying them at 1.3 MB; streaming them peaks near
-    # 0.4 MB
-    kind, gamma, top = _SO17
-    sys = kind.root_system()
-    for name in (gamma, top):
-        W.dominant_character(sys, C.any_weight(kind, name))
+    # at about 2.4 MB and copying them at 1.3 MB; the answers read the
+    # highest weights alone and keep no dominant character either
     tracemalloc.start()
     try:
         _so17_answers()
@@ -396,8 +419,8 @@ def test_graded_pieces_walk_no_weights(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("weights were walked")
 
-    for name in ("_weights", "dominant_character"):
-        monkeypatch.setattr(W, name, never)
+    for name in WALK:
+        monkeypatch.setattr(R, name, never)
     # the spinor of so(33) has 2^16 weights, at the walk bound
     assert C.graded_piece_dim4.__wrapped__(C.SO2(33), "Gamma", 2) == 32768
     kind, _, top = _SO17
