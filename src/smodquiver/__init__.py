@@ -26,8 +26,7 @@ _EXPORTS = {
     "weights": ("RootSystem", "composite", "dual_weight", "fs_indicator",
                 "weyl_dim"),
     "catalog": ("E7", "SL", "SL2", "SO1", "SO2", "SP", "duality_form",
-                "grading_eigenvalues", "is_s_half", "restrict_s",
-                "s_half_simples", "s_one_simples"),
+                "restrict_s", "s_half_simples", "s_one_simples"),
     "quiver": ("QuiverReport", "assemble", "arrows_of", "classify_block",
                "group_radical", "relations_of", "report_to_dict",
                "wildness_flag"),

@@ -10,8 +10,8 @@ deliberately differs from the classical Frobenius-Schur indicator (which
 `weights.fs_indicator` reports); the table drives block classification, the
 engine drives the honest invariant-form computations.
 
-Every answer reads highest weights alone: membership, graded pieces and
-parities through `weights`, and the tensor restriction `restrict_s` by the
+Every answer reads highest weights alone: graded pieces and parities
+through `weights`, and the tensor restriction `restrict_s` by the
 minuscule rule, since every half simple is minuscule.  No weight is walked.
 """
 
@@ -38,11 +38,6 @@ MAX_WALKED_DIM = 2 ** 16
 
 class ModuleTooLarge(RuntimeError):
     """A catalog simple's Weyl dimension exceeds MAX_WALKED_DIM."""
-
-
-# the h-eigenvalues -1/2, +1/2 of a half simple, in the quarter units
-# `weights.ip4` counts in
-HALF4 = range(-2, 3, 4)
 
 
 class LieKind(namedtuple("LieKind", "series size")):
@@ -258,21 +253,6 @@ def any_weight(kind, name):
     return one_weight(kind, name)
 
 
-def grading_eigenvalues(kind, lam):
-    """Set of h-eigenvalues on the irreducible with highest weight lam, as
-    `Fraction`s."""
-    return weights.grading_values(kind.root_system(), lam, kind.cocharacter())
-
-
-@lru_cache(maxsize=None)
-def is_s_half(kind, lam):
-    """True iff V_lam carries eigenvalues exactly {-1/2, +1/2}."""
-    if kind.series == "e7":
-        return False
-    return weights.grading_levels4(kind.root_system(), lam,
-                                   kind.cocharacter()) == HALF4
-
-
 @lru_cache(maxsize=None)
 def restrict_s(kind, m_name, n_name):
     """(M (x) N) restricted to half simples and the trivial module.
@@ -355,16 +335,11 @@ def parity_product(p1, p2):
     return "symmetric" if p1 == p2 else "skew"
 
 
-def graded_piece_dim(kind, name, level):
-    """Dimension of the h-eigenvalue-`level` piece of a catalog simple;
-    `level` is an `int` or a `Fraction`."""
-    return graded_piece_dim4(kind, name, 4 * level)
-
-
 @lru_cache(maxsize=None)
 def graded_piece_dim4(kind, name, level4):
-    """`graded_piece_dim` with the level in quarter units, the unit
-    `weights.ip4` counts in: the piece of eigenvalue level4 / 4."""
+    """Dimension of the h-eigenvalue piece of a catalog simple, the level
+    in quarter units, the unit `weights.ip4` counts in: the piece of
+    eigenvalue level4 / 4."""
     if kind.series == "e7":
         # short grading of e7 relative to its sl2: (27, 79, 27)
         return {4: 27, -4: 27, 0: 79}.get(level4, 0)

@@ -32,11 +32,6 @@ def exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def sparse_vector(seq):
-    """Sparse form {index: exact value} of a dense sequence."""
-    return {j: exact(x) for j, x in enumerate(seq) if x}
-
-
 def integral(maps):
     """The dicts, all scaled by the lcm of their values' denominators, with
     `int` values: a list of dicts with the same keys."""
@@ -44,14 +39,6 @@ def integral(maps):
     scale = math.lcm(*(c.denominator for m in maps for c in m.values()))
     return [{k: c.numerator * (scale // c.denominator) for k, c in m.items()}
             for m in maps]
-
-
-def dense_vector(v, n):
-    """Dense form, of length n, of a sparse vector."""
-    out = [0] * n
-    for j, x in v.items():
-        out[j] = x
-    return out
 
 
 def op_lines(op):
@@ -90,11 +77,6 @@ def _op_of_rows(rows):
     """The operator {(row, col): x} with rows {row: {col: x}}, without zero
     entries."""
     return {(r, c): x for r, row in rows.items() for c, x in row.items() if x}
-
-
-def op_mul(a, b):
-    """Product of operators {(row, col): x}, without zero entries."""
-    return _op_of_rows(op_mul_add({}, a, op_lines(b)[0]))
 
 
 def op_sum(terms):

@@ -102,16 +102,22 @@ class PresentedAlgebra(GradedProtocol):
         pos = self._arrow_pos
         for rel in relations:
             terms = tuple((exact(c), tuple(path)) for c, path in rel)
+            if not terms:
+                raise PresentationError("relation has no terms")
             if len({len(p) for _, p in terms}) != 1:
                 raise PresentationError("relation terms must share length")
             ends = set()
             for _, p in terms:
                 if len(p) < 2:
                     raise PresentationError("relations start at path length 2")
-                for s in range(len(p) - 1):
-                    if self._asrc[p[s]] != self._adst[p[s + 1]]:
-                        raise PresentationError(f"non-composable path {p}")
-                ends.add((self._asrc[p[-1]], self._adst[p[0]]))
+                try:
+                    for s in range(len(p) - 1):
+                        if self._asrc[p[s]] != self._adst[p[s + 1]]:
+                            raise PresentationError(f"non-composable path {p}")
+                    ends.add((self._asrc[p[-1]], self._adst[p[0]]))
+                except KeyError as exc:
+                    raise PresentationError(
+                        f"path {p} names an unknown arrow {exc}") from None
             if len(ends) != 1:
                 raise PresentationError("relation terms must share endpoints")
             self.relations.append(terms)

@@ -95,12 +95,8 @@ def group_radical(datum: jordan.LieDatum):
             else:
                 parity = "none"
         else:
-            kind, label = kinds[0], e.labels[0]
-            if kind.series == "e7":
-                singular = False
-            else:
-                # the h-eigenvalue-1 piece
-                singular = catalog.graded_piece_dim4(kind, label, 4) == 1
+            # the h-eigenvalue-1 piece
+            singular = catalog.graded_piece_dim4(kinds[0], e.labels[0], 4) == 1
             # a label that is not self-dual already has classical parity "none"
             parity = engine_parity
         groups.append(RadicalGroup(q, e.support, e.labels, e.w_dim,
@@ -139,14 +135,13 @@ def arrows_of(datum: jordan.LieDatum, groups):
         else:
             i = g.support[0]
             kind = datum.summands[i]
-            if kind.series != "e7":
-                for lab in catalog.s_half_simples(kind):
-                    res = catalog.restrict_s(kind, lab.name, g.labels[0])
-                    targets = sorted(t for t in res if t != "tr")
-                    assert len(targets) <= 1, "restriction is multiplicity free"
-                    for t in targets:
-                        assert res[t] == 1
-                        endpoints.append((vid_of[(i, lab.name)], vid_of[(i, t)]))
+            for lab in catalog.s_half_simples(kind):
+                res = catalog.restrict_s(kind, lab.name, g.labels[0])
+                targets = sorted(t for t in res if t != "tr")
+                assert len(targets) <= 1, "restriction is multiplicity free"
+                for t in targets:
+                    assert res[t] == 1
+                    endpoints.append((vid_of[(i, lab.name)], vid_of[(i, t)]))
         if not endpoints:
             inert.add(g.index)
         for src, dst in sorted(endpoints):

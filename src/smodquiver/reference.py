@@ -22,7 +22,10 @@ compiles it:
     symmetrized product of an associative table (`plus_product`,
     `matrix_algebra_table`);
   * `is_s_one` and `parity_discrepancies`, catalog answers that only the
-    tests ask for, and `qvec`;
+    tests ask for;
+  * vector and product helpers no command needs: `qvec`, `sparse_vector`,
+    `dense_vector`, the operator product `op_mul` and the table product
+    on dense vectors `table_mul`;
   * `report_from_dict`, the inverse of `quiver.report_to_dict`.
 
 Everything is exact, as in the modules it builds on.
@@ -36,17 +39,16 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import (classical_parity, duality_form, grading_eigenvalues,
-                      s_half_simples)
-from .linalg import (Echelon, dense_vector, exact, op_commutator, op_lines,
-                     op_mul, op_sum, sparse_vector)
+from .catalog import classical_parity, duality_form, s_half_simples
+from .linalg import (Echelon, _op_of_rows, exact, op_apply, op_commutator,
+                     op_lines, op_mul_add, op_sum)
 from .pathalg import GradedProtocol, PresentedAlgebra, VertexMismatch
 from .quiver import (Block, Quiver, QuiverReport, RadicalGroup, Relation,
                      ThickArrow, ThinArrow, Vertex)
 from .tables import StructureConstants
 from .weights import (CompositeSystem, NotDominant, _add, _embed, _join, _sub,
-                      dominantize, ip4, is_dominant, normalize_dominant,
-                      positive_roots, rho2, weyl_dim)
+                      dominantize, graded_pieces4, ip4, is_dominant,
+                      normalize_dominant, positive_roots, rho2, weyl_dim)
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -437,17 +439,21 @@ def eigenvalue_set(c: Character, h2):
 # catalog answers no subcommand asks for
 
 
-# the h-eigenvalue sets of the half simples, and the eigenvalues a short
-# grading allows
+# the h-eigenvalue set of a half simple
 HALF = frozenset((Fraction(1, 2), Fraction(-1, 2)))
-SHORT = frozenset((Fraction(-1), Fraction(0), Fraction(1)))
 
 
 def is_s_one(kind, lam):
+    """True iff h acts on V_lam with eigenvalues in {-1, 0, 1}, not all 0."""
     if kind.series == "e7":
         return False
-    ev = grading_eigenvalues(kind, lam)
-    return ev <= SHORT and ev != {Fraction(0)}
+    try:
+        levels = set(graded_pieces4(kind.root_system(), lam, kind.cocharacter()))
+    except NotDominant:
+        raise
+    except ValueError:   # the eigenvalues span more than 2
+        return False
+    return levels <= {-4, 0, 4} and levels != {0}
 
 
 def parity_discrepancies(kind):
@@ -615,6 +621,30 @@ def pi_product(a: PresentedAlgebra, b: PresentedAlgebra,
 
 def qvec(seq):
     return [Fraction(x) for x in seq]
+
+
+def sparse_vector(seq):
+    """Sparse form {index: exact value} of a dense sequence."""
+    return {j: exact(x) for j, x in enumerate(seq) if x}
+
+
+def dense_vector(v, n):
+    """Dense form, of length n, of a sparse vector."""
+    out = [0] * n
+    for j, x in v.items():
+        out[j] = x
+    return out
+
+
+def op_mul(a, b):
+    """Product of operators {(row, col): x}, without zero entries."""
+    return _op_of_rows(op_mul_add({}, a, op_lines(b)[0]))
+
+
+def table_mul(sc: StructureConstants, x, y):
+    """x * y = L_x y in the table, of dense vectors."""
+    lx = op_sum((c, op) for c, op in zip(x, sc.ops) if c)
+    return dense_vector(op_apply(lx, dict(enumerate(y))), sc.dim)
 
 
 class CubicIdentityFails(ArithmeticError):

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import sys
 
-from .linalg import (Echelon, dense_vector, exact, integral, op_apply,
-                     op_lines, op_mul_add, op_sum)
+from .linalg import Echelon, exact, integral, op_lines, op_mul_add, op_sum
 
 # ---------------------------------------------------------------------------
 # JSON wire format
@@ -132,11 +131,6 @@ class StructureConstants:
                           for k, x in enumerate(self.c[i][j]) if x}
                          for i in range(n))
         self._jordan = None   # verdict of check_jordan_identity, once known
-
-    def mul(self, x, y):
-        """x * y = L_x y, of dense vectors."""
-        lx = op_sum((c, op) for c, op in zip(x, self.ops) if c)
-        return dense_vector(op_apply(lx, dict(enumerate(y))), self.dim)
 
     def __eq__(self, other):
         return isinstance(other, StructureConstants) and self.c == other.c

@@ -12,8 +12,7 @@ Every answer here reads the highest weight lam alone and walks no weights:
   * dimensions by the Weyl product formula;
   * duals and dominant representatives of Weyl orbits;
   * the Frobenius-Schur indicator, as (-1)^<lam, 2 rho-check>;
-  * a short grading h's eigenvalues and eigenspace dimensions, the latter
-    as Levi Weyl products.
+  * the eigenspace dimensions of a short grading h, as Levi Weyl products.
 
 The weight walk (Freudenthal's dominant characters, Weyl orbits, the dot
 action) and the full-character helpers built on it (`Character`,
@@ -276,37 +275,13 @@ def graded_pieces4(sys, lam, h2):
     Groups Beyond an Introduction, ch. V).  The top piece for h is that for
     dom(h), the bottom one that for dom(-h); the rest lies between."""
     ends = _grading_ends(sys, h2)
+    dim = weyl_dim(sys, lam)
     top, bottom = ip4(lam, ends[0]), -ip4(lam, ends[1])
     if top - bottom > 8:
         raise ValueError(f"the values of {h2} on V_{lam} span more than 2")
-    dim = weyl_dim(sys, lam)
     pieces = {level: _weyl_product(sys, lam, *_levi(sys, d2))
               for level, d2 in zip((top, bottom), ends)}
     if top - bottom == 8:
         pieces[top - 4] = dim - pieces[top] - pieces[bottom]
     assert min(pieces.values()) > 0 and sum(pieces.values()) == dim
     return pieces
-
-
-def grading_levels4(sys, lam, h2):
-    """The pairings 4<w, h> over the weights w of V_lam, as a range.
-
-    For a short h the pairings <w, h> run from -<lam, dom(-h)> to
-    <lam, dom(h)> in steps of 1: the weights of V_lam are reached from the
-    top by subtracting simple roots (Humphreys, Lie Algebras, 21.3), and in
-    the chamber where h is dominant each one lowers <w, h> by 0 or 1.
-    """
-    if not is_dominant(sys, lam):
-        raise NotDominant(lam)
-    top, bottom = _grading_ends(sys, h2)
-    return range(-ip4(lam, bottom), ip4(lam, top) + 1, 4)
-
-
-def grading_values(sys, lam, h2):
-    """Set of pairings <w, h> over the weights w of V_lam (true values), as
-    `Fraction`s."""
-    from fractions import Fraction
-
-    return {Fraction(v, 4) for v in grading_levels4(sys, lam, h2)}
-
-

@@ -14,6 +14,12 @@ def names(labels):
     return [l.name for l in labels]
 
 
+def eigenvalues(kind, lam):
+    """The h-eigenvalues on V_lam, as the levels of its graded pieces."""
+    return {Fraction(k, 4) for k in W.graded_pieces4(
+        kind.root_system(), lam, kind.cocharacter())}
+
+
 def test_half_simples_per_kind():
     assert names(C.s_half_simples(C.SL2)) == ["L"]
     assert names(C.s_half_simples(C.SP(6))) == ["V"]
@@ -42,23 +48,23 @@ def test_one_simples_per_kind():
 def test_half_membership_invariant():
     for kind in (C.SL2, C.SP(6), C.SL(6), C.SO1(12), C.SO2(7), C.SO2(8)):
         for lab in C.s_half_simples(kind):
-            assert C.is_s_half(kind, lab.weight)
+            assert eigenvalues(kind, lab.weight) == R.HALF
         for lab in C.s_one_simples(kind):
-            assert not C.is_s_half(kind, lab.weight)
+            assert eigenvalues(kind, lab.weight) != R.HALF
             assert R.is_s_one(kind, lab.weight)
 
 
 def test_is_s_half_examples():
-    assert C.is_s_half(C.SP(6), (2, 0, 0))
-    assert not C.is_s_half(C.SP(6), (4, 0, 0))       # adjoint
-    assert not C.is_s_half(C.SL(6), (2, 2, 0, 0, 0, 0))  # pairing {-1,0,1}
+    assert eigenvalues(C.SP(6), (2, 0, 0)) == R.HALF
+    assert eigenvalues(C.SP(6), (4, 0, 0)) != R.HALF       # adjoint
+    assert eigenvalues(C.SL(6), (2, 2, 0, 0, 0, 0)) != R.HALF  # {-1,0,1}
 
 
 def test_grading_eigenvalues_examples():
     half = {Fraction(1, 2), Fraction(-1, 2)}
-    assert C.grading_eigenvalues(C.SL(6), (2, 0, 0, 0, 0, 0)) == half
-    assert C.grading_eigenvalues(C.SO2(7), (1, 1, 1)) == half
-    assert C.grading_eigenvalues(C.SO1(8), (2, 2, 0, 0)) == {
+    assert eigenvalues(C.SL(6), (2, 0, 0, 0, 0, 0)) == half
+    assert eigenvalues(C.SO2(7), (1, 1, 1)) == half
+    assert eigenvalues(C.SO1(8), (2, 2, 0, 0)) == {
         Fraction(-1), Fraction(0), Fraction(1)}
 
 
@@ -69,7 +75,7 @@ def test_grading_eigenvalues_examples():
 ])
 def test_grading_eigenvalues_refuse_non_dominant(kind, lam):
     with pytest.raises(W.NotDominant):
-        C.grading_eigenvalues(kind, lam)
+        eigenvalues(kind, lam)
 
 
 def test_cocharacter_pairs_roots_short():
@@ -130,20 +136,21 @@ def test_parity_discrepancies_are_exactly_the_documented_ones():
 
 def test_so12_extra_spinor_has_short_grading():
     lab = dict((l.name, l) for l in C.s_one_simples(C.SO1(12)))["Gamma+"]
-    evs = C.grading_eigenvalues(C.SO1(12), lab.weight)
+    evs = eigenvalues(C.SO1(12), lab.weight)
     assert evs == {Fraction(-1), Fraction(0), Fraction(1)}
     assert W.weyl_dim(C.SO1(12).root_system(), lab.weight) == 32
 
 
 def test_graded_piece_dims():
     # standard so2 module: one-dimensional top piece (singular shape)
-    assert C.graded_piece_dim(C.SO2(7), "LrV(1)", Fraction(1)) == 1
-    assert C.graded_piece_dim(C.SO2(8), "LrV(1)", Fraction(1)) == 1
+    # levels in quarter units: 4 is eigenvalue 1, 2 is 1/2
+    assert C.graded_piece_dim4(C.SO2(7), "LrV(1)", 4) == 1
+    assert C.graded_piece_dim4(C.SO2(8), "LrV(1)", 4) == 1
     # sp(6) adjoint: top piece is n(n+1)/2 = 6
-    assert C.graded_piece_dim(C.SP(6), "ad", Fraction(1)) == 6
+    assert C.graded_piece_dim4(C.SP(6), "ad", 4) == 6
     # half pieces of half simples
-    assert C.graded_piece_dim(C.SL2, "L", Fraction(1, 2)) == 1
-    assert C.graded_piece_dim(C.SP(6), "V", Fraction(1, 2)) == 3
+    assert C.graded_piece_dim4(C.SL2, "L", 2) == 1
+    assert C.graded_piece_dim4(C.SP(6), "V", 2) == 3
 
 
 def test_unknown_labels_raise():

@@ -10,7 +10,9 @@ far past the weight-walk bound.  About one table in three is a Jordan table
 in a random basis, so that it reaches the TKK construction.  About one spec
 in two is a valid spec shaped like the benchmark corpus, so that it reaches
 `koszul`; there the Betti tables on stdout must be those of the minimal
-resolutions.  The same algebra in a random arrow basis must give them too,
+resolutions, and where `koszul` reports true the Hilbert series of the
+algebra and of its quadratic dual must be inverse up to the homological
+cap.  The same algebra in a random arrow basis must give them too,
 through `koszul_check`'s fallback wherever the new relations fail the PBW
 certificate.  The draws
 are derandomized so the suite is repeatable.
@@ -25,7 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bench_corpus, change_arrow_basis, jordan_in_random_basis
+from helpers import (assert_dual_hilbert_identity, bench_corpus,
+                     change_arrow_basis, jordan_in_random_basis)
 
 # imported up front, so that no example's time includes compiling a layer
 from smodquiver import cli, pathalg, quiver, tkk  # noqa: F401
@@ -260,6 +263,10 @@ def test_koszul_betti_tables_match_the_resolutions(workdir, spec, rng):
     data = json.loads(out)
     alg = _algebra(spec)
     assert (data["koszul"], data["betti"]) == _resolved(alg)
+    if data["koszul"]:
+        # Koszul up to HOM_CAP: the Hilbert series of A and its quadratic
+        # dual are inverse up to there
+        assert_dual_hilbert_identity(alg, HOM_CAP)
     if len(alg.arrows) > REBASE_MAX_ARROWS:
         return
     # the same algebra on generic relations: Clifford blocks of

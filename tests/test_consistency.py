@@ -112,9 +112,9 @@ def test_multilinearized_check_agrees_with_direct_sampling():
         n_jordan += 1
         for a in points:
             for b in points:
-                aa = sc.mul(a, a)
-                lhs = sc.mul(sc.mul(aa, b), a)
-                rhs = sc.mul(aa, sc.mul(b, a))
+                aa = R.table_mul(sc, a, a)
+                lhs = R.table_mul(sc, R.table_mul(sc, aa, b), a)
+                rhs = R.table_mul(sc, aa, R.table_mul(sc, b, a))
                 assert lhs == rhs
     assert n_jordan >= 3  # the sample includes genuine positives
 

@@ -130,8 +130,8 @@ def _spec_levels(ideal, label, m):
     radical = (J.Unital(0, label, m),) if m else ()
     datum = J.lie_datum_of_spec(J.JordanSpec((ideal,), radical))
     kind, = datum.summands
-    return tuple(C.graded_piece_dim(kind, label, level) + sum(
-        e.w_dim * C.graded_piece_dim(kind, e.labels[0], level)
+    return tuple(C.graded_piece_dim4(kind, label, 4 * level) + sum(
+        e.w_dim * C.graded_piece_dim4(kind, e.labels[0], 4 * level)
         for e in datum.radical) for level in (-1, 0, 1))
 
 

@@ -36,6 +36,12 @@ def _labels(kind):
     return [lab.name for lab in C.s_half_simples(kind) + C.s_one_simples(kind)]
 
 
+def _eigenvalues(sys, lam, h2):
+    """The h-eigenvalues on V_lam (true values), as the levels of its
+    graded pieces."""
+    return {Fraction(k, 4) for k in W.graded_pieces4(sys, lam, h2)}
+
+
 def _ref_restrict(kind, m_name, n_name, character=ref_character,
                   decompose=ref_tensor_decompose):
     """restrict_s from full characters: `character(sys, lam)` and
@@ -72,7 +78,7 @@ def test_characters_match_reference(kind):
         assert R.decompose_character(ch) == {W.normalize_dominant(sys, lam): 1}
         assert W.fs_indicator(sys, lam) == ref_fs_indicator(sys, lam), name
         h2 = kind.cocharacter()
-        assert W.grading_values(sys, lam, h2) == R.eigenvalue_set(ch, h2) == \
+        assert _eigenvalues(sys, lam, h2) == R.eigenvalue_set(ch, h2) == \
             {Fraction(W.ip4(w, h2), 4) for w in ref_character(sys, lam).mults}
 
 
@@ -158,7 +164,7 @@ def test_restrict_s_so17_past_the_product_cap():
 
 # -- past rank 4: the public full-character route is the reference ----------
 #
-# restrict_s, classical_parity and graded_piece_dim never list the weights of
+# restrict_s, classical_parity and graded_piece_dim4 never list the weights of
 # a product or keep a full character; here weight_multiplicities,
 # tensor_decompose, ext_sym_square and trivial_multiplicity rebuild every
 # answer from full characters for each appendix kind of rank 5-7.
@@ -207,10 +213,10 @@ def test_parity_and_graded_pieces_match_full_characters(kind):
         ch = R.weight_multiplicities(sys, lam)
         levels = R.eigenvalue_set(ch, h2)
         for level in levels:
-            assert C.graded_piece_dim(kind, name, level) == sum(
+            assert C.graded_piece_dim4(kind, name, 4 * level) == sum(
                 m for w, m in ch.mults.items()
                 if Fraction(W.ip4(w, h2), 4) == level), (name, level)
-        assert sum(C.graded_piece_dim(kind, name, level)
+        assert sum(C.graded_piece_dim4(kind, name, 4 * level)
                    for level in levels) == W.weyl_dim(sys, lam), name
         if not _self_dual(sys, lam):
             assert C.classical_parity(kind, name) == "none", name
@@ -263,8 +269,8 @@ def test_grading_and_parity_build_no_character(monkeypatch):
     for kind in oracles.appendix_kinds(7):
         for name in _labels(kind):
             lam = C.any_weight(kind, name)
-            evs = C.grading_eigenvalues(kind, lam)
-            assert C.is_s_half.__wrapped__(kind, lam) == (evs == R.HALF)
+            evs = _eigenvalues(kind.root_system(), lam, kind.cocharacter())
+            assert (evs == R.HALF) == (name in C._half_order(kind))
             assert R.is_s_one(kind, lam) == (name in {
                 lab.name for lab in C.s_one_simples(kind)})
             assert C.classical_parity.__wrapped__(kind, name) in (
@@ -289,7 +295,7 @@ def test_catalog_path_memory_bound():
 
 # -- grading values and indicators from the highest weight ------------------
 #
-# `grading_values` and `fs_indicator` read lam alone; the character routes
+# `graded_pieces4` and `fs_indicator` read lam alone; the character routes
 # they replaced (dominant character against the Weyl orbit of h, and the
 # Adams operation with a Brauer-Klimyk square) are the references.
 
@@ -341,12 +347,25 @@ def test_catalog_labels_match_character_routes():
         sys, h2 = kind.root_system(), kind.cocharacter()
         for name in _labels(kind):
             lam = C.any_weight(kind, name)
-            assert W.grading_values(sys, lam, h2) == \
+            assert _eigenvalues(sys, lam, h2) == \
                 ref_grading_values(sys, lam, h2), (kind, name)
             assert W.fs_indicator(sys, lam) == \
                 ref_fs_indicator_adams(sys, lam), (kind, name)
             labels += 1
     assert labels == 134
+
+
+def _assert_eigenvalues(sys, lam, h2):
+    """graded_pieces4 against the character route: the same eigenvalues
+    where they span at most 2, ValueError where they span more.  Returns
+    whether the pieces exist."""
+    ref = ref_grading_values(sys, lam, h2)
+    if max(ref) - min(ref) > 2:
+        with pytest.raises(ValueError, match="span more than 2"):
+            W.graded_pieces4(sys, lam, h2)
+        return False
+    assert _eigenvalues(sys, lam, h2) == ref, lam
+    return True
 
 
 @pytest.mark.parametrize(
@@ -357,8 +376,7 @@ def test_small_weights_match_character_routes(kind):
     weights = _small_dominant_weights(sys, 100 if sys.rank == 1 else 800)
     assert len(weights) > 10
     for lam in weights:
-        assert W.grading_values(sys, lam, h2) == \
-            ref_grading_values(sys, lam, h2), lam
+        _assert_eigenvalues(sys, lam, h2)
         assert W.fs_indicator(sys, lam) == ref_fs_indicator_adams(sys, lam), lam
 
 
@@ -370,12 +388,8 @@ def test_asymmetric_short_gradings_match(sys, h2):
     short = 0
     for combo in itertools.product(*dom):
         lam = tuple(x for part in combo for x in part)
-        assert W.grading_values(sys, lam, h2) == \
-            ref_grading_values(sys, lam, h2), lam
         # graded pieces, where swapping dom(h) and dom(-h) changes them
-        if len(W.grading_levels4(sys, lam, h2)) > 3:
-            with pytest.raises(ValueError, match="span more than 2"):
-                W.graded_pieces4(sys, lam, h2)
+        if not _assert_eigenvalues(sys, lam, h2):
             continue
         assert W.graded_pieces4(sys, lam, h2) == \
             ref_graded_pieces4(sys, lam, h2), lam
@@ -388,7 +402,7 @@ def test_grading_values_refuse_a_long_grading(kind):
     sys = kind.root_system()
     lam = C.any_weight(kind, _labels(kind)[0])
     with pytest.raises(ValueError, match="not a short grading"):
-        W.grading_values(sys, lam, tuple(2 * x for x in kind.cocharacter()))
+        W.graded_pieces4(sys, lam, tuple(2 * x for x in kind.cocharacter()))
 
 
 # -- graded pieces from Levi products --------------------------------------

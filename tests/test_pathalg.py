@@ -58,6 +58,18 @@ def test_dimensions_independent_of_presentation_order():
         assert other.hilbert() == base.hilbert()
 
 
+def test_relation_naming_an_unknown_arrow_is_refused():
+    with pytest.raises(P.PresentationError, match="unknown arrow"):
+        P.PresentedAlgebra([0, 1], [(0, 0, 1)], [[(1, (0, 7))]])
+    with pytest.raises(P.PresentationError, match="unknown arrow"):
+        P.PresentedAlgebra([0, 1], [(0, 0, 1)], [[(1, (7, 0))]])
+
+
+def test_empty_relation_is_refused():
+    with pytest.raises(P.PresentationError, match="no terms"):
+        P.PresentedAlgebra([0, 1], [(0, 0, 1), (1, 1, 0)], [[]])
+
+
 def test_non_terminating_detected():
     # a free loop never dies
     with pytest.raises(P.NonTerminating):
