@@ -32,12 +32,13 @@ class UnknownLabel(KeyError):
 # bound on the Weyl dimension of a radical label, from when its weights were
 # walked: a spinor or Lambda+- of a large so(n) would have taken seconds to
 # hours.  Nothing walks weights now; `graded_piece_dim4` keeps the bound so
-# that no exit code changes
+# that no exit code changes.  `LieKind.root_system` bounds the kind's own
+# dimension by it too, before any root is built
 MAX_WALKED_DIM = 2 ** 16
 
 
 class ModuleTooLarge(RuntimeError):
-    """A catalog simple's Weyl dimension exceeds MAX_WALKED_DIM."""
+    """A kind's or a catalog simple's dimension exceeds MAX_WALKED_DIM."""
 
 
 class LieKind(namedtuple("LieKind", "series size")):
@@ -83,7 +84,14 @@ class LieKind(namedtuple("LieKind", "series size")):
         return self.size // 2
 
     def root_system(self):
+        """The kind's root system, for a kind of dimension at most
+        MAX_WALKED_DIM; a larger kind raises `ModuleTooLarge`."""
         s, n = self.series, self.size
+        dim = (3 if s == "sl2" else n * (n + 1) // 2 if s == "sp"
+               else n * n - 1 if s == "sl" else n * (n - 1) // 2)
+        if dim > MAX_WALKED_DIM:
+            raise ModuleTooLarge(f"a module of {self} of dimension {dim} exceeds "
+                                 f"the weight-walk bound {MAX_WALKED_DIM}")
         if s == "sl2":
             return RootSystem("A", 1)
         if s == "sp":

@@ -7,7 +7,8 @@ through one sparse kernel, `Echelon`: the reduced row echelon form of a
 growing row space, kept as a map pivot -> row.  A row's pivot is its first
 nonzero column, the row is 1 there and every row is 0 at every other pivot,
 so the form is the unique RREF of the span whatever order the rows arrive
-in.  Dividing by a pivot is the only division: a `Fraction` pivot divides as
+in, and a vector's coordinates in the rows are its entries at the pivots.
+Dividing by a pivot is the only division: a `Fraction` pivot divides as
 usual, an `int` pivot of +-1 keeps an integral row integral and any other
 `int` pivot goes through `Fraction`.
 
@@ -112,36 +113,26 @@ class Echelon:
     """Sparse reduced row echelon form of a growing row space.
 
     `rows` maps each pivot column to the rest of its row (the pivot entry
-    itself is an implicit 1).  With `track`, `exprs` maps each pivot to its
-    row as a combination of the generators, the added vectors that enlarged
-    the span, numbered in the order they were kept.
+    itself is an implicit 1).
     """
 
-    def __init__(self, track=False):
+    def __init__(self):
         self.rows = {}
-        self.exprs = {} if track else None
-        self.n_kept = 0
         # columns any row has held off its pivot: a new pivot outside this
         # set needs no back-substitution
         self._touched = set()
 
     def reduce(self, v):
-        """Return (residual, combo) with v = residual + sum combo[g] * gen_g.
-
-        The residual is zero at every pivot; combo is empty unless tracking.
-        """
+        """The residual of v: v minus its entry at each pivot times that
+        pivot's row, zero at every pivot."""
         red = dict(v)
-        combo = {}
         for p in red.keys() & self.rows.keys():
-            c = red.pop(p)
-            _axpy(red, c, self.rows[p])
-            if self.exprs is not None:
-                _axpy(combo, -c, self.exprs[p])
-        return red, combo
+            _axpy(red, red.pop(p), self.rows[p])
+        return red
 
     def add(self, v):
         """Add a spanning vector; returns True if it enlarged the span."""
-        red, combo = self.reduce(v)
+        red = self.reduce(v)
         if not red:
             return False
         q = min(red)
@@ -155,28 +146,21 @@ class Echelon:
 
                 pv = Fraction(pv)   # int / int would be a float
             row = {j: x / pv for j, x in red.items()}
-        if self.exprs is not None:
-            inv = pv if type(pv) is int else 1 / pv
-            expr = {g: -c * inv for g, c in combo.items()}
-            expr[self.n_kept] = inv
         if q in self._touched:
-            for p, other in self.rows.items():
+            for other in self.rows.values():
                 c = other.pop(q, None)
                 if c is not None:
                     _axpy(other, c, row)
-                    if self.exprs is not None:
-                        _axpy(self.exprs[p], c, expr)
         self.rows[q] = row
         self._touched.update(row)
-        if self.exprs is not None:
-            self.exprs[q] = expr
-        self.n_kept += 1
         return True
 
     def coords(self, v):
-        """v as a combination {generator: coef} (tracking only), or None."""
-        red, combo = self.reduce(v)
-        return None if red else combo
+        """v in the rows, {pivot: v[pivot]} in pivot order, or None when v
+        is outside the span."""
+        if self.reduce(v):
+            return None
+        return {p: v[p] for p in sorted(v.keys() & self.rows.keys())}
 
     def kernel(self, cols):
         """Right kernel basis of the rows over the columns `cols`.

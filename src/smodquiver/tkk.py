@@ -2,8 +2,9 @@
 
 `tkk_construct` realizes g = g_{-1} + g_0 + g_1 with g_{-1} the algebra J,
 g_0 the span of left multiplications and their commutators inside End(J),
-and g_1 a copy of J, the vector v standing for the map {x v y}; the product
-map P is the unit's.  The distinguished triple is (unit, -L_unit, P).
+on the basis of its RREF rows, and g_1 a copy of J on J's own basis, e_b
+standing for the map {x e_b y}; the product map P is the unit's.  The
+distinguished triple is (unit, -L_unit, P).
 Everything is verified: grading, Jacobi, triple identities.
 `minimality_check` and the round trip `jordan_from_short_pair`
 (x*y = [[f,x],y]) complete what `tkk-check` reports; the table itself comes
@@ -131,17 +132,18 @@ def _op_key(op, n):
 def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
     """Short-graded Lie algebra of a unital algebra given by its table.
 
-    Operators are sparse {(row, col): x}, and g_0 is spanned in one tracking
-    `Echelon` over their flattened entries.  g_1 is a copy of J: the vector
-    v stands for the map B_v(x, y) = {x v y} = (xv)y + x(vy) - v(xy), so the
-    product map P is B_unit and L_a.P = -B_{e_a}.  Its basis is the vectors
-    an n-column tracking `Echelon` keeps from unit, -e_0, ..., -e_{n-1}.
-    Every T in g_0 is L_{Te} plus a derivation (Jacobson 1968, ch. I), so
-    [T, B_v] = B_{Tv - 2(Te)v}, and [B_v, x] is the operator
-    [L_x, L_v] + L_{xv}.  L_a is the table's `sc.ops[a]`, whose integral
-    entries are `int`, and integral unit coordinates are kept as `int`, so on
-    an integral table the arithmetic stays over `int` up to the first pivot
-    other than +-1.
+    Operators are sparse {(row, col): x}, flattened by `_op_key`.  g_0's
+    basis is the RREF rows of the span of the L_a and [L_a, L_b], in pivot
+    order, so an operator's g_0 coordinates are its entries at the pivots.
+    g_1 is a copy of J: its basis vector B_b is the
+    map B_b(x, y) = {x e_b y} = (x e_b)y + x(e_b y) - e_b(xy), so the
+    product map is P = B_unit = sum_b u_b B_b.  Every T in g_0 is L_{Te}
+    plus a derivation (Jacobson 1968, ch. I), so [T, B_b] = B_{T e_b -
+    2(Te)e_b}, the vector of column b of T - 2 L_{Te}, and [x, B_b] is the
+    operator [L_b, L_x] - L_{x e_b}.  L_a is the table's `sc.ops[a]`, whose
+    integral entries are `int`, and integral unit coordinates are kept as
+    `int`, so on an integral table the arithmetic stays over `int` up to the
+    first pivot other than +-1.
     """
     n = sc.dim
     if n > MAX_EXPLICIT_DIM:
@@ -159,17 +161,13 @@ def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
         return op_sum((c, ops[k]) for k, c in v.items())
 
     # g_0: span of L_a and [L_a, L_b]
-    g0 = Echelon(track=True)
-    comms = tuple(op_commutator(ops[i], ops[j])
-                  for i in range(n) for j in range(i + 1, n))
-    g0_ops = [op for op in ops + comms if g0.add(_op_key(op, n))]
-
-    # g_1: B_v for the kept v of unit, -e_0, ..., -e_{n-1}; they span J
-    g1 = Echelon(track=True)
-    g1_vecs = [v for v in [unit] + [{a: -1} for a in range(n)] if g1.add(v)]
-
-    d0, d1 = len(g0_ops), len(g1_vecs)
-    total = n + d0 + d1
+    g0 = Echelon()
+    for op in ops + tuple(op_commutator(ops[i], ops[j])
+                          for i in range(n) for j in range(i + 1, n)):
+        g0.add(_op_key(op, n))
+    pivots = sorted(g0.rows)
+    index = {p: n + t for t, p in enumerate(pivots)}
+    d0 = len(pivots)
     bracket = {}
 
     def put(i, j, vec):
@@ -179,42 +177,40 @@ def tkk_construct(sc: StructureConstants) -> ShortGradedLie:
             bracket[(i, j)] = vec
 
     def g0_coords(op):
-        """Coordinates in g (generator t is basis vector n + t)."""
+        """Coordinates in g of an operator in g_0."""
         c = g0.coords(_op_key(op, n))
         if c is None:
             raise JacobiFails("operator outside the constructed degree-0 span")
-        return {n + t: x for t, x in sorted(c.items())}
+        return {index[p]: x for p, x in c.items()}
 
-    def g1_coords(v):
-        return {n + d0 + t: x for t, x in sorted(g1.coords(v).items())}
-
-    # [x, L] = -L(x)
+    # [x, B_b] = [L_b, L_x] - L_{x e_b}, an operator in g_0
+    for b in range(n):
+        for i in range(n):
+            op = op_sum(((1, op_commutator(ops[b], ops[i])),
+                         (-1, lmul(op_apply(ops[i], {b: 1})))))
+            put(i, n + d0 + b, g0_coords(op))
+    # [x, L] = -L(x), [L, L'] and [T, B_b] = B of column b of T - 2 L_{Te}
+    g0_ops = [{divmod(k, n): x for k, x in ((p, 1), *g0.rows[p].items())}
+              for p in pivots]
     for a, op in enumerate(g0_ops):
         _, cols = op_lines(op)
         for i in range(n):
             put(i, n + a, {k: -c for k, c in sorted(cols.get(i, ()))})
-    # [x, B_v] = [L_v, L_x] - L_{xv}, an operator in g_0
-    for b, v in enumerate(g1_vecs):
-        lv = lmul(v)
-        for i in range(n):
-            op = op_sum(((1, op_commutator(lv, ops[i])),
-                         (-1, lmul(op_apply(ops[i], v)))))
-            put(i, n + d0 + b, g0_coords(op))
-    # [L, L'] and [T, B_v] = B_{Tv - 2(Te)v}
-    for a, op in enumerate(g0_ops):
         for b in range(a + 1, d0):
             put(n + a, n + b, g0_coords(op_commutator(op, g0_ops[b])))
-        shifted = op_sum(((1, op), (-2, lmul(op_apply(op, unit)))))
-        for b, v in enumerate(g1_vecs):
-            put(n + a, n + d0 + b, g1_coords(op_apply(shifted, v)))
+        _, cols = op_lines(op_sum(((1, op), (-2, lmul(op_apply(op, unit))))))
+        for b in range(n):
+            put(n + a, n + d0 + b,
+                {n + d0 + k: c for k, c in sorted(cols.get(b, ()))})
 
     def dense(vec):
-        return tuple(vec.get(k, 0) for k in range(total))
+        return tuple(vec.get(k, 0) for k in range(n + d0 + n))
 
-    # e = unit, h = -L_unit and f = P = B_unit, the first kept vector of g_1
+    # e = unit, h = -L_unit and f = P = sum_b u_b B_b
     hvec = g0_coords(lmul({i: -u for i, u in unit.items()}))
-    triple = (dense(unit), dense(hvec), dense({n + d0: 1}))
-    g = ShortGradedLie((n, d0, d1), bracket, triple)
+    triple = (dense(unit), dense(hvec),
+              dense({n + d0 + b: u for b, u in unit.items()}))
+    g = ShortGradedLie((n, d0, n), bracket, triple)
     if not (g.check_grading() and g.check_triple() and g.check_jacobi()):
         raise JacobiFails("constructed bracket fails verification")
     return g

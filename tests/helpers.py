@@ -13,11 +13,10 @@ from smodquiver import catalog as C
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
 from smodquiver import reference as R
-from smodquiver import tables as TB
 from smodquiver import tkk as T
 from smodquiver import weights as W
 from smodquiver.linalg import Echelon
-from smodquiver.reference import dense_vector, sparse_vector
+from smodquiver.reference import sparse_vector
 
 ONE = Fraction(1)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -849,12 +848,29 @@ def ref_check_jacobi(g):
     return True
 
 
+def ref_unit(sc):
+    """The unit of a table, or None: u * e_i = e_i for every i, solved by
+    `ref_solve`."""
+    n = sc.dim
+    rows = [[Fraction(sc.c[j][i][k]) for j in range(n)]
+            for i in range(n) for k in range(n)]
+    rhs = [Fraction(int(k == i)) for i in range(n) for k in range(n)]
+    return ref_solve(rows, rhs)
+
+
 def ref_tkk_construct(sc):
-    """Dense short-graded Lie algebra of a unital algebra given by its table."""
+    """Dense short-graded Lie algebra of a unital algebra given by its table.
+
+    Everything is dense and every elimination is one of the dense ones
+    above: the unit comes from `ref_solve`, g_0's basis is the `ref_rref`
+    rows of the span of L_a and [L_a, L_b], g_1's basis is the 3-tensors
+    B_b(x, y) = {x e_b y}, and coordinates in either basis are solved by a
+    `RefSpanSolver` holding it.
+    """
     n = sc.dim
     if not ref_check_jordan_identity(sc):
         raise ValueError("structure constants fail the defining identity")
-    unit = TB.find_unit(sc)
+    unit = ref_unit(sc)
     if unit is None:
         raise T.NotUnital("algebra has no identity element")
     zero = Fraction(0)
@@ -879,21 +895,32 @@ def ref_tkk_construct(sc):
                             out[y][x][k] -= c * B[t][y][k]
         return out
 
-    g0 = Echelon(track=True)
-    g0_ops = []
-    for m in lmats + [_ref_commutator(lmats[i], lmats[j])
-                      for i in range(n) for j in range(i + 1, n)]:
-        if g0.add(sparse_vector(x for row in m for x in row)):
-            g0_ops.append(m)
-    ptensor = [[list(sc.c[i][j]) for j in range(n)] for i in range(n)]
-    g1 = Echelon(track=True)
-    g1_maps = []
-    for b in [ptensor] + [act(m, ptensor) for m in lmats]:
-        if g1.add(sparse_vector(flatten(b))):
-            g1_maps.append(b)
+    gens = [[Fraction(x) for row in m for x in row] for m in lmats + [
+        _ref_commutator(lmats[i], lmats[j])
+        for i in range(n) for j in range(i + 1, n)]]
+    red, pivots = ref_rref(gens)
+    g0_ops = [[row[r * n:(r + 1) * n] for r in range(n)]
+              for row in red[:len(pivots)]]
+    g0 = RefSpanSolver(n * n)
+    for row in red[:len(pivots)]:
+        assert g0.add(row)
 
-    d0, d1 = len(g0_ops), len(g1_maps)
-    total = n + d0 + d1
+    def triple_product(x, b, y):
+        """{e_x e_b e_y} = (e_x e_b) e_y + e_x (e_b e_y) - e_b (e_x e_y)."""
+        e = [_ref_basis(n, t) for t in (x, b, y)]
+        return [p + q - r for p, q, r in zip(
+            ref_mul(sc.c, ref_mul(sc.c, e[0], e[1]), e[2]),
+            ref_mul(sc.c, e[0], ref_mul(sc.c, e[1], e[2])),
+            ref_mul(sc.c, e[1], ref_mul(sc.c, e[0], e[2])))]
+
+    g1_maps = [[[triple_product(x, b, y) for y in range(n)] for x in range(n)]
+               for b in range(n)]
+    g1 = RefSpanSolver(n ** 3)
+    for B in g1_maps:
+        assert g1.add(flatten(B))
+
+    d0 = len(g0_ops)
+    total = n + d0 + n
     bracket = {}
 
     def put(i, j, vec):
@@ -905,11 +932,11 @@ def ref_tkk_construct(sc):
         else:
             bracket[(j, i)] = {k: -c for k, c in vec.items()}
 
-    def coords(ech, v):
-        c = ech.coords(sparse_vector(v))
+    def coords(span, v):
+        c = span.coords(v)
         if c is None:
             raise T.JacobiFails("element outside the constructed span")
-        return dense_vector(c, ech.n_kept)
+        return c
 
     for a, L in enumerate(g0_ops):
         for i in range(n):
@@ -934,8 +961,9 @@ def ref_tkk_construct(sc):
     hvec = [zero] * total
     hvec[n:n + d0] = coords(g0, neg_le)
     fvec = [zero] * total
-    fvec[n + d0:] = coords(g1, flatten(ptensor))
-    g = T.ShortGradedLie((n, d0, d1), bracket,
+    fvec[n + d0:] = coords(g1, flatten([[list(sc.c[i][j]) for j in range(n)]
+                                        for i in range(n)]))
+    g = T.ShortGradedLie((n, d0, n), bracket,
                          (tuple(evec), tuple(hvec), tuple(fvec)))
     if not (g.check_grading() and g.check_triple() and ref_check_jacobi(g)):
         raise T.JacobiFails("constructed bracket fails verification")

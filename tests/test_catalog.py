@@ -54,13 +54,13 @@ def test_half_membership_invariant():
             assert R.is_s_one(kind, lab.weight)
 
 
-def test_is_s_half_examples():
+def test_graded_pieces4_half_examples():
     assert eigenvalues(C.SP(6), (2, 0, 0)) == R.HALF
     assert eigenvalues(C.SP(6), (4, 0, 0)) != R.HALF       # adjoint
     assert eigenvalues(C.SL(6), (2, 2, 0, 0, 0, 0)) != R.HALF  # {-1,0,1}
 
 
-def test_grading_eigenvalues_examples():
+def test_graded_pieces4_eigenvalue_examples():
     half = {Fraction(1, 2), Fraction(-1, 2)}
     assert eigenvalues(C.SL(6), (2, 0, 0, 0, 0, 0)) == half
     assert eigenvalues(C.SO2(7), (1, 1, 1)) == half
@@ -73,7 +73,7 @@ def test_grading_eigenvalues_examples():
     (C.SO2(7), (1, -1, 0)),
     (C.SP(6), (0, 2, 0)),
 ])
-def test_grading_eigenvalues_refuse_non_dominant(kind, lam):
+def test_graded_pieces4_refuses_non_dominant(kind, lam):
     with pytest.raises(W.NotDominant):
         eigenvalues(kind, lam)
 
@@ -170,19 +170,31 @@ def test_kind_guards():
 
 
 def test_walk_bound_is_exact(monkeypatch):
-    # the spinor Gamma of so(7) has dimension 8; the cached entry points are
-    # bypassed so that every call checks the bound (level 1/2 is 2 in
-    # quarter units).  The graded pieces are its one enforcement point:
-    # restrict_s walks no weights and answers under any bound
-    kind, half = C.SO2(7), 2
-    monkeypatch.setattr(C, "MAX_WALKED_DIM", 8)
-    assert C.graded_piece_dim4.__wrapped__(kind, "Gamma", half) == 4
+    # so(15) has dimension 105 and its spinor Gamma dimension 128; the cached
+    # entry points are bypassed so that every call checks the bound (level
+    # 1/2 is 2 in quarter units).  The graded pieces check the module's
+    # dimension; the root system checks the kind's own, so restrict_s, which
+    # walks no weights, answers under any bound the kind itself meets
+    kind, half = C.SO2(15), 2
+    monkeypatch.setattr(C, "MAX_WALKED_DIM", 128)
+    assert C.graded_piece_dim4.__wrapped__(kind, "Gamma", half) == 64
     assert C.restrict_s.__wrapped__(kind, "Gamma", "LrV(3)") == {"Gamma": 1}
-    monkeypatch.setattr(C, "MAX_WALKED_DIM", 7)
+    monkeypatch.setattr(C, "MAX_WALKED_DIM", 127)
     with pytest.raises(C.ModuleTooLarge):
         C.graded_piece_dim4.__wrapped__(kind, "Gamma", half)
-    monkeypatch.setattr(C, "MAX_WALKED_DIM", 1)
+    monkeypatch.setattr(C, "MAX_WALKED_DIM", 105)
     assert C.restrict_s.__wrapped__(kind, "Gamma", "LrV(3)") == {"Gamma": 1}
+    monkeypatch.setattr(C, "MAX_WALKED_DIM", 104)
+    with pytest.raises(C.ModuleTooLarge):
+        C.restrict_s.__wrapped__(kind, "Gamma", "LrV(3)")
+
+
+def test_largest_accepted_kind_is_at_the_bound():
+    # a bilinear(d) ideal gives so2(d + 2): bilinear(360) gives so(362), of
+    # dimension 65 341, and bilinear(361) so(363), of dimension 65 703
+    assert C.SO2(362).root_system().rank == 181
+    with pytest.raises(C.ModuleTooLarge):
+        C.SO2(363).root_system()
 
 
 @pytest.mark.parametrize("kind", oracles.appendix_kinds(12) + [C.SL2],

@@ -183,6 +183,45 @@ def test_oversized_module_exits_4_quickly(tmp_path, name):
         assert elapsed < 2.0, f"{command}: the refusal took {elapsed:.1f} s"
 
 
+# a kind whose own dimension is above the walk bound, refused before any root
+# is built; without that refusal the first spec ran 18.7 s to exit 0, the
+# second was still running after 120 s and the third exited 4 after 58.9 s
+_LARGE_KINDS = {
+    "bilinear600-unital-LrV(1)": (
+        jordan.JordanSpec((jordan.Bilinear(600),),
+                          (jordan.Unital(0, "LrV(1)"),)),
+        "a module of so2(602) of dimension 180901 exceeds the weight-walk "
+        "bound 65536"),
+    "bilinear1200-unital-LrV(1)": (
+        jordan.JordanSpec((jordan.Bilinear(1200),),
+                          (jordan.Unital(0, "LrV(1)"),)),
+        "a module of so2(1202) of dimension 721801 exceeds the weight-walk "
+        "bound 65536"),
+    "hermitian(2,300)-unital-ad": (
+        jordan.JordanSpec((jordan.Hermitian(2, 300),),
+                          (jordan.Unital(0, "ad"),)),
+        "a module of sl(600) of dimension 359999 exceeds the weight-walk "
+        "bound 65536"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_KINDS))
+def test_oversized_kind_exits_4_quickly(tmp_path, name):
+    spec, message = _LARGE_KINDS[name]
+    path = write_spec(tmp_path, spec)
+    for command in ("quiver", "blocks", "koszul"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "smodquiver.cli", command, "--spec", path],
+            env=src_env(), capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == cli.EXIT_CAP, command
+        assert proc.stdout == ""
+        assert proc.stderr == json.dumps(
+            {"error": "cap-exceeded", "message": message}) + "\n"
+        assert elapsed < 1.0, f"{command}: the refusal took {elapsed:.1f} s"
+
+
 def test_a2_block_has_six_edges(tmp_path, capsys):
     spec = jordan.JordanSpec(
         (jordan.Field(), jordan.Hermitian(2, 3)),

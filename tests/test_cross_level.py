@@ -5,7 +5,9 @@ construction `tkk_construct` on a structure-constant table and the spec
 level (`jordan` -> `catalog`) are computed apart.  The spec is the ideal of
 J with a unital radical of the adjoint label at multiplicity m: each level
 of the TKK of the table is the graded piece of the kind's adjoint plus, for
-each radical entry, its multiplicity times the piece of its label.
+each radical entry, its multiplicity times the piece of its label.  The
+spin factor with m null vectors is the same comparison with the radical
+label `LrV(1)`.
 """
 
 from fractions import Fraction
@@ -125,35 +127,70 @@ CASES = [(name, m) for name, (_, table, _) in SIMPLES.items()
          for m in range(MAX_DIM // len(table))]
 
 
-def _spec_levels(ideal, label, m):
-    """dim g_-1, g_0, g_1 of the spec's graded Lie datum."""
+def _spec_levels(ideal, adjoint, label, m):
+    """dim g_-1, g_0, g_1 of the spec's graded Lie datum: the ideal, whose
+    kind's adjoint is the label `adjoint`, with a unital radical of `label`
+    at multiplicity m."""
     radical = (J.Unital(0, label, m),) if m else ()
     datum = J.lie_datum_of_spec(J.JordanSpec((ideal,), radical))
     kind, = datum.summands
-    return tuple(C.graded_piece_dim4(kind, label, 4 * level) + sum(
+    return tuple(C.graded_piece_dim4(kind, adjoint, 4 * level) + sum(
         e.w_dim * C.graded_piece_dim4(kind, e.labels[0], 4 * level)
         for e in datum.radical) for level in (-1, 0, 1))
 
 
+def _tkk_dims(table):
+    return tuple(T.tkk_construct(TB.StructureConstants(table)).dims)
+
+
 def _explicit_levels(table, m):
     """dim g_-1, g_0, g_1 of the TKK of the table of J (x) k[e_1..e_m]."""
-    return tuple(T.tkk_construct(TB.StructureConstants(dual_numbers(table, m))).dims)
+    return _tkk_dims(dual_numbers(table, m))
 
 
 @pytest.mark.parametrize("name,m", CASES, ids=[f"{n}-m{m}" for n, m in CASES])
 def test_explicit_tkk_matches_spec_level(name, m):
     ideal, table, label = SIMPLES[name]
-    assert _explicit_levels(table, m) == _spec_levels(ideal, label, m)
+    assert _explicit_levels(table, m) == _spec_levels(ideal, label, label, m)
+
+
+def spin_null(d, m):
+    """spin_d plus null vectors f_1..f_m after its basis: 1 f_k = f_k,
+    e_i f_k = 0 and f_k f_l = 0."""
+    n = d + m
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, row in enumerate(spin_factor(d)):
+        for b, v in enumerate(row):
+            t[a][b][:d] = v
+    for k in range(d, n):
+        t[0][k][k] = t[k][0][k] = 1
+    return t
+
+
+# every spin factor up to dimension 8 with m >= 1 null vectors, d + m <= MAX_DIM
+SPIN_NULL = [(d, m) for d in range(3, 9) for m in range(1, MAX_DIM - d + 1)]
+
+
+@pytest.mark.parametrize("d,m", SPIN_NULL,
+                         ids=[f"spin{d}-null{m}" for d, m in SPIN_NULL])
+def test_spin_with_null_vectors_matches_spec_level(d, m):
+    assert _tkk_dims(spin_null(d, m)) == \
+        _spec_levels(J.Bilinear(d), "LrV(2)", "LrV(1)", m)
 
 
 def test_spot_values():
     # so(7) is 5 + 11 + 5, doubled by one e
     assert _explicit_levels(spin_factor(5), 1) == (10, 22, 10)
-    assert _spec_levels(J.Bilinear(5), "LrV(2)", 1) == (10, 22, 10)
+    assert _spec_levels(J.Bilinear(5), "LrV(2)", "LrV(2)", 1) == (10, 22, 10)
     assert len(CASES) == 36 and ("m3-plus", 0) in CASES
     # H_3 over the quaternions: so(12), 15 + 36 + 15
     assert _explicit_levels(quaternion_plus(3), 0) == (15, 36, 15)
-    assert _spec_levels(J.Hermitian(4, 3), "ad", 0) == (15, 36, 15)
+    assert _spec_levels(J.Hermitian(4, 3), "ad", "ad", 0) == (15, 36, 15)
+    # spin_d with m null vectors: so(d + 2) plus m copies of its standard
+    # module, graded 1 + d + 1
+    assert _tkk_dims(spin_null(3, 1)) == (4, 7, 4)
+    assert _tkk_dims(spin_null(6, 2)) == (8, 28, 8)
+    assert len(SPIN_NULL) == 63 and (8, 8) in SPIN_NULL
 
 
 def test_quaternionic_h3_is_minimal_and_round_trips():

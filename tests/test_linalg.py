@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (RefSpanSolver, direct_sum, random_commutative_table,
                      random_rational, ref_mul, ref_nullspace, ref_rref,
-                     ref_solve)
+                     ref_unit)
 from smodquiver import tables as TB
 from smodquiver.linalg import Echelon, op_commutator
 from smodquiver.reference import (dense_vector, op_mul, qvec, sparse_vector,
@@ -17,8 +17,8 @@ def _qmat(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def _echelon(mat, track=False):
-    ech = Echelon(track=track)
+def _echelon(mat):
+    ech = Echelon()
     for row in mat:
         ech.add(sparse_vector(row))
     return ech
@@ -27,7 +27,7 @@ def _echelon(mat, track=False):
 def _assert_same(mat, query):
     """Echelon agrees with the dense reference on one matrix: the RREF rows
     and pivots, the rank, the kernel, and the coordinates of every row and
-    of `query` in the generators kept."""
+    of `query` in the RREF rows."""
     cols = len(query)
     red, pivots = ref_rref(mat)
     ech = _echelon(mat)
@@ -39,13 +39,28 @@ def _assert_same(mat, query):
     assert [dense_vector(v, cols) for v in ech.kernel(range(cols))] \
         == (ref_nullspace(mat) if mat else _qmat(
             [[int(i == j) for j in range(cols)] for i in range(cols)]))
-    new, ref = Echelon(track=True), RefSpanSolver(cols)
+    new, ref = Echelon(), RefSpanSolver(cols)
     for row in mat:
         assert new.add(sparse_vector(row)) == ref.add(row)
     for v in mat + [query]:
-        combo = new.coords(sparse_vector(v))
-        assert (None if combo is None else dense_vector(combo, new.n_kept)) \
-            == ref.coords(v)
+        _assert_coords(new, mat, pivots, v)
+
+
+def _assert_coords(ech, mat, pivots, v):
+    """The pivot contract: `coords(v)` is None exactly when v raises the
+    dense rank of `mat`, the rows added to `ech`, whose dense pivots are
+    `pivots`; otherwise it is {p: v[p]} over the pivots in order, and the
+    sum of c_p * (e_p + rows[p]) is v."""
+    coords = ech.coords(sparse_vector(v))
+    assert (coords is None) == (len(ref_rref(mat + [v])[1]) > len(pivots))
+    if coords is not None:
+        assert list(coords) == [p for p in pivots if v[p]]
+        assert all(c == v[p] for p, c in coords.items())
+        total = [Fraction(0)] * len(v)
+        for p, c in coords.items():
+            for j, x in enumerate(dense_vector({p: 1, **ech.rows[p]}, len(v))):
+                total[j] += c * x
+        assert total == v
 
 
 def test_rref_and_rank():
@@ -67,7 +82,7 @@ def test_nullspace():
 
 
 def test_echelon_coords():
-    s = Echelon(track=True)
+    s = Echelon()
     assert s.add({0: 1, 2: 1})
     assert s.add({1: 1, 2: 1})
     assert not s.add({0: 1, 1: 1, 2: 2})
@@ -142,7 +157,7 @@ def _exact(vec):
 def test_echelon_stays_exact_on_int_pivots():
     # pivots 2 and -3: int / int would be a float, so these go through Fraction
     vectors = [{0: 2, 1: 1, 3: 4}, {1: -3, 2: 1}, {0: 4, 1: -1, 2: 1, 3: 8}]
-    ech, ref = Echelon(track=True), Echelon(track=True)
+    ech, ref = Echelon(), Echelon()
     for v in vectors:
         assert ech.add(v) == ref.add({j: Fraction(x) for j, x in v.items()})
     assert sorted(ech.rows) == [0, 1]
@@ -150,8 +165,9 @@ def test_echelon_stays_exact_on_int_pivots():
                                     1: {2: Fraction(-1, 3)}}
     assert all(type(x) is Fraction for row in ech.rows.values()
                for x in row.values())
-    assert all(_exact(e) for e in ech.exprs.values())
-    assert ech.coords({0: 2, 1: -2, 2: 1, 3: 4}) == {0: 1, 1: 1}
+    # 2 * (e_0 + e_2 / 6 + 2 e_3) - 2 * (e_1 - e_2 / 3)
+    coords = ech.coords({0: 2, 1: -2, 2: 1, 3: 4})
+    assert coords == {0: 2, 1: -2} and _exact(coords)
     assert ech.coords({0: 1}) is None
     kernel = ech.kernel(range(4))
     assert kernel == ref.kernel(range(4)) == [
@@ -163,25 +179,18 @@ def test_echelon_stays_exact_on_int_pivots():
 
 
 def test_echelon_unit_int_pivot_keeps_the_row_integral():
-    ech = Echelon(track=True)
+    ech = Echelon()
     assert ech.add({0: -1, 1: 3, 2: -2})
     assert ech.add({1: 1, 2: 5})
     assert ech.rows == {0: {2: 17}, 1: {2: 5}}
     assert all(type(x) is int for row in ech.rows.values()
                for x in row.values())
-    assert all(type(x) is int for e in ech.exprs.values() for x in e.values())
-    assert ech.coords({0: 1, 1: -2, 2: 7}) == {0: -1, 1: 1}
+    coords = ech.coords({0: 1, 1: -2, 2: 7})
+    assert coords == {0: 1, 1: -2}
+    assert all(type(x) is int for x in coords.values())
 
 
 # -- the table level: L_i, the product and the unit against dense routines -----
-
-
-def _unit_system(sc):
-    """u * e_i = e_i for every i, as dense rows over u and right-hand sides."""
-    n = sc.dim
-    rows = [[sc.c[j][i][k] for j in range(n)] for i in range(n) for k in range(n)]
-    rhs = [Fraction(int(k == i)) for i in range(n) for k in range(n)]
-    return rows, rhs
 
 
 def _adjoin_unit(t):
@@ -231,7 +240,7 @@ def test_find_unit_matches_dense_solve():
     units = []
     for sc in _seeded_tables():
         unit = TB.find_unit(sc)
-        assert unit == ref_solve(*_unit_system(sc))
+        assert unit == ref_unit(sc)
         units.append(unit)
     assert any(u is None for u in units)
     assert sum(u is not None for u in units) >= 20
