@@ -17,7 +17,6 @@ minuscule rule, since every half simple is minuscule.  No weight is walked.
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from functools import lru_cache
 
@@ -72,16 +71,6 @@ class LieKind(namedtuple("LieKind", "series size")):
         if self.series == "e7":
             return "e7"
         return f"{self.series}({self.size})"
-
-    @property
-    def rank(self):
-        if self.series == "sl2":
-            return 1
-        if self.series == "sl":
-            return self.size - 1
-        if self.series == "e7":
-            return 7
-        return self.size // 2
 
     def root_system(self):
         """The kind's root system, for a kind of dimension at most
@@ -149,9 +138,7 @@ SLabel = namedtuple("SLabel", "kind name weight")
 FormData = namedtuple("FormData", "dual parity")
 
 
-_LRV = re.compile(r"^LrV\((\d+)\)$")
-
-
+# {name: weight} of a kind's half and short-graded simples, in catalog order
 @lru_cache(maxsize=None)
 def _half_weight_table(kind):
     s, n = kind.series, kind.size
@@ -214,30 +201,13 @@ def _one_weight_table(kind):
 
 def s_half_simples(kind):
     """Simple objects on which h acts with eigenvalues exactly +-1/2."""
-    table = _half_weight_table(kind)
-    return [SLabel(kind, name, table[name]) for name in _half_order(kind)]
-
-
-def _half_order(kind):
-    table = _half_weight_table(kind)
-    order = ["L", "V", "V*", "Gamma", "Gamma+", "Gamma-"]
-    return [n for n in order if n in table]
+    return [SLabel(kind, name, w)
+            for name, w in _half_weight_table(kind).items()]
 
 
 def s_one_simples(kind):
-    table = _one_weight_table(kind)
-    names = sorted(table, key=_one_sort_key)
-    return [SLabel(kind, name, table[name]) for name in names]
-
-
-def _one_sort_key(name):
-    m = _LRV.match(name)
-    if m:
-        return (1, int(m.group(1)), name)
-    if name.startswith("Lambda"):
-        return (2, 0 if name == "Lambda+" else 1, name)
-    base = {"ad": 0, "S2V": 2, "S2V*": 3, "L2V": 4, "L2V*": 5, "Gamma+": 8}
-    return (0, base.get(name, 99), name)
+    return [SLabel(kind, name, w)
+            for name, w in _one_weight_table(kind).items()]
 
 
 def half_weight(kind, name):

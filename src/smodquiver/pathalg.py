@@ -1,11 +1,12 @@
 """Finite-dimensional graded pointed algebras and their resolutions.
 
 `PresentedAlgebra` is a quiver with quadratic relations, its basis
-extracted degree by degree (degree-d spanning pairs arrow(x)A_{d-1} modulo
-relation spreads).  It speaks the dims / src / dst / mul protocol of
-`GradedProtocol`; the other carriers of the protocol, the auxiliary
-single-vertex algebras and the Segre and glued products, live in
-`reference`.
+extracted degree by degree: degree d is spanned by the pairs arrow(x), x in
+A_{d-1}, modulo relation spreads, and each pair (arrow position, x) is its
+own elimination column.  It speaks the dims / src / dst / mul protocol of
+`GradedProtocol`.  The one other carrier of the protocol is the Segre
+product in `reference`; the auxiliary algebras S(W) and Lambda(W) and the
+glued product there are presented algebras.
 
 On top of the protocol: Hilbert series, minimal graded resolutions of the
 vertex simples with exact Betti tables, and the linearity check up to a
@@ -186,9 +187,9 @@ class PresentedAlgebra(GradedProtocol):
 
     # -- construction ------------------------------------------------------
 
-    def _relation_rows(self, d, index):
+    def _relation_rows(self, d):
         """The pairs that single-term spread rows of the relations kill in
-        degree d, and the other rows, in pair coordinates.  A relation of
+        degree d, and the other rows, keyed by pair.  A relation of
         length l spreads over the degree-(d - l) basis elements y ending at
         its source; a term's tail after y is read off the stored classes
         arrow by arrow, a degree-0 y giving the arrow."""
@@ -212,8 +213,7 @@ class PresentedAlgebra(GradedProtocol):
                                 acc[x2] = acc.get(x2, 0) + cx * c2
                         combo = [(x, cx) for x, cx in acc.items() if cx]
                     for x, c2 in combo:
-                        key = index[apos, x]
-                        row[key] = row.get(key, 0) + c * c2
+                        row[apos, x] = row.get((apos, x), 0) + c * c2
                 if len(split) > 1:  # terms cancel only each other
                     row = {k: c for k, c in row.items() if c}
                 if len(row) == 1:
@@ -226,36 +226,34 @@ class PresentedAlgebra(GradedProtocol):
         """Extract the next degree d from degree d - 1; its dimension, and
         nothing stored when it is 0."""
         d = len(self._src)
-        pairs = [(apos, x) for apos, a in enumerate(self.arrows)
-                 for x in self._ending[d - 1].get(a[1], ())]
-        index = {p: i for i, p in enumerate(pairs)}
         # the free basis is the non-pivot pairs of the relations' RREF.  A
         # single-term row kills its pair outright, so the RREF is the unit
         # rows of the killed pairs and the RREF of the other rows off them
-        killed, rows = self._relation_rows(d, index)
+        killed, rows = self._relation_rows(d)
         ech = Echelon()
         for row in rows:
             ech.add({k: c for k, c in row.items() if k not in killed})
         pivots = killed.union(ech.rows)
         if d == 2:
-            # degree-1 index and arrow position agree: the pivots are S
-            self._leading = frozenset(pairs[p] for p in pivots)
-        free = [p for p in range(len(pairs)) if p not in pivots]
-        if not free:
+            # x is an arrow position too: the pivots are S
+            self._leading = frozenset(pivots)
+        ending = self._ending[d - 1]
+        basis = [(apos, x) for apos, a in enumerate(self.arrows)
+                 for x in ending.get(a[1], ()) if (apos, x) not in pivots]
+        if not basis:
             return 0
-        free_pos = {p: t for t, p in enumerate(free)}
-        classes = {pairs[p]: ((t, 1),) for t, p in enumerate(free)}
+        free_pos = {p: t for t, p in enumerate(basis)}
+        classes = {p: ((t, 1),) for p, t in free_pos.items()}
         for pc, row in ech.rows.items():
             if row:  # a killed pair keeps the empty class
-                classes[pairs[pc]] = tuple((free_pos[j], -c)
-                                           for j, c in sorted(row.items()))
-        basis = [pairs[p] for p in free]
+                classes[pc] = tuple((free_pos[j], -c)
+                                    for j, c in sorted(row.items()))
         self._basis_pairs.append(basis)
         self._classes.append(classes)
         self._src.append([self._src[d - 1][x] for _, x in basis])
         self._dst.append([self.arrows[a][2] for a, _ in basis])
         self._ending.append(_by_vertex(self._dst[d]))
-        return len(free)
+        return len(basis)
 
     def _extend(self, d):
         """Extract the degrees up to d that a PBW build deferred."""

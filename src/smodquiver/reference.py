@@ -14,9 +14,10 @@ compiles it:
     `ext_sym_square` ((chi^2 +- psi^2 chi) / 2), `decompose_character` (one
     Racah-Speiser pass), `tensor_decompose` (Brauer-Klimyk over the
     constituents of the larger factor) and `trivial_multiplicity`;
-  * the auxiliary single-vertex graded algebras (`sym_algebra`,
-    `ext_algebra`), the Segre product with them and the glued product
-    `pi_product`, all speaking the `pathalg.GradedProtocol`;
+  * the auxiliary single-vertex algebras S(W) and Lambda(W) (`sym_algebra`,
+    `ext_algebra`) and the glued product `pi_product`, all presented
+    algebras, and the Segre product with them, the one carrier of the
+    `pathalg.GradedProtocol` besides `PresentedAlgebra`;
   * two-sided modules of an explicit table (`BiRepresentation`,
     `check_birepresentation`), the Peirce split of the unit's action, and the
     symmetrized product of an associative table (`plus_product`,
@@ -471,77 +472,27 @@ def parity_discrepancies(kind):
 # auxiliary graded algebras (single vertex) and the Segre product
 
 
-class SimpleGradedAlgebra(GradedProtocol):
-    """Connected graded algebra with an explicit basis and product rule."""
-
-    def __init__(self, vertex, basis_by_degree, mul_fn):
-        self.vertices = (vertex,)
-        self._basis = basis_by_degree          # list of lists of labels
-        self._index = [{b: i for i, b in enumerate(layer)}
-                       for layer in basis_by_degree]
-        self._mul_fn = mul_fn
-
-    @property
-    def top_degree(self):
-        return len(self._basis) - 1
-
-    def dims(self, d):
-        return len(self._basis[d]) if 0 <= d <= self.top_degree else 0
-
-    def src(self, d, i):
-        return self.vertices[0]
-
-    def dst(self, d, i):
-        return self.vertices[0]
-
-    def mul(self, d1, i, d2, j):
-        if d1 + d2 > self.top_degree:
-            return ()
-        out = []
-        for label, coef in self._mul_fn(d1, self._basis[d1][i],
-                                        d2, self._basis[d2][j]):
-            out.append((self._index[d1 + d2][label], coef))
-        return tuple(out)
+def sym_algebra(k, cap, vertex=0) -> PresentedAlgebra:
+    """Polynomial algebra on k variables truncated above degree cap: k
+    commuting loops at one vertex, every monomial of degree cap + 1 zero."""
+    if not cap:
+        return PresentedAlgebra([vertex], [], [], 1)
+    rels = [((1, (i, j)), (-1, (j, i)))
+            for i, j in itertools.combinations(range(k), 2)]
+    rels += [((1, m),) for m in
+             itertools.combinations_with_replacement(range(k), cap + 1)]
+    return PresentedAlgebra([vertex], [(i, vertex, vertex) for i in range(k)],
+                            rels, cap + 1)
 
 
-def sym_algebra(k, cap, vertex=0) -> SimpleGradedAlgebra:
-    """Polynomial algebra on k variables truncated above degree cap."""
-    basis = [sorted(itertools.combinations_with_replacement(range(k), d))
-             for d in range(cap + 1)]
-
-    def mul(d1, m1, d2, m2):
-        return ((tuple(sorted(m1 + m2)), 1),)
-
-    return SimpleGradedAlgebra(vertex, basis, mul)
-
-
-def ext_algebra(k, vertex=0) -> SimpleGradedAlgebra:
-    """Exterior algebra on k anticommuting generators."""
-    basis = [sorted(itertools.combinations(range(k), d)) for d in range(k + 1)]
-
-    def mul(d1, m1, d2, m2):
-        if set(m1) & set(m2):
-            return ()
-        merged = m1 + m2
-        target = tuple(sorted(merged))
-        # sign of the sorting permutation
-        perm = sorted(range(len(merged)), key=lambda t: merged[t])
-        sign = 1
-        seen = [False] * len(perm)
-        for s in range(len(perm)):
-            if seen[s]:
-                continue
-            length = 0
-            t = s
-            while not seen[t]:
-                seen[t] = True
-                t = perm[t]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return ((target, sign),)
-
-    return SimpleGradedAlgebra(vertex, basis, mul)
+def ext_algebra(k, vertex=0) -> PresentedAlgebra:
+    """Exterior algebra on k anticommuting generators: k loops at one
+    vertex, each squaring to 0."""
+    rels = [((1, (i, i)),) for i in range(k)]
+    rels += [((1, (i, j)), (1, (j, i)))
+             for i, j in itertools.combinations(range(k), 2)]
+    return PresentedAlgebra([vertex], [(i, vertex, vertex) for i in range(k)],
+                            rels, k + 1)
 
 
 class TensorGradedAlgebra(GradedProtocol):

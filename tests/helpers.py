@@ -16,7 +16,6 @@ from smodquiver import reference as R
 from smodquiver import tkk as T
 from smodquiver import weights as W
 from smodquiver.linalg import Echelon
-from smodquiver.reference import sparse_vector
 
 ONE = Fraction(1)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -330,8 +329,9 @@ def ref_fs_indicator_adams(sys, lam):
 
 
 def ref_rref(mat):
-    """Reduced row echelon form (in place on a copy); returns (rref, pivots)."""
-    m = [row[:] for row in mat]
+    """Reduced row echelon form, in `Fraction`s so that `int` entries never
+    divide to floats; returns (rref, pivots)."""
+    m = [[Fraction(x) for x in row] for row in mat]
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
@@ -820,10 +820,7 @@ def _ref_commutator(a, b):
 
 
 def _ref_rank(mat):
-    ech = Echelon()
-    for row in mat:
-        ech.add(sparse_vector(row))
-    return len(ech.rows)
+    return len(ref_rref(mat)[1])
 
 
 def ref_check_jacobi(g):

@@ -190,6 +190,15 @@ def test_echelon_unit_int_pivot_keeps_the_row_integral():
     assert all(type(x) is int for x in coords.values())
 
 
+def test_dense_reference_rref_stays_exact_on_int_pivots():
+    # the oracle the kernel is checked against: pivot 3 over int entries
+    # must give thirds, not floats
+    red, pivots = ref_rref([[3, 1, 2], [6, 2, 5]])
+    assert pivots == [0, 2]
+    assert red == [[1, Fraction(1, 3), 0], [0, 0, 1]]
+    assert all(type(x) is Fraction for row in red for x in row)
+
+
 # -- the table level: L_i, the product and the unit against dense routines -----
 
 

@@ -1,7 +1,9 @@
 """Basis extraction, products, resolutions, linearity certificates."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -97,7 +99,52 @@ def test_mul_associativity_spot():
                             assert left == right
 
 
+def test_extraction_keeps_no_list_of_the_composable_pairs():
+    # L (x) V over field x hermitian(1, 3), mult 36: degree 3 has 72 x 666
+    # composable pairs and dimension 0.  With the pairs themselves as the
+    # elimination columns, extraction peaks at about 4.5 MB; a list of the
+    # pairs and an integer index beside them peaked at about 6.7 MB
+    # (Python 3.11)
+    spec = J.spec_from_dict({
+        "ideals": [{"kind": "field"}, {"kind": "hermitian", "comp": 1, "n": 3}],
+        "radical": [{"kind": "tensor", "a": {"ideal": 0, "label": "L"},
+                     "b": {"ideal": 1, "label": "V"}, "mult": 36}],
+        "unital": True})
+    rep = Q.assemble(spec)
+    tracemalloc.start()
+    try:
+        alg = P.from_presentation(rep.quiver, rep.relations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.hilbert() == (2, 72, 666)
+    assert peak < 5_500_000, peak
+
+
 # -- products ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_auxiliary_algebras_are_polynomial_and_exterior(k):
+    # the multiplicity algebras of the Segre blocks, checked against closed
+    # forms rather than against another carrier of the protocol
+    for cap in range(4 if k < 5 else 2):
+        sym = R.sym_algebra(k, cap)
+        assert sym.vertices == (0,)
+        assert sym.hilbert()[:cap + 1] == tuple(
+            comb(k + d - 1, d) for d in range(cap + 1))
+        assert not any(sym.hilbert()[cap + 1:])
+        if cap >= 2:
+            for i in range(k):
+                for j in range(k):
+                    assert sym.mul(1, i, 1, j) == sym.mul(1, j, 1, i) != ()
+    ext = R.ext_algebra(k)   # k >= 8 is past the default degree cap
+    assert ext.hilbert() == tuple(comb(k, d) for d in range(k + 1))
+    for i in range(k):
+        assert ext.mul(1, i, 1, i) == ()
+        for j in range(i + 1, k):
+            ij = ext.mul(1, i, 1, j)
+            assert ij and ext.mul(1, j, 1, i) == tuple((t, -c) for t, c in ij)
 
 
 def test_segre_hilbert_is_hadamard():
