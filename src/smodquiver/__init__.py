@@ -32,11 +32,10 @@ _EXPORTS = {
                "wildness_flag"),
     "pathalg": ("PresentedAlgebra", "from_presentation", "koszul_check",
                 "minimal_resolution"),
-    "reference": ("BiRepresentation", "Character", "check_birepresentation",
-                  "ext_algebra", "ext_sym_square", "peirce_split", "pi_product",
-                  "plus_product", "regular_birep", "report_from_dict",
-                  "segre_product", "sym_algebra", "tensor_decompose",
-                  "trivial_multiplicity", "weight_multiplicities"),
+    "reference": ("Character", "ext_algebra", "ext_sym_square", "pi_product",
+                  "plus_product", "report_from_dict", "segre_product",
+                  "sym_algebra", "tensor_decompose", "trivial_multiplicity",
+                  "weight_multiplicities"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("catalog", "cli", "jordan", "linalg", "oracles", "pathalg",

@@ -3,14 +3,13 @@
 `PresentedAlgebra` is a quiver with quadratic relations, its basis
 extracted degree by degree: degree d is spanned by the pairs arrow(x), x in
 A_{d-1}, modulo relation spreads, and each pair (arrow position, x) is its
-own elimination column.  It speaks the dims / src / dst / mul protocol of
-`GradedProtocol`.  The one other carrier of the protocol is the Segre
-product in `reference`; the auxiliary algebras S(W) and Lambda(W) and the
-glued product there are presented algebras.
+own elimination column.  It is the one carrier of graded algebras in the
+package: the auxiliary algebras S(W) and Lambda(W), the glued product and
+the Segre product in `reference` are presented algebras too.
 
-On top of the protocol: Hilbert series, minimal graded resolutions of the
-vertex simples with exact Betti tables, and the linearity check up to a
-homological cap.  All arithmetic is exact.
+On top of the basis (dims / src / dst / mul): Hilbert series, minimal
+graded resolutions of the vertex simples with exact Betti tables, and the
+linearity check up to a homological cap.  All arithmetic is exact.
 
 The PBW certificate.  Order the arrows by position (ascending id) and the
 length-2 paths lexicographically.  The pivots of the relations' RREF over
@@ -43,29 +42,11 @@ class PresentationError(ValueError):
     pass
 
 
-class GradedProtocol:
-    """Helpers shared by every carrier of the dims / src / dst / mul protocol."""
-
-    # the leading pairs S of a PBW presentation; only `PresentedAlgebra`
-    # certifies one
-    pbw = None
-
-    def hilbert(self):
-        return tuple(self.dims(d) for d in range(self.top_degree + 1))
-
-    def dims_by_pair(self, d):
-        out = {}
-        for i in range(self.dims(d)):
-            key = (self.src(d, i), self.dst(d, i))
-            out[key] = out.get(key, 0) + 1
-        return out
-
-
 # ---------------------------------------------------------------------------
 # presented algebras
 
 
-class PresentedAlgebra(GradedProtocol):
+class PresentedAlgebra:
     """Path algebra of a quiver modulo homogeneous monomial-length relations.
 
     vertices: sequence of vertex ids.  arrows: (aid, src, dst) triples with
@@ -138,7 +119,7 @@ class PresentedAlgebra(GradedProtocol):
         self._mul_cache = {}
         self._build()
 
-    # -- protocol ----------------------------------------------------------
+    # -- the basis ---------------------------------------------------------
 
     @property
     def top_degree(self):
@@ -302,8 +283,18 @@ class PresentedAlgebra(GradedProtocol):
 
     # -- conveniences ------------------------------------------------------
 
+    def hilbert(self):
+        return tuple(self._dims)
+
+    def dims_by_pair(self, d):
+        out = {}
+        for i in range(self.dims(d)):
+            key = (self.src(d, i), self.dst(d, i))
+            out[key] = out.get(key, 0) + 1
+        return out
+
     def total_dim(self):
-        return sum(self.hilbert())
+        return sum(self._dims)
 
 
 def _by_vertex(ends):
@@ -358,7 +349,7 @@ class Resolution:
 
 
 class _Projective:
-    """Direct sum of shifted vertex projectives over a protocol algebra.
+    """Direct sum of shifted vertex projectives over a presented algebra.
 
     Its basis falls into blocks by (degree t, destination vertex w): blocks
     maps (t, w) to the list of (summand_idx, d, i) spanning it.

@@ -15,12 +15,9 @@ compiles it:
     Racah-Speiser pass), `tensor_decompose` (Brauer-Klimyk over the
     constituents of the larger factor) and `trivial_multiplicity`;
   * the auxiliary single-vertex algebras S(W) and Lambda(W) (`sym_algebra`,
-    `ext_algebra`) and the glued product `pi_product`, all presented
-    algebras, and the Segre product with them, the one carrier of the
-    `pathalg.GradedProtocol` besides `PresentedAlgebra`;
-  * two-sided modules of an explicit table (`BiRepresentation`,
-    `check_birepresentation`), the Peirce split of the unit's action, and the
-    symmetrized product of an associative table (`plus_product`,
+    `ext_algebra`), the Segre product with them (`segre_product`) and the
+    glued product `pi_product`, all presented algebras;
+  * the symmetrized product of an associative table (`plus_product`,
     `matrix_algebra_table`);
   * `is_s_one` and `parity_discrepancies`, catalog answers that only the
     tests ask for;
@@ -41,19 +38,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import classical_parity, duality_form, s_half_simples
-from .linalg import (Echelon, _op_of_rows, exact, op_apply, op_commutator,
-                     op_lines, op_mul_add, op_sum)
-from .pathalg import GradedProtocol, PresentedAlgebra, VertexMismatch
+from .linalg import (Echelon, _op_of_rows, exact, op_apply, op_lines,
+                     op_mul_add, op_sum)
+from .pathalg import PresentedAlgebra, VertexMismatch
 from .quiver import (Block, Quiver, QuiverReport, RadicalGroup, Relation,
                      ThickArrow, ThinArrow, Vertex)
 from .tables import StructureConstants
 from .weights import (CompositeSystem, NotDominant, _add, _embed, _join, _sub,
                       dominantize, graded_pieces4, ip4, is_dominant,
                       normalize_dominant, positive_roots, rho2, weyl_dim)
-
-Q0 = Fraction(0)
-Q1 = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # the weight walk
@@ -495,54 +488,50 @@ def ext_algebra(k, vertex=0) -> PresentedAlgebra:
                             rels, k + 1)
 
 
-class TensorGradedAlgebra(GradedProtocol):
-    """Degreewise tensor product A_n (x) B_n; vertices come from A."""
+def segre_product(a: PresentedAlgebra, b: PresentedAlgebra) -> PresentedAlgebra:
+    """The Segre product, sum_n A_n (x) B_n, of a presented algebra with a
+    connected one, presented on A's vertices.
 
-    def __init__(self, a, b):
-        if len(b.vertices) != 1:
-            raise VertexMismatch("second factor must be connected (one vertex)")
-        self.a, self.b = a, b
-        self.vertices = tuple(a.vertices)
-        self.top = min(a.top_degree, b.top_degree)
-        while self.top > 0 and self.dims(self.top) == 0:
-            self.top -= 1
-
-    @property
-    def top_degree(self):
-        return self.top
-
-    def dims(self, d):
-        if d < 0 or d > self.top:
-            return 0
-        return self.a.dims(d) * self.b.dims(d)
-
-    def _split(self, d, i):
-        nb = self.b.dims(d)
-        return divmod(i, nb)
-
-    def src(self, d, i):
-        return self.a.src(d, self._split(d, i)[0])
-
-    def dst(self, d, i):
-        return self.a.dst(d, self._split(d, i)[0])
-
-    def mul(self, d1, i, d2, j):
-        if d1 + d2 > self.top:
-            return ()
-        ia, ib = self._split(d1, i)
-        ja, jb = self._split(d2, j)
-        out = {}
-        nb = self.b.dims(d1 + d2)
-        for ka, ca in self.a.mul(d1, ia, d2, ja):
-            for kb, cb in self.b.mul(d1, ib, d2, jb):
-                k = ka * nb + kb
-                out[k] = out.get(k, 0) + ca * cb
-        return tuple((k, c) for k, c in sorted(out.items()) if c)
-
-
-def segre_product(a, b) -> TensorGradedAlgebra:
-    """Degreewise tensor product of a pointed algebra with a connected one."""
-    return TensorGradedAlgebra(a, b)
+    Its arrows are A_1 (x) B_1, arrow i * dim B_1 + j standing for
+    (i, j) and running as arrow i of A does; its relations are the kernel
+    of (A_1 (x) B_1)^(x)2 -> A_2 (x) B_2.  That is the whole presentation
+    when A and B are Koszul (Backelin-Froeberg 1985).  A truncation is not
+    quadratic: when B stops below A's top degree, or A has a relation
+    longer than 2, every path one longer than the top degree
+    min(top A, top B) is a monomial relation too.
+    """
+    if len(b.vertices) != 1:
+        raise VertexMismatch("second factor must be connected (one vertex)")
+    nb, nb2 = b.dims(1), b.dims(2)
+    arrows = [(i * nb + j, a.src(1, i), a.dst(1, i))
+              for i in range(a.dims(1)) for j in range(nb)]
+    # the product map, one row per A_2 (x) B_2 coordinate over the
+    # composable pairs (f, g), "f after g"; A_2's element fixes the
+    # endpoint pair, so the rows of different endpoint pairs share no column
+    rows, pairs = {}, []
+    for f, fsrc, _ in arrows:
+        i, j = divmod(f, nb)
+        for g, _, gdst in arrows:
+            if fsrc != gdst:
+                continue
+            pairs.append((f, g))
+            i2, j2 = divmod(g, nb)
+            for ka, ca in a.mul(1, i, 1, i2):
+                for kb, cb in b.mul(1, j, 1, j2):
+                    row = rows.setdefault(ka * nb2 + kb, {})
+                    row[f, g] = row.get((f, g), 0) + ca * cb
+    ech = Echelon()
+    for row in rows.values():
+        ech.add({k: c for k, c in row.items() if c})
+    rels = [tuple((c, fg) for fg, c in v.items()) for v in ech.kernel(pairs)]
+    top = min(a.top_degree, b.top_degree)
+    if top < a.top_degree or any(len(t[0][1]) > 2 for t in a.relations):
+        paths = [(f,) for f, _, _ in arrows]
+        for _ in range(top):
+            paths = [p + (g,) for p in paths for g, _, gdst in arrows
+                     if arrows[p[-1]][1] == gdst]
+        rels += [((1, p),) for p in paths]
+    return PresentedAlgebra(a.vertices, arrows, rels, top + 1)
 
 
 def pi_product(a: PresentedAlgebra, b: PresentedAlgebra,
@@ -567,7 +556,7 @@ def pi_product(a: PresentedAlgebra, b: PresentedAlgebra,
 
 
 # ---------------------------------------------------------------------------
-# two-sided modules of an explicit table
+# explicit tables
 
 
 def qvec(seq):
@@ -598,131 +587,8 @@ def table_mul(sc: StructureConstants, x, y):
     return dense_vector(op_apply(lx, dict(enumerate(y))), sc.dim)
 
 
-class CubicIdentityFails(ArithmeticError):
-    """rho(e)(rho(e)-1)(2 rho(e)-1) != 0: not a module over the algebra."""
-
-
 class NotAssociative(ArithmeticError):
     pass
-
-
-class BiRepresentation:
-    __slots__ = ("algebra", "matrices")
-
-    def __init__(self, algebra: StructureConstants, matrices: list):
-        self.algebra = algebra
-        # d x d rational matrices, one per algebra basis vector
-        self.matrices = matrices
-
-    @property
-    def dim(self):
-        return len(self.matrices[0]) if self.matrices else 0
-
-    def rho(self, vec):
-        d = self.dim
-        out = [[Q0] * d for _ in range(d)]
-        for coeff, mat in zip(vec, self.matrices):
-            if coeff:
-                for r in range(d):
-                    for c in range(d):
-                        if mat[r][c]:
-                            out[r][c] += coeff * mat[r][c]
-        return out
-
-
-def regular_birep(sc: StructureConstants) -> BiRepresentation:
-    """The algebra as a module over itself: rho(e_i) is the matrix of L_i."""
-    n = sc.dim
-    return BiRepresentation(sc, [[[sc.c[i][j][k] for j in range(n)]
-                                  for k in range(n)] for i in range(n)])
-
-
-def _sparse_ops(rep):
-    """rho of each basis vector, as a sparse operator {(row, col): x}."""
-    return [{(r, c): x for r, row in enumerate(m) for c, x in enumerate(row) if x}
-            for m in rep.matrices]
-
-
-def _rho(ops, vec):
-    """rho of a sparse vector, from the sparse operators of the basis."""
-    return op_sum((x, ops[i]) for i, x in vec.items())
-
-
-def _products(sc):
-    """e_q * e_r as a sparse vector at [q][r]: column r of L_q."""
-    return [[dict(cols.get(r, ())) for r in range(sc.dim)]
-            for cols in (op_lines(op)[1] for op in sc.ops)]
-
-
-def check_birepresentation(rep: BiRepresentation) -> bool:
-    """Multilinearized module identities on all basis triples."""
-    sc = rep.algebra
-    n = sc.dim
-    t = _products(sc)
-    ops = _sparse_ops(rep)
-    rho_qr = [[_rho(ops, t[q][r]) for r in range(n)] for q in range(n)]
-
-    # rho(a)rho(b)rho(c) + rho(c)rho(b)rho(a) + rho((a*c)*b)
-    #   = rho(a)rho(b*c) + rho(b)rho(c*a) + rho(c)rho(a*b)
-    for a in range(n):
-        for c in range(a, n):
-            for b in range(n):
-                terms = [(1, op_mul(op_mul(ops[a], ops[b]), ops[c])),
-                         (1, op_mul(op_mul(ops[c], ops[b]), ops[a])),
-                         (1, op_sum((x, rho_qr[k][b]) for k, x in t[a][c].items()))]
-                terms += [(-1, op_mul(ops[p], rho_qr[q][r]))
-                          for p, q, r in ((a, b, c), (b, c, a), (c, a, b))]
-                if op_sum(terms):
-                    return False
-    # linearized [rho(a), rho(a*a)] = 0
-    for x in range(n):
-        for y in range(x, n):
-            for z in range(y, n):
-                if op_sum((1, op_commutator(ops[p], rho_qr[q][r]))
-                           for p, q, r in ((x, y, z), (y, z, x), (z, x, y))):
-                    return False
-    return True
-
-
-class PeirceSplit:
-    __slots__ = ("dims", "bases")
-
-    def __init__(self, dims: tuple, bases: tuple):
-        self.dims = dims      # (dim M_0, dim M_1/2, dim M_1)
-        self.bases = bases    # eigenvector bases for 0, 1/2, 1
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.dims == other.dims and self.bases == other.bases
-
-
-def peirce_split(rep: BiRepresentation, e) -> PeirceSplit:
-    """Eigenspace split of rho(e) for eigenvalues 0, 1/2, 1.
-
-    `e` is a basis index or an explicit vector; it must be the unit of the
-    algebra.  Raises CubicIdentityFails if rho(e)(rho(e)-1)(2rho(e)-1) != 0.
-    """
-    sc = rep.algebra
-    evec = {e: Q1} if isinstance(e, int) else sparse_vector(e)
-    if _rho(sc.ops, evec) != {(i, i): 1 for i in range(sc.dim)}:   # L_e = I
-        raise ValueError("e is not the unit of the algebra")
-    d = rep.dim
-    re = _rho(_sparse_ops(rep), evec)
-    # rho(e)(rho(e)-1)(2rho(e)-1) = 2rho(e)^3 - 3rho(e)^2 + rho(e)
-    re2 = op_mul(re, re)
-    if op_sum(((2, op_mul(re2, re)), (-3, re2), (1, re))):
-        raise CubicIdentityFails("rho(e)(rho(e)-1)(2rho(e)-1) != 0")
-    ident = {(i, i): Q1 for i in range(d)}
-    bases = []
-    for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
-        ech = Echelon()
-        for row in op_lines(op_sum(((1, re), (-lam, ident))))[0].values():
-            ech.add(dict(row))
-        bases.append(tuple(tuple(dense_vector(v, d)) for v in ech.kernel(range(d))))
-    dims = tuple(len(b) for b in bases)
-    assert sum(dims) == d
-    return PeirceSplit(dims, tuple(bases))
 
 
 def plus_product(assoc_table) -> StructureConstants:

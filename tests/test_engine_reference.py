@@ -1,11 +1,13 @@
-"""The dominant-weight character engine against the full-weight-set reference.
+"""The highest-weight answers against the character routes of `reference`.
 
-The reference engine in `helpers` enumerates every weight by saturation BFS
-with Fraction root-cone tests, decomposes by leading-term subtraction of full
-characters, and squares a character by indexed pair enumeration.  Every
-catalog kind of rank <= 4 is checked label by label and pair by pair.  For
-the appendix kinds of rank 5-7 the public full-character helpers are the
-reference.
+`weights` and `catalog` answer from the highest weight alone.  The oracles
+here walk weights: `reference`'s full characters (`weight_multiplicities`,
+`tensor_decompose`, `ext_sym_square`, `trivial_multiplicity`) and, in
+`helpers`, the routes the highest-weight answers replaced
+(`ref_grading_values`, `ref_fs_indicator_adams`, `ref_graded_pieces4`,
+`ref_restrict_walk`).  Every catalog kind of rank <= 4 is checked label by
+label and pair by pair, the appendix kinds of rank 5-7 through the full
+characters, and the catalog labels up to rank 8 through the replaced routes.
 """
 
 import itertools
@@ -15,11 +17,8 @@ from math import comb
 
 import pytest
 
-from helpers import (bench_corpus, ref_character, ref_decompose_character,
-                     ref_dominant_character, ref_fs_indicator,
-                     ref_fs_indicator_adams, ref_graded_pieces4,
-                     ref_grading_values, ref_orbit, ref_restrict_walk,
-                     ref_tensor_decompose)
+from helpers import (bench_corpus, ref_fs_indicator_adams, ref_graded_pieces4,
+                     ref_grading_values, ref_restrict_walk)
 from smodquiver import catalog as C
 from smodquiver import jordan as J
 from smodquiver import oracles
@@ -30,6 +29,9 @@ from smodquiver.weights import RootSystem, composite
 
 SMALL_KINDS = [C.SL2, C.SP(4), C.SP(6), C.SP(8), C.SL(4), C.SO1(8)] + \
     [C.SO2(n) for n in range(4, 10)]
+
+# the trivial multiplicities of (S^2, Lambda^2) for each indicator
+FORMS = {1: (1, 0), -1: (0, 1), 0: (0, 0)}
 
 
 def _labels(kind):
@@ -46,19 +48,17 @@ def _eigenvalues(sys, lam, h2):
     return {Fraction(k, 4) for k in W.graded_pieces4(sys, lam, h2)}
 
 
-def _ref_restrict(kind, m_name, n_name, character=ref_character,
-                  decompose=ref_tensor_decompose):
-    """restrict_s from full characters: `character(sys, lam)` and
-    `decompose(c1, c2)` default to the reference engine."""
+def _ref_restrict(kind, m_name, n_name):
+    """restrict_s from the full characters of `reference`."""
     sys = kind.root_system()
-    cm = character(sys, C.half_weight(kind, m_name))
-    cn = character(sys, C.any_weight(kind, n_name))
+    cm = R.weight_multiplicities(sys, C.half_weight(kind, m_name))
+    cn = R.weight_multiplicities(sys, C.any_weight(kind, n_name))
     names = {lab.weight: lab.name for lab in C.s_half_simples(kind)}
     out = {}
-    for lam, mult in decompose(cm, cn).items():
+    for lam, mult in R.tensor_decompose(cm, cn).items():
         if R.is_trivial_weight(sys, lam):
             out["tr"] = out.get("tr", 0) + mult
-        elif R.eigenvalue_set(character(sys, lam),
+        elif R.eigenvalue_set(R.weight_multiplicities(sys, lam),
                               kind.cocharacter()) == R.HALF:
             out[names[lam]] = out.get(names[lam], 0) + mult
     return out
@@ -68,22 +68,24 @@ def _ref_restrict(kind, m_name, n_name, character=ref_character,
 def test_characters_match_reference(kind):
     sys = kind.root_system()
     assert sys.rank <= 4
+    h2 = kind.cocharacter()
     for name in _labels(kind):
         lam = C.any_weight(kind, name)
-        dom = R.dominant_character(sys, lam)
-        assert dom == ref_dominant_character(sys, lam), name
-        assert list(dom) == list(ref_dominant_character(sys, lam)), name
-        for w in dom:
+        for w in R.dominant_character(sys, lam):
             orbit = R._orbit(sys, w)
             assert len(orbit) == len(set(orbit)) == R._orbit_size(sys, w)
-            assert set(orbit) == ref_orbit(sys, w)
         ch = R.weight_multiplicities(sys, lam)
-        assert ch.mults == ref_character(sys, lam).mults, name
+        assert ch.mass() == W.weyl_dim(sys, lam), name
         assert R.decompose_character(ch) == {W.normalize_dominant(sys, lam): 1}
-        assert W.fs_indicator(sys, lam) == ref_fs_indicator(sys, lam), name
-        h2 = kind.cocharacter()
+        indicator = W.fs_indicator(sys, lam)
+        assert indicator == ref_fs_indicator_adams(sys, lam), name
+        s2, l2 = R.ext_sym_square(ch)
+        assert (R.trivial_multiplicity(s2), R.trivial_multiplicity(l2)) == \
+            FORMS[indicator], name
         assert _eigenvalues(sys, lam, h2) == R.eigenvalue_set(ch, h2) == \
-            {Fraction(W.ip4(w, h2), 4) for w in ref_character(sys, lam).mults}
+            ref_grading_values(sys, lam, h2), name
+        for level4, dim in ref_graded_pieces4(sys, lam, h2).items():
+            assert C.graded_piece_dim4(kind, name, level4) == dim, name
 
 
 @pytest.mark.parametrize("kind", SMALL_KINDS, ids=str)
@@ -93,13 +95,12 @@ def test_tensor_products_match_reference(kind):
         cm = R.weight_multiplicities(sys, C.half_weight(kind, m_name))
         for n_name in _labels(kind):
             cn = R.weight_multiplicities(sys, C.any_weight(kind, n_name))
-            expected = ref_tensor_decompose(cm, cn)
+            expected = R.decompose_character(R.char_product(cm, cn))
             assert R.tensor_decompose(cm, cn) == expected, (m_name, n_name)
             assert R.tensor_decompose(cn, cm) == expected, (n_name, m_name)
-            product = R.char_product(cm, cn)
-            assert R.decompose_character(product) == expected
             assert C.restrict_s(kind, m_name, n_name) == \
-                _ref_restrict(kind, m_name, n_name), (m_name, n_name)
+                _ref_restrict(kind, m_name, n_name) == \
+                ref_restrict_walk(kind, m_name, n_name), (m_name, n_name)
 
 
 def test_non_decomposable_contract():
@@ -107,8 +108,6 @@ def test_non_decomposable_contract():
     lopsided = Character(a1, {(2, 0): 1})
     virtual = Character(a1, {(4, 0): 1, (0, 4): 1})   # ad minus trivial
     for c in (lopsided, virtual):
-        with pytest.raises(R.NonDecomposable):
-            ref_decompose_character(c)
         with pytest.raises(R.NonDecomposable):
             R.decompose_character(c)
     v = R.weight_multiplicities(a1, (2, 0))
@@ -129,9 +128,9 @@ def test_tensor_decompose_checks_both_factors_restrict_s_skips(monkeypatch):
     def never(c):
         raise AssertionError("restrict_s re-checked Weyl invariance")
 
+    expected = _ref_restrict(C.SL(4), "V", "ad")
     monkeypatch.setattr(R, "is_weyl_invariant", never)
-    assert C.restrict_s.__wrapped__(C.SL(4), "V", "ad") == \
-        _ref_restrict(C.SL(4), "V", "ad")
+    assert C.restrict_s.__wrapped__(C.SL(4), "V", "ad") == expected
 
 
 def test_b7_spinor_times_top_exterior_power():
@@ -204,8 +203,7 @@ def test_restrict_s_matches_full_characters(kind):
     for m_name in [lab.name for lab in C.s_half_simples(kind)]:
         for n_name in _labels(kind):
             assert C.restrict_s(kind, m_name, n_name) == _ref_restrict(
-                kind, m_name, n_name, R.weight_multiplicities,
-                R.tensor_decompose), (m_name, n_name)
+                kind, m_name, n_name), (m_name, n_name)
 
 
 @pytest.mark.parametrize("kind", WIDE_KINDS, ids=str)

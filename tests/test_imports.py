@@ -120,7 +120,7 @@ def test_spec_commands_load_no_table_level(commands, command):
 
 def test_no_command_loads_library_only_code(commands):
     # neither the module itself nor any of its names in a loaded module
-    assert {"weight_multiplicities", "sym_algebra", "peirce_split",
+    assert {"weight_multiplicities", "sym_algebra", "segre_product",
             "report_from_dict"} <= _LIBRARY_ONLY
     for argv, want_rc in commands:
         rc, loaded, *_ = _child(_RUN_CLI, *argv)

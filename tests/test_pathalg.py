@@ -38,6 +38,10 @@ def test_a1_dimensions():
     assert alg.dims_by_pair(2) == {(0, 0): 1}  # the surviving beta.alpha path
 
 
+def test_algebra_with_no_arrows_lists_degree_1():
+    assert P.PresentedAlgebra([0, 1], [], []).hilbert() == (2, 0)
+
+
 def test_zero_relations_two_cycle():
     alg = P.PresentedAlgebra([0, 1], [(0, 0, 1), (1, 1, 0)],
                              [[(ONE, (0, 1))], [(ONE, (1, 0))]])
@@ -127,7 +131,7 @@ def test_extraction_keeps_no_list_of_the_composable_pairs():
 @pytest.mark.parametrize("k", range(1, 10))
 def test_auxiliary_algebras_are_polynomial_and_exterior(k):
     # the multiplicity algebras of the Segre blocks, checked against closed
-    # forms rather than against another carrier of the protocol
+    # forms rather than against another presentation
     for cap in range(4 if k < 5 else 2):
         sym = R.sym_algebra(k, cap)
         assert sym.vertices == (0,)
@@ -148,12 +152,28 @@ def test_auxiliary_algebras_are_polynomial_and_exterior(k):
 
 
 def test_segre_hilbert_is_hadamard():
-    a1 = a1_algebra()
-    for b, cap in ((R.sym_algebra(2, 4), 4), (R.ext_algebra(2), 2)):
-        seg = R.segre_product(a1, b)
-        expected = tuple(x * y for x, y in zip(a1.hilbert(), b.hilbert()))
-        got = seg.hilbert() + (0,) * (len(expected) - len(seg.hilbert()))
-        assert got == expected[:len(got)] or seg.hilbert() == expected
+    # Koszul first factors on one to three vertices, a semisimple one and a
+    # truncated polynomial algebra; second factors S(W) truncated at caps
+    # 0-4 and Lambda(W), for dim W up to 4
+    firsts = [a1_algebra(), lam(2), R.ext_algebra(3), R.sym_algebra(2, 3),
+              P.PresentedAlgebra([0, 1], [], [])]
+    firsts += [template_algebra(kind, wdims) for kind, wdims in (
+        ("A1_SegreSym", (2,)), ("A1_SegreAlt", (2,)), ("CliffordOdd", (2,)),
+        ("CliffordEven", (2,)), ("A2_Segre", (1, 1)))]
+    seconds = [R.sym_algebra(k, cap) for k in (1, 2, 3) for cap in range(5)]
+    seconds += [R.ext_algebra(k) for k in (1, 2, 3, 4)] + [R.sym_algebra(4, 1)]
+    for a in firsts:
+        for b in seconds:
+            seg = R.segre_product(a, b)
+            top = min(a.top_degree, b.top_degree)
+            # degree top + 1 of A or of B is 0, and so is the product's
+            for d in range(top + 2):
+                n = b.dims(d)
+                assert seg.dims_by_pair(d) == {
+                    ends: m * n for ends, m in a.dims_by_pair(d).items()
+                    if n}, (a.hilbert(), b.hilbert(), d)
+            assert seg.hilbert() == tuple(
+                a.dims(d) * b.dims(d) for d in range(top + 1))
 
 
 def test_segre_matches_direct_presentations():
@@ -181,7 +201,7 @@ def test_segre_w3_matches():
 def test_segre_with_trivial_grading():
     a1 = a1_algebra()
     seg = R.segre_product(a1, R.sym_algebra(1, 0))  # k in degree 0 only
-    assert seg.hilbert() == (2,)
+    assert seg.hilbert() == (2, 0)   # degree 1 is listed, as with no arrows
 
 
 def test_pi_product():
