@@ -21,11 +21,12 @@ Math. 1978), every dimension of A is a count of normal words, and A is
 Koszul (Priddy, Trans. AMS 1970).  Its Koszul dual is then PBW on the words
 whose consecutive pairs all lie in S, so the Betti tables of the simples
 are counts of those words.  Any other algebra is resolved.
+
+Because the normal words of length d span A_d, a quadratic algebra with
+none of length d >= 3 is 0 in degree d, and that degree is not eliminated.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .linalg import Echelon, exact
 
@@ -55,6 +56,8 @@ class PresentedAlgebra:
     relation must share endpoints and length.  Relations are quadratic in the
     intended use; longer homogeneous relations are supported for control
     experiments.  Each coefficient is normalised once by `linalg.exact`.
+    A quadratic relation with one nonzero term, the common case, kills its
+    pair in degree 2 without an elimination row.
 
     Degrees up to 3 are extracted at construction.  When the relations pass
     the PBW certificate, `pbw` holds S as (outer, inner) pairs of arrow
@@ -67,11 +70,11 @@ class PresentedAlgebra:
     def __init__(self, vertices, arrows, relations, deg_cap=8):
         self.vertices = tuple(vertices)
         self.arrows = tuple(sorted(arrows))
-        self._arrow_pos = {a[0]: i for i, a in enumerate(self.arrows)}
-        if len(self._arrow_pos) != len(self.arrows):
+        # arrow id -> (position, src, dst)
+        self._arrow = {aid: (i, src, dst)
+                       for i, (aid, src, dst) in enumerate(self.arrows)}
+        if len(self._arrow) != len(self.arrows):
             raise PresentationError("duplicate arrow ids")
-        self._asrc = {a[0]: a[1] for a in self.arrows}
-        self._adst = {a[0]: a[2] for a in self.arrows}
         vset = set(self.vertices)
         for aid, src, dst in self.arrows:
             if src not in vset or dst not in vset:
@@ -79,32 +82,43 @@ class PresentedAlgebra:
         self.relations = []
         # each relation as (length, source vertex, nonzero terms), a term as
         # (coef, outer arrow position, first tail arrow position, the other
-        # tail arrow ids), the tail innermost first
-        self._spreads = []
-        pos = self._arrow_pos
+        # tail arrow positions), the tail innermost first; a quadratic
+        # relation with one nonzero term goes to _monomials, the rest to
+        # _spreads
+        self._spreads, self._monomials = [], []
+        arrow = self._arrow
         for rel in relations:
             terms = tuple((exact(c), tuple(path)) for c, path in rel)
             if not terms:
                 raise PresentationError("relation has no terms")
-            if len({len(p) for _, p in terms}) != 1:
+            length = len(terms[0][1])
+            if len(terms) > 1 and len({len(p) for _, p in terms}) != 1:
                 raise PresentationError("relation terms must share length")
-            ends = set()
-            for _, p in terms:
-                if len(p) < 2:
-                    raise PresentationError("relations start at path length 2")
+            if length < 2:
+                raise PresentationError("relations start at path length 2")
+            split, ends = [], set()
+            for c, p in terms:
                 try:
-                    for s in range(len(p) - 1):
-                        if self._asrc[p[s]] != self._adst[p[s + 1]]:
+                    f = g = arrow[p[0]]
+                    tail = []
+                    for aid in p[1:]:
+                        h = arrow[aid]
+                        if g[1] != h[2]:
                             raise PresentationError(f"non-composable path {p}")
-                    ends.add((self._asrc[p[-1]], self._adst[p[0]]))
+                        g = h
+                        tail.append(h[0])
                 except KeyError as exc:
                     raise PresentationError(
                         f"path {p} names an unknown arrow {exc}") from None
+                ends.add((g[1], f[2]))
+                if c:
+                    split.append((c, f[0], g[0], tail[-2::-1]))
             if len(ends) != 1:
                 raise PresentationError("relation terms must share endpoints")
             self.relations.append(terms)
-            self._spreads.append((len(terms[0][1]), ends.pop()[0], [
-                (c, pos[p[0]], pos[p[-1]], p[-2:0:-1]) for c, p in terms if c]))
+            (self._monomials if length == 2 and len(split) == 1
+             else self._spreads).append((length, g[1], split))
+        self._quadratic = all(spread[0] == 2 for spread in self._spreads)
         self.deg_cap = deg_cap
         # degree data; _dims covers every degree, the rest the extracted ones
         self._dims = [len(self.vertices), len(self.arrows)]
@@ -117,6 +131,8 @@ class PresentedAlgebra:
         self._basis_pairs = [None, None]
         self._classes = [None, None]
         self._mul_cache = {}
+        # the normal words by length, and the walk that lists them
+        self._normal, self._walk = [], None
         self._build()
 
     # -- the basis ---------------------------------------------------------
@@ -173,10 +189,16 @@ class PresentedAlgebra:
         degree d, and the other rows, keyed by pair.  A relation of
         length l spreads over the degree-(d - l) basis elements y ending at
         its source; a term's tail after y is read off the stored classes
-        arrow by arrow, a degree-0 y giving the arrow."""
-        killed, rows = set(), []
-        classes, pos = self._classes, self._arrow_pos
-        for length, source, split in self._spreads:
+        arrow by arrow, a degree-0 y giving the arrow.  In degree 2 a
+        quadratic relation with one nonzero term kills its pair outright."""
+        if d == 2:
+            killed = {(f, g) for *_, ((_, f, g, _),) in self._monomials}
+            spreads = self._spreads
+        else:
+            killed, spreads = set(), self._spreads + self._monomials
+        rows = []
+        classes = self._classes
+        for length, source, split in spreads:
             d0 = d - length
             if d0 < 0:
                 continue
@@ -190,7 +212,7 @@ class PresentedAlgebra:
                         k += 1
                         acc = {}
                         for x, cx in combo:
-                            for x2, c2 in classes[k].get((pos[t], x), ()):
+                            for x2, c2 in classes[k].get((t, x), ()):
                                 acc[x2] = acc.get(x2, 0) + cx * c2
                         combo = [(x, cx) for x, cx in acc.items() if cx]
                     for x, c2 in combo:
@@ -207,6 +229,8 @@ class PresentedAlgebra:
         """Extract the next degree d from degree d - 1; its dimension, and
         nothing stored when it is 0."""
         d = len(self._src)
+        if d >= 3 and self._quadratic and not self._normal_words(d):
+            return 0   # the normal words of length d span A_d
         # the free basis is the non-pivot pairs of the relations' RREF.  A
         # single-term row kills its pair outright, so the RREF is the unit
         # rows of the killed pairs and the RREF of the other rows off them
@@ -252,15 +276,24 @@ class PresentedAlgebra:
                 f"{n} still nonzero")
         return True
 
+    def _normal_words(self, d):
+        """{(start vertex, outermost arrow position): count} for the normal
+        words of length d; the walk over the degree-2 basis pairs goes on
+        from the longest length listed so far."""
+        if self._walk is None:
+            self._walk = _words(self.arrows, self._basis_pairs[2]
+                                if len(self._basis_pairs) > 2 else ())
+        while len(self._normal) < d:
+            self._normal.append(next(self._walk, {}))
+        return self._normal[d - 1]
+
     def _certificate(self):
         """S when the relations are quadratic and the degree-3 normal words
         of each endpoint pair are as many as the basis, else None."""
-        if any(len(terms[0][1]) != 2 for terms in self.relations):
+        if not self._quadratic:
             return None
-        normal = self._basis_pairs[2] if self.top_degree >= 2 else ()
-        words = next(islice(_words(self.arrows, normal), 2, None), {})
         by_pair = {}
-        for (v, f), n in words.items():
+        for (v, f), n in self._normal_words(3).items():
             key = (v, self.arrows[f][2])
             by_pair[key] = by_pair.get(key, 0) + n
         return self._leading if by_pair == self.dims_by_pair(3) else None
@@ -277,9 +310,8 @@ class PresentedAlgebra:
                 pass
             return
         # a PBW algebra has as many basis elements as normal words
-        for d, words in enumerate(_words(self.arrows, self._basis_pairs[2]), 1):
-            if d > 3:
-                self._grow(sum(words.values()))
+        while self._grow(sum(self._normal_words(len(self._dims)).values())):
+            pass
 
     # -- conveniences ------------------------------------------------------
 

@@ -28,15 +28,6 @@ def src_env():
     return env
 
 
-def lam(k):
-    """Exterior algebra on k generators, presented on one vertex."""
-    arrows = [(i, 0, 0) for i in range(k)]
-    rels = [[(ONE, (i, i))] for i in range(k)]
-    rels += [[(ONE, (i, j)), (ONE, (j, i))]
-             for i in range(k) for j in range(i + 1, k)]
-    return P.PresentedAlgebra([0], arrows, rels)
-
-
 def template_algebra(kind, wdims):
     """Instantiate a relation template on a concrete quiver.
 
@@ -492,7 +483,7 @@ class RefPresentedAlgebra(P.PresentedAlgebra):
         combo = {j: 1}
         d = d0
         for aid in reversed(path_tail):
-            apos = self._arrow_pos[aid]
+            apos = self._arrow[aid][0]
             nxt = {}
             for x, c in combo.items():
                 for k, c2 in self.mul(1, apos, d, x):
@@ -509,13 +500,13 @@ class RefPresentedAlgebra(P.PresentedAlgebra):
             length = len(terms[0][1])
             if d < length or self.dims(d - length) == 0:
                 continue
-            source = self._asrc[terms[0][1][-1]]
+            source = self._arrow[terms[0][1][-1]][1]
             for y in range(self.dims(d - length)):
                 if self._dst[d - length][y] != source:
                     continue
                 row = {}
                 for c, p in terms:
-                    apos = self._arrow_pos[p[0]]
+                    apos = self._arrow[p[0]][0]
                     tail = self._tail_class(p[1:], d - length, y)
                     for x, c2 in tail.items():
                         key = index[(apos, x)]

@@ -404,7 +404,7 @@ def test_criterion_6_tkk_oracle():
 
 def test_criterion_7_koszul_certificates():
     t0 = time.time()
-    from helpers import lam, template_algebra
+    from helpers import template_algebra
 
     cases = [("A1_SegreSym", (k,)) for k in (1, 2, 3)]
     cases += [("A1_SegreAlt", (k,)) for k in (1, 2, 3)]
@@ -415,7 +415,7 @@ def test_criterion_7_koszul_certificates():
         ok, _ = P.koszul_check(alg, hom_cap=5)
         assert ok, (kind, dims)
     for k in (1, 2, 3):
-        ok, _ = P.koszul_check(lam(k), hom_cap=5)
+        ok, _ = P.koszul_check(R.ext_algebra(k), hom_cap=5)
         assert ok
     # reference exact sequences for the A2 quotient, Betti degree by degree
     for (k, l) in ((1, 1), (2, 1)):

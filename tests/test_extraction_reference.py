@@ -5,6 +5,10 @@ sets the pairs that single-term rows kill aside before the elimination;
 `helpers.RefPresentedAlgebra` spreads through `mul` and eliminates every
 row.  The RREF of the spreads is unique, so the bases, the classes of every
 spanning pair, S and the dimensions must agree exactly.
+
+A quadratic algebra with no normal word of length d >= 3 is 0 in degree d
+and skips its elimination; the reference eliminates every degree, so each
+comparison checks the skip too.
 """
 
 import random
@@ -13,10 +17,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import (RefPresentedAlgebra, bench_corpus, change_arrow_basis,
-                     lam, template_algebra)
+                     template_algebra)
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver import reference as R
 
 TEMPLATES = ([("A1_SegreSym", (k,)) for k in (1, 2, 3)]
              + [("A1_SegreAlt", (k,)) for k in (1, 2, 3)]
@@ -59,8 +64,9 @@ def test_corpus_algebras_match_the_reference():
         rep = Q.assemble(J.spec_from_dict(data))
         if any(g.w_dim > 2 for g in rep.groups if g.singular):
             continue
-        _assert_same(*_presentation(P.from_presentation(rep.quiver,
-                                                        rep.relations)))
+        got = _assert_same(*_presentation(P.from_presentation(rep.quiver,
+                                                              rep.relations)))
+        assert len(got[0]) <= 3   # A_3 = 0 on every corpus algebra
         compared += 1
     assert compared == 176
 
@@ -68,7 +74,8 @@ def test_corpus_algebras_match_the_reference():
 @pytest.mark.parametrize("scale", [1, 3, Fraction(1, 2)])
 @pytest.mark.parametrize("kind,dims", TEMPLATES + [("lam", (3,))])
 def test_templates_match_the_reference(kind, dims, scale):
-    alg = lam(dims[0]) if kind == "lam" else template_algebra(kind, dims)
+    alg = (R.ext_algebra(dims[0]) if kind == "lam"
+           else template_algebra(kind, dims))
     _assert_same(*_presentation(alg, scale))
 
 
@@ -116,3 +123,29 @@ def test_random_algebras_match_the_reference():
                            deg_cap=6)
         compared += not isinstance(got, str)
     assert compared >= 50
+
+
+# -- degrees without normal words ------------------------------------------
+
+
+@pytest.mark.parametrize("mult", range(6, 25, 6))
+def test_l_tensor_v_matches_the_reference(mult, monkeypatch):
+    rep = Q.assemble(J.spec_from_dict({
+        "ideals": [{"kind": "field"}, {"kind": "hermitian", "comp": 1, "n": 3}],
+        "radical": [{"kind": "tensor", "a": {"ideal": 0, "label": "L"},
+                     "b": {"ideal": 1, "label": "V"}, "mult": mult}],
+        "unital": True}))
+    eliminated = []
+    real = P.PresentedAlgebra._relation_rows
+
+    def recording(self, d):
+        eliminated.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(P.PresentedAlgebra, "_relation_rows", recording)
+    alg = P.from_presentation(rep.quiver, rep.relations)
+    # degree 3 has no normal word, so it is not eliminated
+    assert eliminated == [2]
+    assert alg.hilbert() == (2, 2 * mult, mult * (mult + 1) // 2)
+    _assert_same(*_presentation(alg))
+

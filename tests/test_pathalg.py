@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from helpers import lam, template_algebra
+from helpers import template_algebra
 
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
@@ -28,8 +28,8 @@ def a1_algebra():
 
 
 def test_exterior_algebra_hilbert():
-    assert lam(2).hilbert() == (1, 2, 1)
-    assert lam(3).hilbert() == (1, 3, 3, 1)
+    assert R.ext_algebra(2).hilbert() == (1, 2, 1)
+    assert R.ext_algebra(3).hilbert() == (1, 3, 3, 1)
 
 
 def test_a1_dimensions():
@@ -71,6 +71,63 @@ def test_relation_naming_an_unknown_arrow_is_refused():
         P.PresentedAlgebra([0, 1], [(0, 0, 1)], [[(1, (7, 0))]])
 
 
+# arrows a: 0 -> 1, b: 1 -> 0 and c: 0 -> 1
+_ABC = ([0, 1], [(0, 0, 1), (1, 1, 0), (2, 0, 1)])
+
+
+@pytest.mark.parametrize("relation,message", [
+    ([(1, (0, 7))], "path (0, 7) names an unknown arrow 7"),
+    ([(1, (7, 8))], "path (7, 8) names an unknown arrow 7"),
+    ([(1, (7, 2))], "path (7, 2) names an unknown arrow 7"),
+    ([(1, (0, 2))], "non-composable path (0, 2)"),
+    ([(1, (0,))], "relations start at path length 2"),
+    ([(1, (0, 1, 9))], "path (0, 1, 9) names an unknown arrow 9"),
+    ([(1, (0, 2, 1))], "non-composable path (0, 2, 1)"),
+    ([(1, (0, 2, 9))], "non-composable path (0, 2, 9)"),
+    ([(0, (7, 2))], "path (7, 2) names an unknown arrow 7"),
+    ([(1, (0,)), (1, (0, 1))], "relation terms must share length"),
+])
+def test_malformed_relations_report_the_first_fault(relation, message):
+    # the path is read from the outermost arrow in: the first fault is
+    # reported, an unknown arrow only when the pairs before it compose.  A
+    # zero coefficient is checked too
+    with pytest.raises(P.PresentationError) as info:
+        P.PresentedAlgebra(*_ABC, [relation])
+    assert str(info.value) == message
+    # the same quadratic path as the second of two terms
+    if len(relation) == 1 and len(relation[0][1]) == 2:
+        with pytest.raises(P.PresentationError) as info:
+            P.PresentedAlgebra(*_ABC, [[(1, relation[0][1])] + relation])
+        assert str(info.value) == message
+
+
+def test_first_malformed_relation_is_the_one_reported():
+    with pytest.raises(P.PresentationError, match="non-composable"):
+        P.PresentedAlgebra(*_ABC, [[(1, (0, 2))], [(1, (0, 9))]])
+    with pytest.raises(P.PresentationError, match="unknown arrow 9"):
+        P.PresentedAlgebra(*_ABC, [[(1, (0, 9))], [(1, (0, 2))]])
+
+
+def test_zero_monomial_is_kept_but_kills_nothing():
+    # a1_algebra with 0 * beta.alpha beside alpha.beta = 0
+    alg = P.PresentedAlgebra([0, 1], [(0, 0, 1), (1, 1, 0)],
+                             [[(ONE, (0, 1))], [(0, (1, 0))]])
+    assert alg.relations == [((1, (0, 1)),), ((0, (1, 0)),)]
+    assert alg.hilbert() == a1_algebra().hilbert() == (2, 2, 1)
+    assert alg.dims_by_pair(2) == {(0, 0): 1}
+
+
+def test_relations_may_be_generators():
+    listed = P.PresentedAlgebra(*_ABC, [[(1, (1, 0))], [(1, (0, 1)),
+                                                        (-1, (2, 1))]])
+    rels = (((c, iter(p)) for c, p in terms) for terms in listed.relations)
+    lazy = P.PresentedAlgebra(*_ABC, rels)
+    assert lazy.relations == listed.relations
+    assert lazy.hilbert() == listed.hilbert()
+    for d in range(listed.top_degree + 1):
+        assert lazy.dims_by_pair(d) == listed.dims_by_pair(d)
+
+
 def test_empty_relation_is_refused():
     with pytest.raises(P.PresentationError, match="no terms"):
         P.PresentedAlgebra([0, 1], [(0, 0, 1), (1, 1, 0)], [[]])
@@ -105,10 +162,10 @@ def test_mul_associativity_spot():
 
 def test_extraction_keeps_no_list_of_the_composable_pairs():
     # L (x) V over field x hermitian(1, 3), mult 36: degree 3 has 72 x 666
-    # composable pairs and dimension 0.  With the pairs themselves as the
-    # elimination columns, extraction peaks at about 4.5 MB; a list of the
-    # pairs and an integer index beside them peaked at about 6.7 MB
-    # (Python 3.11)
+    # composable pairs, no normal word and dimension 0, so it is not built,
+    # and extraction peaks at about 1.6 MB.  Building it with the pairs as
+    # the elimination columns peaked at about 4.5 MB, and with a list of the
+    # pairs and an integer index beside them at about 6.7 MB (Python 3.11)
     spec = J.spec_from_dict({
         "ideals": [{"kind": "field"}, {"kind": "hermitian", "comp": 1, "n": 3}],
         "radical": [{"kind": "tensor", "a": {"ideal": 0, "label": "L"},
@@ -122,7 +179,7 @@ def test_extraction_keeps_no_list_of_the_composable_pairs():
     finally:
         tracemalloc.stop()
     assert alg.hilbert() == (2, 72, 666)
-    assert peak < 5_500_000, peak
+    assert peak < 2_500_000, peak
 
 
 # -- products ----------------------------------------------------------------
@@ -155,8 +212,8 @@ def test_segre_hilbert_is_hadamard():
     # Koszul first factors on one to three vertices, a semisimple one and a
     # truncated polynomial algebra; second factors S(W) truncated at caps
     # 0-4 and Lambda(W), for dim W up to 4
-    firsts = [a1_algebra(), lam(2), R.ext_algebra(3), R.sym_algebra(2, 3),
-              P.PresentedAlgebra([0, 1], [], [])]
+    firsts = [a1_algebra(), R.ext_algebra(2), R.ext_algebra(3),
+              R.sym_algebra(2, 3), P.PresentedAlgebra([0, 1], [], [])]
     firsts += [template_algebra(kind, wdims) for kind, wdims in (
         ("A1_SegreSym", (2,)), ("A1_SegreAlt", (2,)), ("CliffordOdd", (2,)),
         ("CliffordEven", (2,)), ("A2_Segre", (1, 1)))]
@@ -230,7 +287,7 @@ def test_pi_product_vertex_mismatch():
 
 
 def test_exterior_resolution_betti():
-    res = P.minimal_resolution(lam(2), 0, hom_cap=5)
+    res = P.minimal_resolution(R.ext_algebra(2), 0, hom_cap=5)
     assert res.is_linear()
     assert [res.betti_number(i, i) for i in range(6)] == [1, 2, 3, 4, 5, 6]
 
@@ -274,7 +331,7 @@ def test_koszul_certificates_for_templates():
 
 def test_koszul_for_exterior():
     for k in (1, 2, 3):
-        ok, _ = P.koszul_check(lam(k), hom_cap=5)
+        ok, _ = P.koszul_check(R.ext_algebra(k), hom_cap=5)
         assert ok
 
 

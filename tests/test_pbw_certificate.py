@@ -13,10 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bench_corpus, change_arrow_basis, lam, template_algebra
+from helpers import bench_corpus, change_arrow_basis, template_algebra
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver import reference as R
 
 HOM_CAP = 4
 ONE = Fraction(1)
@@ -32,7 +33,8 @@ TEMPLATES = ([("A1_SegreSym", (k,)) for k in (1, 2, 3)]
 
 
 def _algebra(kind, dims):
-    return lam(dims[0]) if kind == "lam" else template_algebra(kind, dims)
+    return (R.ext_algebra(dims[0]) if kind == "lam"
+            else template_algebra(kind, dims))
 
 
 def _cubic_control():
@@ -187,7 +189,8 @@ def test_counted_dimensions_match_extraction_on_ad7(deg_cap):
 
 
 def test_counted_dimensions_match_extraction():
-    makes = [lambda: lam(4), lambda: template_algebra("CliffordOdd", (4,)),
+    makes = [lambda: R.ext_algebra(4),
+             lambda: template_algebra("CliffordOdd", (4,)),
              lambda: template_algebra("CliffordEven", (4,))]
     rng = random.Random(5)
     for _ in range(40):

@@ -17,11 +17,12 @@ of length-i paths of A^! from w to v, `truncated_dims(...)[i][(w, v)]`
 
 import pytest
 
-from helpers import (assert_dual_hilbert_identity, lam, quadratic_dual,
+from helpers import (assert_dual_hilbert_identity, quadratic_dual,
                      template_algebra, truncated_dims)
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
+from smodquiver import reference as R
 
 HOM_CAP = 5
 
@@ -51,7 +52,8 @@ ASSEMBLED = {
 
 
 def _algebra(kind, dims):
-    return lam(dims[0]) if kind == "lam" else template_algebra(kind, dims)
+    return (R.ext_algebra(dims[0]) if kind == "lam"
+            else template_algebra(kind, dims))
 
 
 def _assembled(name):
