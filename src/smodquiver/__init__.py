@@ -32,9 +32,9 @@ _EXPORTS = {
                "wildness_flag"),
     "pathalg": ("PresentedAlgebra", "from_presentation", "koszul_check",
                 "minimal_resolution"),
-    "reference": ("Character", "ext_algebra", "ext_sym_square", "pi_product",
-                  "plus_product", "report_from_dict", "segre_product",
-                  "sym_algebra", "tensor_decompose", "trivial_multiplicity",
+    "reference": ("Character", "ext_algebra", "ext_sym_square", "plus_product",
+                  "report_from_dict", "segre_product", "sym_algebra",
+                  "tensor_decompose", "trivial_multiplicity",
                   "weight_multiplicities"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -217,18 +217,11 @@ def half_weight(kind, name):
         raise UnknownLabel(f"{kind} has no half simple {name!r}") from None
 
 
-def one_weight(kind, name):
-    try:
-        return _one_weight_table(kind)[name]
-    except KeyError:
-        raise UnknownLabel(f"{kind} has no short-graded simple {name!r}") from None
-
-
 def any_weight(kind, name):
-    t = _half_weight_table(kind)
-    if name in t:
-        return t[name]
-    return one_weight(kind, name)
+    for table in (_half_weight_table(kind), _one_weight_table(kind)):
+        if name in table:
+            return table[name]
+    raise UnknownLabel(f"{kind} has no short-graded simple {name!r}")
 
 
 @lru_cache(maxsize=None)

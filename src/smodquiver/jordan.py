@@ -30,24 +30,11 @@ class SpecError(ValueError):
 # classification-level specs
 
 
-class SimpleIdealKind(namedtuple("SimpleIdealKind", "kind dim comp n",
-                                 defaults=(0, 0, 0))):
-    """kind: "field" | "bilinear" | "hermitian" | "albert".
-
-    dim: bilinear, dim of the algebra including the unit; comp: hermitian,
-    composition algebra dimension 1|2|4; n: hermitian, matrix size.
-    """
-
-    __slots__ = ()
-
-    def __str__(self):
-        if self.kind == "field":
-            return "k"
-        if self.kind == "bilinear":
-            return f"bilinear({self.dim})"
-        if self.kind == "hermitian":
-            return f"hermitian({self.comp},{self.n})"
-        return "albert"
+# kind: "field" | "bilinear" | "hermitian" | "albert"; dim: bilinear, dim of
+# the algebra including the unit; comp: hermitian, composition algebra
+# dimension 1|2|4; n: hermitian, matrix size
+SimpleIdealKind = namedtuple("SimpleIdealKind", "kind dim comp n",
+                             defaults=(0, 0, 0))
 
 
 def Field():
@@ -322,13 +309,8 @@ def _lie_datum(spec):
 # central extensions
 
 
-class CentextReport:
-    __slots__ = ("pair_dims", "total")
-
-    def __init__(self, pair_dims=None, total=0):
-        # (q, q') with q <= q' -> dim
-        self.pair_dims = {} if pair_dims is None else pair_dims
-        self.total = total
+# pair_dims: (q, q') with q <= q' -> dim; total: their sum
+CentextReport = namedtuple("CentextReport", "pair_dims total")
 
 
 def _entry_parity(datum, entry):
@@ -355,17 +337,16 @@ def central_extension_dim(datum: LieDatum) -> CentextReport:
     modules are dual.  Parities come from the character engine (classical
     indicators), so this is the honest cohomological dimension.
     """
-    rep = CentextReport()
+    pair_dims = {}
     entries = datum.radical
     for q, e in enumerate(entries):
         k = e.w_dim
         dim = {"skew": k * (k + 1) // 2,
                "symmetric": k * (k - 1) // 2}.get(_entry_parity(datum, e), 0)
         if dim:
-            rep.pair_dims[(q, q)] = dim
+            pair_dims[(q, q)] = dim
         for q2 in range(q + 1, len(entries)):
             e2 = entries[q2]
             if _entries_dual(datum, e, e2):
-                rep.pair_dims[(q, q2)] = e.w_dim * e2.w_dim
-    rep.total = sum(rep.pair_dims.values())
-    return rep
+                pair_dims[(q, q2)] = e.w_dim * e2.w_dim
+    return CentextReport(pair_dims, sum(pair_dims.values()))

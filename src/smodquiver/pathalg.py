@@ -4,8 +4,8 @@
 extracted degree by degree: degree d is spanned by the pairs arrow(x), x in
 A_{d-1}, modulo relation spreads, and each pair (arrow position, x) is its
 own elimination column.  It is the one carrier of graded algebras in the
-package: the auxiliary algebras S(W) and Lambda(W), the glued product and
-the Segre product in `reference` are presented algebras too.
+package: the auxiliary algebras S(W) and Lambda(W) and the Segre product
+in `reference` are presented algebras too.
 
 On top of the basis (dims / src / dst / mul): Hilbert series, minimal
 graded resolutions of the vertex simples with exact Betti tables, and the
@@ -356,10 +356,10 @@ def _words(arrows, pairs):
 
 def from_presentation(quiver, relations, deg_cap=8) -> PresentedAlgebra:
     """The algebra of a `quiver.Quiver` on its thin arrows modulo its
-    `quiver.Relation`s."""
+    relations, each a tuple of (coef, (outer tid, ..., inner tid)) terms."""
     return PresentedAlgebra([v.vid for v in quiver.vertices],
                             [(t.tid, t.src, t.dst) for t in quiver.thin],
-                            [r.terms for r in relations], deg_cap)
+                            relations, deg_cap)
 
 
 # ---------------------------------------------------------------------------

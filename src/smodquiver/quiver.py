@@ -39,13 +39,8 @@ ThickArrow = namedtuple("ThickArrow", "aid src dst group w_dim")
 ThinArrow = namedtuple("ThinArrow", "tid src dst group w_index")
 
 
-class Quiver(namedtuple("Quiver", "vertices arrows thin")):
-    """arrows: the thick arrows; thin: their expansion, in a fixed order."""
-
-    __slots__ = ()
-
-    def vertex(self, vid):
-        return self.vertices[vid]
+# arrows: the thick arrows; thin: their expansion, in a fixed order
+Quiver = namedtuple("Quiver", "vertices arrows thin")
 
 
 # rtype: "I" | "II"; parity: normative (table-based) parity of the base
@@ -55,12 +50,11 @@ RadicalGroup = namedtuple(
     "index support labels w_dim rtype singular parity engine_parity inert",
     defaults=(False,))
 
-# terms: ((coef, (tid_outer, tid_inner)), ...), coef an int or a Fraction
-Relation = namedtuple("Relation", "terms")
-
 # kind: ZeroRelations | A1_SegreSym | A1_SegreAlt | A2_Segre | CliffordOdd
 # | CliffordEven; groups: radical group indices; vertices: vertex ids touched
-# by the block's arrows; isolated: number of quiver vertices outside the block
+# by the block's arrows; isolated: number of quiver vertices outside the block;
+# relations: each a tuple of terms ((coef, (tid_outer, tid_inner)), ...),
+# coef an int or a Fraction
 Block = namedtuple(
     "Block",
     "kind groups vertices thin_ids relations isolated descriptor notes",
@@ -216,11 +210,10 @@ def relations_of(block_kind, w_dims):
     g_j).  Families: A1 -> alpha: [L]->[S], beta: [S]->[L]; A2 -> alpha:
     [S*]->[L] and delta: [L]->[S] over W, beta: [L]->[S*] and gamma:
     [S]->[L] over W'; CliffordOdd -> loops ell; CliffordEven -> a: v+ -> v-,
-    b: v- -> v+.  ZeroRelations yields the marker "all-zero".
+    b: v- -> v+.  ZeroRelations has no template: its relations are every
+    composable pair, which `_bind_block` lists itself.
     """
     rels = []
-    if block_kind == "ZeroRelations":
-        return "all-zero"
     if block_kind in ("A1_SegreSym", "A1_SegreAlt"):
         k = w_dims[0]
         for i in range(k):
@@ -288,10 +281,9 @@ def wildness_flag(groups) -> bool:
 def _thin_by_thick(quiver):
     out = {}
     for t in quiver.thin:
-        # thin arrows of one thick arrow share (group, src, dst)
+        # thin arrows of one thick arrow share (group, src, dst); quiver.thin
+        # is in tid order, so each list is sorted
         out.setdefault((t.group, t.src, t.dst), []).append(t.tid)
-    for v in out.values():
-        v.sort()
     return out
 
 
@@ -329,15 +321,12 @@ def _bind_block(datum, groups, quiver, kind, qidx, thin_map):
             fam = "a" if a.src == vplus else "b"
             families[fam] = thin_map[(a.group, a.src, a.dst)]
 
-    template = relations_of(kind, tuple(g.w_dim for g in gs))
-    rels = []
-    if template == "all-zero":
+    if kind == "ZeroRelations":
         rels = _zero_relations(quiver, thin_ids, thin_ids)
     else:
-        for rel in template:
-            terms = tuple((coef, (families[f][i], families[g][j]))
-                          for coef, ((f, i), (g, j)) in rel)
-            rels.append(Relation(terms))
+        rels = [tuple((coef, (families[f][i], families[g][j]))
+                      for coef, ((f, i), (g, j)) in rel)
+                for rel in relations_of(kind, tuple(g.w_dim for g in gs))]
     vertex_ids = tuple(sorted({a.src for a in thick} | {a.dst for a in thick}))
     return vertex_ids, tuple(thin_ids), tuple(rels)
 
@@ -347,7 +336,7 @@ def _zero_relations(quiver, outer_ids, inner_ids):
     outer_at = {}
     for x in outer_ids:
         outer_at.setdefault(quiver.thin[x].src, []).append(x)
-    return [Relation(((1, (x, y)),))
+    return [((1, (x, y)),)
             for y in inner_ids for x in outer_at.get(quiver.thin[y].dst, ())]
 
 
@@ -480,7 +469,7 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
 
 def report_to_dict(rep: QuiverReport) -> dict:
     def rel(r):
-        return [{"coef": str(c), "path": list(p)} for c, p in r.terms]
+        return [{"coef": str(c), "path": list(p)} for c, p in r]
 
     return {
         "schemaVersion": rep.schema_version,
@@ -523,8 +512,8 @@ def blocks_to_dict(rep: QuiverReport) -> dict:
             "kind": b.kind,
             "descriptor": b.descriptor,
             "groups": list(b.groups),
-            "vertices": [f"c{rep.quiver.vertex(v).color}:"
-                         f"{rep.quiver.vertex(v).label}" for v in b.vertices],
+            "vertices": [f"c{rep.quiver.vertices[v].color}:"
+                         f"{rep.quiver.vertices[v].label}" for v in b.vertices],
             "isolated": b.isolated,
             "relations": len(b.relations),
             "notes": list(b.notes),
@@ -549,7 +538,7 @@ def emit_dot(rep: QuiverReport) -> str:
     lines.append("}")
     for rel in rep.relations:
         parts = []
-        for coef, (f, g) in rel.terms:
+        for coef, (f, g) in rel:
             prefix = "+" if coef >= 0 else "-"
             mag = abs(coef)
             coefs = "" if mag == 1 else f"{mag}*"

@@ -15,8 +15,8 @@ compiles it:
     Racah-Speiser pass), `tensor_decompose` (Brauer-Klimyk over the
     constituents of the larger factor) and `trivial_multiplicity`;
   * the auxiliary single-vertex algebras S(W) and Lambda(W) (`sym_algebra`,
-    `ext_algebra`), the Segre product with them (`segre_product`) and the
-    glued product `pi_product`, all presented algebras;
+    `ext_algebra`) and the Segre product with them (`segre_product`), all
+    presented algebras;
   * the symmetrized product of an associative table (`plus_product`,
     `matrix_algebra_table`);
   * `is_s_one` and `parity_discrepancies`, catalog answers that only the
@@ -41,8 +41,8 @@ from .catalog import classical_parity, duality_form, s_half_simples
 from .linalg import (Echelon, _op_of_rows, exact, op_apply, op_lines,
                      op_mul_add, op_sum)
 from .pathalg import PresentedAlgebra, VertexMismatch
-from .quiver import (Block, Quiver, QuiverReport, RadicalGroup, Relation,
-                     ThickArrow, ThinArrow, Vertex)
+from .quiver import (Block, Quiver, QuiverReport, RadicalGroup, ThickArrow,
+                     ThinArrow, Vertex)
 from .tables import StructureConstants
 from .weights import (CompositeSystem, NotDominant, _add, _embed, _join, _sub,
                       dominantize, graded_pieces4, ip4, is_dominant,
@@ -465,27 +465,25 @@ def parity_discrepancies(kind):
 # auxiliary graded algebras (single vertex) and the Segre product
 
 
-def sym_algebra(k, cap, vertex=0) -> PresentedAlgebra:
+def sym_algebra(k, cap) -> PresentedAlgebra:
     """Polynomial algebra on k variables truncated above degree cap: k
-    commuting loops at one vertex, every monomial of degree cap + 1 zero."""
+    commuting loops at vertex 0, every monomial of degree cap + 1 zero."""
     if not cap:
-        return PresentedAlgebra([vertex], [], [], 1)
+        return PresentedAlgebra([0], [], [], 1)
     rels = [((1, (i, j)), (-1, (j, i)))
             for i, j in itertools.combinations(range(k), 2)]
     rels += [((1, m),) for m in
              itertools.combinations_with_replacement(range(k), cap + 1)]
-    return PresentedAlgebra([vertex], [(i, vertex, vertex) for i in range(k)],
-                            rels, cap + 1)
+    return PresentedAlgebra([0], [(i, 0, 0) for i in range(k)], rels, cap + 1)
 
 
-def ext_algebra(k, vertex=0) -> PresentedAlgebra:
-    """Exterior algebra on k anticommuting generators: k loops at one
-    vertex, each squaring to 0."""
+def ext_algebra(k) -> PresentedAlgebra:
+    """Exterior algebra on k anticommuting generators: k loops at vertex 0,
+    each squaring to 0."""
     rels = [((1, (i, i)),) for i in range(k)]
     rels += [((1, (i, j)), (1, (j, i)))
              for i, j in itertools.combinations(range(k), 2)]
-    return PresentedAlgebra([vertex], [(i, vertex, vertex) for i in range(k)],
-                            rels, k + 1)
+    return PresentedAlgebra([0], [(i, 0, 0) for i in range(k)], rels, k + 1)
 
 
 def segre_product(a: PresentedAlgebra, b: PresentedAlgebra) -> PresentedAlgebra:
@@ -532,27 +530,6 @@ def segre_product(a: PresentedAlgebra, b: PresentedAlgebra) -> PresentedAlgebra:
                      if arrows[p[-1]][1] == gdst]
         rels += [((1, p),) for p in paths]
     return PresentedAlgebra(a.vertices, arrows, rels, top + 1)
-
-
-def pi_product(a: PresentedAlgebra, b: PresentedAlgebra,
-               deg_cap=8) -> PresentedAlgebra:
-    """Glue two presented algebras along a common vertex set; mixed
-    positive-degree products vanish."""
-    if set(a.vertices) != set(b.vertices):
-        raise VertexMismatch("degree-0 parts differ")
-    arrows = [(("a", aid), src, dst) for aid, src, dst in a.arrows]
-    arrows += [(("b", aid), src, dst) for aid, src, dst in b.arrows]
-    rels = []
-    for tag, alg in (("a", a), ("b", b)):
-        for terms in alg.relations:
-            rels.append(tuple((c, tuple((tag, aid) for aid in p))
-                              for c, p in terms))
-    for f_tag, f_alg, g_tag, g_alg in (("a", a, "b", b), ("b", b, "a", a)):
-        for faid, fsrc, fdst in f_alg.arrows:
-            for gaid, gsrc, gdst in g_alg.arrows:
-                if fsrc == gdst:
-                    rels.append(((1, ((f_tag, faid), (g_tag, gaid))),))
-    return PresentedAlgebra(a.vertices, arrows, rels, deg_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +611,7 @@ def matrix_algebra_table(n):
 
 def report_from_dict(data: dict) -> QuiverReport:
     def rel(terms):
-        return Relation(tuple((Fraction(t["coef"]), tuple(t["path"]))
-                              for t in terms))
+        return tuple((Fraction(t["coef"]), tuple(t["path"])) for t in terms)
 
     vertices = tuple(Vertex(v["id"], v["color"], v["label"])
                      for v in data["vertices"])

@@ -480,12 +480,12 @@ def test_criterion_8_structural_invariants():
         thin = {t.tid: t for t in rep.quiver.thin}
         # quadraticity and cycles
         for rel in rep.relations:
-            for coef, path in rel.terms:
+            for coef, path in rel:
                 assert len(path) == 2
                 f, g = path
                 assert thin[f].src == thin[g].dst
-            if len(rel.terms) > 1:
-                for coef, (f, g) in rel.terms:
+            if len(rel) > 1:
+                for coef, (f, g) in rel:
                     assert thin[g].src == thin[f].dst
         # arrow bound: per ordered vertex pair, at most one arrow per group
         seen = {}

@@ -109,6 +109,25 @@ def test_mixed_lengths_match_the_reference():
     assert compared >= 20
 
 
+def test_long_relations_match_the_reference():
+    """A path quiver 0 -> 1 -> ... -> 6 with two parallel arrows at each
+    step, so every algebra is finite, and relations of lengths 2 to 5: the
+    rows of length 4 and 5 spread through tails of two and three arrows."""
+    rng = random.Random(29)
+    # arrows 2s and 2s + 1 run from s to s + 1
+    arrows = [(2 * s + b, s, s + 1) for s in range(6) for b in range(2)]
+    for _ in range(40):
+        rels = []
+        for length in (2, 3, 4, 4, 5):
+            start = rng.randrange(7 - length)
+            # a path lists its arrows outermost first
+            terms = {tuple(2 * s + rng.randrange(2)
+                           for s in reversed(range(start, start + length))):
+                     rng.choice([-1, 1, 2]) for _ in range(rng.randint(1, 2))}
+            rels.append([(c, p) for p, c in terms.items()])
+        _assert_same(range(7), arrows, rels)
+
+
 def test_random_algebras_match_the_reference():
     """One vertex, three loops, relations of one to three terms: single-term
     rows kill pairs that the other rows still hold."""

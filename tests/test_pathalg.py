@@ -50,11 +50,7 @@ def test_zero_relations_two_cycle():
 
 def test_dimensions_independent_of_presentation_order():
     base = template_algebra("A1_SegreSym", (3,))
-    rels = []
-    for rel in Q.relations_of("A1_SegreSym", (3,)):
-        fam = {"alpha": [0, 1, 2], "beta": [3, 4, 5]}
-        rels.append([(c, (fam[f][i], fam[g][j]))
-                     for c, ((f, i), (g, j)) in rel])
+    rels = list(base.relations)
     rng = random.Random(7)
     for _ in range(3):
         rng.shuffle(rels)
@@ -259,28 +255,8 @@ def test_segre_with_trivial_grading():
     a1 = a1_algebra()
     seg = R.segre_product(a1, R.sym_algebra(1, 0))  # k in degree 0 only
     assert seg.hilbert() == (2, 0)   # degree 1 is listed, as with no arrows
-
-
-def test_pi_product():
-    e1 = P.PresentedAlgebra([0], [(0, 0, 0)], [[(ONE, (0, 0))]])
-    e2 = P.PresentedAlgebra([0], [(1, 0, 0)], [[(ONE, (1, 1))]])
-    pp = R.pi_product(e1, e2)
-    assert pp.hilbert() == (1, 2)
-    assert pp.total_dim() == 3
-
-
-def test_pi_product_with_semisimple():
-    a = a1_algebra()
-    semi = P.PresentedAlgebra([0, 1], [], [])
-    pp = R.pi_product(a, semi)
-    assert pp.hilbert() == a.hilbert()
-
-
-def test_pi_product_vertex_mismatch():
-    a = a1_algebra()
-    b = P.PresentedAlgebra([0], [(0, 0, 0)], [[(ONE, (0, 0))]])
     with pytest.raises(P.VertexMismatch):
-        R.pi_product(a, b)
+        R.segre_product(a1, a1)   # the second factor must be connected
 
 
 # -- resolutions -------------------------------------------------------------
@@ -445,7 +421,7 @@ def test_scaled_relations_give_the_same_algebra(spec, scale):
     rep = Q.assemble(spec)
     alg = P.from_presentation(rep.quiver, rep.relations)
     scaled = P.from_presentation(
-        rep.quiver, [Q.Relation(tuple((c * scale, p) for c, p in r.terms))
+        rep.quiver, [tuple((c * scale, p) for c, p in r)
                      for r in rep.relations])
     assert scaled.hilbert() == alg.hilbert()
     for d in range(alg.top_degree + 1):

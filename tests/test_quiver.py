@@ -1,5 +1,7 @@
 """Radical groups, arrows, block classification, relation templates."""
 
+import pytest
+
 from smodquiver import jordan as J
 from smodquiver import quiver as Q
 from smodquiver import reference as R
@@ -207,6 +209,13 @@ def test_template_clifford_even_counts():
         assert len(binos) == k * (k - 1)
 
 
+def test_zero_relations_have_no_template():
+    # `_bind_block` lists a ZeroRelations block's composable pairs itself
+    for kind in ("ZeroRelations", "Wild"):
+        with pytest.raises(ValueError, match="unknown block kind"):
+            Q.relations_of(kind, (1,))
+
+
 def test_template_a2_counts():
     t = Q.relations_of("A2_Segre", (2, 1))
     zeros = [r for r in t if len(r) == 1]
@@ -230,10 +239,10 @@ def test_relations_are_quadratic_cycles():
                 (J.TensorOfSpecial(0, "L", 1, "V", 2),))
     thin = {t.tid: t for t in rep.quiver.thin}
     for rel in rep.relations:
-        for coef, (f, g) in rel.terms:
+        for coef, (f, g) in rel:
             assert thin[f].src == thin[g].dst  # composable
-        if len(rel.terms) > 1:
-            for coef, (f, g) in rel.terms:
+        if len(rel) > 1:
+            for coef, (f, g) in rel:
                 assert thin[g].src == thin[f].dst  # cycles
 
 
@@ -291,8 +300,8 @@ def test_nonzero_products_confined_to_singular_style_blocks():
     bearing = {b.kind: b for b in full.blocks if b.kind != "ZeroRelations"}
     assert set(bearing) == {"A1_SegreSym"}
     for rel in full.relations:
-        if len(rel.terms) > 1:
-            tids = {t for _, p in rel.terms for t in p}
+        if len(rel) > 1:
+            tids = {t for _, p in rel for t in p}
             assert tids <= set(bearing["A1_SegreSym"].thin_ids)
     reduced = build((J.Field(), J.Hermitian(1, 3)),
                     (J.TensorOfSpecial(0, "L", 1, "V", 2),))
@@ -304,11 +313,11 @@ def test_nonzero_products_confined_to_singular_style_blocks():
 
         def key(tid):
             t = thin[tid]
-            return (t.w_index, rep.quiver.vertex(t.src).label,
-                    rep.quiver.vertex(t.dst).label)
+            return (t.w_index, rep.quiver.vertices[t.src].label,
+                    rep.quiver.vertices[t.dst].label)
 
         return sorted(
-            tuple(sorted((str(c), key(f), key(g)) for c, (f, g) in r.terms))
+            tuple(sorted((str(c), key(f), key(g)) for c, (f, g) in r))
             for r in block.relations)
 
     assert rel_shapes(full, full_block) == rel_shapes(reduced, red_block)
@@ -348,8 +357,8 @@ def test_block_vertex_overlap_allowed():
     assert len(shared) == 1
     thin = {t.tid: t for t in rep.quiver.thin}
     cross = [r for r in rep.relations
-             if len(r.terms) == 1
-             and len({_block_of(rep, t) for t in r.terms[0][1]}) == 2]
+             if len(r) == 1
+             and len({_block_of(rep, t) for t in r[0][1]}) == 2]
     # every composable cross-block pair is killed
     b0, b1 = rep.blocks
     expected = 0

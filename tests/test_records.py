@@ -70,7 +70,9 @@ def test_record_semantics():
                          (rep.blocks[0], "kind"), (rep.groups[0], "w_dim"),
                          (C.duality_form(C.SL2, "L"), "parity"),
                          (J.lie_datum_of_spec(J.JordanSpec((J.Field(),))),
-                          "radical")):
+                          "radical"),
+                         (J.central_extension_dim(J.lie_datum_of_spec(
+                             J.JordanSpec((J.Field(),)))), "total")):
         with pytest.raises(AttributeError):
             setattr(frozen, name, None)
 
