@@ -248,10 +248,6 @@ def restrict_s(kind, m_name, n_name):
 
 def dual_label(kind, name):
     """Catalog name of the dual of a catalog simple (half or short-graded)."""
-    if kind.series == "e7":
-        if name == "ad":
-            return "ad"
-        raise UnknownLabel(name)
     sys = kind.root_system()
     lam = any_weight(kind, name)
     dual = weights.dual_weight(sys, weights.normalize_dominant(sys, lam))

@@ -83,30 +83,47 @@ class ValidationReport:
 
 _TRIVIAL_NAMES = {"tr", "trivial"}
 
+# the integer fields of each ideal kind, in wire-format order
+_IDEAL_FIELDS = {"field": (), "bilinear": ("dim",), "hermitian": ("comp", "n"),
+                 "albert": ()}
+
+
+def _fields(kind):
+    """The integer fields of an ideal kind; a ValueError for an unknown kind."""
+    if isinstance(kind, str) and kind in _IDEAL_FIELDS:
+        return _IDEAL_FIELDS[kind]
+    raise ValueError(f"unknown ideal kind {kind!r}")
+
+
+def _ideal_faults(ideal):
+    """One message per fault of a simple ideal; none when it is valid."""
+    try:
+        _fields(ideal.kind)
+    except ValueError:
+        return [f"unknown kind {ideal.kind!r}"]
+    faults = []
+    if ideal.kind == "bilinear" and ideal.dim < 3:
+        faults.append(f"bilinear requires dim >= 3, got {ideal.dim}")
+    if ideal.kind == "hermitian":
+        if ideal.comp not in (1, 2, 4):
+            faults.append("hermitian component dim must be 1, 2 or 4")
+        if ideal.n < 3:
+            faults.append(f"hermitian requires n >= 3, got {ideal.n}")
+    return faults
+
 
 def validate_spec(spec: JordanSpec) -> ValidationReport:
     """Report-style validation of a classification-level spec."""
     rep = ValidationReport()
     bad = rep.violations.append
+    kinds = {}   # ideal index -> LieKind, for the ideals with no fault
     for i, ideal in enumerate(spec.ideals):
-        if ideal.kind == "bilinear" and ideal.dim < 3:
-            bad(f"ideal {i}: bilinear requires dim >= 3, got {ideal.dim}")
-        elif ideal.kind == "hermitian":
-            if ideal.comp not in (1, 2, 4):
-                bad(f"ideal {i}: hermitian component dim must be 1, 2 or 4")
-            if ideal.n < 3:
-                bad(f"ideal {i}: hermitian requires n >= 3, got {ideal.n}")
-        elif ideal.kind not in ("field", "bilinear", "hermitian", "albert"):
-            bad(f"ideal {i}: unknown kind {ideal.kind!r}")
+        faults = _ideal_faults(ideal)
+        rep.violations.extend(f"ideal {i}: {msg}" for msg in faults)
+        if not faults:
+            kinds[i] = kind_of_ideal(ideal)
     if spec.unital and not spec.ideals:
         bad("unital spec with empty ideal list")
-
-    def kind_or_none(idx):
-        try:
-            return kind_of_ideal(spec.ideals[idx])
-        except ValueError:
-            return None
-
     for j, comp in enumerate(spec.radical):
         if comp.mult < 1:
             bad(f"radical {j}: multiplicity must be >= 1")
@@ -119,11 +136,8 @@ def validate_spec(spec: JordanSpec) -> ValidationReport:
             continue
         if comp.kind == "unital":
             (i, label), = comp.refs
-            kind = kind_or_none(i)
-            if kind is None:
-                continue
-            names = {s.name for s in catalog.s_one_simples(kind)}
-            if label not in names:
+            kind = kinds.get(i)
+            if kind and label not in {s.name for s in catalog.s_one_simples(kind)}:
                 bad(f"radical {j}: {label!r} is not a short-graded simple of {kind}")
         elif comp.kind == "tensor":
             (ia, la), (ib, lb) = comp.refs
@@ -131,11 +145,8 @@ def validate_spec(spec: JordanSpec) -> ValidationReport:
                 bad(f"radical {j}: tensor components must reference distinct ideals")
                 continue
             for i, lbl in comp.refs:
-                kind = kind_or_none(i)
-                if kind is None:
-                    continue
-                names = {s.name for s in catalog.s_half_simples(kind)}
-                if lbl not in names:
+                kind = kinds.get(i)
+                if kind and lbl not in {s.name for s in catalog.s_half_simples(kind)}:
                     bad(f"radical {j}: {lbl!r} is not a half simple of {kind}")
         else:
             bad(f"radical {j}: unknown component kind {comp.kind!r}")
@@ -153,26 +164,21 @@ def unitalize(spec: JordanSpec) -> JordanSpec:
 
 
 def spec_to_dict(spec: JordanSpec) -> dict:
-    ideals = []
-    for ideal in spec.ideals:
-        if ideal.kind == "field":
-            ideals.append({"kind": "field"})
-        elif ideal.kind == "bilinear":
-            ideals.append({"kind": "bilinear", "dim": ideal.dim})
-        elif ideal.kind == "hermitian":
-            ideals.append({"kind": "hermitian", "comp": ideal.comp, "n": ideal.n})
-        else:
-            ideals.append({"kind": "albert"})
+    ideals = [{"kind": ideal.kind}
+              | {f: getattr(ideal, f) for f in _fields(ideal.kind)}
+              for ideal in spec.ideals]
     radical = []
     for comp in spec.radical:
         if comp.kind == "unital":
             (i, label), = comp.refs
             radical.append({"kind": "unital", "ideal": i, "label": label,
                             "mult": comp.mult})
-        else:
+        elif comp.kind == "tensor":
             (ia, la), (ib, lb) = comp.refs
             radical.append({"kind": "tensor", "a": {"ideal": ia, "label": la},
                             "b": {"ideal": ib, "label": lb}, "mult": comp.mult})
+        else:
+            raise ValueError(f"unknown radical kind {comp.kind!r}")
     return {"ideals": ideals, "radical": radical, "unital": spec.unital}
 
 
@@ -204,17 +210,8 @@ def spec_from_dict(data: dict) -> JordanSpec:
         raise ValueError("spec must be a JSON object")
     ideals = []
     for d in _objects(data["ideals"], "'ideals'"):
-        kind = d["kind"]
-        if kind == "field":
-            ideals.append(Field())
-        elif kind == "bilinear":
-            ideals.append(Bilinear(_int(d, "dim")))
-        elif kind == "hermitian":
-            ideals.append(Hermitian(_int(d, "comp"), _int(d, "n")))
-        elif kind == "albert":
-            ideals.append(Albert())
-        else:
-            raise ValueError(f"unknown ideal kind {kind!r}")
+        fields = _fields(d["kind"])
+        ideals.append(SimpleIdealKind(d["kind"], **{f: _int(d, f) for f in fields}))
     radical = []
     for d in _objects(data.get("radical", []), "'radical'"):
         kind = d["kind"]
@@ -244,25 +241,16 @@ def load_spec(path) -> JordanSpec:
 
 def kind_of_ideal(ideal: SimpleIdealKind):
     """The graded simple `catalog.LieKind` of a simple ideal."""
-    if ideal.kind == "field":
-        return SL2
+    faults = _ideal_faults(ideal)
+    if faults:
+        raise ValueError("; ".join(faults))
     if ideal.kind == "bilinear":
-        if ideal.dim < 3:
-            raise ValueError("bilinear ideal requires dim >= 3")
         return SO2(ideal.dim + 2)
     if ideal.kind == "hermitian":
-        if ideal.n < 3:
-            raise ValueError("hermitian ideal requires n >= 3")
-        if ideal.comp == 1:
-            return SP(2 * ideal.n)
-        if ideal.comp == 2:
-            return SL(2 * ideal.n)
         if ideal.comp == 4:
             return SO1(4 * ideal.n)
-        raise ValueError("hermitian component dim must be 1, 2 or 4")
-    if ideal.kind == "albert":
-        return E7
-    raise ValueError(f"unknown ideal kind {ideal.kind!r}")
+        return (SP if ideal.comp == 1 else SL)(2 * ideal.n)
+    return SL2 if ideal.kind == "field" else E7
 
 
 class RadicalEntry(namedtuple("RadicalEntry", "support labels w_dim")):

@@ -287,47 +287,35 @@ def _thin_by_thick(quiver):
     return out
 
 
-def _bind_block(datum, groups, quiver, kind, qidx, thin_map):
+# template families by block kind and the place of the arrow's group in the
+# block: (the family of the thick arrow leaving the anchor, of the other one);
+# the anchor is the block's first vertex labelled L, else its first vertex
+_FAMILIES = {("A1_SegreSym", 0): ("alpha", "beta"),
+             ("A1_SegreAlt", 0): ("alpha", "beta"),
+             ("A2_Segre", 0): ("delta", "alpha"),
+             ("A2_Segre", 1): ("beta", "gamma"),
+             ("CliffordOdd", 0): ("ell", "ell"),
+             ("CliffordEven", 0): ("a", "b")}
+
+
+def _bind_block(groups, quiver, kind, qidx, thin_map):
     """Instantiate the relation template on the block's thin arrows."""
-    gs = [groups[q] for q in qidx]
     thick = [a for a in quiver.arrows if a.group in qidx]
     thin_ids = sorted(t.tid for t in quiver.thin if t.group in qidx)
-    families = {}
-    if kind in ("A1_SegreSym", "A1_SegreAlt"):
-        g = gs[0]
-        sl2_color = next(i for i in g.support if datum.summands[i] == SL2)
-        lvid = next(v.vid for v in quiver.vertices
-                    if v.color == sl2_color and v.label == "L")
-        for a in thick:
-            fam = "alpha" if a.src == lvid else "beta"
-            families[fam] = thin_map[(a.group, a.src, a.dst)]
-    elif kind == "A2_Segre":
-        gw, gwp = gs
-        sl2_color = next(i for i in gw.support if datum.summands[i] == SL2)
-        lvid = next(v.vid for v in quiver.vertices
-                    if v.color == sl2_color and v.label == "L")
-        for a in thick:
-            if a.group == gw.index:
-                fam = "delta" if a.src == lvid else "alpha"
-            else:
-                fam = "beta" if a.src == lvid else "gamma"
-            families[fam] = thin_map[(a.group, a.src, a.dst)]
-    elif kind == "CliffordOdd":
-        a = thick[0]
-        families["ell"] = thin_map[(a.group, a.src, a.dst)]
-    elif kind == "CliffordEven":
-        vplus = min(a.src for a in thick)
-        for a in thick:
-            fam = "a" if a.src == vplus else "b"
-            families[fam] = thin_map[(a.group, a.src, a.dst)]
-
+    vertex_ids = tuple(sorted({a.src for a in thick} | {a.dst for a in thick}))
     if kind == "ZeroRelations":
         rels = _zero_relations(quiver, thin_ids, thin_ids)
     else:
+        anchor = next((v for v in vertex_ids if quiver.vertices[v].label == "L"),
+                      vertex_ids[0])
+        families = {}
+        for a in thick:
+            leaving, other = _FAMILIES[kind, qidx.index(a.group)]
+            families[leaving if a.src == anchor else other] = \
+                thin_map[(a.group, a.src, a.dst)]
         rels = [tuple((coef, (families[f][i], families[g][j]))
                       for coef, ((f, i), (g, j)) in rel)
-                for rel in relations_of(kind, tuple(g.w_dim for g in gs))]
-    vertex_ids = tuple(sorted({a.src for a in thick} | {a.dst for a in thick}))
+                for rel in relations_of(kind, tuple(groups[q].w_dim for q in qidx))]
     return vertex_ids, tuple(thin_ids), tuple(rels)
 
 
@@ -353,9 +341,7 @@ def _kind_class(kind):
         return "B"
     if kind.series == "so2" and kind.size % 4 == 2:
         return "B"
-    if kind.series == "so2":
-        return "C"
-    return "?"
+    return "C"   # so2 of size 0 mod 4; an e7 group is inert, so never classed
 
 
 def _descriptor(datum, groups, kind, qidx):
@@ -410,7 +396,7 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
         kind, qidx = classify_block(datum, groups, g.index)
         claimed.update(qidx)
         vertex_ids, thin_ids, rels = _bind_block(
-            datum, groups, quiver, kind, qidx, thin_map)
+            groups, quiver, kind, qidx, thin_map)
         bnotes = []
         if g.inert:
             bnotes.append(f"group {g.index} ({'/'.join(g.labels)}) induces no "

@@ -272,11 +272,6 @@ class Character:
         self.system = system
         self.mults = mults
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.system == other.system and self.mults == other.mults
-
     def mass(self):
         return sum(self.mults.values())
 
@@ -417,8 +412,6 @@ def ext_sym_square(c: Character):
 
 def trivial_multiplicity(c: Character) -> int:
     """Multiplicity of the trivial constituent (full decomposition)."""
-    if not c.mults:
-        return 0
     out = decompose_character(c)
     zero = (0,) * c.system.ambient
     return out.get(zero, 0)
@@ -439,13 +432,11 @@ HALF = frozenset((Fraction(1, 2), Fraction(-1, 2)))
 
 def is_s_one(kind, lam):
     """True iff h acts on V_lam with eigenvalues in {-1, 0, 1}, not all 0."""
-    if kind.series == "e7":
-        return False
     try:
         levels = set(graded_pieces4(kind.root_system(), lam, kind.cocharacter()))
     except NotDominant:
         raise
-    except ValueError:   # the eigenvalues span more than 2
+    except ValueError:   # eigenvalues span more than 2, or e7: no root system
         return False
     return levels <= {-4, 0, 4} and levels != {0}
 

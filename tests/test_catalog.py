@@ -52,6 +52,8 @@ def test_half_membership_invariant():
         for lab in C.s_one_simples(kind):
             assert eigenvalues(kind, lab.weight) != R.HALF
             assert R.is_s_one(kind, lab.weight)
+    # e7 has no root system here, so no weight of it is short-graded
+    assert not R.is_s_one(C.E7, None)
 
 
 def test_graded_pieces4_half_examples():
@@ -158,6 +160,9 @@ def test_unknown_labels_raise():
         C.restrict_s(C.SP(6), "V", "Gamma+")
     with pytest.raises(C.UnknownLabel):
         C.duality_form(C.SP(6), "Gamma")
+    with pytest.raises(C.UnknownLabel) as info:
+        C.half_weight(C.SP(6), "ad")
+    assert info.value.args == ("sp(6) has no half simple 'ad'",)
 
 
 def test_kind_guards():
@@ -167,6 +172,10 @@ def test_kind_guards():
         C.SO1(10)
     with pytest.raises(ValueError):
         C.SO2(3)
+    with pytest.raises(ValueError, match=r"^sl\(5\)$"):
+        C.LieKind("sl", 5)
+    with pytest.raises(ValueError, match="^g2$"):
+        C.LieKind("g2")
 
 
 def test_walk_bound_is_exact(monkeypatch):

@@ -55,6 +55,37 @@ def test_validate_albert_has_no_half_simples():
     assert J.validate_spec(J.JordanSpec((J.Albert(),), (J.Unital(0, "ad"),))).ok
 
 
+@pytest.mark.parametrize("spec, violations", [
+    # an ideal with two faults reports both
+    (J.JordanSpec((J.Hermitian(3, 2),)),
+     ["ideal 0: hermitian component dim must be 1, 2 or 4",
+      "ideal 0: hermitian requires n >= 3, got 2"]),
+    (J.JordanSpec((J.SimpleIdealKind("foo"),)), ["ideal 0: unknown kind 'foo'"]),
+    (J.JordanSpec((J.Field(),), (J.Unital(0, "ad", 0),)),
+     ["radical 0: multiplicity must be >= 1"]),
+    (J.JordanSpec((J.Field(),), (J.RadicalComponentSpec("foo", ((0, "ad"),)),)),
+     ["radical 0: unknown component kind 'foo'"]),
+    # a label on an invalid ideal is not checked: only the ideal's fault
+    (J.JordanSpec((J.Bilinear(2),), (J.Unital(0, "nope"),)),
+     ["ideal 0: bilinear requires dim >= 3, got 2"]),
+    (J.JordanSpec((J.Hermitian(3, 3), J.Field()),
+                  (J.TensorOfSpecial(0, "nope", 1, "nope"),)),
+     ["ideal 0: hermitian component dim must be 1, 2 or 4",
+      "radical 0: 'nope' is not a half simple of sl(2)"]),
+])
+def test_validation_messages(spec, violations):
+    assert J.validate_spec(spec).violations == violations
+
+
+def test_kind_of_ideal_refuses_an_invalid_ideal():
+    with pytest.raises(ValueError) as info:
+        J.kind_of_ideal(J.Hermitian(3, 2))
+    assert str(info.value) == ("hermitian component dim must be 1, 2 or 4; "
+                               "hermitian requires n >= 3, got 2")
+    with pytest.raises(ValueError, match="^unknown kind 'foo'$"):
+        J.kind_of_ideal(J.SimpleIdealKind("foo"))
+
+
 def test_unitalize():
     spec = J.JordanSpec((J.Field(),), (), unital=False)
     u = J.unitalize(spec)
@@ -71,6 +102,30 @@ def test_spec_json_round_trip():
         True)
     blob = json.dumps(J.spec_to_dict(spec))
     assert J.spec_from_dict(json.loads(blob)) == spec
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"ideals": [{"kind": "foo"}]}, "unknown ideal kind 'foo'"),
+    ({"ideals": [{"kind": ["field"]}]}, "unknown ideal kind ['field']"),
+    ({"ideals": [{"kind": "field"}], "radical": [{"kind": "foo"}]},
+     "unknown radical kind 'foo'"),
+])
+def test_spec_from_dict_refuses_unknown_kinds(data, message):
+    with pytest.raises(ValueError) as info:
+        J.spec_from_dict(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec, message", [
+    (J.JordanSpec((J.SimpleIdealKind("foo"),)), "unknown ideal kind 'foo'"),
+    (J.JordanSpec((J.Field(), J.Field()),
+                  (J.RadicalComponentSpec("foo", ((0, "L"), (1, "L"))),)),
+     "unknown radical kind 'foo'"),
+])
+def test_spec_to_dict_refuses_unknown_kinds(spec, message):
+    with pytest.raises(ValueError) as info:
+        J.spec_to_dict(spec)
+    assert str(info.value) == message
 
 
 # -- identities --------------------------------------------------------------
@@ -100,6 +155,16 @@ def test_jordan_identity_fails():
     assert lhs == [Fraction(0), Fraction(0)]
     assert rhs == [Fraction(0), Fraction(1)]
     assert not TB.check_jordan_identity(bad)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[[1, 0], [0, 1]]], "table is not square"),
+    ([[[1, 0]]], "entries must be n-vectors"),
+])
+def test_structure_constants_check_their_shape(table, message):
+    with pytest.raises(ValueError) as info:
+        TB.StructureConstants(table)
+    assert str(info.value) == message
 
 
 def test_plus_product_requires_associative():

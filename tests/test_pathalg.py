@@ -82,6 +82,7 @@ _ABC = ([0, 1], [(0, 0, 1), (1, 1, 0), (2, 0, 1)])
     ([(1, (0, 2, 9))], "non-composable path (0, 2, 9)"),
     ([(0, (7, 2))], "path (7, 2) names an unknown arrow 7"),
     ([(1, (0,)), (1, (0, 1))], "relation terms must share length"),
+    ([(1, (0, 1)), (1, (1, 0))], "relation terms must share endpoints"),
 ])
 def test_malformed_relations_report_the_first_fault(relation, message):
     # the path is read from the outermost arrow in: the first fault is
@@ -95,6 +96,16 @@ def test_malformed_relations_report_the_first_fault(relation, message):
         with pytest.raises(P.PresentationError) as info:
             P.PresentedAlgebra(*_ABC, [[(1, relation[0][1])] + relation])
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("vertices, arrows, message", [
+    ([0, 1], [(0, 0, 1), (0, 1, 0)], "duplicate arrow ids"),
+    ([0, 1], [(0, 0, 1), (1, 1, 2)], "arrow 1 touches unknown vertex"),
+])
+def test_malformed_quivers_are_refused(vertices, arrows, message):
+    with pytest.raises(P.PresentationError) as info:
+        P.PresentedAlgebra(vertices, arrows, [])
+    assert str(info.value) == message
 
 
 def test_first_malformed_relation_is_the_one_reported():
@@ -133,6 +144,15 @@ def test_non_terminating_detected():
     # a free loop never dies
     with pytest.raises(P.NonTerminating):
         P.PresentedAlgebra([0], [(0, 0, 0)], [], deg_cap=6)
+
+
+def test_dst_extracts_a_deferred_degree():
+    # a PBW algebra extracts its degrees above 3 on first use; here `dst`
+    # is the first call to reach degree 5 of the exterior algebra on 5
+    alg = R.ext_algebra(5)
+    assert alg.dims(5) == 1
+    assert alg.dst(5, 0) == 0
+    assert alg.src(5, 0) == 0
 
 
 def test_mul_associativity_spot():

@@ -307,20 +307,41 @@ def test_nonzero_products_confined_to_singular_style_blocks():
                     (J.TensorOfSpecial(0, "L", 1, "V", 2),))
     full_block = bearing["A1_SegreSym"]
     red_block = next(b for b in reduced.blocks if b.kind == "A1_SegreSym")
+    assert _rel_shapes(full, full_block) == _rel_shapes(reduced, red_block)
 
-    def rel_shapes(rep, block):
-        thin = {t.tid: t for t in rep.quiver.thin}
 
-        def key(tid):
-            t = thin[tid]
-            return (t.w_index, rep.quiver.vertices[t.src].label,
-                    rep.quiver.vertices[t.dst].label)
+def _rel_shapes(rep, block):
+    """A block's relations with each thin arrow named by its W index and
+    the labels of its ends."""
+    thin = {t.tid: t for t in rep.quiver.thin}
 
-        return sorted(
-            tuple(sorted((str(c), key(f), key(g)) for c, (f, g) in r))
-            for r in block.relations)
+    def key(tid):
+        t = thin[tid]
+        return (t.w_index, rep.quiver.vertices[t.src].label,
+                rep.quiver.vertices[t.dst].label)
 
-    assert rel_shapes(full, full_block) == rel_shapes(reduced, red_block)
+    return sorted(
+        tuple(sorted((str(c), key(f), key(g)) for c, (f, g) in r))
+        for r in block.relations)
+
+
+@pytest.mark.parametrize("comp, labels, kind", [
+    (1, ("V",), "A1_SegreSym"),
+    (4, ("V",), "A1_SegreAlt"),
+    (2, ("V", "V*"), "A2_Segre"),
+], ids=["A1_SegreSym", "A1_SegreAlt", "A2_Segre"])
+def test_segre_relations_do_not_depend_on_summand_order(comp, labels, kind):
+    # the template families are bound from the sl(2) summand's vertex L,
+    # so the block is the same whether the field ideal comes first or last
+    shapes = []
+    for ideals in ((J.Field(), J.Hermitian(comp, 3)),
+                   (J.Hermitian(comp, 3), J.Field())):
+        f = ideals.index(J.Field())
+        rep = build(ideals, tuple(J.TensorOfSpecial(1 - f, lab, f, "L", 2)
+                                  for lab in labels))
+        block, = (b for b in rep.blocks if b.kind == kind)
+        shapes.append(_rel_shapes(rep, block))
+    assert shapes[0] == shapes[1]
 
 
 def test_albert_summand_contributes_no_vertices():

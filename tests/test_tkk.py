@@ -164,6 +164,14 @@ def test_not_unital_rejected():
         T.tkk_construct(sc)
 
 
+def test_non_jordan_table_rejected():
+    # commutative, but e1*e1 = e2, e2*e2 = e1 fails the Jordan identity
+    sc = TB.StructureConstants([[[0, 1], [0, 0]], [[0, 0], [1, 0]]])
+    with pytest.raises(ValueError) as info:
+        T.tkk_construct(sc)
+    assert str(info.value) == "structure constants fail the defining identity"
+
+
 def test_dimension_bound():
     big = TB.StructureConstants(
         [[[1 if i == j == k else 0 for k in range(17)]

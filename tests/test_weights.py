@@ -48,6 +48,22 @@ def test_weyl_dim_requires_dominant():
         W.weyl_dim(C3, (0, 2, 0))
 
 
+def test_dual_weight_requires_dominant():
+    with pytest.raises(W.NotDominant) as info:
+        W.dual_weight(C3, (0, 2, 0))
+    assert info.value.args == ((0, 2, 0),)
+
+
+@pytest.mark.parametrize("family, rank, message", [
+    ("A", 0, "rank must be positive"),
+    ("D", 1, "D requires rank >= 2"),
+])
+def test_root_system_refuses_a_small_rank(family, rank, message):
+    with pytest.raises(ValueError) as info:
+        RootSystem(family, rank)
+    assert str(info.value) == message
+
+
 def test_weight_multiplicities_a1_adjoint():
     ch = R.weight_multiplicities(A1, (4, 0))
     assert ch.mults == {(4, 0): 1, (2, 2): 1, (0, 4): 1}
@@ -168,6 +184,7 @@ def test_trivial_multiplicity():
     v = R.weight_multiplicities(A2, (2, 0, 0))
     vs = R.weight_multiplicities(A2, (2, 2, 0))
     assert R.trivial_multiplicity(R.char_product(v, vs)) == 1
+    assert R.trivial_multiplicity(Character(A2, {})) == 0
 
 
 def test_trivial_multiplicity_product_system_square():
