@@ -203,6 +203,24 @@ def classify_block(datum, groups, q):
 # relation templates
 
 
+def _zeros(f, fs, g, gs):
+    """f_i g_j = 0 for every i in fs and j in gs."""
+    return [((1, ((f, i), (g, j))),) for i in fs for j in gs]
+
+
+def _products(pairs, sign, squares, k):
+    """For each i < k: f_i g_i = 0 for each pair (f, g) when `squares`, then
+    f_i g_j + sign * f_j g_i = 0 for each j > i."""
+    rels = []
+    for i in range(k):
+        if squares:
+            rels += [((1, ((f, i), (g, i))),) for f, g in pairs]
+        for j in range(i + 1, k):
+            rels += [((1, ((f, i), (g, j))), (sign, ((f, j), (g, i))))
+                     for f, g in pairs]
+    return rels
+
+
 def relations_of(block_kind, w_dims):
     """Quadratic relation templates over symbolic arrows (family, w_index).
 
@@ -213,59 +231,31 @@ def relations_of(block_kind, w_dims):
     b: v- -> v+.  ZeroRelations has no template: its relations are every
     composable pair, which `_bind_block` lists itself.
     """
-    rels = []
-    if block_kind in ("A1_SegreSym", "A1_SegreAlt"):
-        k = w_dims[0]
-        for i in range(k):
-            for j in range(k):
-                rels.append(((1, (("alpha", i), ("beta", j))),))
-        if block_kind == "A1_SegreSym":
-            for i in range(k):
-                for j in range(i + 1, k):
-                    rels.append(((1, (("beta", i), ("alpha", j))),
-                                 (-1, (("beta", j), ("alpha", i)))))
-        else:
-            for i in range(k):
-                rels.append(((1, (("beta", i), ("alpha", i))),))
-                for j in range(i + 1, k):
-                    rels.append(((1, (("beta", i), ("alpha", j))),
-                                 (1, (("beta", j), ("alpha", i)))))
-        return tuple(rels)
     if block_kind == "A2_Segre":
         k, l = w_dims
+        rels = []
         for j in range(l):
             for i in range(k):
                 rels.append(((1, (("beta", j), ("alpha", i))),))
                 rels.append(((1, (("delta", i), ("gamma", j))),))
-            for j2 in range(l):
-                rels.append(((1, (("beta", j), ("gamma", j2))),))
-        for i in range(k):
-            for i2 in range(k):
-                rels.append(((1, (("delta", i), ("alpha", i2))),))
+            rels += _zeros("beta", (j,), "gamma", range(l))
+        rels += _zeros("delta", range(k), "alpha", range(k))
         for i in range(k):
             for j in range(l):
                 rels.append(((1, (("alpha", i), ("beta", j))),
                              (-1, (("gamma", j), ("delta", i)))))
         return tuple(rels)
+    k = w_dims[0]
+    if block_kind == "A1_SegreSym":
+        return tuple(_zeros("alpha", range(k), "beta", range(k))
+                     + _products((("beta", "alpha"),), -1, False, k))
+    if block_kind == "A1_SegreAlt":
+        return tuple(_zeros("alpha", range(k), "beta", range(k))
+                     + _products((("beta", "alpha"),), 1, True, k))
     if block_kind == "CliffordOdd":
-        k = w_dims[0]
-        for i in range(k):
-            rels.append(((1, (("ell", i), ("ell", i))),))
-            for j in range(i + 1, k):
-                rels.append(((1, (("ell", i), ("ell", j))),
-                             (-1, (("ell", j), ("ell", i)))))
-        return tuple(rels)
+        return tuple(_products((("ell", "ell"),), -1, True, k))
     if block_kind == "CliffordEven":
-        k = w_dims[0]
-        for i in range(k):
-            rels.append(((1, (("a", i), ("b", i))),))
-            rels.append(((1, (("b", i), ("a", i))),))
-            for j in range(i + 1, k):
-                rels.append(((1, (("a", i), ("b", j))),
-                             (1, (("a", j), ("b", i)))))
-                rels.append(((1, (("b", i), ("a", j))),
-                             (1, (("b", j), ("a", i)))))
-        return tuple(rels)
+        return tuple(_products((("a", "b"), ("b", "a")), 1, True, k))
     raise ValueError(f"unknown block kind {block_kind!r}")
 
 

@@ -28,6 +28,23 @@ def src_env():
     return env
 
 
+def bench_module(name):
+    """The benchmark's module `perfbench/<name>.py`, executed from its source
+    so that nothing is written next to it; tests only read its inputs."""
+    path = BENCH / f"{name}.py"
+    mod = types.ModuleType(name)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         mod.__dict__)
+    return mod
+
+
+# the benchmark's inputs and table builders: a test input is the one it runs
+WORKLOADS = bench_module("workloads")
+spin_factor = WORKLOADS.spin_factor
+matrix_plus = WORKLOADS.matrix_plus
+direct_sum = WORKLOADS.direct_sum
+
+
 def template_algebra(kind, wdims):
     """Instantiate a relation template on a concrete quiver.
 
@@ -259,44 +276,6 @@ class RefSpanSolver:
 # before its sparse TKK layer (dense operators and bilinear maps, dense
 # StructureConstants products), kept as an oracle for it; the elimination is
 # linalg's, which test_linalg checks against the dense routines above
-
-
-def spin_factor(n):
-    """Jordan algebra of a nondegenerate form: basis 1, e_1..e_{n-1}."""
-    t = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        t[0][i][i] = t[i][0][i] = 1
-    for i in range(1, n):
-        t[i][i][0] = 1
-    return t
-
-
-def matrix_plus(n):
-    """M_n with the symmetrized product E_ij o E_kl = E_ij E_kl + E_kl E_ij."""
-    d = n * n
-    t = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    out = t[i * n + j][k * n + m]
-                    if j == k:
-                        out[i * n + m] += 1
-                    if m == i:
-                        out[k * n + j] += 1
-    return t
-
-
-def direct_sum(a, b):
-    n, m = len(a), len(b)
-    t = [[[0] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            t[i][j][:n] = a[i][j]
-    for i in range(m):
-        for j in range(m):
-            t[n + i][n + j][n:] = b[i][j]
-    return t
 
 
 def change_basis(table, p):
@@ -544,16 +523,6 @@ class RefPresentedAlgebra(P.PresentedAlgebra):
         self._src.append([self._src[d - 1][x] for _, x in basis])
         self._dst.append([self.arrows[a][2] for a, _ in basis])
         return len(free)
-
-
-def bench_corpus():
-    """The benchmark's spec generator, `perfbench/corpus.py`, executed from
-    its source so that nothing is written next to it."""
-    path = BENCH / "corpus.py"
-    mod = types.ModuleType("corpus")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
-         mod.__dict__)
-    return mod
 
 
 def random_rational(rng):

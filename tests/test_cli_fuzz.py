@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (assert_dual_hilbert_identity, bench_corpus,
+from helpers import (assert_dual_hilbert_identity, bench_module,
                      change_arrow_basis, jordan_in_random_basis)
 
 # imported up front, so that no example's time includes compiling a layer
@@ -97,7 +97,7 @@ def _radical(n_ideals):
 
 
 # (ideal, half simples, short-graded simples) of the benchmark corpus
-POOL = bench_corpus().IDEAL_POOL
+POOL = bench_module("corpus").IDEAL_POOL
 
 
 @st.composite

@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from helpers import (bench_corpus, ref_fs_indicator_adams, ref_graded_pieces4,
+from helpers import (bench_module, ref_fs_indicator_adams, ref_graded_pieces4,
                      ref_grading_values, ref_restrict_walk)
 from smodquiver import catalog as C
 from smodquiver import jordan as J
@@ -147,7 +147,7 @@ def test_b7_spinor_times_top_exterior_power():
 # the kinds of the criterion-8 ideal pool, which the benchmark's spec sweep
 # draws from
 POOL_KINDS = [J.kind_of_ideal(J.spec_from_dict({"ideals": [ideal]}).ideals[0])
-              for ideal, _, _ in bench_corpus().IDEAL_POOL]
+              for ideal, _, _ in bench_module("corpus").IDEAL_POOL]
 
 
 @pytest.mark.parametrize("kind", list(dict.fromkeys(
@@ -387,7 +387,7 @@ def test_asymmetric_short_gradings_match(sys, h2):
 
 
 @pytest.mark.parametrize("kind", CATALOG_KINDS, ids=str)
-def test_grading_values_refuse_a_long_grading(kind):
+def test_graded_pieces4_refuses_a_long_grading(kind):
     sys = kind.root_system()
     lam = C.any_weight(kind, _labels(kind)[0])
     with pytest.raises(ValueError, match="not a short grading"):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (RefPresentedAlgebra, bench_corpus, change_arrow_basis,
+from helpers import (RefPresentedAlgebra, bench_module, change_arrow_basis,
                      template_algebra)
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
@@ -57,7 +57,7 @@ def _presentation(alg, scale=1):
 
 def test_corpus_algebras_match_the_reference():
     """The criterion-8 corpus specs whose singular W dimensions are <= 2."""
-    corpus = bench_corpus()
+    corpus = bench_module("corpus")
     specs = corpus.generate(lambda d: J.validate_spec(J.spec_from_dict(d)).ok)
     compared = 0
     for data in specs:

@@ -1,11 +1,12 @@
 """Byte guard: the stdout of the benchmark's koszul ops, valid tkk-check
 tables and verify-appendix ranks, run in process through `cli.main`, must
-hash to the digests recorded in perfbench/golden.json.  Output drift in
-pathalg, linalg, tkk, weights or catalog then fails here without running the
-benchmark.  The golden file is only read; verify-appendix ranks past the
-benchmark's, koszul inputs larger than its ops, the quiver and blocks
-renderings of the koszul specs and the degree- and hom-cap exits of koszul
-are pinned here."""
+hash to the digests recorded in perfbench/golden.json.  The koszul specs and
+tables are read from perfbench/workloads.py, so the guard hashes exactly
+what the benchmark runs.  Output drift in pathalg, linalg, tkk, weights or
+catalog then fails here without running the benchmark.  The benchmark's
+files are only read; verify-appendix ranks past the benchmark's, koszul
+inputs larger than its ops, the quiver and blocks renderings of the koszul
+specs and the degree- and hom-cap exits of koszul are pinned here."""
 
 import hashlib
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import direct_sum, matrix_plus, spin_factor
+from helpers import WORKLOADS, matrix_plus, spin_factor
 from smodquiver import cli
 
 GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,23 +41,12 @@ def _tensor(la, lb, mult):
             "b": {"ideal": 1, "label": lb}, "mult": mult}
 
 
-KOSZUL = {
-    "clifford-odd": (_spec([_F], [_unital("ad", 4)]), []),
-    "clifford-even": (_spec([_F, _F], [_tensor("L", "L", 3)]), []),
-    "segre-alt": (_spec([_F, _her(4, 3)], [_tensor("L", "V", 3)]), []),
-    "segre-sym": (_spec([_F, _her(1, 3)], [_tensor("L", "V", 3)]), []),
-    "a2-segre": (_spec([_F, _her(2, 3)],
-                       [_tensor("L", "V", 2), _tensor("L", "V*", 2)]), []),
-    "basis-ad7": (_spec([_F], [_unital("ad", 7)]),
-                  ["--hom-cap", "1", "--deg-cap", "12"]),
-}
+# name -> (spec, extra argv) of the benchmark's koszul ops
+KOSZUL = WORKLOADS.KOSZUL_SPECS
 
-
-TKK = {
-    "spin8": spin_factor(8),
-    "m3-plus": matrix_plus(3),
-    "m2-plus+spin5": direct_sum(matrix_plus(2), spin_factor(5)),
-}
+# name -> table JSON of the benchmark's tkk-check ops that exit 0
+TKK = {name: table for name, (table, rc) in WORKLOADS.TKK_TABLES.items()
+       if rc == 0}
 
 
 def _stdout_digest(argv, capsys, rc=0):
@@ -76,13 +66,15 @@ def test_koszul_stdout_matches_golden(name, tmp_path, capsys):
     spec, extra = KOSZUL[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    argv = ["koszul", "--spec", str(path)] + extra
+    argv = ["koszul", "--spec", str(path), *extra]
     assert _stdout_digest(argv, capsys) == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(TKK))
 def test_tkk_check_stdout_matches_golden(name, tmp_path, capsys):
-    argv = ["tkk-check", "--table", _write_table(TKK[name], tmp_path / "t.json")]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(TKK[name]), encoding="utf-8")
+    argv = ["tkk-check", "--table", str(path)]
     assert _stdout_digest(argv, capsys) == GOLDEN[name]
 
 

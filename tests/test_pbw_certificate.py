@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import bench_corpus, change_arrow_basis, template_algebra
+from helpers import bench_module, change_arrow_basis, template_algebra
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
@@ -110,7 +110,7 @@ def test_templates_take_the_certificate_route(kind, dims, resolutions):
 
 def test_corpus_takes_the_certificate_route():
     """The criterion-8 corpus specs whose singular W dimensions are <= 2."""
-    corpus = bench_corpus()
+    corpus = bench_module("corpus")
     specs = corpus.generate(lambda d: J.validate_spec(J.spec_from_dict(d)).ok)
     compared = 0
     for data in specs:
