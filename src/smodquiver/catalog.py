@@ -246,6 +246,7 @@ def restrict_s(kind, m_name, n_name):
                 sys, weights.dominantize(sys, weights._sub(nu, mu))) == lam}
 
 
+@lru_cache(maxsize=None)
 def dual_label(kind, name):
     """Catalog name of the dual of a catalog simple (half or short-graded)."""
     sys = kind.root_system()

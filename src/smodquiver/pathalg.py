@@ -56,8 +56,10 @@ class PresentedAlgebra:
     relation must share endpoints and length.  Relations are quadratic in the
     intended use; longer homogeneous relations are supported for control
     experiments.  Each coefficient is normalised once by `linalg.exact`.
-    A quadratic relation with one nonzero term, the common case, kills its
-    pair in degree 2 without an elimination row.
+    A quadratic relation with one term, the common case, takes a direct
+    route (two arrow lookups, one composability test) and is stored as its
+    pair: it kills the pair in degree 2 without an elimination row, and its
+    spread row is built only when a degree >= 3 is eliminated.
 
     Degrees up to 3 are extracted at construction.  When the relations pass
     the PBW certificate, `pbw` holds S as (outer, inner) pairs of arrow
@@ -80,15 +82,29 @@ class PresentedAlgebra:
             if src not in vset or dst not in vset:
                 raise PresentationError(f"arrow {aid} touches unknown vertex")
         self.relations = []
-        # each relation as (length, source vertex, nonzero terms), a term as
-        # (coef, outer arrow position, first tail arrow position, the other
-        # tail arrow positions), the tail innermost first; a quadratic
-        # relation with one nonzero term goes to _monomials, the rest to
-        # _spreads
+        # _monomials: each quadratic one-term relation with a nonzero coef,
+        # as (outer arrow pos, inner arrow pos, source vertex, coef);
+        # _spreads: every other as (length, source vertex, nonzero terms), a
+        # term as (coef, outer pos, first tail pos, the other tail positions),
+        # the tail innermost first
         self._spreads, self._monomials = [], []
         arrow = self._arrow
         for rel in relations:
-            terms = tuple((exact(c), tuple(path)) for c, path in rel)
+            rel = tuple(rel)
+            if len(rel) == 1:
+                c, p = rel[0]
+                c, p = exact(c), tuple(p)
+                terms = ((c, p),)
+                if len(p) == 2:
+                    # a composable pair of known arrows; faults are named below
+                    f, g = arrow.get(p[0]), arrow.get(p[1])
+                    if f and g and f[1] == g[2]:
+                        self.relations.append(terms)
+                        if c:
+                            self._monomials.append((f[0], g[0], g[1], c))
+                        continue
+            else:
+                terms = tuple((exact(c), tuple(path)) for c, path in rel)
             if not terms:
                 raise PresentationError("relation has no terms")
             length = len(terms[0][1])
@@ -116,8 +132,7 @@ class PresentedAlgebra:
             if len(ends) != 1:
                 raise PresentationError("relation terms must share endpoints")
             self.relations.append(terms)
-            (self._monomials if length == 2 and len(split) == 1
-             else self._spreads).append((length, g[1], split))
+            self._spreads.append((length, g[1], split))
         self._quadratic = all(spread[0] == 2 for spread in self._spreads)
         self.deg_cap = deg_cap
         # degree data; _dims covers every degree, the rest the extracted ones
@@ -192,10 +207,11 @@ class PresentedAlgebra:
         arrow by arrow, a degree-0 y giving the arrow.  In degree 2 a
         quadratic relation with one nonzero term kills its pair outright."""
         if d == 2:
-            killed = {(f, g) for *_, ((_, f, g, _),) in self._monomials}
+            killed = {(f, g) for f, g, _, _ in self._monomials}
             spreads = self._spreads
         else:
-            killed, spreads = set(), self._spreads + self._monomials
+            killed, spreads = set(), self._spreads + [
+                (2, src, [(c, f, g, [])]) for f, g, src, c in self._monomials]
         rows = []
         classes = self._classes
         for length, source, split in spreads:

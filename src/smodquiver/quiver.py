@@ -60,8 +60,9 @@ Block = namedtuple(
     "kind groups vertices thin_ids relations isolated descriptor notes",
     defaults=("", ()))
 
-# summands: printable kind names; groups: RadicalGroup; relations: all block
-# relations plus cross-block zeros; centext_pairs: ((q, q2), dim) sorted
+# summands: printable kind names; groups: RadicalGroup; relations: the block
+# relations in block order, then the cross-block zeros; centext_pairs:
+# ((q, q2), dim) sorted
 QuiverReport = namedtuple(
     "QuiverReport",
     "schema_version spec summands groups quiver blocks relations wild "
@@ -294,7 +295,7 @@ def _bind_block(groups, quiver, kind, qidx, thin_map):
     thin_ids = sorted(t.tid for t in quiver.thin if t.group in qidx)
     vertex_ids = tuple(sorted({a.src for a in thick} | {a.dst for a in thick}))
     if kind == "ZeroRelations":
-        rels = _zero_relations(quiver, thin_ids, thin_ids)
+        rels = _zero_relations(quiver, thin_ids, [thin_ids])
     else:
         anchor = next((v for v in vertex_ids if quiver.vertices[v].label == "L"),
                       vertex_ids[0])
@@ -309,13 +310,14 @@ def _bind_block(groups, quiver, kind, qidx, thin_map):
     return vertex_ids, tuple(thin_ids), tuple(rels)
 
 
-def _zero_relations(quiver, outer_ids, inner_ids):
-    """One monomial relation per composable (outer after inner) pair."""
+def _zero_relations(quiver, outer_ids, inner):
+    """One monomial relation per composable pair (x after y), x in outer_ids
+    and y in each id list of inner in turn."""
     outer_at = {}
     for x in outer_ids:
         outer_at.setdefault(quiver.thin[x].src, []).append(x)
-    return [((1, (x, y)),)
-            for y in inner_ids for x in outer_at.get(quiver.thin[y].dst, ())]
+    return [((1, (x, y)),) for ids in inner
+            for y in ids for x in outer_at.get(quiver.thin[y].dst, ())]
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +421,8 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
         all_rels.extend(b.relations)
     # cross-block compositions vanish
     for b1 in blocks:
-        for b2 in blocks:
-            if b1 is not b2:
-                all_rels.extend(_zero_relations(quiver, b1.thin_ids, b2.thin_ids))
+        all_rels.extend(_zero_relations(
+            quiver, b1.thin_ids, [b.thin_ids for b in blocks if b is not b1]))
 
     cent = jordan.central_extension_dim(datum)
     return QuiverReport(
@@ -444,9 +445,12 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
 
 
 def report_to_dict(rep: QuiverReport) -> dict:
-    def rel(r):
-        return [{"coef": str(c), "path": list(p)} for c, p in r]
-
+    """The report as a JSON-ready dict.  Block relations are the prefix of
+    `rep.relations` in block order, so each is rendered once: a block's
+    relation lists, term dicts included, are shared with `relations`."""
+    rels = [[{"coef": str(c), "path": list(p)} for c, p in r]
+            for r in rep.relations]
+    taken = iter(rels)
     return {
         "schemaVersion": rep.schema_version,
         "spec": rep.spec,
@@ -467,11 +471,11 @@ def report_to_dict(rep: QuiverReport) -> dict:
         "blocks": [{"kind": b.kind, "groups": list(b.groups),
                     "vertices": list(b.vertices),
                     "thinArrows": list(b.thin_ids),
-                    "relations": [rel(r) for r in b.relations],
+                    "relations": [next(taken) for _ in b.relations],
                     "isolated": b.isolated,
                     "descriptor": b.descriptor,
                     "notes": list(b.notes)} for b in rep.blocks],
-        "relations": [rel(r) for r in rep.relations],
+        "relations": rels,
         "wild": rep.wild,
         "centext": {"pairs": [{"groups": list(k), "dim": v}
                               for k, v in rep.centext_pairs],

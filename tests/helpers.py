@@ -13,7 +13,7 @@ from smodquiver import quiver as Q
 from smodquiver import reference as R
 from smodquiver import tkk as T
 from smodquiver import weights as W
-from smodquiver.linalg import Echelon
+from smodquiver.linalg import Echelon, exact
 
 ONE = Fraction(1)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -43,6 +43,15 @@ WORKLOADS = bench_module("workloads")
 spin_factor = WORKLOADS.spin_factor
 matrix_plus = WORKLOADS.matrix_plus
 direct_sum = WORKLOADS.direct_sum
+
+
+# (block kind, W dimensions) of the template algebras that the reference
+# extraction and intake are compared on
+TEMPLATES = ([("A1_SegreSym", (k,)) for k in (1, 2, 3)]
+             + [("A1_SegreAlt", (k,)) for k in (1, 2, 3)]
+             + [("A2_Segre", dims) for dims in ((1, 1), (2, 1), (2, 3))]
+             + [("CliffordEven", (k,)) for k in (2, 3, 4)]
+             + [("CliffordOdd", (k,)) for k in (2, 3, 4)])
 
 
 def template_algebra(kind, wdims):
@@ -523,6 +532,60 @@ class RefPresentedAlgebra(P.PresentedAlgebra):
         self._src.append([self._src[d - 1][x] for _, x in basis])
         self._dst.append([self.arrows[a][2] for a, _ in basis])
         return len(free)
+
+
+# ---------------------------------------------------------------------------
+# reference relation intake: the one loop `PresentedAlgebra.__init__` ran on
+# every relation before quadratic one-term relations took their direct
+# route.  Every relation, a monomial too, becomes a spread, so degree 2 kills
+# a monomial's pair through its one-entry row.
+
+
+class RefIntakeAlgebra(P.PresentedAlgebra):
+    """`PresentedAlgebra` with the reference intake of its relations."""
+
+    def __init__(self, vertices, arrows, relations, deg_cap=8):
+        # the parent checks the arrows with no relation, then calls
+        # `_build`, which takes the relations in before it builds
+        self._ref_relations = relations
+        super().__init__(vertices, arrows, (), deg_cap)
+
+    def _build(self):
+        arrow = self._arrow
+        for rel in self._ref_relations:
+            terms = tuple((exact(c), tuple(path)) for c, path in rel)
+            if not terms:
+                raise P.PresentationError("relation has no terms")
+            length = len(terms[0][1])
+            if len(terms) > 1 and len({len(p) for _, p in terms}) != 1:
+                raise P.PresentationError("relation terms must share length")
+            if length < 2:
+                raise P.PresentationError("relations start at path length 2")
+            split, ends = [], set()
+            for c, p in terms:
+                try:
+                    f = g = arrow[p[0]]
+                    tail = []
+                    for aid in p[1:]:
+                        h = arrow[aid]
+                        if g[1] != h[2]:
+                            raise P.PresentationError(
+                                f"non-composable path {p}")
+                        g = h
+                        tail.append(h[0])
+                except KeyError as exc:
+                    raise P.PresentationError(
+                        f"path {p} names an unknown arrow {exc}") from None
+                ends.add((g[1], f[2]))
+                if c:
+                    split.append((c, f[0], g[0], tail[-2::-1]))
+            if len(ends) != 1:
+                raise P.PresentationError(
+                    "relation terms must share endpoints")
+            self.relations.append(terms)
+            self._spreads.append((length, g[1], split))
+        self._quadratic = all(spread[0] == 2 for spread in self._spreads)
+        super()._build()
 
 
 def random_rational(rng):

@@ -16,18 +16,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (RefPresentedAlgebra, bench_module, change_arrow_basis,
-                     template_algebra)
+from helpers import (TEMPLATES, RefPresentedAlgebra, bench_module,
+                     change_arrow_basis, template_algebra)
 from smodquiver import jordan as J
 from smodquiver import pathalg as P
 from smodquiver import quiver as Q
 from smodquiver import reference as R
-
-TEMPLATES = ([("A1_SegreSym", (k,)) for k in (1, 2, 3)]
-             + [("A1_SegreAlt", (k,)) for k in (1, 2, 3)]
-             + [("A2_Segre", dims) for dims in ((1, 1), (2, 1), (2, 3))]
-             + [("CliffordEven", (k,)) for k in (2, 3, 4)]
-             + [("CliffordOdd", (k,)) for k in (2, 3, 4)])
 
 
 def _state(cls, vertices, arrows, relations, deg_cap):

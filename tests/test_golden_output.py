@@ -6,20 +6,24 @@ what the benchmark runs.  Output drift in pathalg, linalg, tkk, weights or
 catalog then fails here without running the benchmark.  The benchmark's
 files are only read; verify-appendix ranks past the benchmark's, koszul
 inputs larger than its ops, the quiver and blocks renderings of the koszul
-specs and the degree- and hom-cap exits of koszul are pinned here."""
+specs and the degree- and hom-cap exits of koszul are pinned here.  The
+benchmark's spec-sweep session runs here too, as a child process, and its
+corpus, output and summary digests must match golden.json."""
 
 import hashlib
 import json
+import subprocess
+import sys
+import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from helpers import WORKLOADS, matrix_plus, spin_factor
+from helpers import BENCH, SRC, WORKLOADS, matrix_plus, spin_factor, src_env
 from smodquiver import cli
 
-GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
-                     / "golden.json").read_text(encoding="utf-8"))["cli"]
+GOLDEN_FILE = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+GOLDEN = GOLDEN_FILE["cli"]
 
 _F = {"kind": "field"}
 
@@ -76,6 +80,24 @@ def test_tkk_check_stdout_matches_golden(name, tmp_path, capsys):
     path.write_text(json.dumps(TKK[name]), encoding="utf-8")
     argv = ["tkk-check", "--table", str(path)]
     assert _stdout_digest(argv, capsys) == GOLDEN[name]
+
+
+def test_spec_sweep_session_matches_golden():
+    # the session with the benchmark's arguments, at the corpus seed whose
+    # outputs golden.json records; about 1 s.  With no bytecode written,
+    # perfbench/ is left as it was
+    golden = GOLDEN_FILE["spec-sweep"]
+    env = dict(src_env(), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "session.py"), "--src", str(SRC),
+         "--spawned", repr(time.monotonic()),
+         "--seed", str(golden["corpus_seed"])],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    keys = ("corpus_sha256", "outputs_sha256", "summaries_sha256")
+    assert {k: result[k] for k in keys} == {k: golden[k] for k in keys}
+    assert result["violations"] == []
 
 
 def _spin_half(n):

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import smodquiver
-from helpers import SRC, matrix_plus, spin_factor, src_env
+from helpers import SRC, WORKLOADS, matrix_plus, spin_factor, src_env
 from smodquiver import reference
 
 # public classes and functions of the library-only module, defined there
@@ -29,6 +29,9 @@ _HEAVY = "sorted({'dataclasses', 'inspect'} & set(sys.modules))"
 # `fractions` and the standard modules it imports, about 4 ms together: a
 # command loads them only for a value that is not an integer
 _NUMERIC = "sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules))"
+
+# name -> (table JSON, exit code) of the benchmark's tkk-check ops
+TKK_TABLES = WORKLOADS.TKK_TABLES
 
 _RUN_CLI = f"""
 import contextlib, io, json, sys
@@ -59,11 +62,15 @@ def commands(tmp_path):
     spec.write_text(json.dumps({"ideals": [{"kind": "field"}], "radical": [
         {"kind": "unital", "ideal": 0, "label": "ad", "mult": 2}]}),
         encoding="utf-8")
+    # spin4 keeps JSON integer entries where the benchmark's tables write
+    # strings, so the fractions test reads integer entries here and string
+    # entries in the benchmark's spin8 (INTEGRAL_TABLES)
     good = tmp_path / "spin4.json"
     t = spin_factor(4)
     good.write_text(json.dumps({"dim": len(t), "products": t}), encoding="utf-8")
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dim": 1, "products": [[1]]}), encoding="utf-8")
+    bad.write_text(json.dumps(TKK_TABLES["scalar-products"][0]),
+                   encoding="utf-8")
     return [(tuple(map(str, argv)), rc) for argv, rc in (
         (("quiver", "--spec", spec), 0),
         (("blocks", "--spec", spec), 0),
@@ -143,11 +150,9 @@ def test_tkk_check_loads_no_character_or_quiver_layer(tmp_path):
                          "oracles", "reference"}
 
 
-@pytest.mark.parametrize("table", [
-    {"dim": 2, "products": [[["1", "0"], ["0", "1"]], [["1", "0"], ["0", "0"]]]},
-    {"dim": 1, "products": [[1]]},
-], ids=["non-commutative", "scalar-products"])
-def test_tkk_check_loads_no_construction_for_a_bad_table(tmp_path, table):
+@pytest.mark.parametrize("name", ["non-commutative", "scalar-products"])
+def test_tkk_check_loads_no_construction_for_a_bad_table(tmp_path, name):
+    table, _ = TKK_TABLES[name]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(table), encoding="utf-8")
     rc, loaded, _, numeric = _child(_RUN_CLI, "tkk-check", "--table",
@@ -182,10 +187,7 @@ def test_no_command_loads_fractions(commands):
 
 # tkk-check tables of the benchmark that run the construction on integers;
 # its two tables that exit 2 are in the bad-table test above
-INTEGRAL_TABLES = {
-    "spin8": ({"dim": 8, "products": spin_factor(8)}, 0),
-    "non-unital": ({"dim": 1, "products": [[["0"]]]}, 3),
-}
+INTEGRAL_TABLES = {name: TKK_TABLES[name] for name in ("spin8", "non-unital")}
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAL_TABLES))
