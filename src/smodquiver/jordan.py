@@ -71,10 +71,13 @@ JordanSpec = namedtuple("JordanSpec", "ideals radical unital",
 
 
 class ValidationReport:
-    __slots__ = ("violations",)
+    # _kinds: ideal index -> LieKind of each ideal with no fault, which
+    # lie_datum_of_spec reads so that no ideal is classified twice
+    __slots__ = ("violations", "_kinds")
 
     def __init__(self, violations=None):
         self.violations = [] if violations is None else violations
+        self._kinds = {}
 
     @property
     def ok(self):
@@ -116,7 +119,7 @@ def validate_spec(spec: JordanSpec) -> ValidationReport:
     """Report-style validation of a classification-level spec."""
     rep = ValidationReport()
     bad = rep.violations.append
-    kinds = {}   # ideal index -> LieKind, for the ideals with no fault
+    kinds = rep._kinds
     for i, ideal in enumerate(spec.ideals):
         faults = _ideal_faults(ideal)
         rep.violations.extend(f"ideal {i}: {msg}" for msg in faults)
@@ -253,36 +256,26 @@ def kind_of_ideal(ideal: SimpleIdealKind):
     return SL2 if ideal.kind == "field" else E7
 
 
-class RadicalEntry(namedtuple("RadicalEntry", "support labels w_dim")):
-    """A simple summand of the radical, with its multiplicity space.
-
-    support: one or two summand indices; labels: parallel catalog names.
-    """
-
-    __slots__ = ()
-
-    @property
-    def is_tensor(self):
-        return len(self.support) == 2
-
+# a simple summand of the radical with its multiplicity space; support: one
+# or two summand indices (two for a tensor entry); labels: parallel names
+RadicalEntry = namedtuple("RadicalEntry", "support labels w_dim")
 
 # summands: LieKind per simple ideal; radical: merged RadicalEntry list
 LieDatum = namedtuple("LieDatum", "summands radical")
 
 
 def lie_datum_of_spec(spec: JordanSpec) -> LieDatum:
-    """Classification-level graded Lie datum of a unital spec."""
+    """Classification-level graded Lie datum of the unitalization of a spec.
+
+    The spec is validated as given, since unitalizing can bring an ideal
+    index into range.  Each ideal keeps the kind validation found for it;
+    only the field ideal that unitalizing adjoins is classified here.
+    """
     report = validate_spec(spec)
     if not report.ok:
         raise SpecError(report)
-    return _lie_datum(spec)
-
-
-def _lie_datum(spec):
-    """`lie_datum_of_spec` of a spec already validated."""
-    if not spec.unital:
-        raise ValueError("spec must be unital (apply unitalize first)")
-    kinds = tuple(kind_of_ideal(i) for i in spec.ideals)
+    kinds = tuple(report._kinds.get(i) or kind_of_ideal(ideal)
+                  for i, ideal in enumerate(unitalize(spec).ideals))
     merged = {}
     for comp in spec.radical:
         refs = sorted(comp.refs)
@@ -305,7 +298,7 @@ def _entry_parity(datum, entry):
     """Classical form parity of the base module of a radical entry."""
     ps = [catalog.classical_parity(datum.summands[i], label)
           for i, label in zip(entry.support, entry.labels)]
-    return catalog.parity_product(*ps) if entry.is_tensor else ps[0]
+    return catalog.parity_product(*ps) if len(ps) == 2 else ps[0]
 
 
 def _entries_dual(datum, e1, e2):

@@ -57,8 +57,7 @@ RadicalGroup = namedtuple(
 # coef an int or a Fraction
 Block = namedtuple(
     "Block",
-    "kind groups vertices thin_ids relations isolated descriptor notes",
-    defaults=("", ()))
+    "kind groups vertices thin_ids relations isolated descriptor notes")
 
 # summands: printable kind names; groups: RadicalGroup; relations: the block
 # relations in block order, then the cross-block zeros; centext_pairs:
@@ -79,7 +78,8 @@ def group_radical(datum: jordan.LieDatum):
     for q, e in enumerate(datum.radical):
         kinds = [datum.summands[i] for i in e.support]
         engine_parity = jordan._entry_parity(datum, e)
-        if e.is_tensor:
+        tensor = len(e.support) == 2
+        if tensor:
             # the h-eigenvalue-1/2 pieces, the level in quarter units
             halves = [catalog.graded_piece_dim4(k, l, 2)
                       for k, l in zip(kinds, e.labels)]
@@ -95,7 +95,7 @@ def group_radical(datum: jordan.LieDatum):
             # a label that is not self-dual already has classical parity "none"
             parity = engine_parity
         groups.append(RadicalGroup(q, e.support, e.labels, e.w_dim,
-                                   "I" if e.is_tensor else "II",
+                                   "I" if tensor else "II",
                                    singular, parity, engine_parity))
     return groups
 
@@ -174,30 +174,84 @@ def _quiver_size(thick):
 
 
 def classify_block(datum, groups, q):
-    """Block kind of group q, plus the participating group indices."""
+    """The block of group q: its kind, its group indices, its descriptor (the
+    paper's table row) and its notes.  An A1 block's template follows the
+    table parity of its S side, and a note says where the character engine
+    computes another."""
     g = groups[q]
     kinds = [datum.summands[i] for i in g.support]
-    if g.rtype == "I":
-        sl2_sides = [t for t in range(2) if kinds[t] == SL2]
-        if len(sl2_sides) == 2:
-            return "CliffordEven", (q,)
-        if len(sl2_sides) == 1:
-            s_side = 1 - sl2_sides[0]
+    notes = []
+    if g.inert:
+        notes.append(f"group {q} ({'/'.join(g.labels)}) induces no arrows; "
+                     "retained as inert")
+    kind, qidx = "ZeroRelations", (q,)
+    if g.rtype == "II":
+        descriptor = ("inert component" if g.inert
+                      else _table1_row(kinds[0], g.labels[0]))
+        if g.singular and kinds[0].series in ("so2", "sl2"):
+            odd = kinds[0] == SL2 or kinds[0].size % 2 == 1
+            kind = "CliffordOdd" if odd else "CliffordEven"
+    elif kinds == [SL2, SL2]:
+        kind, descriptor = "CliffordEven", "so(4) alias Clifford block"
+    else:
+        classes = tuple(sorted(_kind_class(k) for k in kinds))
+        row = {("A", "A"): 1, ("A", "B"): 2, ("A", "C"): 3,
+               ("B", "B"): 4, ("B", "C"): 5, ("C", "C"): 6}.get(classes)
+        descriptor = f"Table2:row{row}" if row else ""
+        if SL2 in kinds:
+            s_side = 1 - kinds.index(SL2)
             skind, sname = kinds[s_side], g.labels[s_side]
             form = catalog.duality_form(skind, sname)
             if form.dual == sname:
-                kind = "A1_SegreSym" if form.parity == "symmetric" else "A1_SegreAlt"
-                return kind, (q,)
-            for g2 in groups:
-                if (g2.index != q and g2.rtype == "I"
-                        and jordan._entries_dual(datum, g, g2)):
-                    return "A2_Segre", tuple(sorted((q, g2.index)))
-        return "ZeroRelations", (q,)
-    kind = kinds[0]
-    if g.singular and kind.series in ("so2", "sl2"):
-        odd = kind == SL2 or kind.size % 2 == 1
-        return ("CliffordOdd" if odd else "CliffordEven"), (q,)
-    return "ZeroRelations", (q,)
+                kind = ("A1_SegreSym" if form.parity == "symmetric"
+                        else "A1_SegreAlt")
+                engine = catalog.classical_parity(skind, sname)
+                if form.parity != engine:
+                    notes.append(f"classification used table parity "
+                                 f"'{form.parity}' for ({skind},{sname}); "
+                                 f"character engine computes '{engine}'")
+            else:
+                partner = next((g2.index for g2 in groups
+                                if g2.index != q and g2.rtype == "I"
+                                and jordan._entries_dual(datum, g, g2)), None)
+                if partner is not None:
+                    kind, qidx = "A2_Segre", tuple(sorted((q, partner)))
+                    descriptor = "A2 block (dual-pair quotient)"
+    if kind == "CliffordEven":
+        notes.append("relations use the alternating pairing of the graded "
+                     "exterior algebra; the diagonal-pairing variant of this "
+                     "block is the same algebra in a different arrow basis, "
+                     "except for its inconsistent gamma*delta item")
+    return kind, qidx, descriptor, tuple(notes)
+
+
+def _kind_class(kind):
+    if kind.series in ("sl2", "sp", "so1"):
+        return "A"
+    if kind.series == "so2" and kind.size % 2 == 1:
+        return "A"
+    if kind.series == "sl":
+        return "B"
+    if kind.series == "so2" and kind.size % 4 == 2:
+        return "B"
+    return "C"   # so2 of size 0 mod 4; an e7 group is inert, so never classed
+
+
+def _table1_row(kind, label):
+    """The Table 1 row of a type II group on `label` that induces arrows."""
+    cls = _kind_class(kind)
+    if cls == "A":
+        return "Table1:row1 (loop)"
+    if label == "ad" and kind.series == "sl":
+        return "Table1:row2 (two loops)"
+    if label.startswith("LrV("):
+        r = int(label[4:-1])
+        return ("Table1:row2 (two loops)" if r % 2 == 0
+                else "Table1:row3 (2-cycle)")
+    if label.startswith("Lambda"):
+        return ("Table1:row4 (loop + isolated)" if cls == "C"
+                else "Table1:row5 (single arrow)")
+    return "Table1:row5 (single arrow)"
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +314,6 @@ def relations_of(block_kind, w_dims):
     raise ValueError(f"unknown block kind {block_kind!r}")
 
 
-def wildness_flag(groups) -> bool:
-    """True iff some radical isomorphism class has multiplicity >= 3."""
-    return any(g.w_dim >= 3 for g in groups)
-
-
 # ---------------------------------------------------------------------------
 # binding templates to actual arrows
 
@@ -324,97 +373,26 @@ def _zero_relations(quiver, outer_ids, inner):
 # full pipeline
 
 
-def _kind_class(kind):
-    if kind.series in ("sl2", "sp", "so1"):
-        return "A"
-    if kind.series == "so2" and kind.size % 2 == 1:
-        return "A"
-    if kind.series == "sl":
-        return "B"
-    if kind.series == "so2" and kind.size % 4 == 2:
-        return "B"
-    return "C"   # so2 of size 0 mod 4; an e7 group is inert, so never classed
-
-
-def _descriptor(datum, groups, kind, qidx):
-    g = groups[qidx[0]]
-    kinds = [datum.summands[i] for i in g.support]
-    if g.rtype == "II":
-        if g.inert:
-            return "inert component"
-        cls = _kind_class(kinds[0])
-        label = g.labels[0]
-        if cls == "A":
-            return "Table1:row1 (loop)"
-        if label == "ad" and kinds[0].series == "sl":
-            return "Table1:row2 (two loops)"
-        if label.startswith("LrV("):
-            r = int(label[4:-1])
-            return ("Table1:row2 (two loops)" if r % 2 == 0
-                    else "Table1:row3 (2-cycle)")
-        if label.startswith("Lambda"):
-            return ("Table1:row4 (loop + isolated)" if cls == "C"
-                    else "Table1:row5 (single arrow)")
-        return "Table1:row5 (single arrow)"
-    if kind == "A2_Segre":
-        return "A2 block (dual-pair quotient)"
-    if kind == "CliffordEven" and len(kinds) == 2:
-        return "so(4) alias Clifford block"
-    classes = tuple(sorted(_kind_class(k) for k in kinds))
-    row = {("A", "A"): 1, ("A", "B"): 2, ("A", "C"): 3,
-           ("B", "B"): 4, ("B", "C"): 5, ("C", "C"): 6}.get(classes)
-    return f"Table2:row{row}" if row else ""
-
-
 def assemble(spec: jordan.JordanSpec) -> QuiverReport:
     """Full pipeline from a JordanSpec to the quiver-with-relations report."""
-    report = jordan.validate_spec(spec)
-    if not report.ok:
-        raise jordan.SpecError(report)
-    # validated as given: unitalizing can bring an ideal index into range
-    spec = jordan.unitalize(spec)
-    datum = jordan._lie_datum(spec)
+    datum = jordan.lie_datum_of_spec(spec)
     groups = group_radical(datum)
     quiver, groups = arrows_of(datum, groups)
     thin_map = _thin_by_thick(quiver)
 
-    notes = []
     blocks = []
     claimed = set()
     total_vertices = len(quiver.vertices)
     for g in groups:
         if g.index in claimed:
             continue
-        kind, qidx = classify_block(datum, groups, g.index)
+        kind, qidx, descriptor, bnotes = classify_block(datum, groups, g.index)
         claimed.update(qidx)
         vertex_ids, thin_ids, rels = _bind_block(
             groups, quiver, kind, qidx, thin_map)
-        bnotes = []
-        if g.inert:
-            bnotes.append(f"group {g.index} ({'/'.join(g.labels)}) induces no "
-                          "arrows; retained as inert")
-        if kind in ("A1_SegreSym", "A1_SegreAlt"):
-            s_side = next(t for t in range(2)
-                          if datum.summands[g.support[t]] != SL2)
-            skind = datum.summands[g.support[s_side]]
-            sname = g.labels[s_side]
-            table = catalog.duality_form(skind, sname).parity
-            engine = catalog.classical_parity(skind, sname)
-            if table != engine:
-                bnotes.append(
-                    f"classification used table parity '{table}' for "
-                    f"({skind},{sname}); character engine computes '{engine}'")
-        if kind == "CliffordEven":
-            bnotes.append("relations use the alternating pairing of the "
-                          "graded exterior algebra; the diagonal-pairing "
-                          "variant of this block is the same algebra in a "
-                          "different arrow basis, except for its "
-                          "inconsistent gamma*delta item")
-        blocks.append(Block(kind, tuple(qidx), vertex_ids, thin_ids, rels,
-                            total_vertices - len(vertex_ids),
-                            _descriptor(datum, groups, kind, qidx),
-                            tuple(bnotes)))
-        notes.extend(bnotes)
+        blocks.append(Block(kind, qidx, vertex_ids, thin_ids, rels,
+                            total_vertices - len(vertex_ids), descriptor,
+                            bnotes))
 
     all_rels = []
     for b in blocks:
@@ -427,16 +405,17 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
     cent = jordan.central_extension_dim(datum)
     return QuiverReport(
         schema_version=1,
-        spec=jordan.spec_to_dict(spec),
+        spec=jordan.spec_to_dict(jordan.unitalize(spec)),
         summands=tuple(str(k) for k in datum.summands),
         groups=tuple(groups),
         quiver=quiver,
         blocks=tuple(blocks),
         relations=tuple(all_rels),
-        wild=wildness_flag(groups),
+        # some radical isomorphism class has multiplicity >= 3
+        wild=any(g.w_dim >= 3 for g in groups),
         centext_pairs=tuple(sorted(cent.pair_dims.items())),
         centext_total=cent.total,
-        notes=tuple(notes),
+        notes=tuple(n for b in blocks for n in b.notes),
     )
 
 

@@ -2,7 +2,10 @@
 
 import pytest
 
+from helpers import bench_module
+from smodquiver import catalog as C
 from smodquiver import jordan as J
+from smodquiver import oracles as O
 from smodquiver import quiver as Q
 from smodquiver import reference as R
 
@@ -98,61 +101,104 @@ def test_arrow_count_bounded_by_groups():
 # -- classification ----------------------------------------------------------
 
 
+_CLIFFORD_EVEN_NOTE = (
+    "relations use the alternating pairing of the graded exterior algebra; "
+    "the diagonal-pairing variant of this block is the same algebra in a "
+    "different arrow basis, except for its inconsistent gamma*delta item")
+
+
+def classify(ideals, radical, q=0):
+    d = datum(ideals, radical)
+    return Q.classify_block(d, Q.group_radical(d), q)
+
+
 def test_classify_a1_variants():
-    d = datum((J.Field(), J.Hermitian(1, 3)),
-              (J.TensorOfSpecial(0, "L", 1, "V"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0) == ("A1_SegreSym", (0,))
-    d = datum((J.Field(), J.Hermitian(4, 3)),
-              (J.TensorOfSpecial(0, "L", 1, "V"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0) == ("A1_SegreAlt", (0,))
-    # spinor cases: so2(9) (B4, symmetric) and so2(11) (B5, skew)
-    d = datum((J.Field(), J.Bilinear(7)),
-              (J.TensorOfSpecial(0, "L", 1, "Gamma"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0)[0] == "A1_SegreSym"
-    d = datum((J.Field(), J.Bilinear(9)),
-              (J.TensorOfSpecial(0, "L", 1, "Gamma"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0)[0] == "A1_SegreAlt"
+    # the standard modules of sp and so1: table parity, and a note naming
+    # the character engine's
+    assert classify((J.Field(), J.Hermitian(1, 3)),
+                    (J.TensorOfSpecial(0, "L", 1, "V"),)) == (
+        "A1_SegreSym", (0,), "Table2:row1",
+        ("classification used table parity 'symmetric' for (sp(6),V); "
+         "character engine computes 'skew'",))
+    assert classify((J.Field(), J.Hermitian(4, 3)),
+                    (J.TensorOfSpecial(0, "L", 1, "V"),)) == (
+        "A1_SegreAlt", (0,), "Table2:row1",
+        ("classification used table parity 'skew' for (so1(12),V); "
+         "character engine computes 'symmetric'",))
+    # spinor cases: so2(9) (B4, symmetric) and so2(11) (B5, skew), where
+    # table and engine agree
+    assert classify((J.Field(), J.Bilinear(7)),
+                    (J.TensorOfSpecial(0, "L", 1, "Gamma"),)) == (
+        "A1_SegreSym", (0,), "Table2:row1", ())
+    assert classify((J.Field(), J.Bilinear(9)),
+                    (J.TensorOfSpecial(0, "L", 1, "Gamma"),)) == (
+        "A1_SegreAlt", (0,), "Table2:row1", ())
+
+
+def _self_dual_a1_cases():
+    """(ideal, kind, S) for each self-dual half simple S of the sp, so1 and
+    so2 ideals, each the S side of an A1 block with the field's L."""
+    ideals = ([J.Hermitian(1, n) for n in range(3, 13)]
+              + [J.Hermitian(4, n) for n in range(3, 7)]
+              + [J.Bilinear(d) for d in range(3, 24)])
+    for ideal in ideals:
+        kind = J.kind_of_ideal(ideal)
+        for lab in C.s_half_simples(kind):
+            if C.duality_form(kind, lab.name).dual == lab.name:
+                yield ideal, kind, lab.name
+
+
+def test_a1_template_and_parity_note_follow_the_table():
+    templates = {"symmetric": "A1_SegreSym", "skew": "A1_SegreAlt"}
+    noted = set()
+    for ideal, kind, sname in _self_dual_a1_cases():
+        rep = build((J.Field(), ideal), (J.TensorOfSpecial(0, "L", 1, sname),))
+        (block,) = rep.blocks
+        assert block.kind == templates[C.duality_form(kind, sname).parity]
+        exception = O.PARITY_EXCEPTIONS.get((kind.series, sname))
+        if exception is None:
+            assert block.notes == (), (kind, sname)
+        else:
+            table, engine = exception
+            assert block.notes == (
+                f"classification used table parity '{table}' for "
+                f"({kind},{sname}); character engine computes '{engine}'",)
+            noted.add((kind.series, sname))
+        assert rep.notes == block.notes
+    assert noted == set(O.PARITY_EXCEPTIONS)
 
 
 def test_classify_a2_pairs():
-    d = datum((J.Field(), J.Hermitian(2, 3)),
-              (J.TensorOfSpecial(0, "L", 1, "V", 2),
-               J.TensorOfSpecial(0, "L", 1, "V*")))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0) == ("A2_Segre", (0, 1))
-    assert Q.classify_block(d, gs, 1) == ("A2_Segre", (0, 1))
+    ideals = (J.Field(), J.Hermitian(2, 3))
+    radical = (J.TensorOfSpecial(0, "L", 1, "V", 2),
+               J.TensorOfSpecial(0, "L", 1, "V*"))
+    for q in (0, 1):
+        assert classify(ideals, radical, q) == (
+            "A2_Segre", (0, 1), "A2 block (dual-pair quotient)", ())
 
 
 def test_classify_a2_requires_partner():
-    d = datum((J.Field(), J.Hermitian(2, 3)),
-              (J.TensorOfSpecial(0, "L", 1, "V"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0) == ("ZeroRelations", (0,))
+    assert classify((J.Field(), J.Hermitian(2, 3)),
+                    (J.TensorOfSpecial(0, "L", 1, "V"),)) == (
+        "ZeroRelations", (0,), "Table2:row2", ())
 
 
 def test_classify_clifford():
-    d = datum((J.Bilinear(5),), (J.Unital(0, "LrV(1)"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0) == ("CliffordOdd", (0,))
-    d = datum((J.Bilinear(6),), (J.Unital(0, "LrV(1)"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0) == ("CliffordEven", (0,))
-    d = datum((J.Field(), J.Field()), (J.TensorOfSpecial(0, "L", 1, "L"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0) == ("CliffordEven", (0,))
-    d = datum((J.Field(),), (J.Unital(0, "ad"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0) == ("CliffordOdd", (0,))
+    assert classify((J.Bilinear(5),), (J.Unital(0, "LrV(1)"),)) == (
+        "CliffordOdd", (0,), "Table1:row1 (loop)", ())
+    assert classify((J.Bilinear(6),), (J.Unital(0, "LrV(1)"),)) == (
+        "CliffordEven", (0,), "Table1:row3 (2-cycle)", (_CLIFFORD_EVEN_NOTE,))
+    assert classify((J.Field(), J.Field()),
+                    (J.TensorOfSpecial(0, "L", 1, "L"),)) == (
+        "CliffordEven", (0,), "so(4) alias Clifford block",
+        (_CLIFFORD_EVEN_NOTE,))
+    assert classify((J.Field(),), (J.Unital(0, "ad"),)) == (
+        "CliffordOdd", (0,), "Table1:row1 (loop)", ())
 
 
 def test_classify_nonsingular_type2_zero():
-    d = datum((J.Hermitian(1, 3),), (J.Unital(0, "ad"),))
-    gs = Q.group_radical(d)
-    assert Q.classify_block(d, gs, 0) == ("ZeroRelations", (0,))
+    assert classify((J.Hermitian(1, 3),), (J.Unital(0, "ad"),)) == (
+        "ZeroRelations", (0,), "Table1:row1 (loop)", ())
 
 
 # -- relation templates ------------------------------------------------------
@@ -224,11 +270,13 @@ def test_template_a2_counts():
 
 
 def test_wildness_flag():
-    d = datum((J.Hermitian(1, 3),), (J.Unital(0, "ad", 3),))
-    assert Q.wildness_flag(Q.group_radical(d))
-    d = datum((J.Hermitian(1, 3),), (J.Unital(0, "ad", 2),))
-    assert not Q.wildness_flag(Q.group_radical(d))
-    assert not Q.wildness_flag([])
+    # wild iff some radical isomorphism class has multiplicity >= 3
+    assert build((J.Hermitian(1, 3),), (J.Unital(0, "ad", 3),)).wild
+    assert not build((J.Hermitian(1, 3),), (J.Unital(0, "ad", 2),)).wild
+    # two components of one class merge into one group of multiplicity 4
+    assert build((J.Hermitian(1, 3),), (J.Unital(0, "ad", 2),
+                                        J.Unital(0, "ad", 2))).wild
+    assert not build((J.Hermitian(1, 3),), ()).wild
 
 
 # -- assembled reports -------------------------------------------------------
@@ -281,6 +329,25 @@ def test_assemble_unitalizes_first():
     assert sorted((v.color, v.label) for v in rep.quiver.vertices) == \
         [(0, "V"), (1, "L")]
     assert rep.spec["unital"] is True
+
+
+def test_assemble_classifies_each_ideal_once(monkeypatch):
+    corpus = bench_module("corpus")
+    specs = [J.spec_from_dict(d) for d in corpus.generate(
+        lambda d: J.validate_spec(J.spec_from_dict(d)).ok)]
+    n_ideals = sum(len(spec.ideals) for spec in specs)
+    assert n_ideals == 394
+    calls = []
+    kind_of_ideal = J.kind_of_ideal
+    monkeypatch.setattr(J, "kind_of_ideal",
+                        lambda ideal: calls.append(ideal) or kind_of_ideal(ideal))
+    for spec in specs:
+        Q.assemble(spec)
+    assert len(calls) == n_ideals
+    # a non-unital spec: its one ideal, then the field ideal it gains
+    calls.clear()
+    Q.assemble(J.JordanSpec((J.Hermitian(1, 3),), (), unital=False))
+    assert calls == [J.Hermitian(1, 3), J.Field()]
 
 
 def test_isolated_counts():

@@ -210,9 +210,16 @@ def test_lie_datum_merges_identical_entries():
     assert d.radical[0].support == (0, 1)
 
 
-def test_lie_datum_requires_unital():
-    spec = J.JordanSpec((J.Field(),), (), unital=False)
-    with pytest.raises(ValueError):
+def test_lie_datum_of_a_non_unital_spec_is_that_of_its_unitalization():
+    spec = J.JordanSpec((J.Hermitian(1, 3),), (J.Unital(0, "ad"),),
+                        unital=False)
+    d = J.lie_datum_of_spec(spec)
+    assert d == J.lie_datum_of_spec(J.unitalize(spec))
+    assert d.summands == (C.SP(6), C.SL2)
+    # validated as given: index 1 is the field ideal that unitalizing adds
+    spec = J.JordanSpec((J.Field(),), (J.Unital(1, "ad"),), unital=False)
+    assert J.lie_datum_of_spec(J.unitalize(spec)).summands == (C.SL2, C.SL2)
+    with pytest.raises(J.SpecError, match="radical 0: ideal index out of range"):
         J.lie_datum_of_spec(spec)
 
 
