@@ -3,12 +3,13 @@
 A `JordanSpec` names an algebra by its classification: simple ideals
 (field, bilinear, hermitian, Albert) plus a square-zero radical whose
 components are catalog labels with multiplicities.  This module parses and
-validates specs (`spec_from_dict`, `load_spec`, `validate_spec`) and maps a
-spec to its graded Lie datum: `lie_datum_of_spec` gives the graded simple
-kind of each ideal and the radical entries with their multiplicity spaces,
-and `central_extension_dim` the dimension of the universal central extension
-of the radical.  No structure constant is built here; the explicit level is
-`tables` (structure constants) and `tkk` (the TKK construction).
+validates specs (`spec_from_dict`, `load_spec`, `validate_spec`) and ends at
+the spec's graded Lie datum: `lie_datum_of_spec` gives the graded simple kind
+of each ideal and the radical entries with their multiplicity spaces.  What
+the radical entries do (their parities, dual partners, blocks and central
+extension) is decided in `quiver`.  No structure constant is built here; the
+explicit level is `tables` (structure constants) and `tkk` (the TKK
+construction).
 """
 
 from __future__ import annotations
@@ -98,21 +99,28 @@ def _fields(kind):
     raise ValueError(f"unknown ideal kind {kind!r}")
 
 
-def _ideal_faults(ideal):
-    """One message per fault of a simple ideal; none when it is valid."""
+def _classify_ideal(ideal):
+    """The graded simple `catalog.LieKind` of a simple ideal, or the list of
+    its faults, one message each, when it is not valid."""
     try:
         _fields(ideal.kind)
     except ValueError:
         return [f"unknown kind {ideal.kind!r}"]
-    faults = []
-    if ideal.kind == "bilinear" and ideal.dim < 3:
-        faults.append(f"bilinear requires dim >= 3, got {ideal.dim}")
+    if ideal.kind == "bilinear":
+        return (SO2(ideal.dim + 2) if ideal.dim >= 3
+                else [f"bilinear requires dim >= 3, got {ideal.dim}"])
     if ideal.kind == "hermitian":
+        faults = []
         if ideal.comp not in (1, 2, 4):
             faults.append("hermitian component dim must be 1, 2 or 4")
         if ideal.n < 3:
             faults.append(f"hermitian requires n >= 3, got {ideal.n}")
-    return faults
+        if faults:
+            return faults
+        if ideal.comp == 4:
+            return SO1(4 * ideal.n)
+        return (SP if ideal.comp == 1 else SL)(2 * ideal.n)
+    return SL2 if ideal.kind == "field" else E7
 
 
 def validate_spec(spec: JordanSpec) -> ValidationReport:
@@ -121,10 +129,11 @@ def validate_spec(spec: JordanSpec) -> ValidationReport:
     bad = rep.violations.append
     kinds = rep._kinds
     for i, ideal in enumerate(spec.ideals):
-        faults = _ideal_faults(ideal)
-        rep.violations.extend(f"ideal {i}: {msg}" for msg in faults)
-        if not faults:
-            kinds[i] = kind_of_ideal(ideal)
+        kind = _classify_ideal(ideal)
+        if isinstance(kind, list):
+            rep.violations.extend(f"ideal {i}: {msg}" for msg in kind)
+        else:
+            kinds[i] = kind
     if spec.unital and not spec.ideals:
         bad("unital spec with empty ideal list")
     for j, comp in enumerate(spec.radical):
@@ -244,16 +253,10 @@ def load_spec(path) -> JordanSpec:
 
 def kind_of_ideal(ideal: SimpleIdealKind):
     """The graded simple `catalog.LieKind` of a simple ideal."""
-    faults = _ideal_faults(ideal)
-    if faults:
-        raise ValueError("; ".join(faults))
-    if ideal.kind == "bilinear":
-        return SO2(ideal.dim + 2)
-    if ideal.kind == "hermitian":
-        if ideal.comp == 4:
-            return SO1(4 * ideal.n)
-        return (SP if ideal.comp == 1 else SL)(2 * ideal.n)
-    return SL2 if ideal.kind == "field" else E7
+    kind = _classify_ideal(ideal)
+    if isinstance(kind, list):
+        raise ValueError("; ".join(kind))
+    return kind
 
 
 # a simple summand of the radical with its multiplicity space; support: one
@@ -284,50 +287,3 @@ def lie_datum_of_spec(spec: JordanSpec) -> LieDatum:
     entries = tuple(RadicalEntry(sup, labs, merged[(sup, labs)])
                     for sup, labs in sorted(merged))
     return LieDatum(kinds, entries)
-
-
-# ---------------------------------------------------------------------------
-# central extensions
-
-
-# pair_dims: (q, q') with q <= q' -> dim; total: their sum
-CentextReport = namedtuple("CentextReport", "pair_dims total")
-
-
-def _entry_parity(datum, entry):
-    """Classical form parity of the base module of a radical entry."""
-    ps = [catalog.classical_parity(datum.summands[i], label)
-          for i, label in zip(entry.support, entry.labels)]
-    return catalog.parity_product(*ps) if len(ps) == 2 else ps[0]
-
-
-def _entries_dual(datum, e1, e2):
-    if e1.support != e2.support:
-        return False
-    duals = tuple(catalog.dual_label(datum.summands[i], l)
-                  for i, l in zip(e1.support, e1.labels))
-    return duals == e2.labels
-
-
-def central_extension_dim(datum: LieDatum) -> CentextReport:
-    """dim of the invariants of the alternating square of the radical.
-
-    Computed per pair of radical entries: within one entry W(x)M the
-    contribution is dim S^2(W) * [M alternating] + dim Lambda^2(W) *
-    [M symmetric]; a cross pair contributes dim W * dim W' iff the base
-    modules are dual.  Parities come from the character engine (classical
-    indicators), so this is the honest cohomological dimension.
-    """
-    pair_dims = {}
-    entries = datum.radical
-    for q, e in enumerate(entries):
-        k = e.w_dim
-        dim = {"skew": k * (k + 1) // 2,
-               "symmetric": k * (k - 1) // 2}.get(_entry_parity(datum, e), 0)
-        if dim:
-            pair_dims[(q, q)] = dim
-        for q2 in range(q + 1, len(entries)):
-            e2 = entries[q2]
-            if _entries_dual(datum, e, e2):
-                pair_dims[(q, q2)] = e.w_dim * e2.w_dim
-    return CentextReport(pair_dims, sum(pair_dims.values()))

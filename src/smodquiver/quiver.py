@@ -18,7 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import catalog, jordan
 from .catalog import SL2
@@ -73,22 +73,20 @@ QuiverReport = namedtuple(
 
 
 def group_radical(datum: jordan.LieDatum):
-    """Radical entries with singularity and form parity attached."""
+    """Radical entries with singularity and form parities attached."""
     groups = []
     for q, e in enumerate(datum.radical):
         kinds = [datum.summands[i] for i in e.support]
-        engine_parity = jordan._entry_parity(datum, e)
         tensor = len(e.support) == 2
+        engine = [catalog.classical_parity(k, l) for k, l in zip(kinds, e.labels)]
+        engine_parity = catalog.parity_product(*engine) if tensor else engine[0]
         if tensor:
-            # the h-eigenvalue-1/2 pieces, the level in quarter units
-            halves = [catalog.graded_piece_dim4(k, l, 2)
-                      for k, l in zip(kinds, e.labels)]
-            singular = all(h == 1 for h in halves)
-            forms = [catalog.duality_form(k, l) for k, l in zip(kinds, e.labels)]
-            if all(f.dual == l for f, l in zip(forms, e.labels)):
-                parity = catalog.parity_product(forms[0].parity, forms[1].parity)
-            else:
-                parity = "none"
+            # both h-eigenvalue-1/2 pieces, the level in quarter units, are lines
+            singular = [catalog.graded_piece_dim4(k, l, 2)
+                        for k, l in zip(kinds, e.labels)] == [1, 1]
+            # a half simple that is not self-dual has table parity "none"
+            parity = catalog.parity_product(*(catalog.duality_form(k, l).parity
+                                              for k, l in zip(kinds, e.labels)))
         else:
             # the h-eigenvalue-1 piece
             singular = catalog.graded_piece_dim4(kinds[0], e.labels[0], 4) == 1
@@ -98,6 +96,40 @@ def group_radical(datum: jordan.LieDatum):
                                    "I" if tensor else "II",
                                    singular, parity, engine_parity))
     return groups
+
+
+def dual_partners(datum: jordan.LieDatum):
+    """{q: q2} for each two distinct radical entries on one support whose
+    base modules are dual.  Only a support that carries two entries or more
+    has its labels dualized, so an e7 label, alone on its ideal, never is."""
+    entries = datum.radical
+    index = {(e.support, e.labels): q for q, e in enumerate(entries)}
+    shared = Counter(e.support for e in entries)
+    partners = {}
+    for q, e in enumerate(entries):
+        if shared[e.support] > 1:
+            duals = tuple(catalog.dual_label(datum.summands[i], l)
+                          for i, l in zip(e.support, e.labels))
+            if index.get((e.support, duals), q) != q:
+                partners[q] = index[e.support, duals]
+    return partners
+
+
+def central_extension(groups, partners):
+    """The universal central extension of the radical, ((q, q2), dim) with
+    q <= q2 in order: S^2(W) or Lambda^2(W) inside a group W(x)M, as M's
+    engine parity is skew or symmetric, and W (x) W' across a dual pair."""
+    pairs = []
+    for g in groups:
+        k = g.w_dim
+        dim = {"skew": k * (k + 1) // 2,
+               "symmetric": k * (k - 1) // 2}.get(g.engine_parity, 0)
+        if dim:
+            pairs.append(((g.index, g.index), dim))
+        q2 = partners.get(g.index, -1)
+        if q2 > g.index:
+            pairs.append(((g.index, q2), k * groups[q2].w_dim))
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +205,11 @@ def _quiver_size(thick):
 # block classification
 
 
-def classify_block(datum, groups, q):
+def classify_block(datum, groups, partners, q):
     """The block of group q: its kind, its group indices, its descriptor (the
     paper's table row) and its notes.  An A1 block's template follows the
     table parity of its S side, and a note says where the character engine
-    computes another."""
+    computes another; an A2 block pairs q with its entry of `partners`."""
     g = groups[q]
     kinds = [datum.summands[i] for i in g.support]
     notes = []
@@ -210,13 +242,9 @@ def classify_block(datum, groups, q):
                     notes.append(f"classification used table parity "
                                  f"'{form.parity}' for ({skind},{sname}); "
                                  f"character engine computes '{engine}'")
-            else:
-                partner = next((g2.index for g2 in groups
-                                if g2.index != q and g2.rtype == "I"
-                                and jordan._entries_dual(datum, g, g2)), None)
-                if partner is not None:
-                    kind, qidx = "A2_Segre", tuple(sorted((q, partner)))
-                    descriptor = "A2 block (dual-pair quotient)"
+            elif q in partners:
+                kind, qidx = "A2_Segre", tuple(sorted((q, partners[q])))
+                descriptor = "A2 block (dual-pair quotient)"
     if kind == "CliffordEven":
         notes.append("relations use the alternating pairing of the graded "
                      "exterior algebra; the diagonal-pairing variant of this "
@@ -377,6 +405,7 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
     """Full pipeline from a JordanSpec to the quiver-with-relations report."""
     datum = jordan.lie_datum_of_spec(spec)
     groups = group_radical(datum)
+    partners = dual_partners(datum)
     quiver, groups = arrows_of(datum, groups)
     thin_map = _thin_by_thick(quiver)
 
@@ -386,7 +415,7 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
     for g in groups:
         if g.index in claimed:
             continue
-        kind, qidx, descriptor, bnotes = classify_block(datum, groups, g.index)
+        kind, qidx, descriptor, bnotes = classify_block(datum, groups, partners, g.index)
         claimed.update(qidx)
         vertex_ids, thin_ids, rels = _bind_block(
             groups, quiver, kind, qidx, thin_map)
@@ -394,15 +423,13 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
                             total_vertices - len(vertex_ids), descriptor,
                             bnotes))
 
-    all_rels = []
-    for b in blocks:
-        all_rels.extend(b.relations)
+    all_rels = [r for b in blocks for r in b.relations]
     # cross-block compositions vanish
     for b1 in blocks:
         all_rels.extend(_zero_relations(
             quiver, b1.thin_ids, [b.thin_ids for b in blocks if b is not b1]))
 
-    cent = jordan.central_extension_dim(datum)
+    centext = central_extension(groups, partners)
     return QuiverReport(
         schema_version=1,
         spec=jordan.spec_to_dict(jordan.unitalize(spec)),
@@ -413,8 +440,8 @@ def assemble(spec: jordan.JordanSpec) -> QuiverReport:
         relations=tuple(all_rels),
         # some radical isomorphism class has multiplicity >= 3
         wild=any(g.w_dim >= 3 for g in groups),
-        centext_pairs=tuple(sorted(cent.pair_dims.items())),
-        centext_total=cent.total,
+        centext_pairs=centext,
+        centext_total=sum(dim for _, dim in centext),
         notes=tuple(n for b in blocks for n in b.notes),
     )
 

@@ -555,28 +555,28 @@ def test_criterion_9_central_extension_dims():
     for k in (1, 2, 3):
         spec = J.JordanSpec((F(), H(4, 3)),
                             (J.TensorOfSpecial(0, "L", 1, "V", k),))
-        rep = J.central_extension_dim(J.lie_datum_of_spec(spec))
-        assert rep.total == k * (k + 1) // 2
+        rep = Q.assemble(spec)
+        assert rep.centext_total == k * (k + 1) // 2
         direct = _direct_centext((C.SL2, C.SO1(12)), [("L", "V")], [k])
-        assert direct == rep.total
+        assert direct == rep.centext_total
     # shape (b): skew S factor (classically: the sp standard) -> dim L^2(W)
     for k in (1, 2, 3):
         spec = J.JordanSpec((F(), H(1, 3)),
                             (J.TensorOfSpecial(0, "L", 1, "V", k),))
-        rep = J.central_extension_dim(J.lie_datum_of_spec(spec))
-        assert rep.total == k * (k - 1) // 2
+        rep = Q.assemble(spec)
+        assert rep.centext_total == k * (k - 1) // 2
         direct = _direct_centext((C.SL2, C.SP(6)), [("L", "V")], [k])
-        assert direct == rep.total
+        assert direct == rep.centext_total
     # shape (c): dual pair -> dim W * dim W'
     for (k, l) in ((1, 1), (2, 1), (3, 2), (2, 3)):
         spec = J.JordanSpec((F(), H(2, 3)),
                             (J.TensorOfSpecial(0, "L", 1, "V", k),
                              J.TensorOfSpecial(0, "L", 1, "V*", l)))
-        rep = J.central_extension_dim(J.lie_datum_of_spec(spec))
-        assert rep.total == k * l
+        rep = Q.assemble(spec)
+        assert rep.centext_total == k * l
         direct = _direct_centext((C.SL2, C.SL(6)), [("L", "V"), ("L", "V*")],
                                  [k, l])
-        assert direct == rep.total
+        assert direct == rep.centext_total
     dt = time.time() - t0
     _report(f"[acceptance] criterion 9 (central extension dimensions): "
             f"PASS ({dt:.1f}s)")

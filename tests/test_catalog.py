@@ -128,6 +128,15 @@ def test_dual_label_matches_table():
                 C.duality_form(kind, lab.name).dual
 
 
+def test_table_parity_of_a_module_not_self_dual_is_none():
+    # quiver.group_radical takes a tensor group's table parity as the
+    # product of its factors' parities, which relies on this
+    for kind in oracles.appendix_kinds(8) + [C.SL2]:
+        for lab in C.s_half_simples(kind):
+            form = C.duality_form(kind, lab.name)
+            assert form.dual == lab.name or form.parity == "none", (kind, lab)
+
+
 def test_parity_discrepancies_are_exactly_the_documented_ones():
     assert R.parity_discrepancies(C.SP(6)) == [("V", "symmetric", "skew")]
     assert R.parity_discrepancies(C.SO1(12)) == [("V", "skew", "symmetric")]

@@ -109,7 +109,7 @@ _CLIFFORD_EVEN_NOTE = (
 
 def classify(ideals, radical, q=0):
     d = datum(ideals, radical)
-    return Q.classify_block(d, Q.group_radical(d), q)
+    return Q.classify_block(d, Q.group_radical(d), Q.dual_partners(d), q)
 
 
 def test_classify_a1_variants():
@@ -338,9 +338,9 @@ def test_assemble_classifies_each_ideal_once(monkeypatch):
     n_ideals = sum(len(spec.ideals) for spec in specs)
     assert n_ideals == 394
     calls = []
-    kind_of_ideal = J.kind_of_ideal
-    monkeypatch.setattr(J, "kind_of_ideal",
-                        lambda ideal: calls.append(ideal) or kind_of_ideal(ideal))
+    classify_ideal = J._classify_ideal
+    monkeypatch.setattr(J, "_classify_ideal",
+                        lambda ideal: calls.append(ideal) or classify_ideal(ideal))
     for spec in specs:
         Q.assemble(spec)
     assert len(calls) == n_ideals

@@ -71,8 +71,8 @@ def test_record_semantics():
                          (C.duality_form(C.SL2, "L"), "parity"),
                          (J.lie_datum_of_spec(J.JordanSpec((J.Field(),))),
                           "radical"),
-                         (J.central_extension_dim(J.lie_datum_of_spec(
-                             J.JordanSpec((J.Field(),)))), "total")):
+                         (Q.assemble(J.JordanSpec((J.Field(),))),
+                          "centext_total")):
         with pytest.raises(AttributeError):
             setattr(frozen, name, None)
 

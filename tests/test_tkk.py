@@ -6,6 +6,7 @@ import pytest
 
 from smodquiver import catalog as C
 from smodquiver import jordan as J
+from smodquiver import quiver as Q
 from smodquiver import reference as R
 from smodquiver import tables as TB
 from smodquiver import tkk as T
@@ -231,8 +232,8 @@ def test_lie_datum_rejects_invalid():
 # -- central extensions ------------------------------------------------------
 
 
-def _datum(ideals, radical):
-    return J.lie_datum_of_spec(J.JordanSpec(ideals, radical))
+def _report(ideals, radical):
+    return Q.assemble(J.JordanSpec(ideals, radical))
 
 
 def test_centext_skew_base_pairing():
@@ -240,35 +241,47 @@ def test_centext_skew_base_pairing():
     # skew pairing on the base, the trivial sits in Lambda^2(base), and the
     # center is S^2(W)
     for k, expect in ((1, 1), (2, 3), (3, 6)):
-        d = _datum((J.Field(), J.Hermitian(4, 3)),
-                   (J.TensorOfSpecial(0, "L", 1, "V", mult=k),))
-        assert J.central_extension_dim(d).total == expect
+        rep = _report((J.Field(), J.Hermitian(4, 3)),
+                      (J.TensorOfSpecial(0, "L", 1, "V", mult=k),))
+        assert rep.centext_total == expect
 
 
 def test_centext_symmetric_base_pairing():
     # W (x) L (x) V over sl2+sp(6): skew x (classically skew) gives a
     # symmetric pairing on the base, so the center is Lambda^2(W)
     for k, expect in ((1, 0), (2, 1), (3, 3)):
-        d = _datum((J.Field(), J.Hermitian(1, 3)),
-                   (J.TensorOfSpecial(0, "L", 1, "V", mult=k),))
-        assert J.central_extension_dim(d).total == expect
+        rep = _report((J.Field(), J.Hermitian(1, 3)),
+                      (J.TensorOfSpecial(0, "L", 1, "V", mult=k),))
+        assert rep.centext_total == expect
 
 
 def test_centext_dual_pair():
     for k, l in ((1, 1), (2, 1), (3, 2)):
-        d = _datum((J.Field(), J.Hermitian(2, 3)),
-                   (J.TensorOfSpecial(0, "L", 1, "V", mult=k),
-                    J.TensorOfSpecial(0, "L", 1, "V*", mult=l)))
-        rep = J.central_extension_dim(d)
-        assert rep.pair_dims.get((0, 1)) == k * l
-        assert rep.total == k * l
+        rep = _report((J.Field(), J.Hermitian(2, 3)),
+                      (J.TensorOfSpecial(0, "L", 1, "V", mult=k),
+                       J.TensorOfSpecial(0, "L", 1, "V*", mult=l)))
+        assert dict(rep.centext_pairs).get((0, 1)) == k * l
+        assert rep.centext_total == k * l
+
+
+def test_centext_shared_support():
+    # four entries on one sl(6) ideal, in entry order L2V, S2V, S2V*, ad:
+    # S2V and S2V* are the one dual pair, W (x) W' = 2 * 3; ad is symmetric,
+    # so Lambda^2(W) = 1; L2V, whose dual L2V* is absent, adds nothing
+    rep = _report((J.Hermitian(2, 3),),
+                  (J.Unital(0, "ad", 2), J.Unital(0, "S2V", 2),
+                   J.Unital(0, "S2V*", 3), J.Unital(0, "L2V", 2)))
+    assert [g.labels for g in rep.groups] == [
+        ("L2V",), ("S2V",), ("S2V*",), ("ad",)]
+    assert rep.centext_pairs == (((1, 2), 6), ((3, 3), 1))
+    assert rep.centext_total == 7
 
 
 def test_centext_clifford_shape():
     # W (x) V over so2(7): center Lambda^2(W)
     for k, expect in ((1, 0), (2, 1), (3, 3)):
-        d = _datum((J.Bilinear(5),), (J.Unital(0, "LrV(1)", mult=k),))
-        assert J.central_extension_dim(d).total == expect
+        rep = _report((J.Bilinear(5),), (J.Unital(0, "LrV(1)", mult=k),))
+        assert rep.centext_total == expect
 
 
 def test_centext_against_direct_character_computation():
@@ -277,7 +290,7 @@ def test_centext_against_direct_character_computation():
 
     kinds = (J.Field(), J.Hermitian(1, 3))
     k = 2
-    d = _datum(kinds, (J.TensorOfSpecial(0, "L", 1, "V", mult=k),))
+    rep = _report(kinds, (J.TensorOfSpecial(0, "L", 1, "V", mult=k),))
     comp = W.composite(C.SL2.root_system(), C.SP(6).root_system())
     l = R.weight_multiplicities(C.SL2.root_system(), (2, 0))
     v = R.weight_multiplicities(C.SP(6).root_system(), (2, 0, 0))
@@ -287,4 +300,4 @@ def test_centext_against_direct_character_computation():
             mults[w1 + w2] = mults.get(w1 + w2, 0) + k * m1 * m2
     rad = R.Character(comp, mults)
     s2, l2 = R.ext_sym_square(rad)
-    assert R.trivial_multiplicity(l2) == J.central_extension_dim(d).total
+    assert R.trivial_multiplicity(l2) == rep.centext_total
