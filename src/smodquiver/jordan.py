@@ -76,8 +76,8 @@ class ValidationReport:
     # lie_datum_of_spec reads so that no ideal is classified twice
     __slots__ = ("violations", "_kinds")
 
-    def __init__(self, violations=None):
-        self.violations = [] if violations is None else violations
+    def __init__(self):
+        self.violations = []
         self._kinds = {}
 
     @property

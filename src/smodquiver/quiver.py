@@ -47,8 +47,7 @@ Quiver = namedtuple("Quiver", "vertices arrows thin")
 # module; engine_parity: classical parity per the character engine
 RadicalGroup = namedtuple(
     "RadicalGroup",
-    "index support labels w_dim rtype singular parity engine_parity inert",
-    defaults=(False,))
+    "index support labels w_dim rtype singular parity engine_parity inert")
 
 # kind: ZeroRelations | A1_SegreSym | A1_SegreAlt | A2_Segre | CliffordOdd
 # | CliffordEven; groups: radical group indices; vertices: vertex ids touched
@@ -73,14 +72,31 @@ QuiverReport = namedtuple(
 
 
 def group_radical(datum: jordan.LieDatum):
-    """Radical entries with singularity and form parities attached."""
-    groups = []
-    for q, e in enumerate(datum.radical):
+    """One pass over the radical: (groups, ends, partners).
+
+    groups: the RadicalGroups, with singularity, form parities and
+    inertness; ends: each group's arrow ends, ((color, label), (color,
+    label)) pairs; partners: {q: q2} for each two distinct entries on one
+    support whose base modules are dual.  A label is dualized only where an
+    arrow or a partner needs it: in every tensor entry, and in a unital
+    entry on a support that carries two entries or more, so an e7 label,
+    alone on its ideal, never is."""
+    entries = datum.radical
+    index = {(e.support, e.labels): q for q, e in enumerate(entries)}
+    shared = Counter(e.support for e in entries)
+    groups, ends, partners = [], [], {}
+    for q, e in enumerate(entries):
         kinds = [datum.summands[i] for i in e.support]
         tensor = len(e.support) == 2
+        if tensor or shared[e.support] > 1:
+            duals = tuple(catalog.dual_label(k, l) for k, l in zip(kinds, e.labels))
+            if index.get((e.support, duals), q) != q:
+                partners[q] = index[e.support, duals]
         engine = [catalog.classical_parity(k, l) for k, l in zip(kinds, e.labels)]
-        engine_parity = catalog.parity_product(*engine) if tensor else engine[0]
         if tensor:
+            (i, j), (la, lb) = e.support, e.labels
+            pairs = [((i, duals[0]), (j, lb)), ((j, duals[1]), (i, la))]
+            engine_parity = catalog.parity_product(*engine)
             # both h-eigenvalue-1/2 pieces, the level in quarter units, are lines
             singular = [catalog.graded_piece_dim4(k, l, 2)
                         for k, l in zip(kinds, e.labels)] == [1, 1]
@@ -88,31 +104,22 @@ def group_radical(datum: jordan.LieDatum):
             parity = catalog.parity_product(*(catalog.duality_form(k, l).parity
                                               for k, l in zip(kinds, e.labels)))
         else:
+            (i,), (kind,), (label,) = e.support, kinds, e.labels
+            pairs = []
+            for lab in catalog.s_half_simples(kind):
+                targets = [t for t in catalog.restrict_s(kind, lab.name, label)
+                           if t != "tr"]
+                assert len(targets) <= 1, "restriction is multiplicity free"
+                pairs += [((i, lab.name), (i, t)) for t in targets]
             # the h-eigenvalue-1 piece
-            singular = catalog.graded_piece_dim4(kinds[0], e.labels[0], 4) == 1
+            singular = catalog.graded_piece_dim4(kind, label, 4) == 1
             # a label that is not self-dual already has classical parity "none"
-            parity = engine_parity
+            parity = engine_parity = engine[0]
         groups.append(RadicalGroup(q, e.support, e.labels, e.w_dim,
-                                   "I" if tensor else "II",
-                                   singular, parity, engine_parity))
-    return groups
-
-
-def dual_partners(datum: jordan.LieDatum):
-    """{q: q2} for each two distinct radical entries on one support whose
-    base modules are dual.  Only a support that carries two entries or more
-    has its labels dualized, so an e7 label, alone on its ideal, never is."""
-    entries = datum.radical
-    index = {(e.support, e.labels): q for q, e in enumerate(entries)}
-    shared = Counter(e.support for e in entries)
-    partners = {}
-    for q, e in enumerate(entries):
-        if shared[e.support] > 1:
-            duals = tuple(catalog.dual_label(datum.summands[i], l)
-                          for i, l in zip(e.support, e.labels))
-            if index.get((e.support, duals), q) != q:
-                partners[q] = index[e.support, duals]
-    return partners
+                                   "I" if tensor else "II", singular, parity,
+                                   engine_parity, not pairs))
+        ends.append(pairs)
+    return groups, ends, partners
 
 
 def central_extension(groups, partners):
@@ -136,9 +143,9 @@ def central_extension(groups, partners):
 # vertices and arrows
 
 
-def arrows_of(datum: jordan.LieDatum, groups):
+def arrows_of(datum: jordan.LieDatum, groups, ends):
     """Colored quiver: half simples per summand, one thick arrow per
-    (group, direction)."""
+    (group, direction) between the arrow ends `group_radical` gives."""
     vertices = []
     vid_of = {}
     for color, kind in enumerate(datum.summands):
@@ -147,34 +154,8 @@ def arrows_of(datum: jordan.LieDatum, groups):
             vertices.append(v)
             vid_of[(color, lab.name)] = v.vid
 
-    arrows = []
-    inert = set()
-    for g in groups:
-        endpoints = []
-        if g.rtype == "I":
-            (i, j) = g.support
-            (la, lb) = g.labels
-            ki, kj = datum.summands[i], datum.summands[j]
-            endpoints = [
-                (vid_of[(i, catalog.dual_label(ki, la))], vid_of[(j, lb)]),
-                (vid_of[(j, catalog.dual_label(kj, lb))], vid_of[(i, la)]),
-            ]
-        else:
-            i = g.support[0]
-            kind = datum.summands[i]
-            for lab in catalog.s_half_simples(kind):
-                res = catalog.restrict_s(kind, lab.name, g.labels[0])
-                targets = sorted(t for t in res if t != "tr")
-                assert len(targets) <= 1, "restriction is multiplicity free"
-                for t in targets:
-                    assert res[t] == 1
-                    endpoints.append((vid_of[(i, lab.name)], vid_of[(i, t)]))
-        if not endpoints:
-            inert.add(g.index)
-        for src, dst in sorted(endpoints):
-            arrows.append((g.index, src, dst, g.w_dim))
-
-    arrows.sort()
+    arrows = sorted((g.index, vid_of[src], vid_of[dst], g.w_dim)
+                    for g, pairs in zip(groups, ends) for src, dst in pairs)
     thick = tuple(ThickArrow(aid, src, dst, grp, w)
                   for aid, (grp, src, dst, w) in enumerate(arrows))
     size = _quiver_size(thick)
@@ -185,9 +166,7 @@ def arrows_of(datum: jordan.LieDatum, groups):
                          for a in thick for wi in range(a.w_dim))
     thin = tuple(ThinArrow(tid, src, dst, grp, wi)
                  for tid, (grp, wi, src, dst, _) in enumerate(thin_sorted))
-    new_groups = [g._replace(inert=True) if g.index in inert else g
-                  for g in groups]
-    return Quiver(tuple(vertices), thick, thin), new_groups
+    return Quiver(tuple(vertices), thick, thin)
 
 
 def _quiver_size(thick):
@@ -237,8 +216,10 @@ def classify_block(datum, groups, partners, q):
             if form.dual == sname:
                 kind = ("A1_SegreSym" if form.parity == "symmetric"
                         else "A1_SegreAlt")
-                engine = catalog.classical_parity(skind, sname)
-                if form.parity != engine:
+                # sl(2)'s L is skew in the table and in the engine, so the
+                # group's two parities differ exactly where the S side's do
+                if g.parity != g.engine_parity:
+                    engine = catalog.classical_parity(skind, sname)
                     notes.append(f"classification used table parity "
                                  f"'{form.parity}' for ({skind},{sname}); "
                                  f"character engine computes '{engine}'")
@@ -404,9 +385,8 @@ def _zero_relations(quiver, outer_ids, inner):
 def assemble(spec: jordan.JordanSpec) -> QuiverReport:
     """Full pipeline from a JordanSpec to the quiver-with-relations report."""
     datum = jordan.lie_datum_of_spec(spec)
-    groups = group_radical(datum)
-    partners = dual_partners(datum)
-    quiver, groups = arrows_of(datum, groups)
+    groups, ends, partners = group_radical(datum)
+    quiver = arrows_of(datum, groups, ends)
     thin_map = _thin_by_thick(quiver)
 
     blocks = []

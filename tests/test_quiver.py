@@ -31,7 +31,7 @@ def test_group_merging_and_wdim():
     d = datum((J.Field(), J.Hermitian(1, 3)),
               (J.TensorOfSpecial(0, "L", 1, "V"),
                J.TensorOfSpecial(0, "L", 1, "V"),))
-    gs = Q.group_radical(d)
+    gs, _, _ = Q.group_radical(d)
     assert len(gs) == 1 and gs[0].w_dim == 2
 
 
@@ -39,7 +39,7 @@ def test_group_types_and_singularity():
     d = datum((J.Hermitian(2, 3), J.Bilinear(5), J.Field()),
               (J.Unital(0, "ad"), J.Unital(1, "LrV(1)"),
                J.TensorOfSpecial(2, "L", 0, "V")))
-    gs = Q.group_radical(d)
+    gs, _, _ = Q.group_radical(d)
     by_labels = {g.labels: g for g in gs}
     assert by_labels[("ad",)].rtype == "II"
     assert not by_labels[("ad",)].singular
@@ -49,16 +49,16 @@ def test_group_types_and_singularity():
 
 def test_type_one_singular_iff_two_sl2():
     d = datum((J.Field(), J.Field()), (J.TensorOfSpecial(0, "L", 1, "L"),))
-    assert Q.group_radical(d)[0].singular
+    assert Q.group_radical(d)[0][0].singular
     d = datum((J.Field(), J.Hermitian(1, 3)),
               (J.TensorOfSpecial(0, "L", 1, "V"),))
-    assert not Q.group_radical(d)[0].singular
+    assert not Q.group_radical(d)[0][0].singular
 
 
 def test_sl2_adjoint_group_is_singular():
     # ad over sl(2) is the standard module of so(3) with its short grading
     d = datum((J.Field(),), (J.Unital(0, "ad"),))
-    assert Q.group_radical(d)[0].singular
+    assert Q.group_radical(d)[0][0].singular
 
 
 # -- arrows ------------------------------------------------------------------
@@ -109,7 +109,8 @@ _CLIFFORD_EVEN_NOTE = (
 
 def classify(ideals, radical, q=0):
     d = datum(ideals, radical)
-    return Q.classify_block(d, Q.group_radical(d), Q.dual_partners(d), q)
+    groups, _, partners = Q.group_radical(d)
+    return Q.classify_block(d, groups, partners, q)
 
 
 def test_classify_a1_variants():
@@ -348,6 +349,27 @@ def test_assemble_classifies_each_ideal_once(monkeypatch):
     calls.clear()
     Q.assemble(J.JordanSpec((J.Hermitian(1, 3),), (), unital=False))
     assert calls == [J.Hermitian(1, 3), J.Field()]
+
+
+def test_assemble_dualizes_each_label_once(monkeypatch):
+    corpus = bench_module("corpus")
+    specs = [J.spec_from_dict(d) for d in corpus.generate(
+        lambda d: J.validate_spec(J.spec_from_dict(d)).ok)]
+    calls = {"dual_label": [], "classical_parity": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(C, name, lambda kind, label, f=getattr(C, name),
+                            seen=seen: seen.append(kind) or f(kind, label))
+    for spec in specs:
+        Q.assemble(spec)
+    # the 190 tensor labels, and the 106 unital labels on a shared support
+    assert len(calls["dual_label"]) == 296
+    # each of the 393 labels once, and the S side of the 2 noted A1 blocks
+    assert len(calls["classical_parity"]) == 395
+    assert C.E7 not in calls["dual_label"] + calls["classical_parity"]
+    # an e7 label, alone on its ideal, is never dualized
+    Q.assemble(J.JordanSpec((J.Albert(), J.Field()),
+                            (J.Unital(0, "ad"), J.Unital(1, "ad"))))
+    assert C.E7 not in calls["dual_label"]
 
 
 def test_isolated_counts():
