@@ -1,4 +1,4 @@
-"""Finite-dimensional graded pointed algebras and their resolutions.
+"""Finite-dimensional graded pointed algebras and their Betti tables.
 
 `PresentedAlgebra` is a quiver with quadratic relations, its basis
 extracted degree by degree: degree d is spanned by the pairs arrow(x), x in
@@ -7,9 +7,9 @@ own elimination column.  It is the one carrier of graded algebras in the
 package: the auxiliary algebras S(W) and Lambda(W) and the Segre product
 in `reference` are presented algebras too.
 
-On top of the basis (dims / src / dst / mul): Hilbert series, minimal
-graded resolutions of the vertex simples with exact Betti tables, and the
-linearity check up to a homological cap.  All arithmetic is exact.
+On top of the basis (dims / src / dst / mul): Hilbert series, and the
+exact Betti tables of the vertex simples up to a homological cap, counted
+from the PBW certificate below.  All arithmetic is exact.
 
 The PBW certificate.  Order the arrows by position (ascending id) and the
 length-2 paths lexicographically.  The pivots of the relations' RREF over
@@ -20,7 +20,8 @@ relations are a quadratic Groebner basis (Bergman's diamond lemma, Adv.
 Math. 1978), every dimension of A is a count of normal words, and A is
 Koszul (Priddy, Trans. AMS 1970).  Its Koszul dual is then PBW on the words
 whose consecutive pairs all lie in S, so the Betti tables of the simples
-are counts of those words.  Any other algebra is resolved.
+are counts of those words.  `koszul_check` raises `NoCertificate` on any
+other algebra; `reference.minimal_resolution` resolves it.
 
 Because the normal words of length d span A_d, a quadratic algebra with
 none of length d >= 3 is 0 in degree d, and that degree is not eliminated.
@@ -35,12 +36,12 @@ class NonTerminating(RuntimeError):
     """Basis extraction did not reach an empty degree below the cap."""
 
 
-class VertexMismatch(ValueError):
-    pass
-
-
 class PresentationError(ValueError):
     pass
+
+
+class NoCertificate(ValueError):
+    """`koszul_check` was given an algebra without the PBW certificate."""
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def from_presentation(quiver, relations, deg_cap=8) -> PresentedAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# minimal graded resolutions
+# Betti tables
 
 
 class Resolution:
@@ -396,104 +397,17 @@ class Resolution:
         return sum(self.betti.get((i, d), {}).values())
 
 
-class _Projective:
-    """Direct sum of shifted vertex projectives over a presented algebra.
-
-    Its basis falls into blocks by (degree t, destination vertex w): blocks
-    maps (t, w) to the list of (summand_idx, d, i) spanning it.
-    """
-
-    def __init__(self, alg, summands):
-        self.alg = alg
-        self.blocks = {}
-        for s, (v, shift) in enumerate(summands):
-            for d in range(alg.top_degree + 1):
-                for i in range(alg.dims(d)):
-                    if alg.src(d, i) == v:
-                        self.blocks.setdefault((shift + d, alg.dst(d, i)),
-                                               []).append((s, d, i))
-        self._pos = {key: {b: pos for pos, b in enumerate(basis)}
-                     for key, basis in self.blocks.items()}
-
-    def act(self, key, vec, gdeg, gidx):
-        """Left action of algebra element (gdeg, gidx) on a sparse vector
-        {position: coef} of block key = (t, w); returns a sparse vector of
-        block (t + gdeg, dst(g)), empty when g does not start at w or that
-        block does not exist."""
-        t, w = key
-        out_pos = self._pos.get((t + gdeg, self.alg.dst(gdeg, gidx)))
-        if out_pos is None or self.alg.src(gdeg, gidx) != w:
-            return {}
-        basis = self.blocks[key]
-        out = {}
-        for pos, c in vec.items():
-            s, d, i = basis[pos]
-            for k, c2 in self.alg.mul(gdeg, gidx, d, i):
-                j = out_pos[(s, d + gdeg, k)]
-                out[j] = out.get(j, 0) + c * c2
-        return {j: c for j, c in out.items() if c}
-
-
-def minimal_resolution(alg, vertex, hom_cap=5) -> Resolution:
-    """Minimal graded resolution of the vertex simple, up to hom_cap steps.
-
-    Every map here preserves degree and destination vertex, so vectors are
-    sparse {position: coef} over one (degree, vertex) block of a projective,
-    and spans, generators and kernels are computed one block at a time.
-    """
-    if vertex not in alg.vertices:
-        raise VertexMismatch(f"unknown vertex {vertex!r}")
-    res = Resolution(vertex)
-    res.betti[(0, 0)] = {vertex: 1}
-    p = _Projective(alg, [(vertex, 0)])
-    # first syzygy: everything of positive degree in P^0
-    kernel = {key: [{pos: 1} for pos in range(len(basis))]
-              for key, basis in p.blocks.items() if key[0] > 0}
-    for step in range(1, hom_cap + 1):
-        # minimal generators of the kernel, block by block: the kernel
-        # vectors at (t, w) outside the span of the images of the kernel at
-        # (t - 1, src(a)) under each arrow a into w
-        gens = []  # ((t, w), vector)
-        for (t, w), vectors in kernel.items():
-            span = Echelon()
-            for a in range(alg.dims(1)):
-                if alg.dst(1, a) == w:
-                    below = (t - 1, alg.src(1, a))
-                    for u in kernel.get(below, ()):
-                        span.add(p.act(below, u, 1, a))
-            for u in vectors:
-                if span.add(u):
-                    gens.append(((t, w), u))
-        for (t, w), _ in gens:
-            counts = res.betti.setdefault((step, t), {})
-            counts[w] = counts.get(w, 0) + 1
-        if not gens or step == hom_cap:
-            break  # the kernel of the last map would feed no further step
-        # the next projective, and the kernel of P_next -> P block by block
-        pnext = _Projective(alg, [(w, t) for (t, w), _ in gens])
-        kernel = {}
-        for key, basis in pnext.blocks.items():
-            rows = {}  # target position -> {source position: coef}
-            for j, (s, d, i) in enumerate(basis):
-                for r, c in p.act(*gens[s], d, i).items():
-                    rows.setdefault(r, {})[j] = c
-            ech = Echelon()
-            for row in rows.values():
-                ech.add(row)
-            null = ech.kernel(range(len(basis)))
-            if null:
-                kernel[key] = null
-        p = pnext
-    return res
-
-
-def _counted_resolutions(alg, hom_cap):
-    """Betti tables of the vertex simples of a PBW algebra up to hom_cap.
+def koszul_check(alg, hom_cap=5):
+    """The Betti tables {vertex: Resolution} of the vertex simples of a PBW
+    algebra up to hom_cap; any other algebra raises `NoCertificate`.
 
     The resolutions are linear, and b_{i,i}(w) for the simple at v is the
     number of arrow words of length i from v to w whose consecutive pairs
     all lie in S: the words spanning the Koszul dual.
     """
+    if alg.pbw is None:
+        raise NoCertificate("the relations are not a quadratic Groebner "
+                            "basis (no PBW certificate)")
     tables = {v: Resolution(v, {(0, 0): {v: 1}}) for v in alg.vertices}
     for step, words in zip(range(1, hom_cap + 1), _words(alg.arrows, alg.pbw)):
         for (v, f), n in words.items():
@@ -501,19 +415,3 @@ def _counted_resolutions(alg, hom_cap):
             w = alg.arrows[f][2]
             counts[w] = counts.get(w, 0) + n
     return tables
-
-
-def koszul_check(alg, hom_cap=5):
-    """True iff every vertex simple has a linear resolution up to hom_cap.
-
-    A PBW algebra is Koszul and its tables are counted; any other algebra
-    is resolved vertex by vertex."""
-    if alg.pbw is not None:
-        return True, _counted_resolutions(alg, hom_cap)
-    tables = {}
-    ok = True
-    for v in alg.vertices:
-        res = minimal_resolution(alg, v, hom_cap)
-        tables[v] = res
-        ok = ok and res.is_linear()
-    return ok, tables

@@ -17,6 +17,9 @@ compiles it:
   * the auxiliary single-vertex algebras S(W) and Lambda(W) (`sym_algebra`,
     `ext_algebra`) and the Segre product with them (`segre_product`), all
     presented algebras;
+  * minimal graded resolutions of the vertex simples of any presented
+    algebra (`minimal_resolution`), the reference for the Betti tables
+    that `pathalg.koszul_check` counts from the PBW certificate;
   * the symmetrized product of an associative table (`plus_product`,
     `matrix_algebra_table`);
   * `is_s_one` and `parity_discrepancies`, catalog answers that only the
@@ -40,7 +43,7 @@ from functools import lru_cache
 from .catalog import classical_parity, duality_form, s_half_simples
 from .linalg import (Echelon, _op_of_rows, exact, op_apply, op_lines,
                      op_mul_add, op_sum)
-from .pathalg import PresentedAlgebra, VertexMismatch
+from .pathalg import PresentedAlgebra, Resolution
 from .quiver import (Block, Quiver, QuiverReport, RadicalGroup, ThickArrow,
                      ThinArrow, Vertex)
 from .tables import StructureConstants
@@ -456,6 +459,11 @@ def parity_discrepancies(kind):
 # auxiliary graded algebras (single vertex) and the Segre product
 
 
+class VertexMismatch(ValueError):
+    """A vertex that the algebra lacks, or a Segre factor with more than
+    one vertex."""
+
+
 def sym_algebra(k, cap) -> PresentedAlgebra:
     """Polynomial algebra on k variables truncated above degree cap: k
     commuting loops at vertex 0, every monomial of degree cap + 1 zero."""
@@ -521,6 +529,101 @@ def segre_product(a: PresentedAlgebra, b: PresentedAlgebra) -> PresentedAlgebra:
                      if arrows[p[-1]][1] == gdst]
         rels += [((1, p),) for p in paths]
     return PresentedAlgebra(a.vertices, arrows, rels, top + 1)
+
+
+# ---------------------------------------------------------------------------
+# minimal graded resolutions
+
+
+class _Projective:
+    """Direct sum of shifted vertex projectives over a presented algebra.
+
+    Its basis falls into blocks by (degree t, destination vertex w): blocks
+    maps (t, w) to the list of (summand_idx, d, i) spanning it.
+    """
+
+    def __init__(self, alg, summands):
+        self.alg = alg
+        self.blocks = {}
+        for s, (v, shift) in enumerate(summands):
+            for d in range(alg.top_degree + 1):
+                for i in range(alg.dims(d)):
+                    if alg.src(d, i) == v:
+                        self.blocks.setdefault((shift + d, alg.dst(d, i)),
+                                               []).append((s, d, i))
+        self._pos = {key: {b: pos for pos, b in enumerate(basis)}
+                     for key, basis in self.blocks.items()}
+
+    def act(self, key, vec, gdeg, gidx):
+        """Left action of algebra element (gdeg, gidx) on a sparse vector
+        {position: coef} of block key = (t, w); returns a sparse vector of
+        block (t + gdeg, dst(g)), empty when g does not start at w or that
+        block does not exist."""
+        t, w = key
+        out_pos = self._pos.get((t + gdeg, self.alg.dst(gdeg, gidx)))
+        if out_pos is None or self.alg.src(gdeg, gidx) != w:
+            return {}
+        basis = self.blocks[key]
+        out = {}
+        for pos, c in vec.items():
+            s, d, i = basis[pos]
+            for k, c2 in self.alg.mul(gdeg, gidx, d, i):
+                j = out_pos[(s, d + gdeg, k)]
+                out[j] = out.get(j, 0) + c * c2
+        return {j: c for j, c in out.items() if c}
+
+
+def minimal_resolution(alg, vertex, hom_cap=5) -> Resolution:
+    """Minimal graded resolution of the vertex simple, up to hom_cap steps.
+
+    Every map here preserves degree and destination vertex, so vectors are
+    sparse {position: coef} over one (degree, vertex) block of a projective,
+    and spans, generators and kernels are computed one block at a time.
+    """
+    if vertex not in alg.vertices:
+        raise VertexMismatch(f"unknown vertex {vertex!r}")
+    res = Resolution(vertex)
+    res.betti[(0, 0)] = {vertex: 1}
+    p = _Projective(alg, [(vertex, 0)])
+    # first syzygy: everything of positive degree in P^0
+    kernel = {key: [{pos: 1} for pos in range(len(basis))]
+              for key, basis in p.blocks.items() if key[0] > 0}
+    for step in range(1, hom_cap + 1):
+        # minimal generators of the kernel, block by block: the kernel
+        # vectors at (t, w) outside the span of the images of the kernel at
+        # (t - 1, src(a)) under each arrow a into w
+        gens = []  # ((t, w), vector)
+        for (t, w), vectors in kernel.items():
+            span = Echelon()
+            for a in range(alg.dims(1)):
+                if alg.dst(1, a) == w:
+                    below = (t - 1, alg.src(1, a))
+                    for u in kernel.get(below, ()):
+                        span.add(p.act(below, u, 1, a))
+            for u in vectors:
+                if span.add(u):
+                    gens.append(((t, w), u))
+        for (t, w), _ in gens:
+            counts = res.betti.setdefault((step, t), {})
+            counts[w] = counts.get(w, 0) + 1
+        if not gens or step == hom_cap:
+            break  # the kernel of the last map would feed no further step
+        # the next projective, and the kernel of P_next -> P block by block
+        pnext = _Projective(alg, [(w, t) for (t, w), _ in gens])
+        kernel = {}
+        for key, basis in pnext.blocks.items():
+            rows = {}  # target position -> {source position: coef}
+            for j, (s, d, i) in enumerate(basis):
+                for r, c in p.act(*gens[s], d, i).items():
+                    rows.setdefault(r, {})[j] = c
+            ech = Echelon()
+            for row in rows.values():
+                ech.add(row)
+            null = ech.kernel(range(len(basis)))
+            if null:
+                kernel[key] = null
+        p = pnext
+    return res
 
 
 # ---------------------------------------------------------------------------

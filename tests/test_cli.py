@@ -2,13 +2,14 @@
 
 import importlib
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from helpers import src_env
+from helpers import change_arrow_basis, src_env, template_algebra
 from smodquiver import (catalog, cli, jordan, oracles, pathalg, quiver,
                         reference, tables, tkk)
 
@@ -101,6 +102,25 @@ def test_koszul_command(tmp_path, capsys):
     assert run(["koszul", "--spec", path, "--hom-cap", "4"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["koszul"] is True
+
+
+def test_koszul_without_certificate_exits_verify(tmp_path, capsys,
+                                                 monkeypatch):
+    # CliffordOdd(3) in another arrow basis is Koszul, but its relations are
+    # no Groebner basis: koszul refuses it rather than resolve it
+    alg = change_arrow_basis(template_algebra("CliffordOdd", (3,)),
+                             random.Random(0))
+    assert alg.pbw is None
+    monkeypatch.setattr(pathalg, "from_presentation",
+                        lambda quiver, relations, deg_cap=8: alg)
+    path = write_spec(tmp_path, SL6_AD)
+    assert run(["koszul", "--spec", path]) == cli.EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "verification-failed",
+        "message": "the relations are not a quadratic Groebner basis "
+                   "(no PBW certificate)"}
 
 
 def test_koszul_deg_cap_exceeded(tmp_path, capsys):
@@ -266,9 +286,9 @@ def _raise(exc):
 ENGINE_RAISES = {
     "NonTerminating": (pathalg, "koszul_check", pathalg.NonTerminating("deg"),
                        "koszul", cli.EXIT_CAP, "cap-exceeded"),
-    "VertexMismatch": (pathalg, "koszul_check",
-                       pathalg.VertexMismatch("unknown vertex 9"), "koszul",
-                       cli.EXIT_VERIFY, "verification-failed"),
+    "NoCertificate": (pathalg, "koszul_check",
+                      pathalg.NoCertificate("no PBW certificate"), "koszul",
+                      cli.EXIT_VERIFY, "verification-failed"),
     "PresentationError": (pathalg, "from_presentation",
                           pathalg.PresentationError("duplicate arrow ids"),
                           "koszul", cli.EXIT_VERIFY, "verification-failed"),

@@ -12,10 +12,11 @@ in two is a valid spec shaped like the benchmark corpus, so that it reaches
 `koszul`; there the Betti tables on stdout must be those of the minimal
 resolutions, and where `koszul` reports true the Hilbert series of the
 algebra and of its quadratic dual must be inverse up to the homological
-cap.  The same algebra in a random arrow basis must give them too,
-through `koszul_check`'s fallback wherever the new relations fail the PBW
-certificate.  The draws
-are derandomized so the suite is repeatable.
+cap.  The same algebra in a random arrow basis must give them too, through
+the reference resolutions, and through `koszul_check` wherever the new
+relations keep the PBW certificate; where they lose it, `koszul_check`
+raises `NoCertificate`.  The draws are derandomized so the suite is
+repeatable.
 """
 
 import contextlib
@@ -31,7 +32,7 @@ from helpers import (assert_dual_hilbert_identity, bench_module,
                      change_arrow_basis, jordan_in_random_basis)
 
 # imported up front, so that no example's time includes compiling a layer
-from smodquiver import cli, pathalg, quiver, tkk  # noqa: F401
+from smodquiver import cli, pathalg, quiver, reference, tkk  # noqa: F401
 from smodquiver import jordan
 
 # wall-time bound of one example.  The slowest drawn example took 6 ms (in
@@ -220,7 +221,7 @@ def _rendered(tables):
 
 def _resolved(alg):
     """The verdict and rendered tables of the minimal resolutions."""
-    tables = {v: pathalg.minimal_resolution(alg, v, HOM_CAP)
+    tables = {v: reference.minimal_resolution(alg, v, HOM_CAP)
               for v in alg.vertices}
     return all(r.is_linear() for r in tables.values()), _rendered(tables)
 
@@ -270,12 +271,19 @@ def test_koszul_betti_tables_match_the_resolutions(workdir, spec, rng):
     if len(alg.arrows) > REBASE_MAX_ARROWS:
         return
     # the same algebra on generic relations: Clifford blocks of
-    # multiplicity 2 or more lose the certificate and are resolved
+    # multiplicity 2 or more lose the certificate, and koszul_check refuses
+    # them
     other = change_arrow_basis(alg, rng)
     start = time.perf_counter()
-    ok, tables = pathalg.koszul_check(other, HOM_CAP)
+    resolved = _resolved(other)
     assert time.perf_counter() - start < EXAMPLE_SECONDS
-    assert (ok, _rendered(tables)) == (data["koszul"], data["betti"])
+    assert resolved == (data["koszul"], data["betti"])
+    if other.pbw is None:
+        with pytest.raises(pathalg.NoCertificate):
+            pathalg.koszul_check(other, HOM_CAP)
+    else:
+        tables = pathalg.koszul_check(other, HOM_CAP)
+        assert (True, _rendered(tables)) == (data["koszul"], data["betti"])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

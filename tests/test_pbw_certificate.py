@@ -1,8 +1,9 @@
 """The PBW certificate of `pathalg` against the routes it replaces.
 
 `koszul_check` counts the Betti tables of an algebra whose relations are a
-quadratic Groebner basis and resolves every other one; here
-`minimal_resolution` is the reference for the tables.  A PBW algebra is
+quadratic Groebner basis and raises `NoCertificate` on every other one;
+`reference.minimal_resolution` is the reference for the tables, and it
+resolves the algebras without the certificate.  A PBW algebra is
 extracted only up to degree 3 and its higher dimensions are counted; the
 reference for those is the full extraction, with the certificate switched
 off.
@@ -45,27 +46,29 @@ def _cubic_control():
 
 def _resolved(alg):
     """The verdict and Betti tables of the minimal resolutions."""
-    tables = {v: P.minimal_resolution(alg, v, HOM_CAP) for v in alg.vertices}
+    tables = {v: R.minimal_resolution(alg, v, HOM_CAP) for v in alg.vertices}
     return (all(r.is_linear() for r in tables.values()),
             {v: r.betti for v, r in tables.items()})
 
 
 def _checked(alg):
-    ok, tables = P.koszul_check(alg, HOM_CAP)
-    return ok, {v: r.betti for v, r in tables.items()}
+    """The verdict and Betti tables counted from the certificate."""
+    tables = P.koszul_check(alg, HOM_CAP)
+    return (all(r.is_linear() for r in tables.values()),
+            {v: r.betti for v, r in tables.items()})
 
 
 @pytest.fixture
 def resolutions(monkeypatch):
     """The vertices `minimal_resolution` is called on, in order."""
     calls = []
-    real = P.minimal_resolution
+    real = R.minimal_resolution
 
     def recording(alg, vertex, hom_cap=5):
         calls.append(vertex)
         return real(alg, vertex, hom_cap)
 
-    monkeypatch.setattr(P, "minimal_resolution", recording)
+    monkeypatch.setattr(R, "minimal_resolution", recording)
     return calls
 
 
@@ -145,7 +148,7 @@ def test_certificate_is_sound_on_random_algebras():
     assert certified >= 5
 
 
-# -- the fallback ------------------------------------------------------------
+# -- without the certificate: koszul_check refuses, the reference resolves ---
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -154,7 +157,9 @@ def test_fallback_on_clifford_odd_in_another_arrow_basis(seed, resolutions):
     alg = change_arrow_basis(base, random.Random(seed))
     assert alg.pbw is None
     assert alg.hilbert() == base.hilbert()
-    ok, tables = _checked(alg)
+    with pytest.raises(P.NoCertificate):
+        P.koszul_check(alg, HOM_CAP)
+    ok, tables = _resolved(alg)
     assert resolutions == list(alg.vertices)
     # Koszul all the same, with the tables of the PBW presentation
     assert ok
@@ -164,7 +169,9 @@ def test_fallback_on_clifford_odd_in_another_arrow_basis(seed, resolutions):
 def test_fallback_on_the_cubic_control(resolutions):
     alg = _cubic_control()
     assert alg.pbw is None
-    ok, tables = _checked(alg)
+    with pytest.raises(P.NoCertificate):
+        P.koszul_check(alg, HOM_CAP)
+    ok, tables = _resolved(alg)
     assert resolutions == list(alg.vertices)
     assert not ok
     assert tables[1][(2, 3)] == {4: 1}

@@ -59,7 +59,8 @@ def _invariant(data):
     pairs = [Counter((name[s], name[t], n)
                      for (s, t), n in alg.dims_by_pair(d).items())
              for d in range(len(alg.hilbert()))]
-    koszul, tables = P.koszul_check(alg, HOM_CAP)
+    tables = P.koszul_check(alg, HOM_CAP)
+    koszul = all(r.is_linear() for r in tables.values())
     betti = Counter((name[v], i, d, name[w], n)
                     for v, res in tables.items()
                     for (i, d), counts in res.betti.items()
