@@ -130,10 +130,9 @@ def cmd_koszul(args):
         "homCap": args.hom_cap,
         "koszul": True,
         "betti": {
-            f"v{v}": {f"{i},{d}": dict(sorted(
-                (f"v{w}", c) for w, c in counts.items()))
-                      for (i, d), counts in sorted(res.betti.items())}
-            for v, res in sorted(tables.items())
+            f"v{v}": {f"{i},{d}": {f"v{w}": c for w, c in counts.items()}
+                      for (i, d), counts in res.betti.items()}
+            for v, res in tables.items()
         },
     }
     _write(args.out, _json_dumps(payload))

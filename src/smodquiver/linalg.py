@@ -1,16 +1,16 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: `exact` and `Echelon`, the one
+kernel that the spec level (`pathalg`) and the table level share.
 
 Sparse vectors are dicts {index: coefficient} that hold only the nonzero
-entries, each coefficient an `int` or a `Fraction` (never a float); sparse
-operators are dicts {(row, col): coefficient}.  Every elimination goes
-through one sparse kernel, `Echelon`: the reduced row echelon form of a
-growing row space, kept as a map pivot -> row.  A row's pivot is its first
-nonzero column, the row is 1 there and every row is 0 at every other pivot,
-so the form is the unique RREF of the span whatever order the rows arrive
-in, and a vector's coordinates in the rows are its entries at the pivots.
-Dividing by a pivot is the only division: a `Fraction` pivot divides as
-usual, an `int` pivot of +-1 keeps an integral row integral and any other
-`int` pivot goes through `Fraction`.
+entries, each coefficient an `int` or a `Fraction` (never a float).  Every
+elimination goes through one sparse kernel, `Echelon`: the reduced row
+echelon form of a growing row space, kept as a map pivot -> row.  A row's
+pivot is its first nonzero column, the row is 1 there and every row is 0 at
+every other pivot, so the form is the unique RREF of the span whatever
+order the rows arrive in, and a vector's coordinates in the rows are its
+entries at the pivots.  Dividing by a pivot is the only division: a
+`Fraction` pivot divides as usual, an `int` pivot of +-1 keeps an integral
+row integral and any other `int` pivot goes through `Fraction`.
 
 `fractions` is imported where a `Fraction` is first built: on division by a
 pivot other than +-1, or in `exact` on a non-integral input.  Work over
@@ -18,8 +18,6 @@ pivot other than +-1, or in `exact` on a non-integral input.  Work over
 """
 
 from __future__ import annotations
-
-import math
 
 
 def exact(x):
@@ -31,68 +29,6 @@ def exact(x):
 
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-def integral(maps):
-    """The dicts, all scaled by the lcm of their values' denominators, with
-    `int` values: a list of dicts with the same keys."""
-    maps = list(maps)
-    scale = math.lcm(*(c.denominator for m in maps for c in m.values()))
-    return [{k: c.numerator * (scale // c.denominator) for k, c in m.items()}
-            for m in maps]
-
-
-def op_lines(op):
-    """Rows and columns of an operator {(row, col): x}, as lists of pairs."""
-    rows, cols = {}, {}
-    for (r, c), x in op.items():
-        rows.setdefault(r, []).append((c, x))
-        cols.setdefault(c, []).append((r, x))
-    return rows, cols
-
-
-def op_apply(op, v):
-    """op(v) of an operator and a sparse vector, without zero entries."""
-    out = {}
-    for (r, c), x in op.items():
-        if c in v:
-            out[r] = out.get(r, 0) + x * v[c]
-    return {r: x for r, x in out.items() if x}
-
-
-def op_mul_add(out, a, brows, c=1):
-    """out += c * ab, in place, for operators a and b, b given by its rows
-    (`op_lines(b)[0]`).  out holds the rows of the sum, {row: {col: x}},
-    and may be left holding zero entries."""
-    for (r, t), x in a.items():
-        row = brows.get(t)
-        if row:
-            cx = c * x
-            dst = out.setdefault(r, {})
-            for col, y in row:
-                dst[col] = dst.get(col, 0) + cx * y
-    return out
-
-
-def _op_of_rows(rows):
-    """The operator {(row, col): x} with rows {row: {col: x}}, without zero
-    entries."""
-    return {(r, c): x for r, row in rows.items() for c, x in row.items() if x}
-
-
-def op_sum(terms):
-    """sum c * op over the (c, op) pairs, without zero entries."""
-    out = {}
-    for c, op in terms:
-        for key, x in op.items():
-            out[key] = out.get(key, 0) + c * x
-    return {key: x for key, x in out.items() if x}
-
-
-def op_commutator(a, b):
-    """ab - ba, without zero entries."""
-    out = op_mul_add({}, a, op_lines(b)[0])
-    return _op_of_rows(op_mul_add(out, b, op_lines(a)[0], -1))
 
 
 def _axpy(vec, c, other):

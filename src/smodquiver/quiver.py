@@ -187,8 +187,9 @@ def _quiver_size(thick):
 def classify_block(datum, groups, partners, q):
     """The block of group q: its kind, its group indices, its descriptor (the
     paper's table row) and its notes.  An A1 block's template follows the
-    table parity of its S side, and a note says where the character engine
-    computes another; an A2 block pairs q with its entry of `partners`."""
+    group's table parity (skew: A1_SegreSym, symmetric: A1_SegreAlt), and a
+    note says where the character engine computes another; an A2 block pairs
+    q with its entry of `partners`."""
     g = groups[q]
     kinds = [datum.summands[i] for i in g.support]
     notes = []
@@ -210,18 +211,17 @@ def classify_block(datum, groups, partners, q):
                ("B", "B"): 4, ("B", "C"): 5, ("C", "C"): 6}.get(classes)
         descriptor = f"Table2:row{row}" if row else ""
         if SL2 in kinds:
-            s_side = 1 - kinds.index(SL2)
-            skind, sname = kinds[s_side], g.labels[s_side]
-            form = catalog.duality_form(skind, sname)
-            if form.dual == sname:
-                kind = ("A1_SegreSym" if form.parity == "symmetric"
+            if g.parity != "none":
+                kind = ("A1_SegreSym" if g.parity == "skew"
                         else "A1_SegreAlt")
-                # sl(2)'s L is skew in the table and in the engine, so the
-                # group's two parities differ exactly where the S side's do
                 if g.parity != g.engine_parity:
-                    engine = catalog.classical_parity(skind, sname)
+                    # sl(2)'s L is skew in the table and in the engine, so
+                    # each parity of the S side is the group's times skew
+                    table, engine = (catalog.parity_product("skew", p)
+                                     for p in (g.parity, g.engine_parity))
+                    i = 1 - kinds.index(SL2)
                     notes.append(f"classification used table parity "
-                                 f"'{form.parity}' for ({skind},{sname}); "
+                                 f"'{table}' for ({kinds[i]},{g.labels[i]}); "
                                  f"character engine computes '{engine}'")
             elif q in partners:
                 kind, qidx = "A2_Segre", tuple(sorted((q, partners[q])))

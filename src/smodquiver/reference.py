@@ -41,12 +41,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import classical_parity, duality_form, s_half_simples
-from .linalg import (Echelon, _op_of_rows, exact, op_apply, op_lines,
-                     op_mul_add, op_sum)
+from .linalg import Echelon, exact
 from .pathalg import PresentedAlgebra, Resolution
 from .quiver import (Block, Quiver, QuiverReport, RadicalGroup, ThickArrow,
                      ThinArrow, Vertex)
-from .tables import StructureConstants
+from .tables import (StructureConstants, op_apply, op_lines, op_mul_add,
+                     op_of_rows, op_sum)
 from .weights import (CompositeSystem, NotDominant, _add, _embed, _join, _sub,
                       dominantize, graded_pieces4, ip4, is_dominant,
                       normalize_dominant, positive_roots, rho2, weyl_dim)
@@ -111,10 +111,8 @@ def _multinomial(w):
 
 
 def _orbit_size(sys, w):
-    """|W . w|, counted by formula rather than enumerated."""
-    if isinstance(sys, CompositeSystem):
-        return math.prod(_orbit_size(c, p)
-                         for c, p in zip(sys.components, sys.split(w)))
+    """|W . w| in a simple root system, counted by formula rather than
+    enumerated."""
     if sys.family == "A":
         return _multinomial(w)
     mags = [abs(x) for x in w]
@@ -649,7 +647,7 @@ def dense_vector(v, n):
 
 def op_mul(a, b):
     """Product of operators {(row, col): x}, without zero entries."""
-    return _op_of_rows(op_mul_add({}, a, op_lines(b)[0]))
+    return op_of_rows(op_mul_add({}, a, op_lines(b)[0]))
 
 
 def table_mul(sc: StructureConstants, x, y):

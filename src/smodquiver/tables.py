@@ -3,7 +3,8 @@
 This is the table level of the package, what `tkk-check` parses and checks
 before the TKK construction: the JSON table format, the left
 multiplications L_i through which every product goes, the unit, and the
-multilinearized Jordan identity in operator form.
+multilinearized Jordan identity in operator form.  Its sparse operators
+{(row, col): x} and their arithmetic (`op_*`, `integral`) live here too.
 
 Coefficients are exact: `int` where integral, `Fraction` only where not,
 never a float.  Identities are checked on basis tuples after full
@@ -16,9 +17,10 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 import sys
 
-from .linalg import Echelon, exact, integral, op_lines, op_mul_add, op_sum
+from .linalg import Echelon, exact
 
 # ---------------------------------------------------------------------------
 # JSON wire format
@@ -97,6 +99,68 @@ def table_from_dict(data: dict) -> StructureConstants:
 
 # ---------------------------------------------------------------------------
 # explicit structure constants
+
+
+def integral(maps):
+    """The dicts, all scaled by the lcm of their values' denominators, with
+    `int` values: a list of dicts with the same keys."""
+    maps = list(maps)
+    scale = math.lcm(*(c.denominator for m in maps for c in m.values()))
+    return [{k: c.numerator * (scale // c.denominator) for k, c in m.items()}
+            for m in maps]
+
+
+def op_lines(op):
+    """Rows and columns of an operator {(row, col): x}, as lists of pairs."""
+    rows, cols = {}, {}
+    for (r, c), x in op.items():
+        rows.setdefault(r, []).append((c, x))
+        cols.setdefault(c, []).append((r, x))
+    return rows, cols
+
+
+def op_apply(op, v):
+    """op(v) of an operator and a sparse vector, without zero entries."""
+    out = {}
+    for (r, c), x in op.items():
+        if c in v:
+            out[r] = out.get(r, 0) + x * v[c]
+    return {r: x for r, x in out.items() if x}
+
+
+def op_mul_add(out, a, brows, c=1):
+    """out += c * ab, in place, for operators a and b, b given by its rows
+    (`op_lines(b)[0]`).  out holds the rows of the sum, {row: {col: x}},
+    and may be left holding zero entries."""
+    for (r, t), x in a.items():
+        row = brows.get(t)
+        if row:
+            cx = c * x
+            dst = out.setdefault(r, {})
+            for col, y in row:
+                dst[col] = dst.get(col, 0) + cx * y
+    return out
+
+
+def op_of_rows(rows):
+    """The operator {(row, col): x} with rows {row: {col: x}}, without zero
+    entries."""
+    return {(r, c): x for r, row in rows.items() for c, x in row.items() if x}
+
+
+def op_sum(terms):
+    """sum c * op over the (c, op) pairs, without zero entries."""
+    out = {}
+    for c, op in terms:
+        for key, x in op.items():
+            out[key] = out.get(key, 0) + c * x
+    return {key: x for key, x in out.items() if x}
+
+
+def op_commutator(a, b):
+    """ab - ba, without zero entries."""
+    out = op_mul_add({}, a, op_lines(b)[0])
+    return op_of_rows(op_mul_add(out, b, op_lines(a)[0], -1))
 
 
 def table_bits(sc):

@@ -16,9 +16,9 @@ without structure constants, is `jordan.lie_datum_of_spec`.
 
 from __future__ import annotations
 
-from .linalg import (Echelon, exact, integral, op_apply, op_commutator,
-                     op_lines, op_sum)
-from .tables import StructureConstants, check_jordan_identity, find_unit
+from .linalg import Echelon, exact
+from .tables import (StructureConstants, check_jordan_identity, find_unit,
+                     integral, op_apply, op_commutator, op_lines, op_sum)
 
 MAX_EXPLICIT_DIM = 16
 # bound on `tables.table_bits`: each identity-check term multiplies three
@@ -41,12 +41,17 @@ class NotUnital(ValueError):
 class ShortGradedLie:
     """Graded Lie algebra on basis g_{-1} | g_0 | g_1 with sparse brackets."""
 
-    __slots__ = ("dims", "bracket", "triple")
+    __slots__ = ("dims", "bracket", "triple", "ad")
 
     def __init__(self, dims: tuple, bracket: dict, triple: tuple):
         self.dims = dims            # (d_-1, d_0, d_1)
         self.bracket = bracket      # (i, j) with i < j -> {k: coeff}
         self.triple = triple        # (e, h, f) as full coordinate vectors
+        # ad[i][j] = [e_i, e_j] for every bracket, both signs
+        self.ad = {}
+        for (i, j), vec in bracket.items():
+            self.ad.setdefault(i, {})[j] = vec
+            self.ad.setdefault(j, {})[i] = {k: -c for k, c in vec.items()}
 
     @property
     def total_dim(self):
@@ -57,11 +62,7 @@ class ShortGradedLie:
         return -1 if i < n else 0 if i < n + d0 else 1
 
     def bracket_basis(self, i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return self.bracket.get((i, j), {})
-        return {k: -c for k, c in self.bracket.get((j, i), {}).items()}
+        return self.ad.get(i, {}).get(j, {})
 
     def bracket_vec(self, u, v):
         """[u, v] of sparse vectors {index: coeff}."""
@@ -91,11 +92,9 @@ class ShortGradedLie:
         (it is then -[[e_k,e_i],e_j]) and +1 otherwise.  A triple whose three
         brackets vanish gets no term and holds trivially.
         """
-        # ad[i][j] = [e_i, e_j] scaled to int, for every bracket, both signs
-        ad = {}
-        for (i, j), vec in zip(self.bracket, integral(self.bracket.values())):
-            ad.setdefault(i, {})[j] = vec
-            ad.setdefault(j, {})[i] = {k: -c for k, c in vec.items()}
+        scaled = iter(integral(vec for row in self.ad.values()
+                               for vec in row.values()))
+        ad = {i: {j: next(scaled) for j in row} for i, row in self.ad.items()}
         acc = {}  # (i, j, k) -> the sum of its terms, a sparse vector
         for a, ad_a in ad.items():
             for b, vec in ad_a.items():
@@ -249,11 +248,11 @@ def minimality_check(g: ShortGradedLie) -> bool:
     # the center is the kernel of x -> ([x, e_j])_j: one row per (j, k),
     # holding the coefficient of e_k in [e_i, e_j] at column i
     ad_rows = {}
-    for (i, j), vec in g.bracket.items():
-        for k, c in vec.items():
-            if c:
-                ad_rows.setdefault((j, k), {})[i] = c
-                ad_rows.setdefault((i, k), {})[j] = -c
+    for i, row in g.ad.items():
+        for j, vec in row.items():
+            for k, c in vec.items():
+                if c:
+                    ad_rows.setdefault((j, k), {})[i] = c
     ad = Echelon()
     for row in ad_rows.values():
         ad.add(row)

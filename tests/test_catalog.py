@@ -224,3 +224,14 @@ def test_every_half_simple_is_minuscule(kind):
     for lab in C.s_half_simples(kind):
         assert R.dominant_character(sys, lab.weight) == {lab.weight: 1}, \
             lab.name
+
+
+def test_e7_has_no_cocharacter():
+    # the e7 rows come from the table, not from a grading
+    with pytest.raises(ValueError, match="e7 has no character support"):
+        C.E7.cocharacter()
+
+
+def test_is_s_one_requires_dominant():
+    with pytest.raises(W.NotDominant):
+        R.is_s_one(C.SL(4), (0, 1, 0, 0))

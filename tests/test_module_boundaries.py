@@ -1,8 +1,10 @@
-"""Module boundaries: the private names one package module reads from another.
+"""Module boundaries: the private names one package module reads from
+another, and the shared kernel's names.
 
 A leading underscore marks a name as its module's own.  The reads across
 modules that remain are pinned here, so a new one fails until it is made
-public or pinned on purpose.
+public or pinned on purpose.  `linalg` is the kernel both levels share, so
+every public name it defines is imported by a module of each level.
 """
 
 import ast
@@ -13,11 +15,15 @@ PACKAGE = SRC / "smodquiver"
 
 # (reading module, home module, private name)
 PINNED = {("catalog", "weights", "_sub"),
-          ("reference", "linalg", "_op_of_rows"),
           ("reference", "weights", "_add"),
           ("reference", "weights", "_embed"),
           ("reference", "weights", "_join"),
           ("reference", "weights", "_sub")}
+
+
+# the modules of each level that may import the shared kernel
+SPEC_LEVEL = ("pathalg",)
+TABLE_LEVEL = ("tables", "tkk")
 
 
 def _private(name):
@@ -67,3 +73,31 @@ def test_private_reads_sees_both_forms(tmp_path):
     assert private_reads(src) == {("weights", "_sub"),
                                   ("jordan", "_entry_parity"),
                                   ("linalg", "_rows")}
+
+
+def defined_names(path):
+    """The public names the module at `path` defines at its top level."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def imported_names(path, home):
+    """The names the module at `path` imports from package module `home`."""
+    return {alias.name for node in ast.walk(ast.parse(
+                path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == home for alias in node.names}
+
+
+def test_shared_kernel_defines_only_names_both_levels_import():
+    defined = defined_names(PACKAGE / "linalg.py")
+    assert {"exact", "Echelon"} <= defined
+    for level in (SPEC_LEVEL, TABLE_LEVEL):
+        used = set().union(*(imported_names(PACKAGE / f"{m}.py", "linalg")
+                             for m in level))
+        assert defined <= used, (level, sorted(defined - used))

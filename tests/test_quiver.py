@@ -355,7 +355,7 @@ def test_assemble_dualizes_each_label_once(monkeypatch):
     corpus = bench_module("corpus")
     specs = [J.spec_from_dict(d) for d in corpus.generate(
         lambda d: J.validate_spec(J.spec_from_dict(d)).ok)]
-    calls = {"dual_label": [], "classical_parity": []}
+    calls = {"dual_label": [], "classical_parity": [], "duality_form": []}
     for name, seen in calls.items():
         monkeypatch.setattr(C, name, lambda kind, label, f=getattr(C, name),
                             seen=seen: seen.append(kind) or f(kind, label))
@@ -363,8 +363,10 @@ def test_assemble_dualizes_each_label_once(monkeypatch):
         Q.assemble(spec)
     # the 190 tensor labels, and the 106 unital labels on a shared support
     assert len(calls["dual_label"]) == 296
-    # each of the 393 labels once, and the S side of the 2 noted A1 blocks
-    assert len(calls["classical_parity"]) == 395
+    # each of the 393 labels once: `classify_block` reads the group records
+    assert len(calls["classical_parity"]) == 393
+    # the 190 tensor labels, in `group_radical` alone
+    assert len(calls["duality_form"]) == 190
     assert C.E7 not in calls["dual_label"] + calls["classical_parity"]
     # an e7 label, alone on its ideal, is never dualized
     Q.assemble(J.JordanSpec((J.Albert(), J.Field()),

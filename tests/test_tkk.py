@@ -106,6 +106,23 @@ def test_round_trip_on_handbuilt_rank_one():
     assert sc == field_sc()
 
 
+def test_grading_check_fails_on_a_misgraded_bracket():
+    # [e, f] = f lies in degree 1, not in degree 0
+    one = Fraction(1)
+    g = T.ShortGradedLie((1, 1, 1), {(0, 2): {2: one}},
+                         ((one, 0, 0), (0, one, 0), (0, 0, one)))
+    assert not g.check_grading()
+
+
+def test_round_trip_refuses_a_product_outside_degree_minus_one():
+    # [e, h] = f makes [[f, e], e] = [e, h] = f, of degree 1
+    one = Fraction(1)
+    g = T.ShortGradedLie((1, 1, 1), {(0, 1): {2: one}, (0, 2): {1: one}},
+                         ((one, 0, 0), (0, one, 0), (0, 0, one)))
+    with pytest.raises(T.JacobiFails, match="leaves degree -1"):
+        T.jordan_from_short_pair(g)
+
+
 def test_minimality_fails_with_central_line():
     g = T.tkk_construct(field_sc())
     # append a central degree-0 basis vector: no brackets touch index 3

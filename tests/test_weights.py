@@ -54,6 +54,25 @@ def test_dual_weight_requires_dominant():
     assert info.value.args == ((0, 2, 0),)
 
 
+def test_dominant_character_requires_dominant():
+    with pytest.raises(W.NotDominant):
+        R.dominant_character(C3, (0, 2, 0))
+
+
+def test_characters_over_different_systems_do_not_combine():
+    a = R.weight_multiplicities(A1, (2, 0))
+    b = R.weight_multiplicities(A2, (2, 0, 0))
+    with pytest.raises(ValueError, match="different systems"):
+        R.char_product(a, b)
+    with pytest.raises(ValueError, match="different systems"):
+        R.tensor_decompose(a, b)
+
+
+def test_weight_off_the_lattice_is_not_weyl_invariant():
+    # (1, 0) pairs with B2's long simple root to a half-integer
+    assert not R.is_weyl_invariant(Character(B2, {(1, 0): 1}))
+
+
 @pytest.mark.parametrize("family, rank, message", [
     ("A", 0, "rank must be positive"),
     ("D", 1, "D requires rank >= 2"),
@@ -144,6 +163,13 @@ def test_dual_weight_examples():
     assert W.dual_weight(A5, (2, 0, 0, 0, 0, 0)) == (2, 2, 2, 2, 2, 0)
     assert W.dual_weight(D5, (1, 1, 1, 1, 1)) == (1, 1, 1, 1, -1)
     assert W.dual_weight(C3, (2, 0, 0)) == (2, 0, 0)
+
+
+def test_dual_weight_on_a_composite_system():
+    # each component's slice of the weight is dualized on its own
+    lam = (2, 0, 0, 0, 0, 0) + (1, 1, 1, 1, 1)
+    assert W.dual_weight(composite(A5, D5), lam) == \
+        (2, 2, 2, 2, 2, 0) + (1, 1, 1, 1, -1)
 
 
 def test_dual_weight_involution():
